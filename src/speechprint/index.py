@@ -128,6 +128,13 @@ class RetrievalIndex:
         rows = signatures.reshape(n_subs * self.band_count, self.band_width)
         return fnv1a64_rows(rows).reshape(n_subs, self.band_count)
 
+    def _check_digest(self, fp: Fingerprint) -> None:
+        if fp.config_digest != self.config_digest:
+            raise IncompatibleIndex(
+                f"fingerprint config digest 0x{fp.config_digest:016x} != "
+                f"index digest 0x{self.config_digest:016x}"
+            )
+
     def enroll(self, fp: Fingerprint) -> None:
         """Adds a file's sub-fingerprints. file_id must be new.
 
@@ -135,11 +142,7 @@ class RetrievalIndex:
             DuplicateId: the id is already enrolled.
             IncompatibleIndex: fingerprint built under another config.
         """
-        if fp.config_digest != self.config_digest:
-            raise IncompatibleIndex(
-                f"fingerprint config digest 0x{fp.config_digest:016x} != "
-                f"index digest 0x{self.config_digest:016x}"
-            )
+        self._check_digest(fp)
         if not fp.subs:
             raise ConfigError(f"fingerprint for file {fp.file_id} has no subs")
         digests = self._band_digests(fp.signature_matrix)
@@ -233,8 +236,12 @@ class RetrievalIndex:
         Ranking: most matched query subs, then most total band votes,
         then lowest file id. The winner is reported only when its
         confidence (matched subs / query subs) reaches the floor.
+
+        Raises:
+            IncompatibleIndex: a Fingerprint built under another config.
         """
         if isinstance(subs, Fingerprint):
+            self._check_digest(subs)
             subs = list(subs.subs)
         if not subs:
             return None
@@ -265,8 +272,7 @@ class RetrievalIndex:
         """Answers many queries in one call.
 
         Results are exactly what per-query :meth:`query` calls would
-        return, in input order; batching only saves locking and lets a
-        server coalesce concurrent sessions.
+        return, in input order; batching only saves locking.
         """
         with self._lock:
             return [self.query(q, min_band_votes, min_confidence) for q in queries]

@@ -6,7 +6,8 @@ announcement (and can act on its label immediately) or keep listening,
 eventually enrolling the whole recording as a new file. Decisions happen
 at a configurable point (6 s of audio by default) and are retried every
 couple of seconds up to a cap, after which the stream is just collected
-for enrolment.
+for enrolment. :class:`Session` is that state machine; the CLI and the
+TCP server both run it.
 """
 
 import io
@@ -19,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer, _samples_from_raw, resample
-from .errors import DecodeError, SpeechprintError
+from .errors import DecodeError, IncompatibleIndex, SpeechprintError
 from .fingerprint import (
     FingerprintConfig,
     Fingerprint,
     StreamingFingerprinter,
+    SubFingerprint,
+    config_digest,
     fingerprint_audio,
     min_audio_seconds,
 )
@@ -61,7 +64,8 @@ class WavStreamDecoder:
     """Incremental RIFF/WAVE decoder for chunked byte streams.
 
     Buffers until the fmt and data headers are visible, then converts
-    every complete frame as it arrives. Only the formats decode_wav
+    every complete frame as it arrives, up to the data chunk's declared
+    size; chunks after it are ignored. Only the formats decode_wav
     accepts are supported.
     """
 
@@ -71,6 +75,7 @@ class WavStreamDecoder:
         self._frame_bytes = 0
         self._tail = b""
         self._data_started = False
+        self._data_left = 0  # bytes of the data chunk not yet seen
 
     @property
     def sample_rate(self) -> int | None:
@@ -103,6 +108,7 @@ class WavStreamDecoder:
                 format_code, channels, _rate, bits = self._fmt
                 self._frame_bytes = channels * (bits // 8)
                 self._data_started = True
+                self._data_left = size
                 self._header = bytearray()
                 return self._convert(buf[pos + 8 :])
             else:
@@ -110,6 +116,8 @@ class WavStreamDecoder:
         return np.empty(0)
 
     def _convert(self, raw: bytes) -> np.ndarray:
+        raw = raw[: self._data_left]
+        self._data_left -= len(raw)
         raw = self._tail + raw
         usable = len(raw) - (len(raw) % self._frame_bytes)
         self._tail = raw[usable:]
@@ -184,6 +192,12 @@ class Pipeline:
             raise SpeechprintError("decision and requery intervals must be positive")
         if max_wait_s < decision_after_s:
             raise SpeechprintError("max_wait_s must be >= decision_after_s")
+        digest = config_digest(spectral_config, fingerprint_config, canonical_rate)
+        if digest != index.config_digest:
+            raise IncompatibleIndex(
+                f"pipeline config digest 0x{digest:016x} != "
+                f"index digest 0x{index.config_digest:016x}"
+            )
         self.index = index
         self.registry = registry
         self.spectral_config = spectral_config
@@ -218,13 +232,16 @@ class Pipeline:
         return self.index.query(self.fingerprint(audio))
 
     def enroll_file(
-        self, audio: AudioBuffer, transcript_path=None
+        self, audio: AudioBuffer, transcript_path=None, *, subs=None
     ) -> IdentifyOutcome:
         """Fingerprints and enrolls a new file; labelling runs alongside.
 
-        The labeler runs on its own thread while the fingerprint is
-        computed and inserted. When it fails or abstains the file is
-        marked pending rather than blocking enrolment.
+        ``subs``, when given, are sub-fingerprints already computed from
+        exactly this audio at the canonical rate, and are enrolled in
+        place of a fresh fingerprint. The labeler runs on its own thread
+        while the fingerprint is computed and inserted. When it fails or
+        abstains the file is marked pending rather than blocking
+        enrolment.
         """
         file_id = self._alloc_file_id()
         label_holder: list[int | None] = [None]
@@ -239,7 +256,11 @@ class Pipeline:
         worker = threading.Thread(target=run_labeler, name=f"label-{file_id}")
         worker.start()
         try:
-            self.index.enroll(self.fingerprint(audio, file_id))
+            if subs is None:
+                fp = self.fingerprint(audio, file_id)
+            else:
+                fp = Fingerprint(file_id, tuple(subs), self.index.config_digest)
+            self.index.enroll(fp)
         finally:
             worker.join()
         label_id = label_holder[0]
@@ -269,110 +290,127 @@ class Pipeline:
         return points
 
     def identify_stream(
-        self,
-        chunks: Iterable[bytes],
-        decision_after_s: float | None = None,
-        transcript_path=None,
+        self, chunks: Iterable[bytes], transcript_path=None
     ) -> IdentifyOutcome:
         """Consumes a chunked WAV byte stream until a terminal outcome.
 
-        Queries fire once ``decision_after_s`` seconds of audio have
-        been decoded and again every requery interval up to the wait
-        cap. A confident match returns immediately (the rest of the
-        stream is not consumed); otherwise the whole stream is decoded
-        and enrolled as a new file.
+        Runs one :class:`Session` against the index directly. A confident
+        early match returns at once (the rest of the stream is not
+        consumed); any library error becomes an error outcome.
         """
-        first_decision = (
-            self.decision_after_s if decision_after_s is None else decision_after_s
-        )
-        decisions = self._decision_points(max(first_decision, 0.0))
-        decoder = WavStreamDecoder()
-        collected: list[np.ndarray] = []
-        streamer: StreamingFingerprinter | None = None
-        subs = []
-        native_rate = None
-        consumed = 0
+        session = Session(self, self.index.query, transcript_path)
         try:
             for chunk in chunks:
-                samples = decoder.feed(bytes(chunk))
-                if native_rate is None and decoder.sample_rate is not None:
-                    native_rate = decoder.sample_rate
-                    if native_rate == self.canonical_rate:
-                        streamer = StreamingFingerprinter(
-                            native_rate,
-                            self.spectral_config,
-                            self.fingerprint_config,
-                        )
-                if samples.size:
-                    collected.append(samples)
-                    consumed += samples.size
-                    if streamer is not None:
-                        subs.extend(streamer.feed(samples))
-                consumed_s = consumed / native_rate if native_rate else 0.0
-                while decisions and consumed_s >= decisions[0] - 1e-9:
-                    decisions.pop(0)
-                    result = self._query_prefix(collected, native_rate, subs, streamer)
-                    if result is not None:
-                        return IdentifyOutcome(
-                            STATUS_IDENTIFIED,
-                            file_id=result.file_id,
-                            label_id=self.registry.lookup(result.file_id),
-                            confidence=result.confidence,
-                            audio_consumed_s=consumed_s,
-                        )
+                outcome = session.feed(bytes(chunk))
+                if outcome is not None:
+                    return outcome
+            return session.finish()
         except SpeechprintError as exc:
             return IdentifyOutcome(STATUS_ERROR, message=str(exc))
-        if native_rate is None or consumed == 0:
+
+
+class Session:
+    """One stream's identify-or-enroll state machine.
+
+    Feed it the stream's WAV bytes as they arrive. Queries fire once
+    ``decision_after_s`` seconds of audio have been decoded and again
+    every requery interval up to the wait cap; the first confident match
+    is the outcome. Otherwise :meth:`finish` queries the whole stream and
+    enrolls it as a new file on a miss.
+
+    ``query`` is the lookup, called with a list of sub-fingerprints:
+    ``pipeline.index.query``, or a server's batcher. A stream at the
+    canonical rate is fingerprinted once, as it arrives, and those subs
+    serve every query and the enrolment. A stream at another rate is
+    resampled and fingerprinted at each decision point, and once more at
+    the end for both the final query and the enrolment.
+
+    Library errors (undecodable bytes, a failed enrolment) raise. Once an
+    outcome is returned the session is over.
+    """
+
+    def __init__(self, pipeline: Pipeline, query, transcript_path=None) -> None:
+        self.pipeline = pipeline
+        self._query = query
+        self._transcript_path = transcript_path
+        self._decoder = WavStreamDecoder()
+        self._decisions = pipeline._decision_points(pipeline.decision_after_s)
+        self._collected: list[np.ndarray] = []
+        self._consumed = 0
+        # set on the first samples of a stream at the canonical rate
+        self._streamer: StreamingFingerprinter | None = None
+        self._subs: list[SubFingerprint] = []
+
+    def feed(self, chunk: bytes) -> IdentifyOutcome | None:
+        """Consumes the next bytes; an outcome when a decision point hits."""
+        samples = self._decoder.feed(chunk)
+        rate = self._decoder.sample_rate
+        if not samples.size:
+            return None
+        pipeline = self.pipeline
+        if not self._collected and rate == pipeline.canonical_rate:
+            self._streamer = StreamingFingerprinter(
+                rate, pipeline.spectral_config, pipeline.fingerprint_config
+            )
+        self._collected.append(samples)
+        self._consumed += samples.size
+        if self._streamer is not None:
+            self._subs.extend(self._streamer.feed(samples))
+        consumed_s = self._consumed / rate
+        due = [t for t in self._decisions if t <= consumed_s + 1e-9]
+        if not due:
+            return None
+        del self._decisions[: len(due)]
+        if self._streamer is not None:
+            subs = self._subs
+        else:
+            audio = self._canonical_audio()
+            if audio.duration_seconds < pipeline.min_decision_audio_s - 1e-9:
+                return None
+            subs = pipeline.fingerprint(audio).subs
+        return self._identify(subs, consumed_s)
+
+    def finish(self) -> IdentifyOutcome:
+        """Ends the stream: a last query over all of it, else enrolment."""
+        if not self._consumed:
             return IdentifyOutcome(STATUS_ERROR, message="stream carried no audio")
-        audio = AudioBuffer(np.concatenate(collected), native_rate)
-        if audio.sample_rate != self.canonical_rate:
-            audio = resample(audio, self.canonical_rate)
-        if audio.duration_seconds < self.min_decision_audio_s - 1e-9:
+        pipeline = self.pipeline
+        audio = self._canonical_audio()
+        minimum = pipeline.min_decision_audio_s
+        if audio.duration_seconds < minimum - 1e-9:
             return IdentifyOutcome(
                 STATUS_ERROR,
                 message=(
                     f"{audio.duration_seconds:.3f}s of audio is below the "
-                    f"{self.min_decision_audio_s:.3f}s fingerprinting minimum"
+                    f"{minimum:.3f}s fingerprinting minimum"
                 ),
                 audio_consumed_s=audio.duration_seconds,
             )
-        # final query over everything we got, then enroll on a miss
-        result = self.index.query(
-            fingerprint_audio(audio, self.spectral_config, self.fingerprint_config)
-        )
-        if result is not None:
-            return IdentifyOutcome(
-                STATUS_IDENTIFIED,
-                file_id=result.file_id,
-                label_id=self.registry.lookup(result.file_id),
-                confidence=result.confidence,
-                audio_consumed_s=audio.duration_seconds,
-            )
-        try:
-            return self.enroll_file(audio, transcript_path)
-        except SpeechprintError as exc:
-            return IdentifyOutcome(STATUS_ERROR, message=str(exc))
+        if self._streamer is not None:
+            subs = self._subs
+        else:
+            subs = pipeline.fingerprint(audio).subs
+        outcome = self._identify(subs, audio.duration_seconds)
+        if outcome is not None:
+            return outcome
+        return pipeline.enroll_file(audio, self._transcript_path, subs=subs)
 
-    def _query_prefix(
-        self,
-        collected: list[np.ndarray],
-        native_rate: int | None,
-        subs,
-        streamer: StreamingFingerprinter | None,
-    ) -> MatchResult | None:
-        """Queries whatever audio has arrived so far."""
-        if streamer is not None:
-            if not subs:
-                return None
-            return self.index.query(list(subs))
-        if native_rate is None:
+    def _canonical_audio(self) -> AudioBuffer:
+        audio = AudioBuffer(np.concatenate(self._collected), self._decoder.sample_rate)
+        if audio.sample_rate != self.pipeline.canonical_rate:
+            audio = resample(audio, self.pipeline.canonical_rate)
+        return audio
+
+    def _identify(self, subs, consumed_s: float) -> IdentifyOutcome | None:
+        result = self._query(list(subs)) if subs else None
+        if result is None:
             return None
-        prefix = AudioBuffer(np.concatenate(collected), native_rate)
-        prefix = resample(prefix, self.canonical_rate)
-        if prefix.duration_seconds < self.min_decision_audio_s:
-            return None
-        return self.index.query(
-            fingerprint_audio(prefix, self.spectral_config, self.fingerprint_config)
+        return IdentifyOutcome(
+            STATUS_IDENTIFIED,
+            file_id=result.file_id,
+            label_id=self.pipeline.registry.lookup(result.file_id),
+            confidence=result.confidence,
+            audio_consumed_s=consumed_s,
         )
 
 

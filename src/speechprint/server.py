@@ -12,30 +12,26 @@ Server to client:
                  u64 file_id, u64 label_id (0 = none), f32 confidence
     0x11 ERROR   payload: utf-8 message
 
-Each connection is one session. Queries from concurrent sessions are
-coalesced for a few milliseconds and answered through one batched index
-call, which is where a vector-friendly backend would earn its keep; the
-responses are identical to per-session queries by construction.
+Each connection is one :class:`~speechprint.pipeline.Session`, the same
+identify-or-enroll state machine the CLI runs: AUDIO_CHUNK frames feed
+it, END finishes it, and its queries go straight to the index through
+the server's :class:`QueryBatcher`.
 """
 
 import logging
 import socket
 import socketserver
 import struct
-import threading
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SpeechprintError
 from .index import MatchResult
 from .pipeline import (
     IdentifyOutcome,
     Pipeline,
+    Session,
     STATUS_ENROLLED,
     STATUS_ERROR,
     STATUS_IDENTIFIED,
-    WavStreamDecoder,
 )
 
 logger = logging.getLogger(__name__)
@@ -80,59 +76,23 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 class QueryBatcher:
-    """Coalesces index queries from many sessions into batched calls.
+    """The server's lookup: every session's queries go through here.
 
-    The first submission opens a collection window (batch_window_s);
-    everything submitted within it goes to one query_batch call. Results
-    are handed back through per-submission events.
+    Each submission is answered at once by one ``query_batch`` call;
+    after :meth:`close` submissions are refused.
     """
 
-    def __init__(self, index, batch_window_s: float = 0.020) -> None:
+    def __init__(self, index) -> None:
         self.index = index
-        self.batch_window_s = batch_window_s
-        self._lock = threading.Lock()
-        self._pending: list[tuple[list, threading.Event, list]] = []
-        self._timer: threading.Timer | None = None
         self._closed = False
 
     def submit(self, subs: list) -> MatchResult | None:
-        """Blocks until the batch containing this query is answered."""
-        done = threading.Event()
-        slot: list = [None]
-        with self._lock:
-            if self._closed:
-                raise SpeechprintError("batcher is shut down")
-            self._pending.append((subs, done, slot))
-            if self._timer is None:
-                self._timer = threading.Timer(self.batch_window_s, self._flush)
-                self._timer.daemon = True
-                self._timer.start()
-        done.wait()
-        return slot[0]
-
-    def _flush(self) -> None:
-        with self._lock:
-            batch = self._pending
-            self._pending = []
-            self._timer = None
-        if not batch:
-            return
-        try:
-            results = self.index.query_batch([subs for subs, _e, _s in batch])
-        except Exception as exc:  # propagate to every waiter
-            logger.exception("batched query failed")
-            results = [exc] * len(batch)
-        for (_subs, event, slot), result in zip(batch, results):
-            slot[0] = result
-            event.set()
+        if self._closed:
+            raise SpeechprintError("batcher is shut down")
+        return self.index.query_batch([subs])[0]
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            timer = self._timer
-        if timer is not None:
-            timer.cancel()
-        self._flush()
+        self._closed = True
 
 
 class _SessionHandler(socketserver.BaseRequestHandler):
@@ -140,18 +100,28 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         server: PipelineServer = self.server
-        pipeline = server.pipeline
-        outcome = None
+        session = Session(server.pipeline, server.batcher.submit)
         try:
-            outcome = self._run_session(server, pipeline)
+            while True:
+                frame = read_frame(self.request)
+                if frame is None:
+                    return  # client went away without END
+                opcode, payload = frame
+                if opcode == OP_AUDIO_CHUNK:
+                    outcome = session.feed(payload)
+                    if outcome is not None:
+                        break
+                elif opcode == OP_END:
+                    outcome = session.finish()
+                    break
+                else:
+                    raise SpeechprintError(f"unknown opcode 0x{opcode:02x}")
         except SpeechprintError as exc:
             self._send_error(str(exc))
             self._drain()
             return
         except (ConnectionError, OSError) as exc:
             logger.info("session dropped: %s", exc)
-            return
-        if outcome is None:
             return
         if outcome.status == STATUS_ERROR:
             self._send_error(outcome.message or "identification failed")
@@ -187,91 +157,6 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         except (SpeechprintError, ConnectionError, OSError):
             return
 
-    def _run_session(
-        self, server: "PipelineServer", pipeline: Pipeline
-    ) -> IdentifyOutcome | None:
-        """identify_stream, but with queries routed through the batcher."""
-        decoder = WavStreamDecoder()
-        decisions = pipeline._decision_points(pipeline.decision_after_s)
-        collected: list[np.ndarray] = []
-        streamer = None
-        subs: list = []
-        native_rate = None
-        consumed = 0
-        ended = False
-        while not ended:
-            frame = read_frame(self.request)
-            if frame is None:
-                return None  # client went away without END
-            opcode, payload = frame
-            if opcode == OP_END:
-                ended = True
-            elif opcode == OP_AUDIO_CHUNK:
-                samples = decoder.feed(payload)
-                if native_rate is None and decoder.sample_rate is not None:
-                    native_rate = decoder.sample_rate
-                    if native_rate == pipeline.canonical_rate:
-                        from .fingerprint import StreamingFingerprinter
-
-                        streamer = StreamingFingerprinter(
-                            native_rate,
-                            pipeline.spectral_config,
-                            pipeline.fingerprint_config,
-                        )
-                if samples.size:
-                    collected.append(samples)
-                    consumed += samples.size
-                    if streamer is not None:
-                        subs.extend(streamer.feed(samples))
-                consumed_s = consumed / native_rate if native_rate else 0.0
-                while decisions and consumed_s >= decisions[0] - 1e-9:
-                    decisions.pop(0)
-                    if subs:
-                        result = server.batcher.submit(list(subs))
-                        if isinstance(result, Exception):
-                            raise SpeechprintError(str(result))
-                        if result is not None:
-                            return IdentifyOutcome(
-                                STATUS_IDENTIFIED,
-                                file_id=result.file_id,
-                                label_id=pipeline.registry.lookup(result.file_id),
-                                confidence=result.confidence,
-                                audio_consumed_s=consumed_s,
-                            )
-            else:
-                raise SpeechprintError(f"unknown opcode 0x{opcode:02x}")
-        if native_rate is None or consumed == 0:
-            return IdentifyOutcome(STATUS_ERROR, message="stream carried no audio")
-        from .audio import AudioBuffer, resample
-        from .fingerprint import fingerprint_audio
-
-        audio = AudioBuffer(np.concatenate(collected), native_rate)
-        if audio.sample_rate != pipeline.canonical_rate:
-            audio = resample(audio, pipeline.canonical_rate)
-        if audio.duration_seconds < pipeline.min_decision_audio_s - 1e-9:
-            return IdentifyOutcome(
-                STATUS_ERROR,
-                message=(
-                    f"{audio.duration_seconds:.3f}s of audio is below the "
-                    f"{pipeline.min_decision_audio_s:.3f}s fingerprinting minimum"
-                ),
-            )
-        fp = fingerprint_audio(
-            audio, pipeline.spectral_config, pipeline.fingerprint_config
-        )
-        result = server.batcher.submit(list(fp.subs))
-        if isinstance(result, Exception):
-            raise SpeechprintError(str(result))
-        if result is not None:
-            return IdentifyOutcome(
-                STATUS_IDENTIFIED,
-                file_id=result.file_id,
-                label_id=pipeline.registry.lookup(result.file_id),
-                confidence=result.confidence,
-                audio_consumed_s=audio.duration_seconds,
-            )
-        return pipeline.enroll_file(audio)
-
 
 class PipelineServer(socketserver.ThreadingTCPServer):
     """TCP server wrapping a Pipeline; one thread per session.
@@ -287,12 +172,10 @@ class PipelineServer(socketserver.ThreadingTCPServer):
     # lets simultaneous connects overflow the accept queue and get reset
     request_queue_size = 128
 
-    def __init__(
-        self, address: tuple[str, int], pipeline: Pipeline, batch_window_s: float = 0.020
-    ) -> None:
+    def __init__(self, address: tuple[str, int], pipeline: Pipeline) -> None:
         super().__init__(address, _SessionHandler)
         self.pipeline = pipeline
-        self.batcher = QueryBatcher(pipeline.index, batch_window_s)
+        self.batcher = QueryBatcher(pipeline.index)
 
     def server_close(self) -> None:
         super().server_close()
@@ -307,9 +190,9 @@ def parse_endpoint(listen: str) -> tuple[str, int]:
     return host or "0.0.0.0", int(port)
 
 
-def serve(listen: str, pipeline: Pipeline, batch_window_s: float = 0.020) -> PipelineServer:
+def serve(listen: str, pipeline: Pipeline) -> PipelineServer:
     """Binds a PipelineServer; the caller drives serve_forever/shutdown."""
-    return PipelineServer(parse_endpoint(listen), pipeline, batch_window_s)
+    return PipelineServer(parse_endpoint(listen), pipeline)
 
 
 def identify_over_socket(

@@ -123,6 +123,14 @@ class TestQuery:
         with pytest.raises(ConfigError):
             index.query(prints[0], min_confidence=1.5)
 
+    def test_query_of_another_config_rejected(self, index, corpus):
+        linear = SpectralConfig.for_variant("linear-vocal")
+        fp = fingerprint_audio(corpus[0], linear, FCFG)
+        with pytest.raises(IncompatibleIndex):
+            index.query(fp)
+        with pytest.raises(IncompatibleIndex):
+            index.query_batch([fp])
+
     def test_empty_query_is_none(self, index):
         assert index.query([]) is None
 

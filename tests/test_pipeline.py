@@ -9,7 +9,7 @@ import pytest
 
 from speechprint.audio import decode_wav, encode_wav, resample
 from speechprint.corpus import synth_speech_like
-from speechprint.errors import DecodeError
+from speechprint.errors import DecodeError, IncompatibleIndex
 from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
@@ -25,7 +25,7 @@ from speechprint.pipeline import (
     stream_wav_bytes,
 )
 from speechprint.registry import LabelRegistry
-from speechprint.spectral import SpectralConfig
+from speechprint.spectral import FrameTransform, SpectralConfig
 
 FCFG = FingerprintConfig()
 SCFG = SpectralConfig.for_variant("mel-vocal")
@@ -61,6 +61,23 @@ class TestDecoder:
             ]
             samples = np.concatenate([p for p in parts if p.size])
             assert decoder.sample_rate == reference.sample_rate
+            assert np.array_equal(samples, reference.samples)
+
+    def test_chunk_after_data_not_decoded(self, speech_clip):
+        """Bytes past the data chunk's declared size are not samples."""
+        wav = encode_wav(slice_two_seconds(speech_clip))
+        info = b"INFOISFT" + struct.pack("<I", 6) + b"synth\x00"
+        trailer = b"LIST" + struct.pack("<I", len(info)) + info
+        size = struct.pack("<I", len(wav) - 8 + len(trailer))
+        blob = b"RIFF" + size + wav[8:] + trailer
+        reference = decode_wav(blob)
+        for chunk_size in (1, 7, 977, len(blob)):
+            decoder = WavStreamDecoder()
+            parts = [
+                decoder.feed(blob[i : i + chunk_size])
+                for i in range(0, len(blob), chunk_size)
+            ]
+            samples = np.concatenate([p for p in parts if p.size])
             assert np.array_equal(samples, reference.samples)
 
     def test_sample_rate_unknown_before_header(self):
@@ -141,6 +158,25 @@ class TestIdentifyStream:
         outcome = pipeline.identify_stream(stream_wav_bytes(encode_wav(upsampled)))
         assert outcome.status == STATUS_IDENTIFIED
         assert outcome.file_id == 1
+
+    def test_canonical_rate_enrolment_fingerprints_each_sample_once(
+        self, pipeline, monkeypatch
+    ):
+        """Early queries, the final query and the enrolment share one pass."""
+        calls = [0]
+        column = FrameTransform.column
+
+        def counting_column(transform, frame):
+            calls[0] += 1
+            return column(transform, frame)
+
+        monkeypatch.setattr(FrameTransform, "column", counting_column)
+        clip = decode_wav(encode_wav(synth_speech_like(8.0, CANONICAL_RATE, seed=840)))
+        fingerprint_audio(clip, SCFG, FCFG)
+        one_pass, calls[0] = calls[0], 0
+        outcome = pipeline.identify_stream(stream_wav_bytes(encode_wav(clip)))
+        assert outcome.status == STATUS_ENROLLED
+        assert calls[0] == one_pass
 
     def test_empty_stream_is_error(self, pipeline):
         outcome = pipeline.identify_stream(iter([]))
@@ -261,6 +297,14 @@ class TestPolicy:
             Pipeline(index, registry, SCFG, FCFG, decision_after_s=0.0)
         with pytest.raises(SpeechprintError):
             Pipeline(index, registry, SCFG, FCFG, max_wait_s=2.0)
+
+    def test_index_of_another_config_rejected(self):
+        linear = SpectralConfig.for_variant("linear-vocal")
+        index = RetrievalIndex.for_config(
+            config_digest(linear, FCFG, CANONICAL_RATE), FCFG
+        )
+        with pytest.raises(IncompatibleIndex):
+            Pipeline(index, LabelRegistry(), SCFG, FCFG)
 
     def test_pending_labeler_always_abstains(self):
         assert PendingLabeler()(None, None) is None

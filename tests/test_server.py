@@ -6,9 +6,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from speechprint.audio import decode_wav, encode_wav
+from speechprint.audio import decode_wav, encode_wav, resample, slice_seconds
 from speechprint.corpus import synth_speech_like
 from speechprint.errors import SpeechprintError
 from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
@@ -19,6 +20,7 @@ from speechprint.pipeline import (
     STATUS_ERROR,
     STATUS_IDENTIFIED,
     Pipeline,
+    stream_wav_bytes,
 )
 from speechprint.registry import LabelRegistry
 from speechprint.server import (
@@ -185,10 +187,64 @@ class TestSessions:
             )
 
 
+def outcome_fields(outcome):
+    """What the wire carries of an outcome; confidence travels as f32."""
+    return (
+        outcome.status,
+        outcome.file_id,
+        outcome.label_id,
+        float(np.float32(outcome.confidence)),
+        outcome.message,
+    )
+
+
+class TestParityWithIdentifyStream:
+    def test_same_outcomes_on_both_paths(self, corpus):
+        """identify_stream and the server run one Session: same answers."""
+        upsampled = encode_wav(resample(corpus[1], 16000))
+        streams = [
+            encode_wav(corpus[0]),
+            upsampled,
+            encode_wav(slice_seconds(corpus[2], 1.3, 10.0)),
+            encode_wav(synth_speech_like(8.0, CANONICAL_RATE, seed=4200)),
+            encode_wav(synth_speech_like(0.5, CANONICAL_RATE, seed=4201)),
+            b"definitely not RIFF data",
+        ]
+        cli = build_pipeline(corpus)
+        local = [cli.identify_stream(stream_wav_bytes(blob)) for blob in streams]
+        srv = serve("127.0.0.1:0", build_pipeline(corpus))
+        thread = threading.Thread(target=srv.serve_forever, args=(0.02,), daemon=True)
+        thread.start()
+        port = server_port(srv)
+        try:
+            remote = [identify_over_socket("127.0.0.1", port, b) for b in streams]
+            # the 16 kHz stream is answered before 8 s of it has been sent
+            head = upsampled[: 44 + 8 * 16000 * 2]
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                for start in range(0, len(head), 4096):
+                    write_frame(sock, OP_AUDIO_CHUNK, head[start : start + 4096])
+                early = read_frame(sock)
+                write_frame(sock, OP_END)
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert [outcome_fields(o) for o in remote] == [
+            outcome_fields(o) for o in local
+        ]
+        statuses = [o.status for o in local]
+        assert statuses[:2] == [STATUS_IDENTIFIED, STATUS_IDENTIFIED]
+        assert statuses[3:] == [STATUS_ENROLLED, STATUS_ERROR, STATUS_ERROR]
+        assert local[1].audio_consumed_s < 8.0
+        assert early[0] == OP_RESULT
+        assert early[1] == struct.pack("<BQQf", 0, 2, 1, local[1].confidence)
+
+
 class TestBatcher:
     def test_batched_answers_equal_direct_queries(self, corpus):
         pipeline = build_pipeline(corpus)
-        batcher = QueryBatcher(pipeline.index, batch_window_s=0.01)
+        batcher = QueryBatcher(pipeline.index)
         prints = [fingerprint_audio(c, SCFG, FCFG) for c in corpus[:4]]
         direct = [pipeline.index.query(fp) for fp in prints]
         with ThreadPoolExecutor(max_workers=4) as pool:
