@@ -152,6 +152,9 @@ def cmd_index_stats(args) -> int:
     print(f"postings: {stats.n_postings}")
     print(f"buckets:  {stats.n_buckets}")
     print(f"config:   0x{index.config_digest:016x}")
+    print(f"geometry: {index.band_count} bands x {index.band_width}")
+    print(f"min_band_votes: {index.min_band_votes}")
+    print(f"min_confidence: {index.min_confidence:g}")
     return 0
 
 

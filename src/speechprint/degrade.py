@@ -9,9 +9,10 @@ always reproduces the same query bytes.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 from .audio import AudioBuffer, _clip_unit, slice_seconds
 from .errors import ConfigError, SilentSignal, TooShort
@@ -81,6 +82,19 @@ def random_offset_slice(
     )
 
 
+@lru_cache(maxsize=8)
+def _rate_filter(up: int, down: int) -> np.ndarray:
+    """The low-pass filter ``resample_poly`` designs for ``up``/``down``.
+
+    At the factors in the thousands that a few-percent rate gives, its
+    Kaiser design takes milliseconds, so a repeated rate reuses it.
+    """
+    n = max(up, down)
+    taps = firwin(20 * n + 1, 1.0 / n, window=("kaiser", 5.0))
+    taps.flags.writeable = False
+    return taps
+
+
 def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     """Plays the audio back ``rate`` times faster, keeping the nominal rate.
 
@@ -93,7 +107,14 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     if rate == 1.0:
         return audio
     ratio = Fraction(rate).limit_denominator(10000)
-    out = resample_poly(audio.samples, ratio.denominator, ratio.numerator)
+    up, down = ratio.denominator, ratio.numerator
+    if up == down:
+        # a rate this close to 1 rounds to the ratio 1/1: nothing to filter
+        out = audio.samples.copy()
+    else:
+        # cast as resample_poly casts a filter it designs, so the bits match
+        taps = _rate_filter(up, down).astype(audio.samples.dtype)
+        out = resample_poly(audio.samples, up, down, window=taps)
     n_out = int(np.floor(len(audio) / rate + 0.5))
     if len(out) > n_out:
         out = out[:n_out]

@@ -14,21 +14,26 @@ to a confidence floor. Absence of a confident match is a normal outcome
 (``query`` returns None), not an error.
 """
 
+import hashlib
 import struct
 import threading
-from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex, IoError
+from .fileio import write_atomic
 from .fingerprint import Fingerprint, SubFingerprint
 from .hashing import fnv1a64, fnv1a64_rows
 
 INDEX_MAGIC = b"SPIX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+# after the magic: version, config digest, band_count, band_width,
+# min_band_votes, min_confidence, file count
+_HEADER_FMT = "<HQHHHdI"
+_HEADER_LEN = 4 + struct.calcsize(_HEADER_FMT)
+_U64_MAX = np.uint64(2**64 - 1)
 
 DEFAULT_MIN_BAND_VOTES = 2
 DEFAULT_MIN_CONFIDENCE = 0.1
@@ -61,10 +66,12 @@ class IndexStats:
 class RetrievalIndex:
     """In-memory LSH index over banded sub-fingerprint digests.
 
-    Thread safety: enrolment takes an exclusive lock; queries are
-    read-only over the table dicts and may run concurrently with each
-    other. The index stores band digests only (signatures are not needed
-    once banded), which keeps persistence compact.
+    Each band is one sorted array of band keys with an aligned array of
+    postings, so a query finds a bucket with two binary searches and
+    loading rebuilds every band with one stable sort. Thread safety:
+    enrolment, queries and persistence hold one lock. The index stores
+    band digests only (signatures are not needed once banded), which
+    keeps persistence compact.
     """
 
     def __init__(
@@ -88,9 +95,12 @@ class RetrievalIndex:
         self.band_width = band_width
         self.min_band_votes = min_band_votes
         self.min_confidence = min_confidence
-        # band key -> postings, each an int64 packed as ordinal << 32 | block
-        # index, where a file's ordinal is its position in _ids
-        self._tables: list[dict[int, array]] = [{} for _ in range(band_count)]
+        # row j: every enrolled sub's band-j key in ascending order, equal
+        # keys in enrolment order, and aligned with it that sub's posting,
+        # an int64 packed as ordinal << 32 | block index, where a file's
+        # ordinal is its position in _ids
+        self._keys = np.empty((band_count, 0), dtype=np.uint64)
+        self._postings = np.empty((band_count, 0), dtype=np.int64)
         # file_id -> (band digest matrix [n_subs, band_count], block indices)
         self._files: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._ids: list[int] = []
@@ -152,22 +162,61 @@ class RetrievalIndex:
         with self._lock:
             if fp.file_id in self._files:
                 raise DuplicateId(f"file id {fp.file_id} already enrolled")
-            self._insert(fp.file_id, digests, blocks)
+            self._merge(fp.file_id, digests, blocks)
 
-    def _insert(self, file_id: int, digests: np.ndarray, blocks: np.ndarray) -> None:
-        """Files one new file's digests under its postings; lock held."""
+    def _merge(self, file_id: int, digests: np.ndarray, blocks: np.ndarray) -> None:
+        """Merges one new file's keys into every band; lock held.
+
+        Its keys go after equal keys already enrolled, in block order, so
+        the bands equal what :meth:`_build` makes of all files at once.
+        """
         ordinal = len(self._ids)
         self._ids.append(file_id)
         self._ordinals[file_id] = ordinal
         self._files[file_id] = (digests, blocks)
-        postings = [ordinal << 32 | block_index for block_index in blocks.tolist()]
-        for table, keys in zip(self._tables, digests.T.tolist()):
-            for key, posting in zip(keys, postings):
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = array("q", (posting,))
-                else:
-                    bucket.append(posting)
+        n_new = blocks.size
+        width = self._keys.shape[1] + n_new
+        order = np.argsort(digests, axis=0, kind="stable")
+        new_keys = np.take_along_axis(digests, order, axis=0).T
+        new_postings = (ordinal << 32 | blocks)[order].T
+        # merged position of each new key: after the equal keys already
+        # enrolled and the new keys before it, in the flattened bands
+        dest = np.array(
+            [k.searchsorted(new, side="right") for k, new in zip(self._keys, new_keys)]
+        )
+        dest += np.arange(n_new) + width * np.arange(self.band_count)[:, None]
+        is_new = np.zeros(self.band_count * width, dtype=bool)
+        is_new[dest.ravel()] = True
+        keys = np.empty(self.band_count * width, dtype=np.uint64)
+        keys[is_new] = new_keys.ravel()
+        keys[~is_new] = self._keys.ravel()
+        postings = np.empty(self.band_count * width, dtype=np.int64)
+        postings[is_new] = new_postings.ravel()
+        postings[~is_new] = self._postings.ravel()
+        self._keys = keys.reshape(self.band_count, width)
+        self._postings = postings.reshape(self.band_count, width)
+
+    def _build(
+        self, ids: list[int], counts: np.ndarray, blocks: np.ndarray, digests: np.ndarray
+    ) -> None:
+        """Fills an empty index from whole-index columns in one pass.
+
+        File k has id ``ids[k]`` and the next ``counts[k]`` rows of
+        ``blocks`` and ``digests``; its ordinal is k.
+        """
+        ends = np.cumsum(counts).tolist()
+        starts = [0] + ends[:-1]
+        self._ids = list(ids)
+        self._ordinals = {file_id: k for k, file_id in enumerate(ids)}
+        self._files = {
+            file_id: (digests[a:b], blocks[a:b])
+            for file_id, a, b in zip(ids, starts, ends)
+        }
+        ordinals = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
+        by_band = np.ascontiguousarray(digests.T)
+        order = np.argsort(by_band, axis=1, kind="stable")
+        self._keys = np.take_along_axis(by_band, order, axis=1)
+        self._postings = (ordinals << 32 | blocks)[order]
 
     def __contains__(self, file_id: int) -> bool:
         with self._lock:
@@ -193,15 +242,27 @@ class RetrievalIndex:
         shared keys summed over its qualifying pairs.
         """
         n_subs = digest_rows.shape[0]
-        # band-major: bucket i belongs to sub i % n_subs; b"" is no bucket
-        buckets: list = []
-        for table, keys in zip(self._tables, digest_rows.T.tolist()):
-            buckets += map(table.get, keys, repeat(b"", n_subs))
-        sizes = np.fromiter(map(len, buckets), np.int64, len(buckets))
-        if not sizes.any():
+        width = self._keys.shape[1]
+        # a bucket of key k runs from the band's first key >= k to its
+        # first key >= k + 1, so one search per band finds both ends
+        probes = np.empty((self.band_count, 2 * n_subs), dtype=np.uint64)
+        probes[:, :n_subs] = digest_rows.T
+        probes[:, n_subs:] = probes[:, :n_subs] + np.uint64(1)
+        bounds = np.array([k.searchsorted(p) for k, p in zip(self._keys, probes)])
+        # k + 1 wraps to 0 for the largest u64, whose bucket ends the band
+        bounds[:, n_subs:][probes[:, :n_subs] == _U64_MAX] = width
+        bounds += width * np.arange(self.band_count)[:, None]
+        # band-major: bucket i belongs to sub i % n_subs and spans
+        # postings [starts[i], ends[i]) of the flattened bands
+        starts, ends = bounds[:, :n_subs], bounds[:, n_subs:]
+        sizes = (ends - starts).ravel()
+        total = int(sizes.sum())
+        if not total:
             return {}
-        postings = np.frombuffer(b"".join(buckets), dtype=np.int64)
-        subs = np.repeat(np.arange(len(buckets)) % n_subs, sizes)
+        # one range expansion over every bucket
+        skip = np.repeat(starts.ravel() - (np.cumsum(sizes) - sizes), sizes)
+        postings = self._postings.ravel()[np.arange(total) + skip]
+        subs = np.repeat(np.arange(sizes.size) % n_subs, sizes)
         # one hit count per (sub, posting) pair, pairs sorted by sub then posting
         distinct, code = np.unique(postings, return_inverse=True)
         pairs, hits = np.unique(subs * distinct.size + code, return_counts=True)
@@ -312,55 +373,56 @@ class RetrievalIndex:
     def stats(self) -> IndexStats:
         with self._lock:
             n_subs = sum(d.shape[0] for d, _ in self._files.values())
-            n_buckets = sum(len(t) for t in self._tables)
-            n_postings = sum(
-                len(postings) for t in self._tables for postings in t.values()
-            )
-            return IndexStats(len(self._files), n_subs, n_postings, n_buckets)
+            keys = self._keys
+            # a bucket starts at each band's first key and at every key change
+            n_buckets = int(np.count_nonzero(keys[:, 1:] != keys[:, :-1]))
+            if keys.size:
+                n_buckets += self.band_count
+            return IndexStats(len(self._files), n_subs, keys.size, n_buckets)
 
     def save(self, path: str | Path) -> None:
-        """Writes the index to ``path`` (atomic enough for our uses).
+        """Writes the index to ``path`` atomically (see :func:`write_atomic`).
 
-        Layout (little endian): "SPIX", u16 version, u64 config digest,
-        u16 band_count, u16 band_width, u16 min_band_votes, f64
-        min_confidence, u32 file count; per file u64 id, u32 sub count,
-        the block indices (u32 each) and the digest matrix (u64,
-        row-major); finally a u64 FNV-1a checksum of all preceding bytes.
+        Layout (little endian, version 2): "SPIX", u16 version, u64
+        config digest, u16 band_count, u16 band_width, u16
+        min_band_votes, f64 min_confidence, u32 file count n; then, over
+        the files in ascending id order, the ids (u64[n]), their sub
+        counts (u32[n]), all block indices (u32[N], N the total sub
+        count) and all band digests (u64[N, band_count], row-major);
+        finally the 8-byte blake2b digest of all preceding bytes.
         """
         with self._lock:
+            ids = sorted(self._files)
+            files = [self._files[file_id] for file_id in ids]
             parts = [
                 INDEX_MAGIC,
                 struct.pack(
-                    "<HQHHHdI",
+                    _HEADER_FMT,
                     INDEX_VERSION,
                     self.config_digest,
                     self.band_count,
                     self.band_width,
                     self.min_band_votes,
                     self.min_confidence,
-                    len(self._files),
+                    len(ids),
                 ),
+                np.array(ids, dtype="<u8").tobytes(),
+                np.array([d.shape[0] for d, _ in files], dtype="<u4").tobytes(),
             ]
-            for file_id in sorted(self._files):
-                digests, blocks = self._files[file_id]
-                parts.append(struct.pack("<QI", file_id, digests.shape[0]))
-                parts.append(blocks.astype("<u4").tobytes())
-                parts.append(digests.astype("<u8").tobytes())
+            parts += [blocks.astype("<u4").tobytes() for _, blocks in files]
+            parts += [digests.astype("<u8").tobytes() for digests, _ in files]
         blob = b"".join(parts)
-        blob += struct.pack("<Q", fnv1a64(blob))
-        try:
-            Path(path).write_bytes(blob)
-        except OSError as exc:
-            raise IoError(f"cannot write index to {path}: {exc}") from exc
+        write_atomic(path, blob + _blake2b(blob), "index")
 
     @classmethod
     def load(
         cls, path: str | Path, expected_config_digest: int | None = None
     ) -> "RetrievalIndex":
-        """Reads an index written by :meth:`save` and rebuilds its tables.
+        """Reads an index written by :meth:`save`, version 1 or 2.
 
         Raises:
-            CorruptIndex: bad magic, truncation or checksum mismatch.
+            CorruptIndex: bad magic, truncation, checksum mismatch, or
+                counts that disagree with the payload.
             IncompatibleIndex: unknown version, or the stored config
                 digest differs from ``expected_config_digest``.
         """
@@ -368,18 +430,19 @@ class RetrievalIndex:
             blob = Path(path).read_bytes()
         except OSError as exc:
             raise IoError(f"cannot read index from {path}: {exc}") from exc
-        header_fmt = "<HQHHHdI"
-        header_len = 4 + struct.calcsize(header_fmt)
-        if len(blob) < header_len + 8 or blob[:4] != INDEX_MAGIC:
+        if len(blob) < _HEADER_LEN + 8 or blob[:4] != INDEX_MAGIC:
             raise CorruptIndex("not an index file")
-        (stored_sum,) = struct.unpack("<Q", blob[-8:])
-        if fnv1a64(blob[:-8]) != stored_sum:
-            raise CorruptIndex("index checksum mismatch")
         version, digest, bands, width, votes, confidence, n_files = struct.unpack(
-            header_fmt, blob[4:header_len]
+            _HEADER_FMT, blob[4:_HEADER_LEN]
         )
-        if version != INDEX_VERSION:
+        if version == 1:
+            checksum_ok = fnv1a64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
+        elif version == 2:
+            checksum_ok = _blake2b(blob[:-8]) == blob[-8:]
+        else:
             raise IncompatibleIndex(f"unsupported index version {version}")
+        if not checksum_ok:
+            raise CorruptIndex("index checksum mismatch")
         if expected_config_digest is not None and digest != expected_config_digest:
             raise IncompatibleIndex(
                 f"index built for config 0x{digest:016x}, expected "
@@ -392,30 +455,84 @@ class RetrievalIndex:
             min_band_votes=votes,
             min_confidence=confidence,
         )
-        pos = header_len
-        body_end = len(blob) - 8
-        for _ in range(n_files):
-            if pos + 12 > body_end:
-                raise CorruptIndex("index truncated inside file table")
-            file_id, n_subs = struct.unpack("<QI", blob[pos : pos + 12])
-            pos += 12
-            blocks_len = 4 * n_subs
-            digests_len = 8 * n_subs * bands
-            if pos + blocks_len + digests_len > body_end:
-                raise CorruptIndex("index truncated inside digest data")
-            blocks = np.frombuffer(blob[pos : pos + blocks_len], dtype="<u4").astype(
-                np.int64
-            )
-            pos += blocks_len
-            digests = (
-                np.frombuffer(blob[pos : pos + digests_len], dtype="<u8")
-                .reshape(n_subs, bands)
-                .astype(np.uint64)
-            )
-            pos += digests_len
-            if file_id in index._files:
+        read = _read_v1 if version == 1 else _read_v2
+        ids, counts, blocks, digests = read(blob, n_files, bands)
+        seen: set[int] = set()
+        for file_id in ids:
+            if file_id in seen:
                 raise CorruptIndex(f"file id {file_id} stored twice")
-            index._insert(file_id, digests, blocks)
-        if pos != body_end:
-            raise CorruptIndex("trailing bytes after index payload")
+            seen.add(file_id)
+        index._build(ids, counts, blocks, digests)
         return index
+
+
+def _blake2b(data: bytes) -> bytes:
+    """The version 2 checksum: an 8-byte blake2b digest."""
+    return hashlib.blake2b(data, digest_size=8).digest()
+
+
+def _read_v2(blob: bytes, n_files: int, bands: int):
+    """Whole-index columns of a version 2 payload (checksum verified).
+
+    The file table and the sub counts are checked against the payload
+    length before anything sized by them is allocated.
+    """
+    pos = _HEADER_LEN
+    body_end = len(blob) - 8
+    if pos + 12 * n_files > body_end:
+        raise CorruptIndex("index truncated inside file table")
+    ids = np.frombuffer(blob, dtype="<u8", count=n_files, offset=pos).tolist()
+    pos += 8 * n_files
+    counts = np.frombuffer(blob, dtype="<u4", count=n_files, offset=pos)
+    pos += 4 * n_files
+    n_subs = int(counts.sum(dtype=np.int64))
+    if pos + n_subs * (4 + 8 * bands) != body_end:
+        raise CorruptIndex(
+            f"index payload of {body_end - pos} bytes does not hold "
+            f"{n_subs} subs of {bands} bands"
+        )
+    blocks = np.frombuffer(blob, dtype="<u4", count=n_subs, offset=pos)
+    pos += 4 * n_subs
+    digests = np.frombuffer(blob, dtype="<u8", count=n_subs * bands, offset=pos)
+    return (
+        ids,
+        counts.astype(np.int64),
+        blocks.astype(np.int64),
+        digests.astype(np.uint64, copy=False).reshape(n_subs, bands),
+    )
+
+
+def _read_v1(blob: bytes, n_files: int, bands: int):
+    """Whole-index columns of a version 1 payload (checksum verified).
+
+    Version 1 stores one record per file: u64 id, u32 sub count, the
+    block indices (u32 each) and the digest matrix (u64, row-major).
+    """
+    ids, counts, blocks, digests = [], [], [], []
+    pos = _HEADER_LEN
+    body_end = len(blob) - 8
+    for _ in range(n_files):
+        if pos + 12 > body_end:
+            raise CorruptIndex("index truncated inside file table")
+        file_id, n_subs = struct.unpack("<QI", blob[pos : pos + 12])
+        pos += 12
+        blocks_len = 4 * n_subs
+        digests_len = 8 * n_subs * bands
+        if pos + blocks_len + digests_len > body_end:
+            raise CorruptIndex("index truncated inside digest data")
+        blocks.append(blob[pos : pos + blocks_len])
+        pos += blocks_len
+        digests.append(blob[pos : pos + digests_len])
+        pos += digests_len
+        ids.append(file_id)
+        counts.append(n_subs)
+    if pos != body_end:
+        raise CorruptIndex("trailing bytes after index payload")
+    return (
+        ids,
+        np.array(counts, dtype=np.int64),
+        np.frombuffer(b"".join(blocks), dtype="<u4").astype(np.int64),
+        np.frombuffer(b"".join(digests), dtype="<u8")
+        .astype(np.uint64)
+        .reshape(-1, bands),
+    )

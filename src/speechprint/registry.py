@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DuplicateId, IoError, NotFound
+from .fileio import write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -386,7 +387,7 @@ class LabelRegistry:
             return sum(1 for v in self._entries.values() if v == label_id)
 
     def save(self, path: str | Path) -> None:
-        """Writes a line-oriented, human-readable registry file."""
+        """Writes a line-oriented, human-readable registry file atomically."""
         with self._lock:
             lines = ["# speechprint registry v1", "[clusters]"]
             for info in self.clusters():
@@ -401,10 +402,7 @@ class LabelRegistry:
             lines.extend(
                 f"{fid}\t{label}" for fid, label in sorted(self._entries.items())
             )
-        try:
-            Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot write registry to {path}: {exc}") from exc
+        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"), "registry")
 
     @classmethod
     def load(cls, path: str | Path) -> "LabelRegistry":

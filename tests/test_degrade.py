@@ -95,6 +95,23 @@ class TestRateChange:
         bin_hz = out.sample_rate / len(out)
         assert abs(peak_hz - 206.0) <= bin_hz
 
+    @pytest.mark.parametrize("rate", [0.98, 1.02, 1.0001, 1.00004])
+    def test_cached_filter_bit_identical_to_designed(self, speech_clip, rate):
+        from fractions import Fraction
+
+        from scipy.signal import resample_poly
+
+        from speechprint.audio import _clip_unit
+
+        ratio = Fraction(rate).limit_denominator(10000)
+        designed = resample_poly(speech_clip.samples, ratio.denominator, ratio.numerator)
+        n_out = int(np.floor(len(speech_clip) / rate + 0.5))
+        designed = np.pad(designed[:n_out], (0, max(0, n_out - len(designed))))
+        expected = _clip_unit(designed, "rate change")
+        for _ in range(2):  # the second call reuses the cached filter
+            out = change_rate(speech_clip, rate)
+            assert out.samples.tobytes() == expected.tobytes()
+
     def test_identity_rate_returns_input(self, speech_clip):
         assert change_rate(speech_clip, 1.0) is speech_clip
 

@@ -2,13 +2,15 @@
 
 The digests and results below were recorded from the per-block
 fingerprint pipeline and the tuple-posting vote tally of
-FINGERPRINT_VERSION 1. Any refactor of the kernel or the index that
+FINGERPRINT_VERSION 1; the index stats and the version 1 file pins from
+the index that kept each band in a dict. Any refactor of the kernel or the index that
 changes one bit of a signature, one block index, one vote or one
 duplicate overlap fails here; a deliberate change of the bits must bump
 FINGERPRINT_VERSION and re-record the pins.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from speechprint.fingerprint import (
     config_digest,
     fingerprint_audio,
 )
-from speechprint.index import RetrievalIndex
+from speechprint.index import IndexStats, RetrievalIndex
 from speechprint.spectral import SpectralConfig, Variant
 
 LIBRARY = FingerprintConfig()
@@ -207,6 +209,14 @@ GOLDEN_RESULTS = {
     ],
 }
 
+# stats() of the planted index: the sorted band arrays must count
+# postings and buckets (distinct keys per band) exactly as the per-band
+# dicts did
+GOLDEN_STATS = {
+    "library": IndexStats(n_files=7, n_subs=77, n_postings=1540, n_buckets=1197),
+    "bench": IndexStats(n_files=7, n_subs=3122, n_postings=62440, n_buckets=32703),
+}
+
 SPECTRAL = SpectralConfig.for_variant(Variant.MEL_VOCAL)
 
 
@@ -274,3 +284,101 @@ def test_find_duplicates_matches_golden(planted):
     strict, loose = GOLDEN_DUPLICATES[geometry]
     assert index.find_duplicates(0.8) == strict
     assert index.find_duplicates(0.05, min_band_votes=1) == loose
+
+
+def test_stats_match_golden(planted):
+    geometry, index, _prints = planted
+    assert index.stats() == GOLDEN_STATS[geometry]
+
+
+def test_version_2_round_trip_matches_golden(planted, tmp_path):
+    geometry, index, prints = planted
+    path = tmp_path / "planted.spix"
+    index.save(path)
+    loaded = RetrievalIndex.load(path, expected_config_digest=index.config_digest)
+    assert loaded.stats() == GOLDEN_STATS[geometry]
+    got = [
+        [
+            as_tuple(loaded.query(fp)),
+            as_tuple(loaded.query(fp, min_band_votes=1, min_confidence=0.01)),
+        ]
+        for fp in prints
+    ]
+    assert got == GOLDEN_RESULTS[geometry]
+    strict, loose = GOLDEN_DUPLICATES[geometry]
+    assert loaded.find_duplicates(0.8) == strict
+    assert loaded.find_duplicates(0.05, min_band_votes=1) == loose
+
+
+# tests/data/index_v1.spix was written by the version 1 writer (per-file
+# records, FNV-1a checksum) at the library geometry and mel-vocal
+# spectra: 12 s clips synth_speech_like(12.0, 8000, seed=610 + i) as
+# files V1_IDS, plus the first under 25 dB noise (add_noise seed 3) as
+# V1_NOISY_COPY
+V1_FIXTURE = Path(__file__).parent / "data" / "index_v1.spix"
+V1_IDS = (6, 2**32 + 7)
+V1_NOISY_COPY = 2**64 - 1
+V1_STATS = IndexStats(n_files=3, n_subs=33, n_postings=660, n_buckets=566)
+V1_DUPLICATES = [(6, 18446744073709551615, 1.0)]
+# per query: (default thresholds, min_band_votes=1 with min_confidence
+# 0.01). Queries: per enrolled clip an 8 s slice at 1.6 s under 20 dB
+# noise, then one at 0.8 s under 12 dB noise and rate 1.01; last, a
+# clip that was never enrolled.
+V1_RESULTS = [
+    [(18446744073709551615, 36, 6, 1.0), (18446744073709551615, 36, 6, 1.0)],
+    [None, (18446744073709551615, 2, 2, 0.3333333333333333)],
+    [(4294967303, 11, 4, 0.6666666666666666), (4294967303, 12, 5, 0.8333333333333334)],
+    [None, (4294967303, 2, 2, 0.3333333333333333)],
+    [None, None],
+]
+
+
+@pytest.fixture(scope="module")
+def v1_queries():
+    audios = [synth_speech_like(12.0, 8000, seed=610 + i) for i in range(len(V1_IDS))]
+    queries = []
+    for i, audio in enumerate(audios):
+        queries.append(
+            make_query(
+                audio,
+                DeteriorationSpec(8.0, snr_db=20.0, rate=1.0, offset_s=1.6),
+                np.random.SeedSequence((61, i)),
+            )
+        )
+        queries.append(
+            make_query(
+                audio,
+                DeteriorationSpec(8.0, snr_db=12.0, rate=1.01, offset_s=0.8),
+                np.random.SeedSequence((62, i)),
+            )
+        )
+    queries.append(synth_speech_like(8.0, 8000, seed=990))
+    return [fingerprint_audio(q, SPECTRAL, LIBRARY) for q in queries]
+
+
+def check_v1_pins(index, queries):
+    assert index.stats() == V1_STATS
+    assert index.file_ids == sorted(V1_IDS + (V1_NOISY_COPY,))
+    got = [
+        [
+            as_tuple(index.query(fp)),
+            as_tuple(index.query(fp, min_band_votes=1, min_confidence=0.01)),
+        ]
+        for fp in queries
+    ]
+    assert got == V1_RESULTS
+    assert index.find_duplicates(0.8) == V1_DUPLICATES
+
+
+def test_version_1_file_still_loads(v1_queries):
+    digest = config_digest(SPECTRAL, LIBRARY, 8000)
+    assert V1_FIXTURE.read_bytes()[4:6] == b"\x01\x00"
+    check_v1_pins(RetrievalIndex.load(V1_FIXTURE, digest), v1_queries)
+
+
+def test_version_1_file_resaved_as_version_2(v1_queries, tmp_path):
+    digest = config_digest(SPECTRAL, LIBRARY, 8000)
+    path = tmp_path / "resaved.spix"
+    RetrievalIndex.load(V1_FIXTURE, digest).save(path)
+    assert path.read_bytes()[4:6] == b"\x02\x00"
+    check_v1_pins(RetrievalIndex.load(path, digest), v1_queries)

@@ -1,5 +1,8 @@
 """Banded retrieval index: enrolment, querying, dedup, persistence."""
 
+import hashlib
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +15,29 @@ from speechprint.errors import (
     CorruptIndex,
     DuplicateId,
     IncompatibleIndex,
+    IoError,
 )
 from speechprint.fingerprint import (
     FingerprintConfig,
     config_digest,
     fingerprint_audio,
 )
+from speechprint.hashing import fnv1a64
 from speechprint.index import IndexStats, MatchResult, RetrievalIndex
 from speechprint.spectral import SpectralConfig
 
 FCFG = FingerprintConfig(block_frames=32, block_hop_frames=1, top_t=25)
 SCFG = SpectralConfig.for_variant("mel-vocal")
 DIGEST = config_digest(SCFG, FCFG, 8000)
+HEADER_LEN = 4 + struct.calcsize("<HQHHHdI")
+V1_FIXTURE = Path(__file__).parent / "data" / "index_v1.spix"
+
+
+def with_checksum(body: bytes) -> bytes:
+    """``body`` plus the checksum its version (bytes 4-5) calls for."""
+    if body[4:6] == b"\x01\x00":
+        return body + struct.pack("<Q", fnv1a64(body))
+    return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
 @pytest.fixture(scope="module")
@@ -297,24 +311,129 @@ class TestPersistence:
             RetrievalIndex.load(path, expected_config_digest=DIGEST ^ 1)
 
     def test_file_stored_twice_rejected(self, prints, tmp_path):
-        import struct
-
-        from speechprint.hashing import fnv1a64
-
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
         idx.enroll(prints[0])
         path = tmp_path / "idx.spix"
         idx.save(path)
         blob = path.read_bytes()
-        header_len = 4 + struct.calcsize("<HQHHHdI")
-        record = blob[header_len:-8]
-        twice = blob[: header_len - 4] + struct.pack("<I", 2) + record + record
-        path.write_bytes(twice + struct.pack("<Q", fnv1a64(twice)))
+        n = len(prints[0].subs)
+        pos = HEADER_LEN
+        file_id, count = blob[pos : pos + 8], blob[pos + 8 : pos + 12]
+        pos += 12
+        blocks, digests = blob[pos : pos + 4 * n], blob[pos + 4 * n : -8]
+        twice = (
+            blob[: HEADER_LEN - 4] + struct.pack("<I", 2) + file_id * 2 + count * 2
+            + blocks * 2 + digests * 2
+        )
+        path.write_bytes(with_checksum(twice))
+        with pytest.raises(CorruptIndex, match="stored twice"):
+            RetrievalIndex.load(path)
+
+    def test_file_stored_twice_rejected_v1(self, tmp_path):
+        blob = V1_FIXTURE.read_bytes()
+        assert blob[4:6] == b"\x01\x00"
+        (n_subs,) = struct.unpack("<I", blob[HEADER_LEN + 8 : HEADER_LEN + 12])
+        record = blob[HEADER_LEN : HEADER_LEN + 12 + n_subs * (4 + 8 * 20)]
+        twice = blob[: HEADER_LEN - 4] + struct.pack("<I", 2) + record * 2
+        path = tmp_path / "idx.spix"
+        path.write_bytes(with_checksum(twice))
+        with pytest.raises(CorruptIndex, match="stored twice"):
+            RetrievalIndex.load(path)
+
+    @pytest.mark.parametrize("n_files, count", [(1, 2**32 - 1), (2**32 - 1, 1)])
+    def test_counts_beyond_payload_rejected_before_allocating(
+        self, index, tmp_path, n_files, count
+    ):
+        """A header or sub count claiming ~2**32 entries is corrupt, not OOM."""
+        path = tmp_path / "idx.spix"
+        index.save(path)
+        blob = path.read_bytes()
+        body = (
+            blob[: HEADER_LEN - 4] + struct.pack("<I", n_files)
+            + blob[HEADER_LEN : HEADER_LEN + 8] + struct.pack("<I", count)
+            + blob[HEADER_LEN + 12 * len(index) : -8]
+        )
+        path.write_bytes(with_checksum(body))
         with pytest.raises(CorruptIndex):
             RetrievalIndex.load(path)
+
+    def test_unknown_version_rejected(self, index, tmp_path):
+        path = tmp_path / "idx.spix"
+        index.save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<H", 3) + blob[6:])
+        with pytest.raises(IncompatibleIndex, match="version 3"):
+            RetrievalIndex.load(path)
+
+    def test_loaded_bands_equal_enrolled_bands(self, prints, tmp_path):
+        """Merging file by file and one stable sort on load agree exactly."""
+        from speechprint.fingerprint import Fingerprint
+
+        idx = RetrievalIndex.for_config(DIGEST, FCFG)
+        for fp in prints:
+            idx.enroll(fp)
+        # a copy makes every key recur, so the order among equal keys counts
+        idx.enroll(Fingerprint(100, prints[0].subs, DIGEST))
+        path = tmp_path / "idx.spix"
+        idx.save(path)
+        loaded = RetrievalIndex.load(path)
+        np.testing.assert_array_equal(loaded._keys, idx._keys)
+        np.testing.assert_array_equal(loaded._postings, idx._postings)
+
+    def test_largest_band_key_found(self, tmp_path):
+        """A bucket keyed 2**64 - 1 is found, though its key + 1 wraps to 0."""
+        keys = np.random.default_rng(5).integers(0, 2**63, (4, 20), dtype=np.uint64)
+        keys[:, 0] = 2**64 - 1  # every sub of band 0
+        keys[1, 7] = 2**64 - 1  # and one of band 7
+        header = struct.pack("<HQHHHdI", 2, DIGEST, 20, 5, 2, 0.1, 2)
+        body = (
+            b"SPIX" + header + np.array([1, 2], "<u8").tobytes()
+            + np.array([4, 4], "<u4").tobytes() + np.arange(8, dtype="<u4").tobytes()
+            + keys.astype("<u8").tobytes() * 2
+        )
+        path = tmp_path / "idx.spix"
+        path.write_bytes(with_checksum(body))
+        loaded = RetrievalIndex.load(path)
+        assert loaded.find_duplicates(0.8) == [(1, 2, 1.0)]
+        # band 0: one bucket; band 7: the 2**64 - 1 bucket and 3 others;
+        # the other 18 bands: 4 buckets each
+        assert loaded.stats().n_buckets == 1 + 4 + 18 * 4
+
+    def test_failed_save_keeps_old_file(self, index, prints, tmp_path, monkeypatch):
+        from speechprint import fileio
+
+        path = tmp_path / "idx.spix"
+        small = RetrievalIndex.for_config(DIGEST, FCFG)
+        small.enroll(prints[0])
+        small.save(path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(IoError, match="disk full"):
+            index.save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["idx.spix"]
+
+    def test_save_into_missing_directory_raises_io_error(self, index, tmp_path):
+        with pytest.raises(IoError):
+            index.save(tmp_path / "absent" / "idx.spix")
 
     def test_not_an_index_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"JUNKJUNKJUNK" * 10)
         with pytest.raises(CorruptIndex):
             RetrievalIndex.load(path)
+
+
+def test_cli_index_stats_prints_geometry(capsys):
+    from speechprint.cli import main
+
+    assert main(["index", "stats", "--index", str(V1_FIXTURE)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "files:    3" in out
+    assert "geometry: 20 bands x 5" in out
+    assert "min_band_votes: 2" in out
+    assert "min_confidence: 0.1" in out

@@ -333,6 +333,24 @@ class TestRegistry:
         reg.save(path)
         assert LabelRegistry.load(path).cluster(label).name == "tab here"
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        from speechprint import fileio
+
+        path = tmp_path / "labels.reg"
+        LabelRegistry().save(path)
+        before = path.read_bytes()
+        reg = LabelRegistry()
+        reg.assign(1, reg.create_cluster("greetings"))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(IoError, match="disk full"):
+            reg.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["labels.reg"]
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.reg"
         path.write_text("[clusters]\nnot-a-cluster-line\n", encoding="utf-8")
