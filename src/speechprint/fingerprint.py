@@ -400,9 +400,10 @@ class StreamingFingerprinter:
 
     Feed any split of the sample stream; completed sub-fingerprints come
     back as soon as their block's last frame is available, and the result
-    is bit-identical to a whole-file pass because every frame column is
-    computed independently of chunk boundaries, and every block's bits
-    independently of the stack it is computed in.
+    is bit-identical to a whole-file pass because neither a frame's
+    column nor a block's bits depend on the stack they are computed in.
+    Each feed computes the columns of the frames it completes in one
+    :meth:`FrameTransform.column` call.
     """
 
     def __init__(
@@ -428,9 +429,8 @@ class StreamingFingerprinter:
         self._hasher = get_minhasher(
             fingerprint_config.n_permutations, 2 * area, fingerprint_config.seed
         )
-        self._buffer = np.empty(0, dtype=np.float64)
-        self._buffer_start = 0  # absolute sample index of _buffer[0]
-        self._columns: list[np.ndarray] = []
+        self._buffer = np.empty(0, dtype=np.float64)  # from the next frame's start
+        self._columns = np.empty((0, self._transform.n_bins))
         self._columns_start = 0  # absolute frame index of _columns[0]
         self._frames_done = 0
         self._blocks_done = 0
@@ -456,21 +456,13 @@ class StreamingFingerprinter:
         self._samples_seen += samples.size
         self._buffer = np.concatenate([self._buffer, samples])
         transform = self._transform
-        while True:
-            frame_start = self._frames_done * transform.hop
-            local = frame_start - self._buffer_start
-            if local + transform.window > len(self._buffer):
-                break
-            self._columns.append(
-                transform.column(self._buffer[local : local + transform.window])
-            )
-            self._frames_done += 1
-        # drop samples no frame will touch again
-        next_needed = self._frames_done * transform.hop
-        if next_needed > self._buffer_start:
-            cut = next_needed - self._buffer_start
-            self._buffer = self._buffer[cut:]
-            self._buffer_start = next_needed
+        frames = transform.frames(self._buffer)
+        if len(frames):
+            columns = transform.column(frames)
+            self._columns = np.concatenate([self._columns, columns])
+            self._frames_done += len(frames)
+            # drop samples no frame will touch again
+            self._buffer = self._buffer[len(frames) * transform.hop :]
         fresh: list[SubFingerprint] = []
         cfg = self.fingerprint_config
         hop, width = cfg.block_hop_frames, cfg.block_frames
@@ -490,7 +482,7 @@ class StreamingFingerprinter:
         first = self._blocks_done
         local = first * hop - self._columns_start
         span = (n_blocks - 1) * hop + cfg.block_frames
-        frames = np.array(self._columns[local : local + span])
+        frames = self._columns[local : local + span]
         stack = _cut_blocks(frames, n_blocks, cfg, self._rows)
         signatures = self._hasher.signature(top_t_signs(haar2d(stack), cfg.top_t))
         stride = self.spectral_config.stride_s
@@ -506,7 +498,7 @@ class StreamingFingerprinter:
         # columns before the next block's start are done
         keep_from = self._blocks_done * hop
         if keep_from > self._columns_start:
-            del self._columns[: keep_from - self._columns_start]
+            self._columns = self._columns[keep_from - self._columns_start :]
             self._columns_start = keep_from
         return subs
 

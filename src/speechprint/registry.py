@@ -139,9 +139,7 @@ def vectorize(
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    out = np.divide(vectors, norms, where=norms > 0)
-    out[np.squeeze(norms, axis=1) == 0] = 0.0
-    return out
+    return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
 
 
 def _kmeans_iterations(

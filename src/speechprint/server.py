@@ -43,6 +43,10 @@ OP_ERROR = 0x11
 
 _STATUS_CODES = {STATUS_IDENTIFIED: 0, STATUS_ENROLLED: 1}
 _MAX_FRAME = 1 << 22  # 4 MiB of payload is far beyond any sane chunk
+#: Seconds a session may wait on its client before it is dropped. Sessions
+#: run on non-daemon threads that ``server_close`` joins, so without it one
+#: silent client would hold a shutdown forever.
+READ_TIMEOUT_S = 30.0
 
 
 def write_frame(sock: socket.socket, opcode: int, payload: bytes = b"") -> None:
@@ -100,6 +104,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         server: PipelineServer = self.server
+        self.request.settimeout(READ_TIMEOUT_S)
         session = Session(server.pipeline, server.batcher.submit)
         try:
             while True:

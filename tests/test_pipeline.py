@@ -167,7 +167,7 @@ class TestIdentifyStream:
         column = FrameTransform.column
 
         def counting_column(transform, frame):
-            calls[0] += 1
+            calls[0] += 1 if frame.ndim == 1 else frame.shape[0]
             return column(transform, frame)
 
         monkeypatch.setattr(FrameTransform, "column", counting_column)

@@ -291,3 +291,26 @@ class TestShutdown:
         assert outcome.status == STATUS_ENROLLED
         assert outcome.file_id in pipeline.index
         assert outcome.file_id in pipeline.registry.pending()
+
+    def test_silent_client_does_not_hold_close(self, corpus, monkeypatch):
+        """A client that connects and then sends nothing times out."""
+        import time
+
+        from speechprint import server as server_module
+
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        srv = serve("127.0.0.1:0", build_pipeline(corpus))
+        thread = threading.Thread(target=srv.serve_forever, args=(0.02,), daemon=True)
+        thread.start()
+        with socket.create_connection(srv.server_address, timeout=10) as silent:
+            deadline = time.monotonic() + 10.0
+            while not vars(srv).get("_threads") and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert vars(srv).get("_threads"), "session never reached the server"
+            srv.shutdown()
+            closer = threading.Thread(target=srv.server_close, daemon=True)
+            closer.start()
+            closer.join(timeout=10)
+            assert not closer.is_alive(), "server_close waited on a silent client"
+            assert silent.recv(1) == b""  # the server dropped the session
+        thread.join(timeout=5)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from speechprint.audio import AudioBuffer
+from speechprint.corpus import synth_speech_like
 from speechprint.errors import ConfigError, TooShort
 from speechprint.spectral import (
     LOG_GAIN,
+    STACK_SAMPLES,
+    FrameTransform,
     SpectralConfig,
     Variant,
     band_select_linear,
@@ -142,6 +145,34 @@ class TestConfig:
     def test_stride_beyond_window_rejected(self):
         with pytest.raises(ConfigError):
             SpectralConfig(Variant.MEL_VOCAL, window_s=0.02, stride_s=0.05)
+
+
+class TestStackedColumns:
+    """A stack of frames gives exactly the columns of its frames one by one."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("sample_rate", [8000, 16000])
+    @pytest.mark.parametrize("stride_s", [0.025, 0.0125, 0.01])
+    def test_rows_equal_per_frame_columns(self, variant, sample_rate, stride_s):
+        transform = FrameTransform(
+            sample_rate, SpectralConfig.for_variant(variant, stride_s=stride_s)
+        )
+        clip = synth_speech_like(3.0, sample_rate, seed=11)
+        frames = transform.frames(clip.samples)
+        single = np.array([transform.column(frame) for frame in frames])
+        # more frames than one FFT call takes, so the stack is split
+        assert len(frames) > STACK_SAMPLES // transform.n_fft
+        spans = [(0, 1), (5, 1), (0, 2), (7, 2), (11, 17), (3, len(frames) - 3)]
+        for start, size in spans:
+            stacked = transform.column(frames[start : start + size])
+            assert stacked.shape == (size, transform.n_bins)
+            np.testing.assert_array_equal(stacked, single[start : start + size])
+
+    def test_frames_match_frame_count(self):
+        transform = FrameTransform(8000, SpectralConfig.for_variant("mel-vocal"))
+        for n in (0, 799, 800, 999, 1000, 8000):
+            frames = transform.frames(np.zeros(n))
+            assert frames.shape == (n_frames_for(n, 800, 200), 800)
 
 
 class TestMakeImage:
