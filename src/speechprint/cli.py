@@ -151,6 +151,8 @@ def cmd_index_stats(args) -> int:
     print(f"subs:     {stats.n_subs}")
     print(f"postings: {stats.n_postings}")
     print(f"buckets:  {stats.n_buckets}")
+    per_sub = index.nbytes / stats.n_subs if stats.n_subs else 0.0
+    print(f"arrays:   {index.nbytes} bytes ({per_sub:.1f} per sub)")
     print(f"config:   0x{index.config_digest:016x}")
     print(f"geometry: {index.band_count} bands x {index.band_width}")
     print(f"min_band_votes: {index.min_band_votes}")

@@ -378,13 +378,6 @@ def get_minhasher(n_permutations: int, dimension: int, seed: int) -> MinHasher:
     return MinHasher(n_permutations, dimension, seed)
 
 
-def minhash(bits: SparseBits, config: FingerprintConfig) -> np.ndarray:
-    """Signature of ``bits`` under the config's permutation family."""
-    return get_minhasher(config.n_permutations, bits.dimension, config.seed).signature(
-        bits
-    )
-
-
 #: Upper bound on the coefficients of one stacked kernel call: 256 KiB of
 #: float64, 16 blocks at the benchmark geometry and 4 at the library's. A
 #: long file is fingerprinted in bounded memory, and the kernel's

@@ -33,7 +33,16 @@ INDEX_VERSION = 2
 # min_band_votes, min_confidence, file count
 _HEADER_FMT = "<HQHHHdI"
 _HEADER_LEN = 4 + struct.calcsize(_HEADER_FMT)
-_U64_MAX = np.uint64(2**64 - 1)
+# postings are int32 row numbers
+_MAX_ROWS = 2**31 - 1
+
+#: Upper bound on the (row, posting) pairs that one slice of a band join
+#: expands and counts at once, about 4 MiB of temporaries: a batch of
+#: queries, or a self-join over buckets that many subs share, stays in
+#: bounded memory. A slice holds whole rows, so one row with more pairs
+#: than this is a slice of its own. Of 2^14 to 2^20, 2^16 answered a
+#: batch of 64 benchmark-geometry queries fastest.
+PAIR_ELEMENTS = 1 << 16
 
 DEFAULT_MIN_BAND_VOTES = 2
 DEFAULT_MIN_CONFIDENCE = 0.1
@@ -66,12 +75,16 @@ class IndexStats:
 class RetrievalIndex:
     """In-memory LSH index over banded sub-fingerprint digests.
 
-    Each band is one sorted array of band keys with an aligned array of
-    postings, so a query finds a bucket with two binary searches and
-    loading rebuilds every band with one stable sort. Thread safety:
-    enrolment, queries and persistence hold one lock. The index stores
-    band digests only (signatures are not needed once banded), which
-    keeps persistence compact.
+    Every enrolled sub is one row, numbered in enrolment order, and two
+    row columns hold each row's file ordinal and block index. Each band
+    is one sorted array of band keys with an aligned array of postings,
+    the row numbers of the subs holding each key. A query finds all of
+    its buckets with one binary search per band, probing k and k + 1;
+    :meth:`find_duplicates` joins the bands with themselves, with no
+    search; loading rebuilds every band with one stable sort. The band
+    digests live in the bands only, and :meth:`save` scatters them back
+    into rows. Thread safety: enrolment, queries and persistence hold
+    one lock.
     """
 
     def __init__(
@@ -84,25 +97,21 @@ class RetrievalIndex:
     ) -> None:
         if band_count < 1 or band_width < 1:
             raise ConfigError("band_count and band_width must be >= 1")
-        if min_band_votes < 1:
-            raise ConfigError(f"min_band_votes must be >= 1, got {min_band_votes}")
-        if not 0.0 < min_confidence <= 1.0:
-            raise ConfigError(
-                f"min_confidence must be in (0, 1], got {min_confidence}"
-            )
+        _check_thresholds(min_band_votes, min_confidence)
         self.config_digest = config_digest
         self.band_count = band_count
         self.band_width = band_width
         self.min_band_votes = min_band_votes
         self.min_confidence = min_confidence
         # row j: every enrolled sub's band-j key in ascending order, equal
-        # keys in enrolment order, and aligned with it that sub's posting,
-        # an int64 packed as ordinal << 32 | block index, where a file's
-        # ordinal is its position in _ids
+        # keys in row order, and aligned with it the row number of the sub
+        # holding each key
         self._keys = np.empty((band_count, 0), dtype=np.uint64)
-        self._postings = np.empty((band_count, 0), dtype=np.int64)
-        # file_id -> (band digest matrix [n_subs, band_count], block indices)
-        self._files: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._postings = np.empty((band_count, 0), dtype=np.int32)
+        # per row: its file's ordinal (the file's position in _ids) and its
+        # block index; a file's rows are contiguous and in block order
+        self._row_file = np.empty(0, dtype=np.int32)
+        self._row_block = np.empty(0, dtype=np.uint32)
         self._ids: list[int] = []
         self._ordinals: dict[int, int] = {}
         self._lock = threading.RLock()
@@ -160,25 +169,30 @@ class RetrievalIndex:
         if blocks.min() < 0 or blocks.max() >= 1 << 32:
             raise ConfigError(f"file {fp.file_id} has block indices outside u32")
         with self._lock:
-            if fp.file_id in self._files:
+            if fp.file_id in self._ordinals:
                 raise DuplicateId(f"file id {fp.file_id} already enrolled")
+            if self._row_file.size + blocks.size > _MAX_ROWS:
+                raise ConfigError(f"an index holds at most {_MAX_ROWS} subs")
             self._merge(fp.file_id, digests, blocks)
 
     def _merge(self, file_id: int, digests: np.ndarray, blocks: np.ndarray) -> None:
-        """Merges one new file's keys into every band; lock held.
+        """Appends one new file's rows and merges its keys into every band;
+        lock held.
 
-        Its keys go after equal keys already enrolled, in block order, so
-        the bands equal what :meth:`_build` makes of all files at once.
+        Its keys go after equal keys already enrolled, in row order, so the
+        bands equal what :meth:`_build` makes of all rows at once.
         """
+        first_row = self._row_file.size
         ordinal = len(self._ids)
         self._ids.append(file_id)
         self._ordinals[file_id] = ordinal
-        self._files[file_id] = (digests, blocks)
         n_new = blocks.size
+        self._row_file = np.append(self._row_file, np.full(n_new, ordinal, np.int32))
+        self._row_block = np.append(self._row_block, blocks.astype(np.uint32))
         width = self._keys.shape[1] + n_new
         order = np.argsort(digests, axis=0, kind="stable")
         new_keys = np.take_along_axis(digests, order, axis=0).T
-        new_postings = (ordinal << 32 | blocks)[order].T
+        new_postings = (first_row + order).T
         # merged position of each new key: after the equal keys already
         # enrolled and the new keys before it, in the flattened bands
         dest = np.array(
@@ -190,7 +204,7 @@ class RetrievalIndex:
         keys = np.empty(self.band_count * width, dtype=np.uint64)
         keys[is_new] = new_keys.ravel()
         keys[~is_new] = self._keys.ravel()
-        postings = np.empty(self.band_count * width, dtype=np.int64)
+        postings = np.empty(self.band_count * width, dtype=np.int32)
         postings[is_new] = new_postings.ravel()
         postings[~is_new] = self._postings.ravel()
         self._keys = keys.reshape(self.band_count, width)
@@ -204,87 +218,175 @@ class RetrievalIndex:
         File k has id ``ids[k]`` and the next ``counts[k]`` rows of
         ``blocks`` and ``digests``; its ordinal is k.
         """
-        ends = np.cumsum(counts).tolist()
-        starts = [0] + ends[:-1]
+        if blocks.size > _MAX_ROWS:
+            raise ConfigError(f"an index holds at most {_MAX_ROWS} subs")
         self._ids = list(ids)
         self._ordinals = {file_id: k for k, file_id in enumerate(ids)}
-        self._files = {
-            file_id: (digests[a:b], blocks[a:b])
-            for file_id, a, b in zip(ids, starts, ends)
-        }
-        ordinals = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
+        self._row_file = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
+        self._row_block = blocks.astype(np.uint32)
         by_band = np.ascontiguousarray(digests.T)
         order = np.argsort(by_band, axis=1, kind="stable")
         self._keys = np.take_along_axis(by_band, order, axis=1)
-        self._postings = (ordinals << 32 | blocks)[order]
+        self._postings = order.astype(np.int32)
 
     def __contains__(self, file_id: int) -> bool:
         with self._lock:
-            return file_id in self._files
+            return file_id in self._ordinals
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._files)
+            return len(self._ids)
 
     @property
     def file_ids(self) -> list[int]:
         with self._lock:
-            return sorted(self._files)
+            return sorted(self._ids)
 
-    def _tally(
-        self, digest_rows: np.ndarray, min_band_votes: int, skip_file: int | None = None
-    ) -> dict[int, tuple[int, int]]:
-        """Votes for one query: file_id -> (matched sub count, band votes).
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the index's arrays: bands, postings, row columns."""
+        with self._lock:
+            arrays = (self._keys, self._postings, self._row_file, self._row_block)
+            return sum(a.nbytes for a in arrays)
 
-        A (query sub, posting) pair qualifies when they share at least
-        min_band_votes band keys; a file's matched count is the number of
-        query subs with a qualifying posting of it, its band votes the
-        shared keys summed over its qualifying pairs.
+    def _join(self, starts: np.ndarray, sizes: np.ndarray, min_band_votes: int):
+        """Band hits of (row, index row) pairs, in slices of whole rows.
+
+        Row r of ``starts`` and ``sizes`` ([n_rows, band_count]) shares
+        band j's key with the postings at flat positions ``starts[r, j]``
+        onwards, ``sizes[r, j]`` of them, in the flattened bands. Yields
+        per slice (rows, index rows, hits) of the pairs that share at
+        least min_band_votes keys, sorted by row then index row. A slice
+        expands at most PAIR_ELEMENTS pairs, unless one row has more.
+        Lock held.
         """
-        n_subs = digest_rows.shape[0]
+        n_index = self._row_file.size
+        flat = self._postings.ravel()
+        # pairs before each row
+        before = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+        np.cumsum(sizes.sum(axis=1), out=before[1:])
+        lo = 0
+        while lo < sizes.shape[0]:
+            hi = int(np.searchsorted(before, before[lo] + PAIR_ELEMENTS, "right")) - 1
+            hi = max(hi, lo + 1)
+            total = int(before[hi] - before[lo])
+            if total:
+                seg_sizes = sizes[lo:hi].ravel()
+                seg_starts = starts[lo:hi].ravel()
+                # one range expansion over the slice's buckets
+                skip = np.repeat(seg_starts - (np.cumsum(seg_sizes) - seg_sizes), seg_sizes)
+                partners = flat[np.arange(total) + skip]
+                row_base = np.repeat(
+                    np.arange(lo, hi, dtype=np.int64) * n_index, np.diff(before[lo : hi + 1])
+                )
+                # one hit count per (row, index row) pair
+                pairs, hits = np.unique(row_base + partners, return_counts=True)
+                qualifies = hits >= min_band_votes
+                pairs, hits = pairs[qualifies], hits[qualifies]
+                yield pairs // n_index, pairs % n_index, hits
+            lo = hi
+
+    def _probe(self, digest_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each query row's bucket of each band starts, and its size,
+        as [n_rows, band_count] flat positions and counts; lock held."""
+        n_rows, bands = digest_rows.shape
         width = self._keys.shape[1]
         # a bucket of key k runs from the band's first key >= k to its
-        # first key >= k + 1, so one search per band finds both ends
-        probes = np.empty((self.band_count, 2 * n_subs), dtype=np.uint64)
-        probes[:, :n_subs] = digest_rows.T
-        probes[:, n_subs:] = probes[:, :n_subs] + np.uint64(1)
+        # first key >= k + 1, so one search per band finds both ends; the
+        # probes go in ascending order, which keeps successive binary
+        # searches in cache
+        order = np.argsort(digest_rows, axis=0)
+        band = np.arange(bands)
+        probes = np.empty((bands, 2 * n_rows), dtype=np.uint64)
+        probes[:, :n_rows] = digest_rows[order, band].T
+        probes[:, n_rows:] = probes[:, :n_rows] + np.uint64(1)
         bounds = np.array([k.searchsorted(p) for k, p in zip(self._keys, probes)])
         # k + 1 wraps to 0 for the largest u64, whose bucket ends the band
-        bounds[:, n_subs:][probes[:, :n_subs] == _U64_MAX] = width
-        bounds += width * np.arange(self.band_count)[:, None]
-        # band-major: bucket i belongs to sub i % n_subs and spans
-        # postings [starts[i], ends[i]) of the flattened bands
-        starts, ends = bounds[:, :n_subs], bounds[:, n_subs:]
-        sizes = (ends - starts).ravel()
-        total = int(sizes.sum())
-        if not total:
-            return {}
-        # one range expansion over every bucket
-        skip = np.repeat(starts.ravel() - (np.cumsum(sizes) - sizes), sizes)
-        postings = self._postings.ravel()[np.arange(total) + skip]
-        subs = np.repeat(np.arange(sizes.size) % n_subs, sizes)
-        # one hit count per (sub, posting) pair, pairs sorted by sub then posting
-        distinct, code = np.unique(postings, return_inverse=True)
-        pairs, hits = np.unique(subs * distinct.size + code, return_counts=True)
-        qualifies = hits >= min_band_votes
-        pairs, hits = pairs[qualifies], hits[qualifies]
-        ordinals = distinct[pairs % distinct.size] >> 32
-        if skip_file is not None:
-            kept = ordinals != self._ordinals.get(skip_file, -1)
-            pairs, hits, ordinals = pairs[kept], hits[kept], ordinals[kept]
-        if not pairs.size:
-            return {}
-        # within one sub the ordinals ascend, so a new (sub, file) starts
-        # wherever either changes
-        sub_of = pairs // distinct.size
-        first = np.ones(pairs.size, dtype=bool)
-        first[1:] = (sub_of[1:] != sub_of[:-1]) | (ordinals[1:] != ordinals[:-1])
-        matched = np.bincount(ordinals[first])
-        votes = np.bincount(ordinals, weights=hits)
-        return {
-            self._ids[o]: (int(matched[o]), int(votes[o]))
-            for o in np.flatnonzero(matched).tolist()
-        }
+        bounds[:, n_rows:][probes[:, n_rows:] == 0] = width
+        starts = np.empty((n_rows, bands), dtype=np.int64)
+        sizes = np.empty((n_rows, bands), dtype=np.int64)
+        starts[order, band] = (bounds[:, :n_rows] + width * band[:, None]).T
+        sizes[order, band] = (bounds[:, n_rows:] - bounds[:, :n_rows]).T
+        return starts, sizes
+
+    def _later_partners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's partners in the self-join, as :meth:`_probe` gives a
+        query row's buckets: in each band, the postings of later files in
+        its bucket. Lock held.
+
+        Within a bucket the postings ascend by row and so by file, so a
+        row's partners are the rest of its bucket after its own file's run.
+        """
+        bands, n_rows = self._keys.shape
+        files = self._row_file[self._postings]
+        new_bucket = np.ones((bands, n_rows), dtype=bool)
+        new_bucket[:, 1:] = self._keys[:, 1:] != self._keys[:, :-1]
+        new_run = new_bucket.copy()
+        new_run[:, 1:] |= files[:, 1:] != files[:, :-1]
+        # flat position of row r's posting in band j
+        where = np.empty((n_rows, bands), dtype=np.int64)
+        where[self._postings, np.arange(bands)[:, None]] = np.arange(
+            bands * n_rows
+        ).reshape(bands, n_rows)
+        starts = _run_ends(new_run)[where]
+        return starts, _run_ends(new_bucket)[where] - starts
+
+    def _answer(
+        self,
+        queries: list[list[SubFingerprint] | Fingerprint],
+        min_band_votes: int | None,
+        min_confidence: float | None,
+    ) -> list[MatchResult | None]:
+        """Every query's answer from one probe of the bands and one join."""
+        v = self.min_band_votes if min_band_votes is None else min_band_votes
+        c = self.min_confidence if min_confidence is None else min_confidence
+        _check_thresholds(v, c)
+        sub_lists = []
+        for q in queries:
+            if isinstance(q, Fingerprint):
+                self._check_digest(q)
+                q = q.subs
+            sub_lists.append(q)
+        results: list[MatchResult | None] = [None] * len(queries)
+        asked = [k for k, subs in enumerate(sub_lists) if subs]
+        if not asked:
+            return results
+        n_subs = [len(sub_lists[k]) for k in asked]
+        digest_rows = self._band_digests(
+            np.stack([s.signature for k in asked for s in sub_lists[k]])
+        )
+        query_of_row = np.repeat(np.arange(len(asked)), n_subs)
+        with self._lock:
+            ids = self._ids
+            n_files = len(ids)
+            tallies = []
+            for rows, index_rows, hits in self._join(*self._probe(digest_rows), v):
+                files = self._row_file[index_rows]
+                # within a row the index rows, and so the files, ascend: a
+                # new (row, file) starts wherever either changes
+                first = np.ones(rows.size, dtype=bool)
+                first[1:] = (rows[1:] != rows[:-1]) | (files[1:] != files[:-1])
+                tallies.append(
+                    _sum_by_key(query_of_row[rows] * n_files + files, first, hits)
+                )
+        if not tallies:
+            return results
+        if len(tallies) > 1:
+            tallies = [_sum_by_key(*map(np.concatenate, zip(*tallies)))]
+        keys, matched, votes = tallies[0]
+        # per query the best (matched subs, band votes, -file id); every
+        # entry has a matched sub, so it beats (0, 0, 0)
+        best: dict[int, tuple[int, int, int]] = {}
+        for key, n_matched, n_votes in zip(keys.tolist(), matched.tolist(), votes.tolist()):
+            q, ordinal = divmod(key, n_files)
+            rank = (n_matched, n_votes, -ids[ordinal])
+            if rank > best.get(q, (0, 0, 0)):
+                best[q] = rank
+        for q, (n_matched, n_votes, neg_id) in best.items():
+            confidence = n_matched / n_subs[q]
+            if confidence >= c:
+                results[asked[q]] = MatchResult(-neg_id, n_votes, n_matched, confidence)
+        return results
 
     def query(
         self,
@@ -294,35 +396,18 @@ class RetrievalIndex:
     ) -> MatchResult | None:
         """Most likely enrolled file for a query fingerprint, or None.
 
-        Ranking: most matched query subs, then most total band votes,
-        then lowest file id. The winner is reported only when its
-        confidence (matched subs / query subs) reaches the floor.
+        A (query sub, enrolled sub) pair qualifies when they share at
+        least min_band_votes band keys. A file's matched count is the
+        number of query subs with a qualifying pair in it, and its band
+        votes are the shared keys summed over those pairs. Ranking: most
+        matched query subs, then most band votes, then lowest file id.
+        The winner is reported only when its confidence (matched subs /
+        query subs) reaches the floor.
 
         Raises:
             IncompatibleIndex: a Fingerprint built under another config.
         """
-        if isinstance(subs, Fingerprint):
-            self._check_digest(subs)
-            subs = list(subs.subs)
-        if not subs:
-            return None
-        v = self.min_band_votes if min_band_votes is None else min_band_votes
-        c = self.min_confidence if min_confidence is None else min_confidence
-        if v < 1:
-            raise ConfigError(f"min_band_votes must be >= 1, got {v}")
-        if not 0.0 < c <= 1.0:
-            raise ConfigError(f"min_confidence must be in (0, 1], got {c}")
-        digest_rows = self._band_digests(np.stack([s.signature for s in subs]))
-        with self._lock:
-            tally = self._tally(digest_rows, v)
-        if not tally:
-            return None
-        best = min(tally, key=lambda f: (-tally[f][0], -tally[f][1], f))
-        matched, band_votes = tally[best]
-        confidence = matched / len(subs)
-        if confidence < c:
-            return None
-        return MatchResult(best, band_votes, matched, confidence)
+        return self._answer([subs], min_band_votes, min_confidence)[0]
 
     def query_batch(
         self,
@@ -330,13 +415,14 @@ class RetrievalIndex:
         min_band_votes: int | None = None,
         min_confidence: float | None = None,
     ) -> list[MatchResult | None]:
-        """Answers many queries in one call.
+        """Answers many queries in one pass.
 
         Results are exactly what per-query :meth:`query` calls would
-        return, in input order; batching only saves locking.
+        return, in input order (None for an empty query). The whole batch
+        shares one search per band and one counting step, so it costs
+        less than the same queries one by one.
         """
-        with self._lock:
-            return [self.query(q, min_band_votes, min_confidence) for q in queries]
+        return self._answer(queries, min_band_votes, min_confidence)
 
     def find_duplicates(
         self,
@@ -345,9 +431,16 @@ class RetrievalIndex:
     ) -> list[tuple[int, int, float]]:
         """Pairs of enrolled files whose fingerprints overlap heavily.
 
-        Overlap of (a, b) is the fraction of a's subs that collect at
-        least min_band_votes band matches against some block of b; the
-        pair is reported when either direction exceeds ``threshold``.
+        Overlap of (a, b) is the fraction of a's subs that share at least
+        min_band_votes band keys with some sub of b; the pair is reported
+        when either direction exceeds ``threshold``.
+
+        The pairs come from one self-join of the bands, with no search.
+        Within a bucket the postings ascend by file, so each posting pairs
+        only with the later-file postings of its bucket: same-file pairs
+        never form, and each pair of subs is met once, its band hits
+        counted as a query counts them. Band hits are symmetric, so the
+        qualifying pairs give the overlap in both directions.
 
         Returns (file_a, file_b, overlap) tuples, file_a < file_b,
         sorted by descending overlap then ids.
@@ -355,30 +448,51 @@ class RetrievalIndex:
         if not 0.0 < threshold <= 1.0:
             raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
         v = self.min_band_votes if min_band_votes is None else min_band_votes
-        overlap: dict[tuple[int, int], float] = {}
+        _check_thresholds(v)
+        forward, backward = [], []
         with self._lock:
-            for file_id, (digests, _blocks) in self._files.items():
-                tally = self._tally(digests, v, skip_file=file_id)
-                for other, (count, _votes) in tally.items():
-                    frac = count / digests.shape[0]
-                    pair = (min(file_id, other), max(file_id, other))
-                    if frac > overlap.get(pair, -1.0):
-                        overlap[pair] = frac
-        pairs = [
-            (a, b, frac) for (a, b), frac in overlap.items() if frac > threshold
-        ]
+            ids = self._ids
+            n_files = len(ids)
+            row_file = self._row_file
+            for rows, partners, _hits in self._join(*self._later_partners(), v):
+                files = row_file[rows].astype(np.int64)
+                partner_files = row_file[partners]
+                # one entry per distinct (row, partner file): within a row
+                # the partners, and so their files, ascend
+                first = np.ones(rows.size, dtype=bool)
+                first[1:] = (rows[1:] != rows[:-1]) | (
+                    partner_files[1:] != partner_files[:-1]
+                )
+                forward.append(files[first] * n_files + partner_files[first])
+                backward.append(np.unique(partners * n_files + files))
+        if not forward:
+            return []
+        # file pair fa * n_files + fb, fa < fb, -> subs of fa matched in fb
+        pair_keys, ahead = np.unique(np.concatenate(forward), return_counts=True)
+        behind_rows = np.unique(np.concatenate(backward))
+        # and -> subs of fb matched in fa; both directions hold the same pairs
+        _, behind = np.unique(
+            behind_rows % n_files * n_files + row_file[behind_rows // n_files],
+            return_counts=True,
+        )
+        counts = np.bincount(row_file, minlength=n_files)
+        fa, fb = pair_keys // n_files, pair_keys % n_files
+        overlap = np.maximum(ahead / counts[fa], behind / counts[fb])
+        found = np.flatnonzero(overlap > threshold)
+        pairs = []
+        for a, b, frac in zip(fa[found].tolist(), fb[found].tolist(), overlap[found].tolist()):
+            pairs.append((min(ids[a], ids[b]), max(ids[a], ids[b]), frac))
         pairs.sort(key=lambda item: (-item[2], item[0], item[1]))
         return pairs
 
     def stats(self) -> IndexStats:
         with self._lock:
-            n_subs = sum(d.shape[0] for d, _ in self._files.values())
             keys = self._keys
             # a bucket starts at each band's first key and at every key change
             n_buckets = int(np.count_nonzero(keys[:, 1:] != keys[:, :-1]))
             if keys.size:
                 n_buckets += self.band_count
-            return IndexStats(len(self._files), n_subs, keys.size, n_buckets)
+            return IndexStats(len(self._ids), self._row_file.size, keys.size, n_buckets)
 
     def save(self, path: str | Path) -> None:
         """Writes the index to ``path`` atomically (see :func:`write_atomic`).
@@ -392,8 +506,23 @@ class RetrievalIndex:
         finally the 8-byte blake2b digest of all preceding bytes.
         """
         with self._lock:
-            ids = sorted(self._files)
-            files = [self._files[file_id] for file_id in ids]
+            ids = self._ids
+            n_rows = self._row_file.size
+            saved = sorted(range(len(ids)), key=ids.__getitem__)  # ordinals by id
+            counts = np.bincount(self._row_file, minlength=len(ids))
+            saved_counts = counts[saved]
+            # a row's place in the file: its file's first place there plus
+            # the row's place within its file
+            saved_first = np.empty(len(ids), dtype=np.int64)
+            saved_first[saved] = np.cumsum(saved_counts) - saved_counts
+            shift = saved_first - (np.cumsum(counts) - counts)
+            place = np.arange(n_rows) + shift[self._row_file]
+            blocks = np.empty(n_rows, dtype="<u4")
+            blocks[place] = self._row_block
+            digests = np.empty((n_rows, self.band_count), dtype="<u8")
+            digests[place[self._postings], np.arange(self.band_count)[:, None]] = (
+                self._keys
+            )
             parts = [
                 INDEX_MAGIC,
                 struct.pack(
@@ -406,11 +535,11 @@ class RetrievalIndex:
                     self.min_confidence,
                     len(ids),
                 ),
-                np.array(ids, dtype="<u8").tobytes(),
-                np.array([d.shape[0] for d, _ in files], dtype="<u4").tobytes(),
+                np.array([ids[k] for k in saved], dtype="<u8").tobytes(),
+                saved_counts.astype("<u4").tobytes(),
+                blocks.tobytes(),
+                digests.tobytes(),
             ]
-            parts += [blocks.astype("<u4").tobytes() for _, blocks in files]
-            parts += [digests.astype("<u8").tobytes() for digests, _ in files]
         blob = b"".join(parts)
         write_atomic(path, blob + _blake2b(blob), "index")
 
@@ -464,6 +593,29 @@ class RetrievalIndex:
             seen.add(file_id)
         index._build(ids, counts, blocks, digests)
         return index
+
+
+def _check_thresholds(min_band_votes: int, min_confidence: float = 1.0) -> None:
+    """Raises ConfigError for a vote count or a confidence floor out of range."""
+    if min_band_votes < 1:
+        raise ConfigError(f"min_band_votes must be >= 1, got {min_band_votes}")
+    if not 0.0 < min_confidence <= 1.0:
+        raise ConfigError(f"min_confidence must be in (0, 1], got {min_confidence}")
+
+
+def _sum_by_key(keys: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct keys, ascending, and each weight summed per key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    sums = (np.bincount(inverse, w, distinct.size).astype(np.int64) for w in weights)
+    return distinct, *sums
+
+
+def _run_ends(run_starts: np.ndarray) -> np.ndarray:
+    """Per flat position, the end of the run holding it, where a run
+    starts at every True of ``run_starts``."""
+    flat = run_starts.ravel()
+    firsts = np.flatnonzero(flat)
+    return np.append(firsts[1:], flat.size)[np.cumsum(flat) - 1]
 
 
 def _blake2b(data: bytes) -> bytes:

@@ -20,7 +20,6 @@ from speechprint.fingerprint import (
     haar2d,
     ihaar2d,
     min_audio_seconds,
-    minhash,
     serialize_fingerprint,
     top_t_signs,
 )
@@ -213,14 +212,15 @@ class TestTopTSigns:
 
 class TestMinHash:
     def test_empty_set_is_all_cap(self):
-        sig = minhash(SparseBits(np.array([], dtype=np.int64), 4096), SMALL)
+        hasher = get_minhasher(SMALL.n_permutations, 4096, SMALL.seed)
+        sig = hasher.signature(SparseBits(np.array([], dtype=np.int64), 4096))
         assert sig.dtype == np.uint8
         assert np.all(sig == 255)
 
     def test_determinism(self):
         bits = SparseBits(np.array([3, 100, 999]), 4096)
-        a = minhash(bits, SMALL)
-        b = minhash(bits, SMALL)
+        a = get_minhasher(SMALL.n_permutations, 4096, SMALL.seed).signature(bits)
+        b = get_minhasher(SMALL.n_permutations, 4096, SMALL.seed).signature(bits)
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_signature(self):

@@ -291,6 +291,46 @@ def test_stats_match_golden(planted):
     assert index.stats() == GOLDEN_STATS[geometry]
 
 
+# sha256 of the version 2 save bytes of the planted index, recorded from
+# the index that kept a per-file copy of every band digest
+GOLDEN_SAVE_SHA256 = {
+    "library": "7119721b21d3d5a5d5abe7c02baa4b53451b9ad53d9f656a90a302fefdd03b7f",
+    "bench": "fea0850b3b51caa46ca1b2702aee59a2d91bb68cce526fb93a34f6f71987712d",
+}
+
+
+@pytest.fixture(scope="module")
+def planted_prints(planted):
+    """The planted index's enrolled fingerprints, by file id."""
+    geometry, index, _prints = planted
+    cfg = GEOMETRIES[geometry]
+    audios = [synth_speech_like(12.0, 8000, seed=300 + i) for i in range(len(FILE_IDS))]
+    prints = {
+        file_id: fingerprint_audio(audio, SPECTRAL, cfg, file_id)
+        for file_id, audio in zip(FILE_IDS, audios)
+    }
+    prints[PLANTED_COPY] = Fingerprint(PLANTED_COPY, prints[17].subs, index.config_digest)
+    noisy = add_noise(audios[3], 30.0, seed=1)
+    prints[NOISY_COPY] = fingerprint_audio(noisy, SPECTRAL, cfg, NOISY_COPY)
+    return prints
+
+
+def test_saved_bytes_match_golden(planted, planted_prints, tmp_path):
+    """The saved file is pinned, and enrolment order does not change it."""
+    geometry, index, _prints = planted
+    path = tmp_path / "planted.spix"
+    index.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAVE_SHA256[geometry]
+    for seed in range(3):
+        shuffled = RetrievalIndex.for_config(index.config_digest, GEOMETRIES[geometry])
+        ids = sorted(planted_prints)
+        for k in np.random.default_rng(seed).permutation(len(ids)):
+            shuffled.enroll(planted_prints[ids[k]])
+        other = tmp_path / f"shuffled{seed}.spix"
+        shuffled.save(other)
+        assert other.read_bytes() == path.read_bytes()
+
+
 def test_version_2_round_trip_matches_golden(planted, tmp_path):
     geometry, index, prints = planted
     path = tmp_path / "planted.spix"

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speechprint import index as index_module
 from speechprint.audio import decode_wav
 from speechprint.degrade import DeteriorationSpec, make_query
 from speechprint.errors import (
@@ -18,7 +19,9 @@ from speechprint.errors import (
     IoError,
 )
 from speechprint.fingerprint import (
+    Fingerprint,
     FingerprintConfig,
+    SubFingerprint,
     config_digest,
     fingerprint_audio,
 )
@@ -200,6 +203,36 @@ class TestBatch:
         serial = [index.query(q) for q in queries]
         assert index.query_batch(queries) == serial
 
+    def test_empty_fingerprint_and_list_in_one_batch(self, index, prints):
+        empty = Fingerprint(50, (), DIGEST)
+        batch = index.query_batch([[], prints[3], list(prints[1].subs), empty])
+        assert batch[0] is None and batch[3] is None
+        assert batch[1] == index.query(prints[3]) and batch[1].file_id == 3
+        assert batch[2] == index.query(prints[1]) and batch[2].file_id == 1
+        assert index.query_batch([]) == []
+        assert index.query_batch([[], empty]) == [None, None]
+
+    def test_fingerprint_of_another_config_anywhere_rejected(self, index, prints, corpus):
+        linear = SpectralConfig.for_variant("linear-vocal")
+        other = fingerprint_audio(corpus[0], linear, FCFG)
+        with pytest.raises(IncompatibleIndex):
+            index.query_batch([prints[0], list(prints[1].subs), other])
+
+    def test_overrides_match_single_queries(self, index, corpus):
+        spec = DeteriorationSpec(query_len_s=4.0, snr_db=12.0, rate=1.02)
+        queries = [
+            fingerprint_audio(make_query(corpus[i % 6], spec, seed=i), SCFG, FCFG)
+            for i in range(8)
+        ]
+        for votes, confidence in [(1, 0.01), (3, 0.2), (5, 0.9), (20, 0.01)]:
+            assert index.query_batch(queries, votes, confidence) == [
+                index.query(q, votes, confidence) for q in queries
+            ]
+        with pytest.raises(ConfigError):
+            index.query_batch(queries, min_band_votes=0)
+        with pytest.raises(ConfigError):
+            index.query_batch(queries, min_confidence=1.5)
+
 
 class TestRecallVsOracle:
     def test_top1_matches_exhaustive_signature_search(self, desk_corpus_dir):
@@ -270,6 +303,141 @@ class TestDuplicates:
     def test_bad_threshold_rejected(self, index):
         with pytest.raises(ConfigError):
             index.find_duplicates(threshold=0.0)
+
+
+# small indexes over a 3-letter signature alphabet, so that band keys
+# collide often and pairs reach every vote count
+ORACLE_BANDS, ORACLE_WIDTH = 6, 2
+ORACLE_IDS = (0, 5, 2**32, 2**32 + 1, 2**40, 2**63, 2**63 + 7, 2**64 - 2, 2**64 - 1)
+
+
+def oracle_prints(rng, ids, repeated=False, sources=()):
+    """Random fingerprints; every other file is a perturbed mix of the
+    earlier ones and ``sources``. With ``repeated``, the first file is one
+    sub repeated, so its band keys recur within the file."""
+    sigs = []
+    for k in range(len(ids)):
+        n = int(rng.integers(1, 9))
+        if k % 2:
+            pool = np.concatenate([fp.signature_matrix for fp in sources] + sigs)
+            sig = pool[rng.integers(len(pool), size=n)]
+            flip = rng.random(sig.shape) < 0.2
+            sig[flip] = rng.integers(3, size=int(flip.sum()))
+        else:
+            sig = rng.integers(3, size=(n, ORACLE_BANDS * ORACLE_WIDTH))
+        sigs.append(sig.astype(np.uint8))
+    if repeated:
+        sigs[0] = np.repeat(sigs[0][:1], 5, axis=0)
+    return [
+        Fingerprint(file_id, tuple(SubFingerprint(s, b, 0.0) for b, s in enumerate(sig)))
+        for file_id, sig in zip(ids, sigs)
+    ]
+
+
+def shared_bands(a: Fingerprint, b: Fingerprint) -> np.ndarray:
+    """[len(a.subs), len(b.subs)]: how many bands each pair of subs shares."""
+    def bands(fp):
+        return fp.signature_matrix.reshape(len(fp.subs), ORACLE_BANDS, ORACLE_WIDTH)
+
+    return (bands(a)[:, None] == bands(b)[None]).all(axis=3).sum(axis=2)
+
+
+def oracle_duplicates(prints, threshold, votes):
+    """find_duplicates by its definition, over every ordered pair of files."""
+    overlap = {}
+    for a in prints:
+        for b in prints:
+            if a.file_id != b.file_id:
+                matched = (shared_bands(a, b) >= votes).any(axis=1)
+                frac = int(np.count_nonzero(matched)) / len(a.subs)
+                pair = (min(a.file_id, b.file_id), max(a.file_id, b.file_id))
+                overlap[pair] = max(overlap.get(pair, 0.0), frac)
+    found = [(a, b, frac) for (a, b), frac in overlap.items() if frac > threshold]
+    return sorted(found, key=lambda item: (-item[2], item[0], item[1]))
+
+
+def oracle_query(prints, query, votes, confidence):
+    """query by its definition: per file the query subs with a sub sharing
+    ``votes`` bands, and the bands shared summed over those sub pairs."""
+    ranked = []
+    for fp in prints:
+        shared = shared_bands(query, fp)
+        qualifies = shared >= votes
+        matched = int(np.count_nonzero(qualifies.any(axis=1)))
+        if matched:
+            ranked.append((-matched, -int(shared[qualifies].sum()), fp.file_id))
+    if not ranked:
+        return None
+    matched, score, file_id = min(ranked)
+    if -matched / len(query.subs) < confidence:
+        return None
+    return MatchResult(file_id, -score, -matched, -matched / len(query.subs))
+
+
+def oracle_index(prints):
+    idx = RetrievalIndex(0, band_count=ORACLE_BANDS, band_width=ORACLE_WIDTH)
+    for fp in prints:
+        idx.enroll(fp)
+    return idx
+
+
+class TestAgainstOracle:
+    """Duplicates and queries equal their brute-force definitions."""
+
+    def check_duplicates(self, idx, prints):
+        for votes in range(1, 6):
+            for threshold in (0.0001, 0.3, 0.5, 0.8):
+                assert idx.find_duplicates(threshold, min_band_votes=votes) == (
+                    oracle_duplicates(prints, threshold, votes)
+                ), (threshold, votes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ids_enrolled_out_of_order(self, seed):
+        rng = np.random.default_rng(seed)
+        prints = oracle_prints(rng, [ORACLE_IDS[k] for k in rng.permutation(9)])
+        self.check_duplicates(oracle_index(prints), prints)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_files_enrolled_after_load(self, seed, tmp_path):
+        rng = np.random.default_rng(10 + seed)
+        prints = oracle_prints(rng, [ORACLE_IDS[k] for k in rng.permutation(9)])
+        oracle_index(prints[:5]).save(tmp_path / "idx.spix")
+        idx = RetrievalIndex.load(tmp_path / "idx.spix")
+        for fp in prints[5:]:
+            idx.enroll(fp)
+        self.check_duplicates(idx, prints)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_band_keys_in_one_file(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        prints = oracle_prints(rng, ORACLE_IDS[::-1], repeated=True)
+        self.check_duplicates(oracle_index(prints), prints)
+
+    @pytest.mark.parametrize("cap", [1, 3, 17])
+    def test_sliced_pair_expansion(self, cap, monkeypatch):
+        monkeypatch.setattr(index_module, "PAIR_ELEMENTS", cap)
+        rng = np.random.default_rng(30 + cap)
+        prints = oracle_prints(rng, ORACLE_IDS, repeated=True)
+        idx = oracle_index(prints)
+        self.check_duplicates(idx, prints)
+        queries = oracle_prints(rng, range(12), sources=prints)
+        for votes in (1, 2, 4):
+            assert idx.query_batch(queries, min_band_votes=votes, min_confidence=0.01) == [
+                oracle_query(prints, q, votes, 0.01) for q in queries
+            ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_queries(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        prints = oracle_prints(rng, [ORACLE_IDS[k] for k in rng.permutation(9)])
+        idx = oracle_index(prints)
+        # every other query mixes enrolled subs
+        queries = oracle_prints(rng, range(16), sources=prints)
+        for votes in range(1, 6):
+            for confidence in (0.01, 0.5, 1.0):
+                expected = [oracle_query(prints, q, votes, confidence) for q in queries]
+                assert [idx.query(q, votes, confidence) for q in queries] == expected
+                assert idx.query_batch(queries, votes, confidence) == expected
 
 
 class TestPersistence:
@@ -380,7 +548,7 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded._keys, idx._keys)
         np.testing.assert_array_equal(loaded._postings, idx._postings)
 
-    def test_largest_band_key_found(self, tmp_path):
+    def test_largest_band_key_found(self, tmp_path, monkeypatch):
         """A bucket keyed 2**64 - 1 is found, though its key + 1 wraps to 0."""
         keys = np.random.default_rng(5).integers(0, 2**63, (4, 20), dtype=np.uint64)
         keys[:, 0] = 2**64 - 1  # every sub of band 0
@@ -395,6 +563,11 @@ class TestPersistence:
         path.write_bytes(with_checksum(body))
         loaded = RetrievalIndex.load(path)
         assert loaded.find_duplicates(0.8) == [(1, 2, 1.0)]
+        # a query holding those keys finds the bucket too
+        with monkeypatch.context() as patch:
+            patch.setattr(loaded, "_band_digests", lambda signatures: keys)
+            subs = [SubFingerprint(np.zeros(100, np.uint8), 0, 0.0)] * 4
+            assert loaded.query(subs, min_band_votes=20) == MatchResult(1, 80, 4, 1.0)
         # band 0: one bucket; band 7: the 2**64 - 1 bucket and 3 others;
         # the other 18 bands: 4 buckets each
         assert loaded.stats().n_buckets == 1 + 4 + 18 * 4
