@@ -40,8 +40,10 @@ _MAX_ROWS = 2**31 - 1
 #: expands and counts at once, about 4 MiB of temporaries: a batch of
 #: queries, or a self-join over buckets that many subs share, stays in
 #: bounded memory. A slice holds whole rows, so one row with more pairs
-#: than this is a slice of its own. Of 2^14 to 2^20, 2^16 answered a
-#: batch of 64 benchmark-geometry queries fastest.
+#: than this is a slice of its own. Of 2^12 to 2^22, 2^14 to 2^16 ran
+#: the fastest self-join of the benchmark's catalog-build index (14
+#: files, 7,924 subs, about 240,000 pairs in 4 slices at 2^16); from
+#: 2^18 it ran 25-35% slower.
 PAIR_ELEMENTS = 1 << 16
 
 DEFAULT_MIN_BAND_VOTES = 2
@@ -139,13 +141,15 @@ class RetrievalIndex:
         each other even when their byte runs coincide.
         """
         n_subs = signatures.shape[0]
-        if signatures.shape[1] != self.band_count * self.band_width:
-            raise IncompatibleIndex(
-                f"signature width {signatures.shape[1]} != "
-                f"{self.band_count} bands x {self.band_width}"
-            )
+        self._check_width(signatures.shape[1])
         rows = signatures.reshape(n_subs * self.band_count, self.band_width)
         return fnv1a64_rows(rows).reshape(n_subs, self.band_count)
+
+    def _check_width(self, width: int) -> None:
+        if width != self.band_count * self.band_width:
+            raise IncompatibleIndex(
+                f"signature width {width} != {self.band_count} bands x {self.band_width}"
+            )
 
     def _check_digest(self, fp: Fingerprint) -> None:
         if fp.config_digest != self.config_digest:
@@ -262,11 +266,12 @@ class RetrievalIndex:
         """
         n_index = self._row_file.size
         flat = self._postings.ravel()
+        per_row = sizes.sum(axis=1)
         # pairs before each row
-        before = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
-        np.cumsum(sizes.sum(axis=1), out=before[1:])
+        before = np.zeros(per_row.size + 1, dtype=np.int64)
+        np.cumsum(per_row, out=before[1:])
         lo = 0
-        while lo < sizes.shape[0]:
+        while lo < per_row.size:
             hi = int(np.searchsorted(before, before[lo] + PAIR_ELEMENTS, "right")) - 1
             hi = max(hi, lo + 1)
             total = int(before[hi] - before[lo])
@@ -276,9 +281,7 @@ class RetrievalIndex:
                 # one range expansion over the slice's buckets
                 skip = np.repeat(seg_starts - (np.cumsum(seg_sizes) - seg_sizes), seg_sizes)
                 partners = flat[np.arange(total) + skip]
-                row_base = np.repeat(
-                    np.arange(lo, hi, dtype=np.int64) * n_index, np.diff(before[lo : hi + 1])
-                )
+                row_base = np.repeat(np.arange(lo, hi, dtype=np.int64) * n_index, per_row[lo:hi])
                 # one hit count per (row, index row) pair
                 pairs, hits = np.unique(row_base + partners, return_counts=True)
                 qualifies = hits >= min_band_votes
@@ -292,22 +295,15 @@ class RetrievalIndex:
         n_rows, bands = digest_rows.shape
         width = self._keys.shape[1]
         # a bucket of key k runs from the band's first key >= k to its
-        # first key >= k + 1, so one search per band finds both ends; the
-        # probes go in ascending order, which keeps successive binary
-        # searches in cache
-        order = np.argsort(digest_rows, axis=0)
-        band = np.arange(bands)
+        # first key >= k + 1, so one search per band finds both ends
         probes = np.empty((bands, 2 * n_rows), dtype=np.uint64)
-        probes[:, :n_rows] = digest_rows[order, band].T
+        probes[:, :n_rows] = digest_rows.T
         probes[:, n_rows:] = probes[:, :n_rows] + np.uint64(1)
         bounds = np.array([k.searchsorted(p) for k, p in zip(self._keys, probes)])
         # k + 1 wraps to 0 for the largest u64, whose bucket ends the band
         bounds[:, n_rows:][probes[:, n_rows:] == 0] = width
-        starts = np.empty((n_rows, bands), dtype=np.int64)
-        sizes = np.empty((n_rows, bands), dtype=np.int64)
-        starts[order, band] = (bounds[:, :n_rows] + width * band[:, None]).T
-        sizes[order, band] = (bounds[:, n_rows:] - bounds[:, :n_rows]).T
-        return starts, sizes
+        starts = bounds[:, :n_rows] + width * np.arange(bands)[:, None]
+        return starts.T, (bounds[:, n_rows:] - bounds[:, :n_rows]).T
 
     def _later_partners(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's partners in the self-join, as :meth:`_probe` gives a
@@ -352,6 +348,9 @@ class RetrievalIndex:
         if not asked:
             return results
         n_subs = [len(sub_lists[k]) for k in asked]
+        # a query of another geometry raises here, not as a stacking error
+        for k in asked:
+            self._check_width(sub_lists[k][0].signature.size)
         digest_rows = self._band_digests(
             np.stack([s.signature for k in asked for s in sub_lists[k]])
         )

@@ -218,6 +218,13 @@ class TestBatch:
         with pytest.raises(IncompatibleIndex):
             index.query_batch([prints[0], list(prints[1].subs), other])
 
+    def test_sub_list_of_another_width_anywhere_rejected(self, index, prints):
+        width = FCFG.band_count * FCFG.band_width
+        other = [SubFingerprint(np.zeros(width + 5, np.uint8), 0, 0.0)] * 3
+        for batch in ([other], [prints[0], other], [other, list(prints[1].subs)]):
+            with pytest.raises(IncompatibleIndex):
+                index.query_batch(batch)
+
     def test_overrides_match_single_queries(self, index, corpus):
         spec = DeteriorationSpec(query_len_s=4.0, snr_db=12.0, rate=1.02)
         queries = [
