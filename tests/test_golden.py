@@ -81,6 +81,64 @@ def test_batch_fingerprint_matches_golden_digest(clip, variant, geometry):
     assert subs_digest(fp.subs) == digest
 
 
+# the same pins for an 8 s clip synthesised at 11.025 and 16 kHz,
+# recorded from the stacked kernel that transformed whole zero-padded
+# blocks. At 11.025 kHz linear-vocal has 47 real rows padded to 64, an odd
+# count; at 16 kHz it fills 32 rows; the mel variants have 40 rows at
+# every rate
+GOLDEN_DIGESTS_AT_RATE = {
+    ("linear-vocal", "bench", 11025): (
+        285, "89ac6f93b35d6860c33f30e2f0bebf026ab90af3498f509d888dd6fade21d253"
+    ),
+    ("linear-vocal", "library", 11025): (
+        6, "fce1befbf749e9ed875375d8a78b42ba00745a904816b7b4e880f3381d5e729b"
+    ),
+    ("mel-vocal", "bench", 11025): (
+        285, "70563a78a95bf3f5f177e276d6586dcf67a6ddedebc8e515f40fb36026f5a062"
+    ),
+    ("mel-vocal", "library", 11025): (
+        6, "39423da30953074f77ad787f4c38329d529a4c914938319760ece20ccd067584"
+    ),
+    ("mel-wide", "bench", 11025): (
+        285, "524ec847feca1b71ba982b779ed03974b886eab7f769592aa1119bff32ccf53d"
+    ),
+    ("mel-wide", "library", 11025): (
+        6, "2d8e10a3ea319cc8ab7a3266a4271d5345ae3680f8fc544efbc063f61b2c0551"
+    ),
+    ("linear-vocal", "bench", 16000): (
+        286, "0562d8ed098bc9e7aa3b1750bf9244c2292118c315f32b75295f76eaa8c53aa8"
+    ),
+    ("linear-vocal", "library", 16000): (
+        6, "6d313a4b0eb75226e298b2a7d5872e8273a50df99a9dc74b4a276e021451b2ab"
+    ),
+    ("mel-vocal", "bench", 16000): (
+        286, "002a43465051c31db7129312543753cbce0583a5e417242f6978d6b2dd6dfc64"
+    ),
+    ("mel-vocal", "library", 16000): (
+        6, "f97eb40dae27eff7099dba72ee8bc441769facf8aceba518978065580e33fa66"
+    ),
+    ("mel-wide", "bench", 16000): (
+        286, "cb39983b668b7e312049a5d697f1c6a93b873b48e5096d5ade2ce85d16cd38aa"
+    ),
+    ("mel-wide", "library", 16000): (
+        6, "79a76bae82752af520bfc83f1c511d1b1114a74cb84d1f5d5d91215ffc047018"
+    ),
+}
+
+
+@pytest.mark.parametrize("rate", [11025, 16000])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_fingerprint_at_rate_matches_golden_digest(variant, geometry, rate):
+    clip = synth_speech_like(8.0, rate, seed=2024)
+    fp = fingerprint_audio(
+        clip, SpectralConfig.for_variant(variant), GEOMETRIES[geometry]
+    )
+    n_subs, digest = GOLDEN_DIGESTS_AT_RATE[(variant, geometry, rate)]
+    assert len(fp.subs) == n_subs
+    assert subs_digest(fp.subs) == digest
+
+
 # 57 samples completes no block on most feeds and one on some; one block
 # hop of samples completes about one block per feed; the whole clip
 # completes every block in a single feed
