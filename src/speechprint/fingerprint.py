@@ -9,7 +9,11 @@ underlying bit sets, so similarity survives into the compressed domain.
 
 Every stage also takes a stack of blocks, shaped [n_blocks, rows, cols],
 so one call per stage covers all the blocks an audio chunk completes; a
-block's bits never depend on the stack it is computed in.
+block's bits never depend on the stack it is computed in. The Haar
+transform needs power-of-two sides, so a block is defined as its real
+rows zero-padded to the next power of two; the streaming kernel cuts the
+real rows only, and the transform and the sign selection skip the
+padding bit for bit.
 
 A file's fingerprint is the ordered list of its block signatures
 ("sub-fingerprints"). Matching happens in :mod:`speechprint.index` via
@@ -170,24 +174,23 @@ def _next_pow2(n: int) -> int:
 
 
 def _cut_blocks(
-    frames: np.ndarray, n_blocks: int, config: FingerprintConfig, rows: int
+    frames: np.ndarray, n_blocks: int, config: FingerprintConfig
 ) -> np.ndarray:
-    """Stack of ``n_blocks`` centred, padded blocks from [n_frames, n_bins].
+    """Stack of ``n_blocks`` centred blocks from [n_frames, n_bins], unpadded.
 
-    Block k takes frames [k * hop, k * hop + block_frames) as its columns.
-    Each block is centred over its real rows and padded with zero rows up
-    to ``rows``. The mean sums one block's real rows in row-major order,
-    exactly as a mean over that block alone does, so a block's bits never
-    depend on the stack it was cut in.
+    Block k takes frames [k * hop, k * hop + block_frames) as its columns,
+    giving a C-contiguous [n_blocks, n_bins, block_frames] stack. Each
+    block's mean is one pairwise sum over its n_bins * block_frames values
+    flattened in row-major order, divided by their count. That sum does not
+    depend on the stack's length, so a block's bits never depend on the
+    stack it was cut in. (A copy of a block in another memory order sums
+    in another order and can differ in the last bit.)
     """
-    n_bins = frames.shape[1]
     windows = np.lib.stride_tricks.sliding_window_view(
         frames, config.block_frames, axis=0
     )[:: config.block_hop_frames][:n_blocks]
-    stack = np.zeros((n_blocks, rows, config.block_frames))
-    real = stack[:, :n_bins]
-    real[...] = windows
-    real -= real.mean(axis=(1, 2), keepdims=True)
+    stack = np.array(windows, dtype=np.float64, order="C")
+    stack -= stack.reshape(n_blocks, -1).mean(axis=1)[:, None, None]
     return stack
 
 
@@ -211,28 +214,48 @@ def blocks(image: SpectralImage, config: FingerprintConfig) -> np.ndarray:
             f"{n_frames} frames < one {config.block_frames}-frame block"
         )
     n_blocks = (n_frames - config.block_frames) // config.block_hop_frames + 1
-    return _cut_blocks(image.data.T, n_blocks, config, _next_pow2(image.n_bins))
+    real = _cut_blocks(image.data.T, n_blocks, config)
+    stack = np.zeros((n_blocks, _next_pow2(image.n_bins), config.block_frames))
+    stack[:, : image.n_bins] = real
+    return stack
 
 
-def _haar_axis(a: np.ndarray, axis: int) -> None:
-    """Full 1-D orthonormal Haar transform along ``axis``, in place.
+def _haar_axis(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """Full 1-D orthonormal Haar transform along ``axis``, from src to dst.
 
-    Each level writes its detail half straight into ``a`` and carries its
-    approximation half on in a scratch array half the previous length.
+    ``src`` is taken as zero-padded along ``axis`` to dst's length there, a
+    power of two, and only the pairs that touch a real entry are computed.
+    An odd count pairs its last entry x with a padding zero, and x - 0.0
+    and x + 0.0 are computed from x alone, so the results are exactly
+    those of the padded transform. Pairs of zeros give zeros, which dst
+    must already hold where the padding lands. Each level computes both
+    halves in scratch arrays, copies the detail half into ``dst`` and
+    carries the approximation half on.
     """
-    a = np.moveaxis(a, axis, -1)
-    low = a
-    length = a.shape[-1]
+    low = np.moveaxis(src, axis, -1)
+    dst = np.moveaxis(dst, axis, -1)
+    length = dst.shape[-1]
     while length > 1:
         half = length // 2
-        even, odd = low[..., 0:length:2], low[..., 1:length:2]
-        high = np.subtract(even, odd)
+        count = low.shape[-1]
+        pairs = count // 2
+        even, odd = low[..., 0 : 2 * pairs : 2], low[..., 1 : 2 * pairs : 2]
+        if count % 2:
+            high = np.empty(low.shape[:-1] + (pairs + 1,))
+            nxt = np.empty_like(high)
+            np.subtract(even, odd, out=high[..., :pairs])
+            np.add(even, odd, out=nxt[..., :pairs])
+            high[..., -1] = low[..., -1]
+            np.add(low[..., -1], 0.0, out=nxt[..., -1])
+        else:
+            high = np.subtract(even, odd)
+            nxt = np.add(even, odd)
         high /= SQRT2
-        low = np.add(even, odd)
-        low /= SQRT2
-        a[..., half:length] = high
+        nxt /= SQRT2
+        dst[..., half : half + high.shape[-1]] = high
+        low = nxt
         length = half
-    a[..., :1] = low
+    dst[..., :1] = low
 
 
 def _ihaar_axis(a: np.ndarray, axis: int) -> None:
@@ -252,15 +275,19 @@ def _ihaar_axis(a: np.ndarray, axis: int) -> None:
         length *= 2
 
 
-def _check_sides(shape: tuple[int, ...]) -> None:
+def _check_sides(shape: tuple[int, ...], height: int | None = None) -> None:
     if len(shape) not in (2, 3):
         raise ConfigError(f"expected a block or a stack of blocks, got {shape}")
     rows, cols = shape[-2:]
-    if rows & (rows - 1) or cols & (cols - 1) or rows < 1 or cols < 1:
-        raise ConfigError(f"block sides must be powers of two, got {shape}")
+    if height is None:
+        height = rows
+    powers = not height & (height - 1) and not cols & (cols - 1) and cols >= 1
+    if not powers or not 1 <= rows <= height:
+        padded = "" if height == rows else f" padded to {height} rows"
+        raise ConfigError(f"block sides must be powers of two, got {shape}{padded}")
 
 
-def haar2d(block: np.ndarray) -> np.ndarray:
+def haar2d(block: np.ndarray, height: int | None = None) -> np.ndarray:
     """Standard 2-D orthonormal Haar decomposition (rows fully, then columns).
 
     Takes one [rows, cols] block or a [n_blocks, rows, cols] stack, which
@@ -268,11 +295,22 @@ def haar2d(block: np.ndarray) -> np.ndarray:
     be powers of two. The transform is orthonormal, so coefficient energy
     equals signal energy and a constant c block maps to a single DC
     coefficient c * sqrt(n_rows * n_cols).
+
+    Given ``height``, a power of two at least ``rows``, the block may have
+    any row count: it is treated as zero-padded to ``height`` rows and the
+    result is [..., height, cols], bit for bit the transform of the padded
+    block. The padding rows are never computed on.
     """
-    _check_sides(block.shape)
-    out = np.array(block, dtype=np.float64, copy=True)
-    _haar_axis(out, axis=-1)
-    _haar_axis(out, axis=-2)
+    _check_sides(block.shape, height)
+    block = np.asarray(block, dtype=np.float64)
+    timed = np.empty(block.shape)
+    _haar_axis(block, timed, axis=-1)
+    *outer, rows, cols = block.shape
+    if height is None or height == rows:
+        out = np.empty(block.shape)
+    else:
+        out = np.zeros((*outer, height, cols))
+    _haar_axis(timed, out, axis=-2)
     return out
 
 
@@ -285,7 +323,30 @@ def ihaar2d(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def top_t_signs(coeffs: np.ndarray, t: int) -> SparseBits:
+@lru_cache(maxsize=16)
+def _support(real_rows: int, height: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows of a block that can be non-zero, and their flat indices.
+
+    The block has ``real_rows`` real rows zero-padded to ``height``; the
+    row pass of :func:`haar2d` leaves every other coefficient row zero.
+    Both arrays are ascending.
+    """
+    live = [0]
+    count = real_rows
+    while height > 1:
+        # this level's detail rows: one per pair with a real row in it
+        height //= 2
+        count -= count // 2
+        live.extend(range(height, height + count))
+    rows = np.array(sorted(live))
+    flat = (rows[:, None] * cols + np.arange(cols)).reshape(-1)
+    rows.flags.writeable = flat.flags.writeable = False
+    return rows, flat
+
+
+def top_t_signs(
+    coeffs: np.ndarray, t: int, real_rows: int | None = None
+) -> SparseBits:
     """Sign encoding of the t largest-magnitude coefficients.
 
     Flat coefficient i contributes bit 2i when positive and bit 2i+1 when
@@ -295,11 +356,26 @@ def top_t_signs(coeffs: np.ndarray, t: int) -> SparseBits:
 
     A [n_blocks, rows, cols] stack is encoded block by block into one
     stacked :class:`SparseBits`; a single 2-D block gives a single vector.
+
+    Given ``real_rows``, ``coeffs`` is the :func:`haar2d` of blocks with
+    that many real rows zero-padded to ``rows``, and the coefficient rows
+    the padding leaves zero are left out of the ranking. The bits are the
+    same, because zeros never rank above a non-zero magnitude and never
+    set a bit.
     """
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
     stacked = coeffs.ndim == 3
-    flat = coeffs.reshape(coeffs.shape[0] if stacked else 1, -1)
+    n_blocks = coeffs.shape[0] if stacked else 1
+    rows, cols = coeffs.shape[-2:]
+    dimension = 2 * rows * cols
+    support = None
+    if real_rows is not None and real_rows < rows:
+        live, support = _support(real_rows, rows, cols)
+        flat = np.take(coeffs.reshape(n_blocks, rows, cols), live, axis=1)
+        flat = flat.reshape(n_blocks, -1)
+    else:
+        flat = coeffs.reshape(n_blocks, -1)
     area = flat.shape[1]
     if t >= area:
         keep = flat != 0.0
@@ -317,10 +393,12 @@ def top_t_signs(coeffs: np.ndarray, t: int) -> SparseBits:
     values = flat.reshape(-1)[kept]
     nonzero = values != 0.0
     block, column = np.divmod(kept[nonzero], area)
+    if support is not None:
+        column = support[column]
     bits = 2 * column + (values[nonzero] < 0.0)
     if not stacked:
-        return SparseBits(bits, 2 * area)
-    return SparseBits(bits, 2 * area, np.bincount(block, minlength=flat.shape[0]))
+        return SparseBits(bits, dimension)
+    return SparseBits(bits, dimension, np.bincount(block, minlength=n_blocks))
 
 
 class MinHasher:
@@ -378,13 +456,17 @@ def get_minhasher(n_permutations: int, dimension: int, seed: int) -> MinHasher:
     return MinHasher(n_permutations, dimension, seed)
 
 
-#: Upper bound on the coefficients of one stacked kernel call: 256 KiB of
-#: float64, 16 blocks at the benchmark geometry and 4 at the library's. A
-#: long file is fingerprinted in bounded memory, and the kernel's
-#: temporaries stay small enough for the allocator to reuse them from one
-#: call to the next. With 1 MiB stacks every call faulted its temporaries
-#: in afresh: about 2,200 page faults per 6 s benchmark-geometry query and
-#: 1,400 per 15 s library-geometry file, against fewer than 20 here.
+#: Upper bound on the real-row elements of one stacked kernel call:
+#: 256 KiB of float64 blocks. With 32-frame blocks (the benchmark
+#: geometry) that is 25 blocks of the mel variants' 40 rows, 32 blocks of
+#: linear-vocal's 32 rows at 8 and 16 kHz and 21 of its 47 rows at
+#: 11.025 kHz; with 128-frame blocks (the library's) it is 6, 8 and 5. The
+#: Haar output is padded to 64 rows, 400 KiB for 25 mel blocks. A long file
+#: is fingerprinted in bounded memory, and the kernel's temporaries stay
+#: small enough for the allocator to reuse them from one call to the next.
+#: With 1 MiB stacks every call faulted its temporaries in afresh: about
+#: 2,200 page faults per 6 s benchmark-geometry query and 1,400 per 15 s
+#: library-geometry file, against fewer than one here.
 STACK_ELEMENTS = 1 << 15
 
 
@@ -410,7 +492,8 @@ class StreamingFingerprinter:
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
         self._transform = FrameTransform(sample_rate, spectral_config)
-        rows = _next_pow2(self._transform.n_bins)
+        n_bins = self._transform.n_bins
+        rows = _next_pow2(n_bins)
         area = rows * fingerprint_config.block_frames
         if fingerprint_config.top_t > area:
             raise ConfigError(
@@ -418,7 +501,9 @@ class StreamingFingerprinter:
                 f"area {area}"
             )
         self._rows = rows
-        self._max_stack = max(1, STACK_ELEMENTS // area)
+        self._max_stack = max(
+            1, STACK_ELEMENTS // (n_bins * fingerprint_config.block_frames)
+        )
         self._hasher = get_minhasher(
             fingerprint_config.n_permutations, 2 * area, fingerprint_config.seed
         )
@@ -476,8 +561,10 @@ class StreamingFingerprinter:
         local = first * hop - self._columns_start
         span = (n_blocks - 1) * hop + cfg.block_frames
         frames = self._columns[local : local + span]
-        stack = _cut_blocks(frames, n_blocks, cfg, self._rows)
-        signatures = self._hasher.signature(top_t_signs(haar2d(stack), cfg.top_t))
+        stack = _cut_blocks(frames, n_blocks, cfg)
+        coeffs = haar2d(stack, self._rows)
+        bits = top_t_signs(coeffs, cfg.top_t, real_rows=stack.shape[1])
+        signatures = self._hasher.signature(bits)
         stride = self.spectral_config.stride_s
         subs = [
             SubFingerprint(

@@ -1,8 +1,11 @@
 """Block extraction, Haar transform, sign encoding, min-hash, streaming."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from speechprint.corpus import synth_speech_like
 from speechprint.degrade import add_noise
 from speechprint.errors import ConfigError, CorruptIndex, TooShort
 from speechprint.fingerprint import (
@@ -16,6 +19,7 @@ from speechprint.fingerprint import (
     config_digest,
     deserialize_fingerprint,
     fingerprint_audio,
+    _next_pow2,
     get_minhasher,
     haar2d,
     ihaar2d,
@@ -101,6 +105,31 @@ class TestBlocks:
         hasher = get_minhasher(SMALL.n_permutations, 2 * stack[0].size, SMALL.seed)
         signatures = hasher.signature(top_t_signs(haar2d(stack), SMALL.top_t))
         fp = fingerprint_audio(speech_clip, cfg, SMALL)
+        np.testing.assert_array_equal(signatures, fp.signature_matrix)
+
+    # 11.025 kHz linear-vocal has 47 real rows; with 32-frame blocks the
+    # mel variants' 40 rows leave 1344 of 2048 coefficients possibly
+    # non-zero, so top_t 1500 ranks more than the compact area
+    @pytest.mark.parametrize(
+        "variant,rate,top_t",
+        [
+            ("mel-vocal", 8000, 1344),
+            ("mel-vocal", 8000, 1500),
+            ("mel-wide", 16000, 2048),
+            ("linear-vocal", 11025, 30),
+            ("linear-vocal", 11025, 1568),
+            ("linear-vocal", 11025, 1700),
+        ],
+    )
+    def test_padded_reference_reproduces_the_stream(self, variant, rate, top_t):
+        """The kernel on real rows gives the bits of whole padded blocks."""
+        clip = synth_speech_like(3.0, rate, seed=5)
+        spectral = SpectralConfig.for_variant(variant)
+        cfg = FingerprintConfig(block_frames=32, block_hop_frames=3, top_t=top_t)
+        stack = blocks(make_image(clip, spectral), cfg)
+        hasher = get_minhasher(cfg.n_permutations, 2 * stack[0].size, cfg.seed)
+        signatures = hasher.signature(top_t_signs(haar2d(stack), cfg.top_t))
+        fp = fingerprint_audio(clip, spectral, cfg)
         np.testing.assert_array_equal(signatures, fp.signature_matrix)
 
 
@@ -208,6 +237,108 @@ class TestTopTSigns:
 
     def test_single_block_has_no_counts(self):
         assert top_t_signs(np.ones((2, 2)), 2).counts is None
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and the same float64 bits, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def zero_padded(stack: np.ndarray, height: int) -> np.ndarray:
+    padded = np.zeros(stack.shape[:-2] + (height, stack.shape[-1]))
+    padded[..., : stack.shape[-2], :] = stack
+    return padded
+
+
+class TestRealRowKernel:
+    """haar2d and top_t_signs on a block's real rows give the bits of the
+    padded reference, top_t_signs(haar2d(zero-padded block), t)."""
+
+    def check(self, stack: np.ndarray, height: int, t: int) -> None:
+        real_rows = stack.shape[-2]
+        padded = zero_padded(stack, height)
+        want_coeffs = haar2d(padded)
+        got_coeffs = haar2d(stack, height)
+        assert bitwise_equal(got_coeffs, want_coeffs)
+        want = top_t_signs(want_coeffs, t)
+        got = top_t_signs(got_coeffs, t, real_rows=real_rows)
+        assert got.dimension == want.dimension == 2 * height * stack.shape[-1]
+        np.testing.assert_array_equal(got.indices, want.indices)
+        if want.counts is None:
+            assert got.counts is None
+        else:
+            np.testing.assert_array_equal(got.counts, want.counts)
+
+    @staticmethod
+    def compact_area(real_rows: int, height: int, cols: int) -> int:
+        """Coefficients of a random block the padding does not force to zero."""
+        block = np.random.default_rng(1).normal(size=(real_rows, cols))
+        return int(np.count_nonzero(haar2d(zero_padded(block, height))))
+
+    @pytest.mark.parametrize(
+        "real_rows,height",
+        [(40, 64), (47, 64), (33, 64), (5, 8), (3, 4), (1, 1), (1, 8), (32, 32)],
+    )
+    def test_random_stacks(self, rng, real_rows, height):
+        stack = rng.normal(size=(6, real_rows, 16))
+        for t in (1, 7, 25, 100):
+            self.check(stack, height, t)
+
+    def test_magnitude_ties_at_the_cut(self, rng):
+        # few distinct integer values give many equal coefficient magnitudes
+        stack = rng.integers(-2, 3, size=(8, 40, 8)).astype(np.float64)
+        for t in (1, 2, 5, 16, 40, 100, 300):
+            self.check(stack, 64, t)
+
+    def test_all_zero_real_block(self, rng):
+        stack = rng.normal(size=(3, 40, 8))
+        stack[1] = 0.0
+        stack[2, :, :] = -0.0
+        for t in (1, 25, 336, 512):
+            self.check(stack, 64, t)
+        assert len(top_t_signs(haar2d(stack[1], 64), 25, real_rows=40)) == 0
+
+    def test_odd_real_row_counts(self, rng):
+        for real_rows in (3, 5, 7, 13, 47, 63):
+            stack = rng.normal(size=(4, real_rows, 8))
+            self.check(stack, _next_pow2(real_rows), 20)
+
+    def test_single_block(self, rng):
+        block = rng.normal(size=(40, 32))
+        self.check(block[None], 64, 25)
+        self.check(block, 64, 25)
+
+    def test_top_t_around_the_compact_area(self, rng):
+        cols = 8
+        compact = self.compact_area(40, 64, cols)
+        assert compact == 42 * cols  # 22 of the 64 coefficient rows stay zero
+        stack = rng.normal(size=(5, 40, cols))
+        for t in (compact - 1, compact, compact + 1, compact + 60, 64 * cols):
+            self.check(stack, 64, t)
+
+    def test_top_t_around_the_compact_area_odd_rows(self, rng):
+        cols = 4
+        compact = self.compact_area(47, 64, cols)
+        assert compact == 49 * cols
+        stack = rng.normal(size=(5, 47, cols))
+        for t in (compact - 1, compact, compact + 1, 64 * cols):
+            self.check(stack, 64, t)
+
+    def test_height_must_be_a_power_of_two_at_least_the_rows(self):
+        with pytest.raises(ConfigError):
+            haar2d(np.zeros((40, 8)), 48)
+        with pytest.raises(ConfigError):
+            haar2d(np.zeros((40, 8)), 32)
+        with pytest.raises(ConfigError):
+            haar2d(np.zeros((40, 6)), 64)
+        with pytest.raises(ConfigError):
+            haar2d(np.zeros((0, 8)), 8)
+
+    def test_input_left_untouched(self, rng):
+        stack = rng.normal(size=(3, 5, 8))
+        before = stack.copy()
+        haar2d(stack, 8)
+        np.testing.assert_array_equal(stack, before)
 
 
 class TestMinHash:
@@ -382,6 +513,32 @@ class TestStreaming:
         big_t = FingerprintConfig(block_frames=32, block_hop_frames=1, top_t=4096)
         with pytest.raises(ConfigError):
             StreamingFingerprinter(8000, self.CFG, big_t)
+
+    def test_stacks_sized_by_real_row_area(self, speech_clip, monkeypatch):
+        """A stack holds STACK_ELEMENTS of real rows: 25 blocks of 40 x 32."""
+        from speechprint import fingerprint
+
+        sizes = []
+        haar = fingerprint.haar2d
+
+        def counting_haar(stack, height=None):
+            sizes.append(stack.shape)
+            return haar(stack, height)
+
+        monkeypatch.setattr(fingerprint, "haar2d", counting_haar)
+        fp = fingerprint_audio(speech_clip, self.CFG, SMALL)
+        assert fingerprint.STACK_ELEMENTS // (40 * 32) == 25
+        assert sizes[0] == (25, 40, 32)
+        assert sum(n for n, _rows, _cols in sizes) == len(fp.subs)
+        assert len(sizes) == -(-len(fp.subs) // 25)
+
+    def test_top_t_limit_is_the_padded_area(self):
+        """40 real rows pad to 64, so 32-frame blocks allow top_t <= 2048."""
+        cfg = FingerprintConfig(block_frames=32, block_hop_frames=1, top_t=2049)
+        message = "top_t 2049 exceeds padded block area 2048"
+        with pytest.raises(ConfigError, match=message):
+            StreamingFingerprinter(8000, self.CFG, cfg)
+        StreamingFingerprinter(8000, self.CFG, replace(cfg, top_t=2048))
 
 
 class TestSerialization:
