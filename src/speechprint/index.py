@@ -162,9 +162,13 @@ class RetrievalIndex:
         """Adds a file's sub-fingerprints. file_id must be new.
 
         Raises:
+            ConfigError: the id does not fit the u64 an index file stores,
+                the fingerprint has no subs, or a block index is outside u32.
             DuplicateId: the id is already enrolled.
             IncompatibleIndex: fingerprint built under another config.
         """
+        if not 0 <= fp.file_id < 1 << 64:
+            raise ConfigError(f"file id {fp.file_id} is outside [0, 2^64)")
         self._check_digest(fp)
         if not fp.subs:
             raise ConfigError(f"fingerprint for file {fp.file_id} has no subs")
