@@ -224,36 +224,26 @@ def _haar_axis(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
     """Full 1-D orthonormal Haar transform along ``axis``, from src to dst.
 
     ``src`` is taken as zero-padded along ``axis`` to dst's length there, a
-    power of two, and only the pairs that touch a real entry are computed.
-    An odd count pairs its last entry x with a padding zero, and x - 0.0
-    and x + 0.0 are computed from x alone, so the results are exactly
-    those of the padded transform. Pairs of zeros give zeros, which dst
-    must already hold where the padding lands. Each level computes both
-    halves in scratch arrays, copies the detail half into ``dst`` and
-    carries the approximation half on.
+    power of two, and each level computes only the pairs that hold a real
+    entry: an odd count gets one padding zero appended, so its last pair
+    is x - 0.0 and x + 0.0, exactly as in the padded transform. The pairs
+    of zeros past it give zeros, which dst must already hold. Each level
+    writes its detail half into ``dst`` and carries its approximation
+    half on in a scratch array.
     """
     low = np.moveaxis(src, axis, -1)
     dst = np.moveaxis(dst, axis, -1)
     length = dst.shape[-1]
     while length > 1:
         half = length // 2
-        count = low.shape[-1]
-        pairs = count // 2
-        even, odd = low[..., 0 : 2 * pairs : 2], low[..., 1 : 2 * pairs : 2]
-        if count % 2:
-            high = np.empty(low.shape[:-1] + (pairs + 1,))
-            nxt = np.empty_like(high)
-            np.subtract(even, odd, out=high[..., :pairs])
-            np.add(even, odd, out=nxt[..., :pairs])
-            high[..., -1] = low[..., -1]
-            np.add(low[..., -1], 0.0, out=nxt[..., -1])
-        else:
-            high = np.subtract(even, odd)
-            nxt = np.add(even, odd)
+        if low.shape[-1] % 2:
+            low = np.concatenate([low, np.zeros(low.shape[:-1] + (1,))], axis=-1)
+        even, odd = low[..., 0::2], low[..., 1::2]
+        high = np.subtract(even, odd)
         high /= SQRT2
-        nxt /= SQRT2
         dst[..., half : half + high.shape[-1]] = high
-        low = nxt
+        low = np.add(even, odd)
+        low /= SQRT2
         length = half
     dst[..., :1] = low
 
@@ -299,17 +289,14 @@ def haar2d(block: np.ndarray, height: int | None = None) -> np.ndarray:
     Given ``height``, a power of two at least ``rows``, the block may have
     any row count: it is treated as zero-padded to ``height`` rows and the
     result is [..., height, cols], bit for bit the transform of the padded
-    block. The padding rows are never computed on.
+    block. Only the pairs that hold a real row are computed.
     """
     _check_sides(block.shape, height)
     block = np.asarray(block, dtype=np.float64)
     timed = np.empty(block.shape)
     _haar_axis(block, timed, axis=-1)
     *outer, rows, cols = block.shape
-    if height is None or height == rows:
-        out = np.empty(block.shape)
-    else:
-        out = np.zeros((*outer, height, cols))
+    out = np.zeros((*outer, height or rows, cols))
     _haar_axis(timed, out, axis=-2)
     return out
 
