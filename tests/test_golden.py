@@ -25,6 +25,7 @@ from speechprint.fingerprint import (
     StreamingFingerprinter,
     config_digest,
     fingerprint_audio,
+    serialize_fingerprint,
 )
 from speechprint.index import IndexStats, RetrievalIndex
 from speechprint.spectral import SpectralConfig, Variant
@@ -79,6 +80,43 @@ def test_batch_fingerprint_matches_golden_digest(clip, variant, geometry):
     n_subs, digest = GOLDEN_DIGESTS[(variant, geometry)]
     assert len(fp.subs) == n_subs
     assert subs_digest(fp.subs) == digest
+
+
+# (length, sha256) of serialize_fingerprint for the clip above enrolled
+# as WIRE_FILE_ID, recorded from the encoder that packed one sub at a time
+WIRE_FILE_ID = 2**40 + 3
+GOLDEN_WIRE = {
+    ("linear-vocal", "bench"): (
+        29770, "bbd91ec7f956290a01f8d497f0a3d40858d9fb8a420cd46aade5225c31eba622"
+    ),
+    ("linear-vocal", "library"): (
+        650, "47c0791169115c5b689552646be472763c59873c159e8605616318539dcb113a"
+    ),
+    ("mel-vocal", "bench"): (
+        29770, "1b88365077219df71e7f08a14c26856d7e4ffa77e72cef58493b8027ab57deea"
+    ),
+    ("mel-vocal", "library"): (
+        650, "aa8544c487d5eae4c4bc7fa46e113996d81efbc80666b7f836dc9da4a18e01f5"
+    ),
+    ("mel-wide", "bench"): (
+        29770, "21e99cf5dd817861010a2cc01d29e083c6d48f3f818d12a8c5b8e671de85d48b"
+    ),
+    ("mel-wide", "library"): (
+        650, "1c48d350096f690f796bcec98db6c39ac4b58fc37c08836e865c4fd7b29659d5"
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_serialized_fingerprint_matches_golden_bytes(clip, variant, geometry):
+    fp = fingerprint_audio(
+        clip, SpectralConfig.for_variant(variant), GEOMETRIES[geometry], WIRE_FILE_ID
+    )
+    data = serialize_fingerprint(fp)
+    assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_WIRE[
+        (variant, geometry)
+    ]
 
 
 # the same pins for an 8 s clip synthesised at 11.025 and 16 kHz,
