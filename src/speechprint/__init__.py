@@ -31,7 +31,6 @@ from .fingerprint import (
     Fingerprint,
     FingerprintConfig,
     StreamingFingerprinter,
-    SubFingerprint,
     config_digest,
     deserialize_fingerprint,
     fingerprint_audio,
@@ -90,7 +89,6 @@ __all__ = [
     "SpectralConfig",
     "SpectralImage",
     "StreamingFingerprinter",
-    "SubFingerprint",
     "TranscriptDoc",
     "TranscriptLabeler",
     "Variant",

@@ -15,13 +15,14 @@ rows zero-padded to the next power of two; the streaming kernel cuts the
 real rows only, and the transform and the sign selection skip the
 padding bit for bit.
 
-A file's fingerprint is the ordered list of its block signatures
-("sub-fingerprints"). Matching happens in :mod:`speechprint.index` via
-banded signature digests.
+A file's fingerprint is two aligned columns: a [n_subs, n_permutations]
+matrix of its block signatures ("sub-fingerprints"), one row per block,
+and the block index of each row. Matching happens in
+:mod:`speechprint.index` via banded signature digests.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -113,31 +114,42 @@ class SparseBits:
 
 
 @dataclass(frozen=True, eq=False)
-class SubFingerprint:
-    """Min-hash signature of one block."""
-
-    signature: np.ndarray
-    block_index: int
-    time_offset_s: float
-
-    def __post_init__(self) -> None:
-        sig = np.asarray(self.signature, dtype=np.uint8)
-        sig.flags.writeable = False
-        object.__setattr__(self, "signature", sig)
-
-
-@dataclass(frozen=True, eq=False)
 class Fingerprint:
-    """All sub-fingerprints of one file, in block order."""
+    """One file's block signatures as two aligned read-only columns.
+
+    Row k of the [n_subs, n_permutations] uint8 ``signatures`` (a view of
+    the matrix passed in, not a copy) is the min-hash signature of block
+    ``blocks[k]``. The id must fit the u64 and each block index the u32
+    that index files and the wire format store; ConfigError otherwise.
+    """
 
     file_id: int
-    subs: tuple[SubFingerprint, ...]
+    signatures: np.ndarray
+    blocks: np.ndarray
     config_digest: int = 0
 
-    @property
-    def signature_matrix(self) -> np.ndarray:
-        """Signatures stacked as [n_subs, n_permutations] uint8."""
-        return np.stack([s.signature for s in self.subs])
+    def __post_init__(self) -> None:
+        if not 0 <= self.file_id < 1 << 64:
+            raise ConfigError(f"file id {self.file_id} is outside [0, 2^64)")
+        signatures = np.asarray(self.signatures)
+        if signatures.ndim != 2 or signatures.dtype != np.uint8:
+            raise ConfigError(
+                f"signatures must be a 2-D uint8 matrix, got "
+                f"{signatures.dtype} of shape {signatures.shape}"
+            )
+        blocks = np.asarray(self.blocks)
+        if blocks.shape != signatures.shape[:1] or blocks.dtype.kind not in "iu":
+            raise ConfigError(
+                f"blocks must be {len(signatures)} integers, one per signature "
+                f"row, got {blocks.dtype} of shape {blocks.shape}"
+            )
+        if blocks.size and (blocks.min() < 0 or blocks.max() >= 1 << 32):
+            raise ConfigError(f"file {self.file_id} has block indices outside u32")
+        signatures = signatures.view()
+        blocks = blocks.astype(np.int64)
+        signatures.flags.writeable = blocks.flags.writeable = False
+        object.__setattr__(self, "signatures", signatures)
+        object.__setattr__(self, "blocks", blocks)
 
 
 def config_digest(
@@ -207,6 +219,9 @@ def blocks(image: SpectralImage, config: FingerprintConfig) -> np.ndarray:
     every file shares a strong same-sign energy offset (and near-silent
     blocks are virtually identical everywhere); centring leaves only the
     content-dependent structure to be hashed.
+
+    Reference oracle with no production caller, kept for tests to compare
+    the streaming kernel against the stages run on its padded blocks.
     """
     n_frames = image.n_frames
     if n_frames < config.block_frames:
@@ -302,7 +317,11 @@ def haar2d(block: np.ndarray, height: int | None = None) -> np.ndarray:
 
 
 def ihaar2d(coeffs: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`haar2d`, for a block or a stack of blocks."""
+    """Exact inverse of :func:`haar2d`, for a block or a stack of blocks.
+
+    Reference oracle with no production caller, kept for tests to check
+    :func:`haar2d` against.
+    """
     _check_sides(coeffs.shape)
     out = np.array(coeffs, dtype=np.float64, copy=True)
     _ihaar_axis(out, axis=-2)
@@ -460,12 +479,14 @@ STACK_ELEMENTS = 1 << 15
 class StreamingFingerprinter:
     """Incrementally fingerprints audio fed in arbitrary chunks.
 
-    Feed any split of the sample stream; completed sub-fingerprints come
-    back as soon as their block's last frame is available, and the result
-    is bit-identical to a whole-file pass because neither a frame's
-    column nor a block's bits depend on the stack they are computed in.
-    Each feed computes the columns of the frames it completes in one
-    :meth:`FrameTransform.column` call.
+    Feed any split of the sample stream; the signatures of completed
+    blocks come back as soon as their block's last frame is available, one
+    row per block in block order, so the rows of every feed so far are
+    blocks 0 to :attr:`blocks_emitted` - 1. The result is bit-identical to
+    a whole-file pass because neither a frame's column nor a block's bits
+    depend on the stack they are computed in. Each feed computes the
+    columns of the frames it completes in one :meth:`FrameTransform.column`
+    call.
     """
 
     def __init__(
@@ -473,9 +494,7 @@ class StreamingFingerprinter:
         sample_rate: int,
         spectral_config: SpectralConfig,
         fingerprint_config: FingerprintConfig,
-        file_id: int = 0,
     ) -> None:
-        self.file_id = file_id
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
         self._transform = FrameTransform(sample_rate, spectral_config)
@@ -494,6 +513,7 @@ class StreamingFingerprinter:
         self._hasher = get_minhasher(
             fingerprint_config.n_permutations, 2 * area, fingerprint_config.seed
         )
+        self._no_rows = np.empty((0, fingerprint_config.n_permutations), np.uint8)
         self._buffer = np.empty(0, dtype=np.float64)  # from the next frame's start
         self._columns = np.empty((0, self._transform.n_bins))
         self._columns_start = 0  # absolute frame index of _columns[0]
@@ -515,8 +535,9 @@ class StreamingFingerprinter:
     def seconds_consumed(self) -> float:
         return self._samples_seen / self._transform.sample_rate
 
-    def feed(self, samples: np.ndarray) -> list[SubFingerprint]:
-        """Consumes more samples; returns newly completed sub-fingerprints."""
+    def feed(self, samples: np.ndarray) -> np.ndarray:
+        """Consumes more samples; returns the [n_new, n_permutations] uint8
+        signatures of the blocks they completed."""
         samples = np.asarray(samples, dtype=np.float64)
         self._samples_seen += samples.size
         self._buffer = np.concatenate([self._buffer, samples])
@@ -528,48 +549,38 @@ class StreamingFingerprinter:
             self._frames_done += len(frames)
             # drop samples no frame will touch again
             self._buffer = self._buffer[len(frames) * transform.hop :]
-        fresh: list[SubFingerprint] = []
         cfg = self.fingerprint_config
+        fresh = []
         hop, width = cfg.block_hop_frames, cfg.block_frames
         ready = 0
         if self._frames_done >= width:
             ready = (self._frames_done - width) // hop + 1 - self._blocks_done
         while ready > 0:
             n_blocks = min(ready, self._max_stack)
-            fresh.extend(self._emit_stack(n_blocks))
+            fresh.append(self._emit_stack(n_blocks))
             ready -= n_blocks
-        return fresh
+        return np.concatenate(fresh) if fresh else self._no_rows
 
-    def _emit_stack(self, n_blocks: int) -> list[SubFingerprint]:
+    def _emit_stack(self, n_blocks: int) -> np.ndarray:
         """Fingerprints the next ``n_blocks`` blocks in one kernel call."""
         cfg = self.fingerprint_config
         hop = cfg.block_hop_frames
-        first = self._blocks_done
-        local = first * hop - self._columns_start
+        local = self._blocks_done * hop - self._columns_start
         span = (n_blocks - 1) * hop + cfg.block_frames
         frames = self._columns[local : local + span]
         stack = _cut_blocks(frames, n_blocks, cfg)
         coeffs = haar2d(stack, self._rows)
         bits = top_t_signs(coeffs, cfg.top_t, real_rows=stack.shape[1])
         signatures = self._hasher.signature(bits)
-        stride = self.spectral_config.stride_s
-        subs = [
-            SubFingerprint(
-                signature,
-                block_index=first + k,
-                time_offset_s=(first + k) * hop * stride,
-            )
-            for k, signature in enumerate(signatures)
-        ]
         self._blocks_done += n_blocks
         # columns before the next block's start are done
         keep_from = self._blocks_done * hop
         if keep_from > self._columns_start:
             self._columns = self._columns[keep_from - self._columns_start :]
             self._columns_start = keep_from
-        return subs
+        return signatures
 
-    def finish(self) -> list[SubFingerprint]:
+    def finish(self) -> None:
         """Signals end of stream. No partial blocks are ever emitted.
 
         Raises TooShort when the total stream never filled one block.
@@ -579,7 +590,6 @@ class StreamingFingerprinter:
                 f"{self.seconds_consumed:.3f}s of audio never completed a "
                 f"{self.fingerprint_config.block_frames}-frame block"
             )
-        return []
 
 
 def fingerprint_audio(
@@ -594,54 +604,49 @@ def fingerprint_audio(
     shorter than window_s + (block_frames - 1) * stride_s.
     """
     streamer = StreamingFingerprinter(
-        audio.sample_rate, spectral_config, fingerprint_config, file_id
+        audio.sample_rate, spectral_config, fingerprint_config
     )
-    subs = streamer.feed(audio.samples)
-    subs.extend(streamer.finish())
-    return Fingerprint(file_id, tuple(subs), streamer.config_digest)
+    signatures = streamer.feed(audio.samples)
+    streamer.finish()
+    blocks = np.arange(streamer.blocks_emitted)
+    return Fingerprint(file_id, signatures, blocks, streamer.config_digest)
 
 
 def min_audio_seconds(
     spectral_config: SpectralConfig, fingerprint_config: FingerprintConfig
 ) -> float:
-    """Shortest audio that yields at least one sub-fingerprint."""
+    """Shortest audio that yields at least one block signature."""
     return (
         spectral_config.window_s
         + (fingerprint_config.block_frames - 1) * spectral_config.stride_s
     )
 
 
+def _record_dtype(n_permutations: int) -> np.dtype:
+    """One wire row: a u32 block index, then the raw signature bytes."""
+    return np.dtype([("block", "<u4"), ("signature", "u1", (n_permutations,))])
+
+
 def serialize_fingerprint(fp: Fingerprint) -> bytes:
-    """Compact binary form: magic, version, config digest, id, subs.
+    """Compact binary form: magic, version, config digest, id, rows.
 
     Layout (little endian): "SPFP", u16 version, u64 config digest,
-    u64 file_id, u32 sub count, then per sub a u32 block index followed
-    by the raw signature bytes.
+    u64 file_id, u32 row count, then per row a u32 block index followed
+    by its n_permutations signature bytes. Every record has the same
+    width, so a reader gets the signature width from the body length.
     """
-    subs = fp.subs
-    parts = [
-        FINGERPRINT_MAGIC,
-        struct.pack(
-            "<HQQI",
-            FINGERPRINT_VERSION,
-            fp.config_digest,
-            fp.file_id,
-            len(subs),
-        ),
-    ]
-    for sub in subs:
-        parts.append(struct.pack("<I", sub.block_index))
-        parts.append(sub.signature.tobytes())
-    return b"".join(parts)
+    records = np.empty(len(fp.blocks), dtype=_record_dtype(fp.signatures.shape[1]))
+    records["block"] = fp.blocks
+    records["signature"] = fp.signatures
+    header = struct.pack(
+        "<HQQI", FINGERPRINT_VERSION, fp.config_digest, fp.file_id, len(records)
+    )
+    return FINGERPRINT_MAGIC + header + records.tobytes()
 
 
-def deserialize_fingerprint(data: bytes, block_period_s: float = 0.0) -> Fingerprint:
-    """Inverse of :func:`serialize_fingerprint`.
-
-    The wire format stores block indices, not times; pass the block
-    period (block_hop_frames * stride_s) to restore time offsets, else
-    they come back as 0.0.
-    """
+def deserialize_fingerprint(data: bytes) -> Fingerprint:
+    """Inverse of :func:`serialize_fingerprint`; a record of no rows has no
+    signature width, so it comes back with a [0, 0] signature matrix."""
     header = 4 + struct.calcsize("<HQQI")
     if len(data) < header or data[:4] != FINGERPRINT_MAGIC:
         raise CorruptIndex("not a fingerprint record")
@@ -652,23 +657,10 @@ def deserialize_fingerprint(data: bytes, block_period_s: float = 0.0) -> Fingerp
     if count == 0:
         if body:
             raise CorruptIndex("trailing bytes after empty fingerprint")
-        return Fingerprint(file_id, (), digest)
+        return Fingerprint(
+            file_id, np.empty((0, 0), np.uint8), np.empty(0, np.int64), digest
+        )
     if body % count or body // count <= 4:
         raise CorruptIndex("fingerprint record length inconsistent with count")
-    n_permutations = body // count - 4
-    subs = []
-    pos = header
-    for _ in range(count):
-        (block_index,) = struct.unpack("<I", data[pos : pos + 4])
-        signature = np.frombuffer(
-            data[pos + 4 : pos + 4 + n_permutations], dtype=np.uint8
-        )
-        subs.append(
-            SubFingerprint(
-                signature,
-                block_index=block_index,
-                time_offset_s=block_index * block_period_s,
-            )
-        )
-        pos += 4 + n_permutations
-    return Fingerprint(file_id, tuple(subs), digest)
+    records = np.frombuffer(data, _record_dtype(body // count - 4), offset=header)
+    return Fingerprint(file_id, records["signature"], records["block"], digest)

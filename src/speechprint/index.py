@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex, IoError
 from .fileio import write_atomic
-from .fingerprint import Fingerprint, SubFingerprint
+from .fingerprint import Fingerprint
 from .hashing import fnv1a64, fnv1a64_rows
 
 INDEX_MAGIC = b"SPIX"
@@ -161,27 +161,24 @@ class RetrievalIndex:
     def enroll(self, fp: Fingerprint) -> None:
         """Adds a file's sub-fingerprints. file_id must be new.
 
+        :class:`Fingerprint` has already checked that the id fits the u64
+        and the block indices the u32 an index file stores.
+
         Raises:
-            ConfigError: the id does not fit the u64 an index file stores,
-                the fingerprint has no subs, or a block index is outside u32.
+            ConfigError: the fingerprint has no subs.
             DuplicateId: the id is already enrolled.
             IncompatibleIndex: fingerprint built under another config.
         """
-        if not 0 <= fp.file_id < 1 << 64:
-            raise ConfigError(f"file id {fp.file_id} is outside [0, 2^64)")
         self._check_digest(fp)
-        if not fp.subs:
+        if not fp.blocks.size:
             raise ConfigError(f"fingerprint for file {fp.file_id} has no subs")
-        digests = self._band_digests(fp.signature_matrix)
-        blocks = np.array([s.block_index for s in fp.subs], dtype=np.int64)
-        if blocks.min() < 0 or blocks.max() >= 1 << 32:
-            raise ConfigError(f"file {fp.file_id} has block indices outside u32")
+        digests = self._band_digests(fp.signatures)
         with self._lock:
             if fp.file_id in self._ordinals:
                 raise DuplicateId(f"file id {fp.file_id} already enrolled")
-            if self._row_file.size + blocks.size > _MAX_ROWS:
+            if self._row_file.size + fp.blocks.size > _MAX_ROWS:
                 raise ConfigError(f"an index holds at most {_MAX_ROWS} subs")
-            self._merge(fp.file_id, digests, blocks)
+            self._merge(fp.file_id, digests, fp.blocks)
 
     def _merge(self, file_id: int, digests: np.ndarray, blocks: np.ndarray) -> None:
         """Appends one new file's rows and merges its keys into every band;
@@ -333,7 +330,7 @@ class RetrievalIndex:
 
     def _answer(
         self,
-        queries: list[list[SubFingerprint] | Fingerprint],
+        queries: list[Fingerprint],
         min_band_votes: int | None,
         min_confidence: float | None,
     ) -> list[MatchResult | None]:
@@ -341,22 +338,18 @@ class RetrievalIndex:
         v = self.min_band_votes if min_band_votes is None else min_band_votes
         c = self.min_confidence if min_confidence is None else min_confidence
         _check_thresholds(v, c)
-        sub_lists = []
         for q in queries:
-            if isinstance(q, Fingerprint):
-                self._check_digest(q)
-                q = q.subs
-            sub_lists.append(q)
+            self._check_digest(q)
         results: list[MatchResult | None] = [None] * len(queries)
-        asked = [k for k, subs in enumerate(sub_lists) if subs]
+        asked = [k for k, q in enumerate(queries) if q.blocks.size]
         if not asked:
             return results
-        n_subs = [len(sub_lists[k]) for k in asked]
+        n_subs = [queries[k].blocks.size for k in asked]
         # a query of another geometry raises here, not as a stacking error
         for k in asked:
-            self._check_width(sub_lists[k][0].signature.size)
+            self._check_width(queries[k].signatures.shape[1])
         digest_rows = self._band_digests(
-            np.stack([s.signature for k in asked for s in sub_lists[k]])
+            np.concatenate([queries[k].signatures for k in asked])
         )
         query_of_row = np.repeat(np.arange(len(asked)), n_subs)
         with self._lock:
@@ -393,7 +386,7 @@ class RetrievalIndex:
 
     def query(
         self,
-        subs: list[SubFingerprint] | Fingerprint,
+        fp: Fingerprint,
         min_band_votes: int | None = None,
         min_confidence: float | None = None,
     ) -> MatchResult | None:
@@ -408,13 +401,13 @@ class RetrievalIndex:
         query subs) reaches the floor.
 
         Raises:
-            IncompatibleIndex: a Fingerprint built under another config.
+            IncompatibleIndex: the fingerprint was built under another config.
         """
-        return self._answer([subs], min_band_votes, min_confidence)[0]
+        return self._answer([fp], min_band_votes, min_confidence)[0]
 
     def query_batch(
         self,
-        queries: list[list[SubFingerprint] | Fingerprint],
+        queries: list[Fingerprint],
         min_band_votes: int | None = None,
         min_confidence: float | None = None,
     ) -> list[MatchResult | None]:

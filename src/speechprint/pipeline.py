@@ -10,6 +10,7 @@ for enrolment. :class:`Session` is that state machine; the CLI and the
 TCP server both run it.
 """
 
+import dataclasses
 import io
 import logging
 import struct
@@ -25,7 +26,6 @@ from .fingerprint import (
     FingerprintConfig,
     Fingerprint,
     StreamingFingerprinter,
-    SubFingerprint,
     config_digest,
     fingerprint_audio,
     min_audio_seconds,
@@ -232,16 +232,16 @@ class Pipeline:
         return self.index.query(self.fingerprint(audio))
 
     def enroll_file(
-        self, audio: AudioBuffer, transcript_path=None, *, subs=None
+        self, audio: AudioBuffer, transcript_path=None, *, fingerprint=None
     ) -> IdentifyOutcome:
         """Fingerprints and enrolls a new file; labelling runs alongside.
 
-        ``subs``, when given, are sub-fingerprints already computed from
-        exactly this audio at the canonical rate, and are enrolled in
-        place of a fresh fingerprint. The labeler runs on its own thread
-        while the fingerprint is computed and inserted. When it fails or
-        abstains the file is marked pending rather than blocking
-        enrolment.
+        ``fingerprint``, when given, was already computed from exactly
+        this audio at the canonical rate, and its columns are enrolled
+        under the new file id in place of a fresh fingerprint. The
+        labeler runs on its own thread while the fingerprint is computed
+        and inserted. When it fails or abstains the file is marked
+        pending rather than blocking enrolment.
         """
         file_id = self._alloc_file_id()
         label_holder: list[int | None] = [None]
@@ -256,10 +256,10 @@ class Pipeline:
         worker = threading.Thread(target=run_labeler, name=f"label-{file_id}")
         worker.start()
         try:
-            if subs is None:
+            if fingerprint is None:
                 fp = self.fingerprint(audio, file_id)
             else:
-                fp = Fingerprint(file_id, tuple(subs), self.index.config_digest)
+                fp = dataclasses.replace(fingerprint, file_id=file_id)
             self.index.enroll(fp)
         finally:
             worker.join()
@@ -318,12 +318,13 @@ class Session:
     is the outcome. Otherwise :meth:`finish` queries the whole stream and
     enrolls it as a new file on a miss.
 
-    ``query`` is the lookup, called with a list of sub-fingerprints:
-    ``pipeline.index.query``, or a server's batcher. A stream at the
-    canonical rate is fingerprinted once, as it arrives, and those subs
-    serve every query and the enrolment. A stream at another rate is
-    resampled and fingerprinted at each decision point, and once more at
-    the end for both the final query and the enrolment.
+    ``query`` is the lookup, called with a :class:`Fingerprint` of the
+    stream so far: ``pipeline.index.query``, or a server's batcher. A
+    stream at the canonical rate is fingerprinted once, as it arrives, and
+    its streamer's signature rows serve every query and the enrolment. A
+    stream at another rate is resampled and fingerprinted at each decision
+    point, and once more at the end for both the final query and the
+    enrolment.
 
     Library errors (undecodable bytes, a failed enrolment) raise. Once an
     outcome is returned the session is over.
@@ -339,7 +340,7 @@ class Session:
         self._consumed = 0
         # set on the first samples of a stream at the canonical rate
         self._streamer: StreamingFingerprinter | None = None
-        self._subs: list[SubFingerprint] = []
+        self._signatures: list[np.ndarray] = []
 
     def feed(self, chunk: bytes) -> IdentifyOutcome | None:
         """Consumes the next bytes; an outcome when a decision point hits."""
@@ -355,20 +356,20 @@ class Session:
         self._collected.append(samples)
         self._consumed += samples.size
         if self._streamer is not None:
-            self._subs.extend(self._streamer.feed(samples))
+            self._signatures.append(self._streamer.feed(samples))
         consumed_s = self._consumed / rate
         due = [t for t in self._decisions if t <= consumed_s + 1e-9]
         if not due:
             return None
         del self._decisions[: len(due)]
         if self._streamer is not None:
-            subs = self._subs
+            fp = self._streamed()
         else:
             audio = self._canonical_audio()
             if audio.duration_seconds < pipeline.min_decision_audio_s - 1e-9:
                 return None
-            subs = pipeline.fingerprint(audio).subs
-        return self._identify(subs, consumed_s)
+            fp = pipeline.fingerprint(audio)
+        return self._identify(fp, consumed_s)
 
     def finish(self) -> IdentifyOutcome:
         """Ends the stream: a last query over all of it, else enrolment."""
@@ -387,13 +388,13 @@ class Session:
                 audio_consumed_s=audio.duration_seconds,
             )
         if self._streamer is not None:
-            subs = self._subs
+            fp = self._streamed()
         else:
-            subs = pipeline.fingerprint(audio).subs
-        outcome = self._identify(subs, audio.duration_seconds)
+            fp = pipeline.fingerprint(audio)
+        outcome = self._identify(fp, audio.duration_seconds)
         if outcome is not None:
             return outcome
-        return pipeline.enroll_file(audio, self._transcript_path, subs=subs)
+        return pipeline.enroll_file(audio, self._transcript_path, fingerprint=fp)
 
     def _canonical_audio(self) -> AudioBuffer:
         audio = AudioBuffer(np.concatenate(self._collected), self._decoder.sample_rate)
@@ -401,8 +402,14 @@ class Session:
             audio = resample(audio, self.pipeline.canonical_rate)
         return audio
 
-    def _identify(self, subs, consumed_s: float) -> IdentifyOutcome | None:
-        result = self._query(list(subs)) if subs else None
+    def _streamed(self) -> Fingerprint:
+        """The streamer's signature rows so far, blocks 0 onwards."""
+        signatures = np.concatenate(self._signatures)
+        blocks = np.arange(len(signatures))
+        return Fingerprint(0, signatures, blocks, self.pipeline.index.config_digest)
+
+    def _identify(self, fp: Fingerprint, consumed_s: float) -> IdentifyOutcome | None:
+        result = self._query(fp) if fp.blocks.size else None
         if result is None:
             return None
         return IdentifyOutcome(

@@ -24,6 +24,7 @@ import socketserver
 import struct
 
 from .errors import SpeechprintError
+from .fingerprint import Fingerprint
 from .index import MatchResult
 from .pipeline import (
     IdentifyOutcome,
@@ -90,10 +91,10 @@ class QueryBatcher:
         self.index = index
         self._closed = False
 
-    def submit(self, subs: list) -> MatchResult | None:
+    def submit(self, fp: Fingerprint) -> MatchResult | None:
         if self._closed:
             raise SpeechprintError("batcher is shut down")
-        return self.index.query_batch([subs])[0]
+        return self.index.query_batch([fp])[0]
 
     def close(self) -> None:
         self._closed = True

@@ -158,6 +158,9 @@ def stft_magnitude(
 
     Hann-windowed frames, zero padded to the power-of-two FFT size.
     Raises TooShort when not even one frame fits.
+
+    Reference oracle with no production caller, kept for tests to compare
+    :class:`FrameTransform`'s columns against.
     """
     window, hop, n_fft = frame_params(audio.sample_rate, window_s, stride_s)
     n_frames = n_frames_for(len(audio), window, hop)
@@ -202,6 +205,9 @@ def band_select_linear(
 
     Returns:
         log1p(LOG_GAIN * selected rows), shape [n_band_bins, n_frames].
+
+    Reference oracle with no production caller, kept for tests to compare
+    :class:`FrameTransform`'s columns against.
     """
     n_fft = 2 * (spec.shape[0] - 1)
     lo, hi = _linear_bin_range(sample_rate, n_fft, f_min, f_max)
@@ -253,6 +259,9 @@ def mel_filterbank(
 
     Returns:
         log1p(LOG_GAIN * filterbank @ spec), shape [n_mels, n_frames].
+
+    Reference oracle with no production caller, kept for tests to compare
+    :class:`FrameTransform`'s columns against.
     """
     n_fft = 2 * (spec.shape[0] - 1)
     weights = _mel_weight_matrix(sample_rate, n_fft, n_mels, f_min, f_max)

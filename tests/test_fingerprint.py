@@ -14,7 +14,6 @@ from speechprint.fingerprint import (
     MinHasher,
     SparseBits,
     StreamingFingerprinter,
-    SubFingerprint,
     blocks,
     config_digest,
     deserialize_fingerprint,
@@ -104,7 +103,7 @@ class TestBlocks:
         hasher = get_minhasher(SMALL.n_permutations, 2 * stack[0].size, SMALL.seed)
         signatures = hasher.signature(top_t_signs(haar2d(stack), SMALL.top_t))
         fp = fingerprint_audio(speech_clip, cfg, SMALL)
-        np.testing.assert_array_equal(signatures, fp.signature_matrix)
+        np.testing.assert_array_equal(signatures, fp.signatures)
 
     # 11.025 kHz linear-vocal has 47 real rows; with 32-frame blocks the
     # mel variants' 40 rows leave 1344 of 2048 coefficients possibly
@@ -129,7 +128,7 @@ class TestBlocks:
         hasher = get_minhasher(cfg.n_permutations, 2 * stack[0].size, cfg.seed)
         signatures = hasher.signature(top_t_signs(haar2d(stack), cfg.top_t))
         fp = fingerprint_audio(clip, spectral, cfg)
-        np.testing.assert_array_equal(signatures, fp.signature_matrix)
+        np.testing.assert_array_equal(signatures, fp.signatures)
 
 
 class TestHaar:
@@ -408,25 +407,18 @@ class TestFingerprintAudio:
         fcfg = FingerprintConfig(block_frames=128, block_hop_frames=32, top_t=200)
         fp = fingerprint_audio(speech_clip, self.CFG, fcfg)
         # 10 s at 25 ms stride = 397 full frames -> floor((397-128)/32)+1
-        assert len(fp.subs) == (397 - 128) // 32 + 1 == 9
+        assert fp.signatures.shape == ((397 - 128) // 32 + 1, 100) == (9, 100)
 
     def test_block_indices_strictly_increase(self, speech_clip):
+        """Row k is block k: a whole-file fingerprint skips no block."""
         fp = fingerprint_audio(speech_clip, self.CFG, SMALL)
-        indices = [s.block_index for s in fp.subs]
-        assert indices == sorted(set(indices))
-
-    def test_time_offsets(self, speech_clip):
-        fcfg = FingerprintConfig(block_frames=128, block_hop_frames=32, top_t=200)
-        fp = fingerprint_audio(speech_clip, self.CFG, fcfg)
-        for sub in fp.subs:
-            assert sub.time_offset_s == pytest.approx(
-                sub.block_index * 32 * self.CFG.stride_s
-            )
+        assert fp.blocks.dtype == np.int64
+        np.testing.assert_array_equal(fp.blocks, np.arange(len(fp.signatures)))
 
     def test_determinism(self, speech_clip):
         a = fingerprint_audio(speech_clip, self.CFG, SMALL)
         b = fingerprint_audio(speech_clip, self.CFG, SMALL)
-        np.testing.assert_array_equal(a.signature_matrix, b.signature_matrix)
+        np.testing.assert_array_equal(a.signatures, b.signatures)
 
     def test_shift_covariance(self, speech_clip):
         """Dropping exactly one block hop of audio shifts sub indices by one."""
@@ -439,10 +431,8 @@ class TestFingerprintAudio:
         )
         full = fingerprint_audio(speech_clip, self.CFG, fcfg)
         late = fingerprint_audio(shifted, self.CFG, fcfg)
-        for k in range(len(late.subs) - 1):
-            np.testing.assert_array_equal(
-                full.subs[k + 1].signature, late.subs[k].signature
-            )
+        n = len(late.blocks) - 1
+        np.testing.assert_array_equal(full.signatures[1 : n + 1], late.signatures[:n])
 
     def test_too_short_raises(self, tone):
         with pytest.raises(TooShort):
@@ -451,7 +441,7 @@ class TestFingerprintAudio:
     def test_min_audio_seconds_is_tight(self, tone):
         need = min_audio_seconds(self.CFG, SMALL)
         fp = fingerprint_audio(tone(200.0, need + 0.001, 8000), self.CFG, SMALL)
-        assert len(fp.subs) == 1
+        assert len(fp.blocks) == 1
         with pytest.raises(TooShort):
             fingerprint_audio(tone(200.0, need - 0.03, 8000), self.CFG, SMALL)
 
@@ -472,19 +462,20 @@ class TestStreaming:
     def test_any_chunking_matches_batch(self, speech_clip, chunk):
         batch = fingerprint_audio(speech_clip, self.CFG, SMALL)
         streamer = StreamingFingerprinter(8000, self.CFG, SMALL)
-        subs = []
-        for start in range(0, len(speech_clip), chunk):
-            subs.extend(streamer.feed(speech_clip.samples[start : start + chunk]))
-        subs.extend(streamer.finish())
-        assert len(subs) == len(batch.subs)
-        for mine, ref in zip(subs, batch.subs):
-            np.testing.assert_array_equal(mine.signature, ref.signature)
+        rows = [
+            streamer.feed(speech_clip.samples[start : start + chunk])
+            for start in range(0, len(speech_clip), chunk)
+        ]
+        streamer.finish()
+        assert streamer.blocks_emitted == len(batch.blocks)
+        np.testing.assert_array_equal(np.concatenate(rows), batch.signatures)
 
     def test_subs_arrive_as_blocks_complete(self, speech_clip):
         streamer = StreamingFingerprinter(8000, self.CFG, SMALL)
         need = min_audio_seconds(self.CFG, SMALL)
         first = streamer.feed(speech_clip.samples[: round(need * 8000) + 1])
-        assert len(first) == 1
+        assert first.shape == (1, SMALL.n_permutations) and first.dtype == np.uint8
+        assert streamer.feed(np.zeros(10)).shape == (0, SMALL.n_permutations)
 
     def test_finish_raises_when_never_filled(self):
         streamer = StreamingFingerprinter(8000, self.CFG, SMALL)
@@ -518,8 +509,8 @@ class TestStreaming:
         fp = fingerprint_audio(speech_clip, self.CFG, SMALL)
         assert fingerprint.STACK_ELEMENTS // (40 * 32) == 25
         assert sizes[0] == (25, 40, 32)
-        assert sum(n for n, _rows, _cols in sizes) == len(fp.subs)
-        assert len(sizes) == -(-len(fp.subs) // 25)
+        assert sum(n for n, _rows, _cols in sizes) == len(fp.blocks)
+        assert len(sizes) == -(-len(fp.blocks) // 25)
 
     def test_top_t_limit_is_the_padded_area(self):
         """40 real rows pad to 64, so 32-frame blocks allow top_t <= 2048."""
@@ -530,28 +521,92 @@ class TestStreaming:
         StreamingFingerprinter(8000, self.CFG, replace(cfg, top_t=2048))
 
 
+def mixed_width_rows():
+    """Two signatures of 100 and 98 bytes, as a list of rows would hold them."""
+    rows = np.empty(2, dtype=object)
+    rows[:] = [np.zeros(100, np.uint8), np.ones(98, np.uint8)]
+    return rows
+
+
+class TestFingerprintColumns:
+    @pytest.mark.parametrize(
+        "signatures",
+        [
+            np.zeros(100, np.uint8),
+            np.zeros((2, 4, 25), np.uint8),
+            np.zeros((2, 100), np.int64),
+            np.zeros((2, 100)),
+            mixed_width_rows(),
+        ],
+        ids=["1-D", "3-D", "int64", "float", "mixed-width"],
+    )
+    def test_signatures_must_be_a_uint8_matrix(self, signatures):
+        with pytest.raises(ConfigError, match="2-D uint8"):
+            Fingerprint(1, signatures, np.arange(2))
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [np.arange(2), np.arange(4), np.arange(3).reshape(3, 1), np.zeros(3), []],
+        ids=["short", "long", "2-D", "float", "empty-list"],
+    )
+    def test_blocks_must_be_one_integer_per_row(self, blocks):
+        with pytest.raises(ConfigError, match="one per signature row"):
+            Fingerprint(1, np.zeros((3, 100), np.uint8), blocks)
+
+    def test_columns_are_read_only(self):
+        signatures = np.zeros((3, 100), np.uint8)
+        blocks = np.arange(3)
+        fp = Fingerprint(1, signatures, blocks)
+        assert np.shares_memory(fp.signatures, signatures)
+        with pytest.raises(ValueError):
+            fp.signatures[0, 0] = 1
+        with pytest.raises(ValueError):
+            fp.blocks[0] = 1
+        # the caller's arrays stay writable
+        signatures[0, 0] = blocks[0] = 1
+
+    @pytest.mark.parametrize(
+        "file_id,block", [(-1, 0), (2**64, 0), (0, 2**32), (0, -1)]
+    )
+    def test_serialize_cannot_reach_struct_error(self, file_id, block):
+        """Out-of-range ids and blocks stop at construction with ConfigError,
+        so the encoder only ever packs values that fit."""
+        with pytest.raises(ConfigError, match="outside"):
+            serialize_fingerprint(
+                Fingerprint(file_id, np.zeros((1, 100), np.uint8), np.array([block]))
+            )
+
+
 class TestSerialization:
     CFG = SpectralConfig.for_variant("mel-vocal")
 
     def test_round_trip(self, speech_clip):
         fp = fingerprint_audio(speech_clip, self.CFG, SMALL, file_id=77)
-        back = deserialize_fingerprint(
-            serialize_fingerprint(fp), block_period_s=self.CFG.stride_s
-        )
+        back = deserialize_fingerprint(serialize_fingerprint(fp))
         assert back.file_id == 77
         assert back.config_digest == fp.config_digest
-        np.testing.assert_array_equal(back.signature_matrix, fp.signature_matrix)
-        assert [s.block_index for s in back.subs] == [
-            s.block_index for s in fp.subs
-        ]
-        assert [s.time_offset_s for s in back.subs] == [
-            pytest.approx(s.time_offset_s) for s in fp.subs
-        ]
+        assert back.signatures.dtype == np.uint8 and back.blocks.dtype == np.int64
+        np.testing.assert_array_equal(back.signatures, fp.signatures)
+        np.testing.assert_array_equal(back.blocks, fp.blocks)
+
+    def test_widest_values_round_trip(self):
+        """The largest id and block index the constructor admits go on the
+        wire as they are."""
+        signatures = np.arange(200, dtype=np.uint8).reshape(2, 100)
+        fp = Fingerprint(2**64 - 1, signatures, np.array([0, 2**32 - 1]), 2**64 - 1)
+        back = deserialize_fingerprint(serialize_fingerprint(fp))
+        assert (back.file_id, back.config_digest) == (2**64 - 1, 2**64 - 1)
+        assert back.blocks.tolist() == [0, 2**32 - 1]
+        np.testing.assert_array_equal(back.signatures, signatures)
 
     def test_empty_fingerprint_round_trip(self):
-        fp = Fingerprint(5, (), config_digest(self.CFG, SMALL, 8000))
+        fp = Fingerprint(
+            5, np.empty((0, 100), np.uint8), np.empty(0, np.int64),
+            config_digest(self.CFG, SMALL, 8000),
+        )
         back = deserialize_fingerprint(serialize_fingerprint(fp))
-        assert back.file_id == 5 and back.subs == ()
+        assert back.file_id == 5 and back.config_digest == fp.config_digest
+        assert back.signatures.shape == (0, 0) and back.blocks.shape == (0,)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CorruptIndex):
@@ -584,7 +639,7 @@ class TestRobustnessSmoke:
 
         def band_keys(buf):
             fp = fingerprint_audio(buf, cfg, SMALL)
-            digests = index._band_digests(fp.signature_matrix)
+            digests = index._band_digests(fp.signatures)
             return {
                 (band, int(key))
                 for row in digests

@@ -9,6 +9,7 @@ duplicate overlap fails here; a deliberate change of the bits must bump
 FINGERPRINT_VERSION and re-record the pins.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -61,9 +62,9 @@ def clip():
     return synth_speech_like(8.0, 8000, seed=2024)
 
 
-def subs_digest(subs) -> str:
-    h = hashlib.sha256(np.stack([s.signature for s in subs]).tobytes())
-    h.update(np.array([s.block_index for s in subs], dtype="<i8").tobytes())
+def fingerprint_digest(fp) -> str:
+    h = hashlib.sha256(fp.signatures.tobytes())
+    h.update(fp.blocks.astype("<i8").tobytes())
     return h.hexdigest()
 
 
@@ -78,8 +79,8 @@ def test_batch_fingerprint_matches_golden_digest(clip, variant, geometry):
         clip, SpectralConfig.for_variant(variant), GEOMETRIES[geometry]
     )
     n_subs, digest = GOLDEN_DIGESTS[(variant, geometry)]
-    assert len(fp.subs) == n_subs
-    assert subs_digest(fp.subs) == digest
+    assert len(fp.blocks) == n_subs
+    assert fingerprint_digest(fp) == digest
 
 
 # (length, sha256) of serialize_fingerprint for the clip above enrolled
@@ -173,8 +174,8 @@ def test_fingerprint_at_rate_matches_golden_digest(variant, geometry, rate):
         clip, SpectralConfig.for_variant(variant), GEOMETRIES[geometry]
     )
     n_subs, digest = GOLDEN_DIGESTS_AT_RATE[(variant, geometry, rate)]
-    assert len(fp.subs) == n_subs
-    assert subs_digest(fp.subs) == digest
+    assert len(fp.blocks) == n_subs
+    assert fingerprint_digest(fp) == digest
 
 
 # 57 samples completes no block on most feeds and one on some; one block
@@ -192,15 +193,17 @@ def test_streaming_fingerprint_matches_golden_digest(clip, variant, geometry, ch
         "whole": len(clip),
     }[chunking]
     streamer = StreamingFingerprinter(clip.sample_rate, spectral, cfg)
-    subs, per_feed = [], []
-    for start in range(0, len(clip), chunk):
-        fresh = streamer.feed(clip.samples[start : start + chunk])
-        per_feed.append(len(fresh))
-        subs.extend(fresh)
-    subs.extend(streamer.finish())
+    rows = [
+        streamer.feed(clip.samples[start : start + chunk])
+        for start in range(0, len(clip), chunk)
+    ]
+    streamer.finish()
+    per_feed = [len(fresh) for fresh in rows]
+    signatures = np.concatenate(rows)
+    fp = Fingerprint(0, signatures, np.arange(streamer.blocks_emitted))
     n_subs, digest = GOLDEN_DIGESTS[(variant, geometry)]
-    assert len(subs) == n_subs
-    assert subs_digest(subs) == digest
+    assert len(signatures) == n_subs
+    assert fingerprint_digest(fp) == digest
     if chunking == "57":
         assert 0 in per_feed and max(per_feed) == 1
     elif chunking == "whole":
@@ -327,7 +330,7 @@ def planted(request):
     for file_id, audio in zip(FILE_IDS, audios):
         prints[file_id] = fingerprint_audio(audio, SPECTRAL, cfg, file_id)
         index.enroll(prints[file_id])
-    index.enroll(Fingerprint(PLANTED_COPY, prints[17].subs, digest))
+    index.enroll(dataclasses.replace(prints[17], file_id=PLANTED_COPY))
     noisy = add_noise(audios[3], 30.0, seed=1)
     index.enroll(fingerprint_audio(noisy, SPECTRAL, cfg, NOISY_COPY))
     queries = []
@@ -405,7 +408,7 @@ def planted_prints(planted):
         file_id: fingerprint_audio(audio, SPECTRAL, cfg, file_id)
         for file_id, audio in zip(FILE_IDS, audios)
     }
-    prints[PLANTED_COPY] = Fingerprint(PLANTED_COPY, prints[17].subs, index.config_digest)
+    prints[PLANTED_COPY] = dataclasses.replace(prints[17], file_id=PLANTED_COPY)
     noisy = add_noise(audios[3], 30.0, seed=1)
     prints[NOISY_COPY] = fingerprint_audio(noisy, SPECTRAL, cfg, NOISY_COPY)
     return prints

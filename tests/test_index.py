@@ -1,5 +1,6 @@
 """Banded retrieval index: enrolment, querying, dedup, persistence."""
 
+import dataclasses
 import hashlib
 import os
 import struct
@@ -21,9 +22,10 @@ from speechprint.errors import (
 from speechprint.fingerprint import (
     Fingerprint,
     FingerprintConfig,
-    SubFingerprint,
     config_digest,
+    deserialize_fingerprint,
     fingerprint_audio,
+    serialize_fingerprint,
 )
 from speechprint.hashing import fnv1a64
 from speechprint.index import IndexStats, MatchResult, RetrievalIndex
@@ -70,10 +72,10 @@ class TestEnroll:
         result = index.query(prints[2])
         assert result.file_id == 2
         assert result.confidence == 1.0
-        assert result.matched_subs == len(prints[2].subs)
+        assert result.matched_subs == len(prints[2].blocks)
 
     def test_exact_subs_with_strict_thresholds(self, index, prints):
-        result = index.query(list(prints[4].subs), min_band_votes=1, min_confidence=0.5)
+        result = index.query(prints[4], min_band_votes=1, min_confidence=0.5)
         assert result.file_id == 4
         assert result.confidence == 1.0
 
@@ -88,22 +90,22 @@ class TestEnroll:
             index.enroll(fp)
 
     def test_block_index_beyond_u32_rejected(self, prints):
-        from speechprint.fingerprint import Fingerprint, SubFingerprint
-
+        """A Fingerprint holds only blocks an index file can store."""
+        signature = prints[0].signatures[:1]
+        for block in (1 << 32, 2**64 - 1, -1):
+            blocks = np.array([block], dtype=np.uint64 if block > 0 else np.int64)
+            with pytest.raises(ConfigError, match="u32"):
+                Fingerprint(7, signature, blocks, DIGEST)
+        fp = Fingerprint(7, signature, np.array([(1 << 32) - 1]), DIGEST)
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
-        sub = SubFingerprint(prints[0].subs[0].signature, 1 << 32, 0.0)
-        with pytest.raises(ConfigError):
-            idx.enroll(Fingerprint(7, (sub,), DIGEST))
-        assert 7 not in idx
+        idx.enroll(fp)
+        assert idx.stats().n_subs == 1
 
     @pytest.mark.parametrize("file_id", [-3, -1, 2**64, 2**70])
-    def test_file_id_outside_u64_rejected(self, index, prints, file_id):
-        stats, ids = index.stats(), index.file_ids
+    def test_file_id_outside_u64_rejected(self, prints, file_id):
+        fp = prints[0]
         with pytest.raises(ConfigError, match="outside"):
-            index.enroll(Fingerprint(file_id, prints[0].subs, DIGEST))
-        assert file_id not in index
-        assert index.stats() == stats
-        assert index.file_ids == ids
+            Fingerprint(file_id, fp.signatures, fp.blocks, DIGEST)
 
     def test_membership_and_ids(self, index):
         assert 3 in index and 99 not in index
@@ -112,7 +114,7 @@ class TestEnroll:
 
     def test_stats_counting(self, index, prints):
         stats = index.stats()
-        n_subs = sum(len(fp.subs) for fp in prints)
+        n_subs = sum(len(fp.blocks) for fp in prints)
         assert isinstance(stats, IndexStats)
         assert stats.n_files == 6
         assert stats.n_subs == n_subs
@@ -158,7 +160,8 @@ class TestQuery:
             index.query_batch([fp])
 
     def test_empty_query_is_none(self, index):
-        assert index.query([]) is None
+        empty = Fingerprint(0, np.empty((0, 100), np.uint8), np.empty(0, int), DIGEST)
+        assert index.query(empty) is None
 
     def test_relaxing_thresholds_never_loses_matches(self, index, corpus):
         """Monotonicity: lowering v or c keeps every found result found."""
@@ -172,12 +175,10 @@ class TestQuery:
                 assert relaxed is not None
 
     def test_tie_breaks_toward_lower_id(self, prints):
-        from speechprint.fingerprint import Fingerprint
-
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
         fp = prints[0]
         idx.enroll(fp)
-        idx.enroll(Fingerprint(7, fp.subs, fp.config_digest))
+        idx.enroll(dataclasses.replace(fp, file_id=7))
         result = idx.query(fp)
         assert result.file_id == 0
 
@@ -212,26 +213,29 @@ class TestBatch:
         serial = [index.query(q) for q in queries]
         assert index.query_batch(queries) == serial
 
-    def test_empty_fingerprint_and_list_in_one_batch(self, index, prints):
-        empty = Fingerprint(50, (), DIGEST)
-        batch = index.query_batch([[], prints[3], list(prints[1].subs), empty])
+    def test_empty_fingerprints_in_one_batch(self, index, prints):
+        """A query of no rows answers None, whether or not it has a width."""
+        empty = Fingerprint(50, np.empty((0, 100), np.uint8), np.empty(0, int), DIGEST)
+        unsized = deserialize_fingerprint(serialize_fingerprint(empty))
+        assert unsized.signatures.shape == (0, 0)
+        batch = index.query_batch([unsized, prints[3], prints[1], empty])
         assert batch[0] is None and batch[3] is None
         assert batch[1] == index.query(prints[3]) and batch[1].file_id == 3
         assert batch[2] == index.query(prints[1]) and batch[2].file_id == 1
         assert index.query_batch([]) == []
-        assert index.query_batch([[], empty]) == [None, None]
+        assert index.query_batch([unsized, empty]) == [None, None]
 
     def test_fingerprint_of_another_config_anywhere_rejected(self, index, prints, corpus):
         linear = SpectralConfig.for_variant("linear-vocal")
         other = fingerprint_audio(corpus[0], linear, FCFG)
         with pytest.raises(IncompatibleIndex):
-            index.query_batch([prints[0], list(prints[1].subs), other])
+            index.query_batch([prints[0], prints[1], other])
 
-    def test_sub_list_of_another_width_anywhere_rejected(self, index, prints):
+    def test_fingerprint_of_another_width_anywhere_rejected(self, index, prints):
         width = FCFG.band_count * FCFG.band_width
-        other = [SubFingerprint(np.zeros(width + 5, np.uint8), 0, 0.0)] * 3
-        for batch in ([other], [prints[0], other], [other, list(prints[1].subs)]):
-            with pytest.raises(IncompatibleIndex):
+        other = Fingerprint(0, np.zeros((3, width + 5), np.uint8), np.arange(3), DIGEST)
+        for batch in ([other], [prints[0], other], [other, prints[1]]):
+            with pytest.raises(IncompatibleIndex, match="signature width"):
                 index.query_batch(batch)
 
     def test_overrides_match_single_queries(self, index, corpus):
@@ -262,10 +266,10 @@ class TestRecallVsOracle:
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
         for fp in prints:
             idx.enroll(fp)
-        sig_by_file = [fp.signature_matrix for fp in prints]
+        sig_by_file = [fp.signatures for fp in prints]
 
         def oracle(fp):
-            q = fp.signature_matrix
+            q = fp.signatures
             best, best_score = None, -1.0
             for file_id, sigs in enumerate(sig_by_file):
                 # mean over query subs of each sub's best signature match
@@ -303,12 +307,10 @@ class TestRecallVsOracle:
 
 class TestDuplicates:
     def test_planted_duplicate_found(self, prints):
-        from speechprint.fingerprint import Fingerprint
-
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
         for fp in prints:
             idx.enroll(fp)
-        idx.enroll(Fingerprint(100, prints[1].subs, prints[1].config_digest))
+        idx.enroll(dataclasses.replace(prints[1], file_id=100))
         pairs = idx.find_duplicates(threshold=0.8)
         assert [(a, b) for a, b, _ in pairs] == [(1, 100)]
         assert pairs[0][2] == pytest.approx(1.0)
@@ -335,7 +337,7 @@ def oracle_prints(rng, ids, repeated=False, sources=()):
     for k in range(len(ids)):
         n = int(rng.integers(1, 9))
         if k % 2:
-            pool = np.concatenate([fp.signature_matrix for fp in sources] + sigs)
+            pool = np.concatenate([fp.signatures for fp in sources] + sigs)
             sig = pool[rng.integers(len(pool), size=n)]
             flip = rng.random(sig.shape) < 0.2
             sig[flip] = rng.integers(3, size=int(flip.sum()))
@@ -345,15 +347,14 @@ def oracle_prints(rng, ids, repeated=False, sources=()):
     if repeated:
         sigs[0] = np.repeat(sigs[0][:1], 5, axis=0)
     return [
-        Fingerprint(file_id, tuple(SubFingerprint(s, b, 0.0) for b, s in enumerate(sig)))
-        for file_id, sig in zip(ids, sigs)
+        Fingerprint(file_id, sig, np.arange(len(sig))) for file_id, sig in zip(ids, sigs)
     ]
 
 
 def shared_bands(a: Fingerprint, b: Fingerprint) -> np.ndarray:
-    """[len(a.subs), len(b.subs)]: how many bands each pair of subs shares."""
+    """[len(a.blocks), len(b.blocks)]: how many bands each pair of subs shares."""
     def bands(fp):
-        return fp.signature_matrix.reshape(len(fp.subs), ORACLE_BANDS, ORACLE_WIDTH)
+        return fp.signatures.reshape(len(fp.blocks), ORACLE_BANDS, ORACLE_WIDTH)
 
     return (bands(a)[:, None] == bands(b)[None]).all(axis=3).sum(axis=2)
 
@@ -365,7 +366,7 @@ def oracle_duplicates(prints, threshold, votes):
         for b in prints:
             if a.file_id != b.file_id:
                 matched = (shared_bands(a, b) >= votes).any(axis=1)
-                frac = int(np.count_nonzero(matched)) / len(a.subs)
+                frac = int(np.count_nonzero(matched)) / len(a.blocks)
                 pair = (min(a.file_id, b.file_id), max(a.file_id, b.file_id))
                 overlap[pair] = max(overlap.get(pair, 0.0), frac)
     found = [(a, b, frac) for (a, b), frac in overlap.items() if frac > threshold]
@@ -385,9 +386,9 @@ def oracle_query(prints, query, votes, confidence):
     if not ranked:
         return None
     matched, score, file_id = min(ranked)
-    if -matched / len(query.subs) < confidence:
+    if -matched / len(query.blocks) < confidence:
         return None
-    return MatchResult(file_id, -score, -matched, -matched / len(query.subs))
+    return MatchResult(file_id, -score, -matched, -matched / len(query.blocks))
 
 
 def oracle_index(prints):
@@ -500,7 +501,7 @@ class TestPersistence:
         path = tmp_path / "idx.spix"
         idx.save(path)
         blob = path.read_bytes()
-        n = len(prints[0].subs)
+        n = len(prints[0].blocks)
         pos = HEADER_LEN
         file_id, count = blob[pos : pos + 8], blob[pos + 8 : pos + 12]
         pos += 12
@@ -551,13 +552,11 @@ class TestPersistence:
 
     def test_loaded_bands_equal_enrolled_bands(self, prints, tmp_path):
         """Merging file by file and one stable sort on load agree exactly."""
-        from speechprint.fingerprint import Fingerprint
-
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
         for fp in prints:
             idx.enroll(fp)
         # a copy makes every key recur, so the order among equal keys counts
-        idx.enroll(Fingerprint(100, prints[0].subs, DIGEST))
+        idx.enroll(dataclasses.replace(prints[0], file_id=100))
         path = tmp_path / "idx.spix"
         idx.save(path)
         loaded = RetrievalIndex.load(path)
@@ -582,8 +581,8 @@ class TestPersistence:
         # a query holding those keys finds the bucket too
         with monkeypatch.context() as patch:
             patch.setattr(loaded, "_band_digests", lambda signatures: keys)
-            subs = [SubFingerprint(np.zeros(100, np.uint8), 0, 0.0)] * 4
-            assert loaded.query(subs, min_band_votes=20) == MatchResult(1, 80, 4, 1.0)
+            fp = Fingerprint(0, np.zeros((4, 100), np.uint8), np.arange(4), DIGEST)
+            assert loaded.query(fp, min_band_votes=20) == MatchResult(1, 80, 4, 1.0)
         # band 0: one bucket; band 7: the 2**64 - 1 bucket and 3 others;
         # the other 18 bands: 4 buckets each
         assert loaded.stats().n_buckets == 1 + 4 + 18 * 4

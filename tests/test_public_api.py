@@ -1,0 +1,70 @@
+"""The package's public names: each resolves, and the list is pinned."""
+
+import speechprint
+
+# Adding or removing a public name is an API change: update this list in
+# the same change and say so in CHANGES.md.
+PUBLIC_NAMES = [
+    "AudioBuffer",
+    "BENCH_FINGERPRINT",
+    "CANONICAL_RATE",
+    "CellResult",
+    "DeteriorationSpec",
+    "ExperimentGrid",
+    "Fingerprint",
+    "FingerprintConfig",
+    "HypothesisReport",
+    "IdentifyOutcome",
+    "IndexStats",
+    "LabelRegistry",
+    "MatchResult",
+    "PendingLabeler",
+    "Pipeline",
+    "PipelineServer",
+    "RetrievalIndex",
+    "SpectralConfig",
+    "SpectralImage",
+    "StreamingFingerprinter",
+    "TranscriptDoc",
+    "TranscriptLabeler",
+    "Variant",
+    "add_noise",
+    "build_registry_from_transcripts",
+    "change_rate",
+    "check_hypotheses",
+    "cluster_dbscan",
+    "cluster_kmeans",
+    "config_digest",
+    "decode_wav",
+    "deserialize_fingerprint",
+    "emit",
+    "encode_wav",
+    "errors",
+    "extract_keywords",
+    "fingerprint_audio",
+    "identify_over_socket",
+    "load_results_csv",
+    "load_transcript",
+    "make_image",
+    "make_query",
+    "mel_filterbank",
+    "min_audio_seconds",
+    "parse_grid_config",
+    "random_offset_slice",
+    "resample",
+    "run_grid",
+    "serialize_fingerprint",
+    "serve",
+    "slice_seconds",
+    "stft_magnitude",
+    "stream_wav_bytes",
+    "synth_corpus",
+    "synth_speech_like",
+    "vectorize",
+]
+
+
+def test_public_names_resolve_and_are_pinned():
+    assert sorted(speechprint.__all__) == PUBLIC_NAMES
+    missing = [name for name in PUBLIC_NAMES if not hasattr(speechprint, name)]
+    assert missing == []

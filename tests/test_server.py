@@ -248,7 +248,7 @@ class TestBatcher:
         prints = [fingerprint_audio(c, SCFG, FCFG) for c in corpus[:4]]
         direct = [pipeline.index.query(fp) for fp in prints]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            batched = list(pool.map(lambda fp: batcher.submit(list(fp.subs)), prints))
+            batched = list(pool.map(batcher.submit, prints))
         assert batched == direct
         batcher.close()
 
