@@ -23,9 +23,11 @@ from speechprint.fingerprint import (
     FINGERPRINT_VERSION,
     Fingerprint,
     FingerprintConfig,
+    MinHasher,
     StreamingFingerprinter,
     config_digest,
     fingerprint_audio,
+    get_minhasher,
     serialize_fingerprint,
 )
 from speechprint.index import IndexStats, RetrievalIndex
@@ -176,6 +178,53 @@ def test_fingerprint_at_rate_matches_golden_digest(variant, geometry, rate):
     n_subs, digest = GOLDEN_DIGESTS_AT_RATE[(variant, geometry, rate)]
     assert len(fp.blocks) == n_subs
     assert fingerprint_digest(fp) == digest
+
+
+# sha256 of the bit-major rank table (``MinHasher._by_bit``, <i4) at the
+# benchmark geometry's dimension and the library's, recorded from the
+# builder that sorted one permutation at a time
+GOLDEN_MINHASH_TABLES = {
+    4096: "87336147126d94d95b5d0017a0f337163f3d90623d683cff9722509c73e2acd2",
+    16384: "243510ee6b91d3e5575a5834d24bc4669a7237554f1b4df046e1f09b07157e7c",
+}
+
+
+@pytest.mark.parametrize("dimension", sorted(GOLDEN_MINHASH_TABLES))
+def test_minhash_table_matches_golden_digest(dimension):
+    table = get_minhasher(LIBRARY.n_permutations, dimension, LIBRARY.seed)._by_bit
+    assert table.shape == (dimension, LIBRARY.n_permutations)
+    assert table.dtype == np.int32 and table.flags.c_contiguous
+    digest = hashlib.sha256(table.astype("<i4").tobytes()).hexdigest()
+    assert digest == GOLDEN_MINHASH_TABLES[dimension]
+
+
+# the smallest tables, recorded the same way; seed 2**64 - 1 and a
+# negative seed give other salts
+@pytest.mark.parametrize(
+    "shape, seed, positions",
+    [
+        ((1, 1), LIBRARY.seed, [[0]]),
+        ((3, 2), LIBRARY.seed, [[1, 0], [0, 1], [0, 1]]),
+        ((3, 2), 2**64 - 1, [[1, 0], [0, 1], [1, 0]]),
+        ((3, 2), -5, [[1, 0], [1, 0], [0, 1]]),
+    ],
+)
+def test_smallest_minhash_tables(shape, seed, positions):
+    hasher = MinHasher(*shape, seed)
+    assert hasher._positions.tolist() == positions
+    assert hasher._by_bit.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "n_permutations, dimension", [(1, 1), (3, 2), (7, 33), (100, 4096), (100, 16384)]
+)
+def test_minhash_rows_are_permutations(n_permutations, dimension):
+    positions = MinHasher(n_permutations, dimension, LIBRARY.seed)._positions
+    assert positions.shape == (n_permutations, dimension)
+    np.testing.assert_array_equal(
+        np.sort(positions, axis=1),
+        np.broadcast_to(np.arange(dimension), positions.shape),
+    )
 
 
 # 57 samples completes no block on most feeds and one on some; one block
