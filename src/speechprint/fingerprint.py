@@ -423,16 +423,21 @@ class MinHasher:
         self.n_permutations = n_permutations
         self.dimension = dimension
         self.seed = seed
-        base = np.arange(dimension, dtype=np.uint64)
-        positions = np.empty((n_permutations, dimension), dtype=np.int32)
-        ranks = np.arange(dimension, dtype=np.int32)
-        for j in range(n_permutations):
-            keys = splitmix64(base ^ np.uint64(mix64(seed * 0x1F123BB5 + j)))
-            order = np.argsort(keys, kind="stable")
-            positions[j, order] = ranks
+        salts = np.array(
+            [mix64(seed * 0x1F123BB5 + j) for j in range(n_permutations)],
+            dtype=np.uint64,
+        )
+        keys = splitmix64(salts[:, None] ^ np.arange(dimension, dtype=np.uint64))
+        # xor with a salt is injective and splitmix64 is a bijection on u64,
+        # so one permutation's keys are distinct and every sort kind gives
+        # the same order: the default kind is exact, not only faster
+        order = np.argsort(keys, axis=1)
         # stored bit-major, so one bit's positions under every permutation
-        # are one contiguous row to gather
-        self._by_bit = np.ascontiguousarray(positions.T)
+        # are one contiguous row to gather; bit order[j, r] has rank r
+        self._by_bit = np.empty((dimension, n_permutations), dtype=np.int32)
+        np.put_along_axis(
+            self._by_bit, order.T, np.arange(dimension, dtype=np.int32)[:, None], axis=0
+        )
         self._positions = self._by_bit.T
 
     def signature(self, bits: SparseBits) -> np.ndarray:

@@ -25,6 +25,7 @@ from speechprint.fingerprint import (
     serialize_fingerprint,
     top_t_signs,
 )
+from speechprint.hashing import mix64, splitmix64
 from speechprint.index import RetrievalIndex
 from speechprint.spectral import SpectralConfig, SpectralImage, Variant, make_image
 
@@ -352,6 +353,23 @@ class TestMinHash:
         hasher = MinHasher(8, 512, seed=42)
         for row in hasher._positions:
             assert np.array_equal(np.sort(row), np.arange(512))
+
+    @pytest.mark.parametrize(
+        "n_permutations, dimension, seed",
+        [(1, 1, 0), (5, 3, -5), (17, 1000, 2**64 - 1), (100, 4096, 0x5EED), (0, 8, 1)],
+    )
+    def test_table_equals_one_stable_sort_per_permutation(
+        self, n_permutations, dimension, seed
+    ):
+        """The one-pass table against the reference: a stable sort a row."""
+        base = np.arange(dimension, dtype=np.uint64)
+        want = np.empty((n_permutations, dimension), dtype=np.int32)
+        for j in range(n_permutations):
+            keys = splitmix64(base ^ np.uint64(mix64(seed * 0x1F123BB5 + j)))
+            want[j, np.argsort(keys, kind="stable")] = np.arange(dimension)
+        hasher = MinHasher(n_permutations, dimension, seed)
+        np.testing.assert_array_equal(hasher._positions, want)
+        assert hasher._by_bit.flags.c_contiguous
 
     def test_match_fraction_estimates_jaccard(self, rng):
         """Mean |match fraction - exact Jaccard| stays within 0.05 at p=1000."""
