@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .errors import ConfigError, DecodeError, RangeError, UnsupportedFormat
 
@@ -24,6 +23,8 @@ logger = logging.getLogger(__name__)
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
+#: format code -> (name, the one bit depth decoded)
+_SAMPLE_FORMATS = {_WAVE_FORMAT_PCM: ("PCM", 16), _WAVE_FORMAT_IEEE_FLOAT: ("float", 32)}
 
 _PCM16_SCALE = 32768.0
 
@@ -96,38 +97,47 @@ def _round_half_up(x: float) -> int:
 
 
 def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
-    """Returns (format_code, channels, sample_rate, bits_per_sample)."""
+    """Returns (format_code, channels, sample_rate, bits_per_sample).
+
+    Both decoders parse the fmt chunk here, so a header neither can decode
+    fails the same way in each, before any sample is read.
+
+    Raises:
+        DecodeError: a chunk under 16 bytes, or a sample rate of 0.
+        UnsupportedFormat: a channel count other than 1 or 2, or a format
+            code and bit depth other than 16-bit PCM and 32-bit float.
+    """
     if len(body) < 16:
         raise DecodeError("fmt chunk too small")
     format_code, channels, rate, _byte_rate, _block_align, bits = struct.unpack(
         "<HHIIHH", body[:16]
     )
+    if rate == 0:
+        raise DecodeError("invalid sample rate in fmt chunk")
+    if channels not in (1, 2):
+        raise UnsupportedFormat(f"unsupported channel count {channels}")
+    if format_code not in _SAMPLE_FORMATS:
+        raise UnsupportedFormat(f"unsupported WAV format code 0x{format_code:04x}")
+    name, depth = _SAMPLE_FORMATS[format_code]
+    if bits != depth:
+        raise UnsupportedFormat(f"unsupported {name} bit depth {bits}")
     return format_code, channels, rate, bits
 
 
 def _samples_from_raw(
     raw: bytes, format_code: int, channels: int, bits: int
 ) -> np.ndarray:
-    if channels not in (1, 2):
-        raise UnsupportedFormat(f"unsupported channel count {channels}")
+    """Mono samples of whole frames; the fields come from _parse_fmt_chunk."""
+    frame_bytes = channels * bits // 8
+    usable = len(raw) - (len(raw) % frame_bytes)
     if format_code == _WAVE_FORMAT_PCM:
-        if bits != 16:
-            raise UnsupportedFormat(f"unsupported PCM bit depth {bits}")
-        frame_bytes = 2 * channels
-        usable = len(raw) - (len(raw) % frame_bytes)
         data = np.frombuffer(raw[:usable], dtype="<i2").astype(np.float64)
         samples = data / _PCM16_SCALE
-    elif format_code == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits != 32:
-            raise UnsupportedFormat(f"unsupported float bit depth {bits}")
-        frame_bytes = 4 * channels
-        usable = len(raw) - (len(raw) % frame_bytes)
+    else:
         samples = np.frombuffer(raw[:usable], dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(samples)):
             raise DecodeError("float WAV contains non-finite samples")
         samples = _clip_unit(samples, "float wav decode")
-    else:
-        raise UnsupportedFormat(f"unsupported WAV format code 0x{format_code:04x}")
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
     return samples
@@ -165,8 +175,6 @@ def decode_wav(data: bytes) -> AudioBuffer:
     if raw is None:
         raise DecodeError("missing data chunk")
     format_code, channels, rate, bits = fmt
-    if rate <= 0:
-        raise DecodeError("invalid sample rate in fmt chunk")
     samples = _samples_from_raw(raw, format_code, channels, bits)
     return AudioBuffer(samples, rate)
 
@@ -210,11 +218,17 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     rate ratio, then fixes the length to round(len * target/source) with
     half-up rounding so durations stay predictable. Equal rates return
     the input unchanged.
+
+    The filter is scipy's ``resample_poly``, imported on first use: the
+    import costs more than a second, and decoding and fingerprinting at
+    the canonical rate never need it.
     """
     if target_rate <= 0:
         raise ConfigError(f"target_rate must be positive, got {target_rate}")
     if target_rate == audio.sample_rate:
         return audio
+    from scipy.signal import resample_poly
+
     g = gcd(target_rate, audio.sample_rate)
     up, down = target_rate // g, audio.sample_rate // g
     out = resample_poly(audio.samples, up, down)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .audio import decode_wav
 from .degrade import RATE_RANGE, DeteriorationSpec, make_query
@@ -253,7 +252,10 @@ def check_hypotheses(results: list[CellResult]) -> HypothesisReport:
 
     Requires at least two variants, three strides and three query
     lengths including one >= 6 s, since the claims are about those axes.
+    The Spearman test is scipy's ``spearmanr``, imported on first use.
     """
+    from scipy.stats import spearmanr
+
     if not results:
         raise ConfigError("no results to check")
     variants, strides, lens = _axes(results)

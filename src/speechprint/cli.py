@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import corpus as corpus_mod
-from .audio import decode_wav, dump_raw, resample
+from .audio import decode_wav, dump_raw, encode_wav, resample
 from .degrade import DeteriorationSpec, make_query
 from .errors import SpeechprintError
 from .fingerprint import FingerprintConfig, config_digest, fingerprint_audio
@@ -29,7 +29,6 @@ from .registry import (
 )
 from .server import serve
 from .spectral import SpectralConfig, Variant, make_image
-from .audio import encode_wav
 
 logger = logging.getLogger(__name__)
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
 
 from .audio import AudioBuffer, _clip_unit, slice_seconds
 from .errors import ConfigError, SilentSignal, TooShort
@@ -89,6 +88,8 @@ def _rate_filter(up: int, down: int) -> np.ndarray:
     At the factors in the thousands that a few-percent rate gives, its
     Kaiser design takes milliseconds, so a repeated rate reuses it.
     """
+    from scipy.signal import firwin
+
     n = max(up, down)
     taps = firwin(20 * n + 1, 1.0 / n, window=("kaiser", 5.0))
     taps.flags.writeable = False
@@ -101,6 +102,10 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     rate 1.03 makes everything 3% shorter and shifts every frequency up
     by 3%; the buffer's sample_rate field is unchanged, exactly like a
     capture whose clock drifted. Output length is round(len / rate).
+
+    scipy's ``firwin`` and ``resample_poly`` design and apply the filter;
+    both are imported on first use, so importing the package does not pay
+    for scipy.
     """
     if rate <= 0:
         raise ConfigError(f"rate must be positive, got {rate}")
@@ -112,6 +117,8 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
         # a rate this close to 1 rounds to the ratio 1/1: nothing to filter
         out = audio.samples.copy()
     else:
+        from scipy.signal import resample_poly
+
         # cast as resample_poly casts a filter it designs, so the bits match
         taps = _rate_filter(up, down).astype(audio.samples.dtype)
         out = resample_poly(audio.samples, up, down, window=taps)

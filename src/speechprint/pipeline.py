@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, _samples_from_raw, resample
+from .audio import AudioBuffer, _parse_fmt_chunk, _samples_from_raw, resample
 from .errors import DecodeError, IncompatibleIndex, SpeechprintError
 from .fingerprint import (
     FingerprintConfig,
@@ -82,9 +82,11 @@ class WavStreamDecoder:
         return self._fmt[2] if self._fmt else None
 
     def feed(self, chunk: bytes) -> np.ndarray:
-        """Returns the samples completed by this chunk (may be empty)."""
-        from .audio import _parse_fmt_chunk  # local to avoid import cycle noise
+        """Returns the samples completed by this chunk (may be empty).
 
+        Raises DecodeError or UnsupportedFormat for a fmt chunk that
+        decode_wav rejects, as soon as the whole chunk has arrived.
+        """
         if self._data_started:
             return self._convert(chunk)
         self._header.extend(chunk)
@@ -105,8 +107,8 @@ class WavStreamDecoder:
             elif chunk_id == b"data":
                 if self._fmt is None:
                     raise DecodeError("data chunk before fmt chunk")
-                format_code, channels, _rate, bits = self._fmt
-                self._frame_bytes = channels * (bits // 8)
+                _format_code, channels, _rate, bits = self._fmt
+                self._frame_bytes = channels * bits // 8
                 self._data_started = True
                 self._data_left = size
                 self._header = bytearray()

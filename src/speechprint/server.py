@@ -18,6 +18,7 @@ it, END finishes it, and its queries go straight to the index through
 the server's :class:`QueryBatcher`.
 """
 
+import importlib
 import logging
 import socket
 import socketserver
@@ -170,6 +171,10 @@ class PipelineServer(socketserver.ThreadingTCPServer):
     Shutdown is graceful: in-flight sessions (including enrolments) run
     to completion before ``server_close`` returns, so the index and
     registry are never left half-updated by a stop.
+
+    The package imports scipy only on first use. The server imports the
+    resampler (``scipy.signal``, more than a second) once at start, so no
+    session streaming at another rate than the canonical one pays for it.
     """
 
     allow_reuse_address = True
@@ -179,6 +184,7 @@ class PipelineServer(socketserver.ThreadingTCPServer):
     request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], pipeline: Pipeline) -> None:
+        importlib.import_module("scipy.signal")
         super().__init__(address, _SessionHandler)
         self.pipeline = pipeline
         self.batcher = QueryBatcher(pipeline.index)

@@ -9,7 +9,7 @@ import pytest
 
 from speechprint.audio import decode_wav, encode_wav, resample
 from speechprint.corpus import synth_speech_like
-from speechprint.errors import DecodeError, IncompatibleIndex
+from speechprint.errors import DecodeError, IncompatibleIndex, UnsupportedFormat
 from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
@@ -30,6 +30,14 @@ from speechprint.spectral import FrameTransform, SpectralConfig
 FCFG = FingerprintConfig()
 SCFG = SpectralConfig.for_variant("mel-vocal")
 DIGEST = config_digest(SCFG, FCFG, CANONICAL_RATE)
+
+# (channels, sample rate, bit depth, the error) of PCM fmt chunks that
+# decode_wav rejects; each once divided by zero in the stream decoder
+BAD_FMTS = {
+    "no-channels": (0, 8000, 16, UnsupportedFormat),
+    "4-bit": (1, 8000, 4, UnsupportedFormat),
+    "rate-0": (1, 0, 16, DecodeError),
+}
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +113,20 @@ class TestDecoder:
         decoder = WavStreamDecoder()
         with pytest.raises(DecodeError):
             decoder.feed(blob)
+
+    @pytest.mark.parametrize("header", sorted(BAD_FMTS))
+    @pytest.mark.parametrize("chunk_size", [1, 4096])
+    def test_bad_fmt_raises_like_batch_decoder(self, header, chunk_size):
+        channels, rate, bits, error = BAD_FMTS[header]
+        blob = pcm_wav(bytes(16000), channels, rate, bits)
+        with pytest.raises(DecodeError) as batch:
+            decode_wav(blob)
+        decoder = WavStreamDecoder()
+        with pytest.raises(DecodeError) as stream:
+            for i in range(0, len(blob), chunk_size):
+                decoder.feed(blob[i : i + chunk_size])
+        assert type(batch.value) is type(stream.value) is error
+        assert str(stream.value) == str(batch.value)
 
 
 def slice_two_seconds(clip):
@@ -186,6 +208,16 @@ class TestIdentifyStream:
         outcome = pipeline.identify_stream(iter([b"definitely not RIFF data"]))
         assert outcome.status == STATUS_ERROR
         assert "RIFF" in outcome.message
+
+    @pytest.mark.parametrize("header", sorted(BAD_FMTS))
+    def test_bad_fmt_stream_is_error(self, pipeline, header):
+        channels, rate, bits, error = BAD_FMTS[header]
+        blob = pcm_wav(bytes(16000), channels, rate, bits)
+        with pytest.raises(error) as batch:
+            decode_wav(blob)
+        outcome = pipeline.identify_stream(stream_wav_bytes(blob))
+        assert outcome.status == STATUS_ERROR
+        assert outcome.message == str(batch.value)
 
     def test_stream_shorter_than_one_block_is_error(self, pipeline):
         tiny = synth_speech_like(0.5, CANONICAL_RATE, seed=1)

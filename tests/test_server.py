@@ -11,7 +11,7 @@ import pytest
 
 from speechprint.audio import decode_wav, encode_wav, resample, slice_seconds
 from speechprint.corpus import synth_speech_like
-from speechprint.errors import SpeechprintError
+from speechprint.errors import DecodeError, SpeechprintError
 from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
@@ -154,6 +154,27 @@ class TestSessions:
             opcode, payload = read_frame(sock)
         assert opcode == OP_ERROR
         assert b"opcode" in payload
+
+    # (channels, sample rate, bit depth) of PCM fmt chunks that decode_wav
+    # rejects; each once ended the session without a reply frame
+    @pytest.mark.parametrize("channels, rate, bits", [(0, 8000, 16), (1, 8000, 4), (1, 0, 16)])
+    def test_bad_fmt_gets_error_frame(self, server, channels, rate, bits):
+        block = channels * bits // 8
+        fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * block, block, bits)
+        raw = bytes(16000)
+        body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        body += b"data" + struct.pack("<I", len(raw)) + raw
+        blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+        with pytest.raises(DecodeError) as batch:
+            decode_wav(blob)
+        with socket.create_connection(
+            ("127.0.0.1", server_port(server)), timeout=10
+        ) as sock:
+            write_frame(sock, OP_AUDIO_CHUNK, blob)
+            write_frame(sock, OP_END)
+            opcode, payload = read_frame(sock)
+        assert opcode == OP_ERROR
+        assert payload.decode("utf-8") == str(batch.value)
 
     def test_bad_frame_length_gets_error_frame(self, server):
         with socket.create_connection(
