@@ -219,9 +219,9 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     half-up rounding so durations stay predictable. Equal rates return
     the input unchanged.
 
-    The filter is scipy's ``resample_poly``, imported on first use: the
-    import costs more than a second, and decoding and fingerprinting at
-    the canonical rate never need it.
+    The filter is scipy's ``resample_poly``, imported on first use: that
+    import takes several times as long as the rest of the package's, and
+    decoding and fingerprinting at the canonical rate never need it.
     """
     if target_rate <= 0:
         raise ConfigError(f"target_rate must be positive, got {target_rate}")

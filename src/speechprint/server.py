@@ -173,8 +173,8 @@ class PipelineServer(socketserver.ThreadingTCPServer):
     registry are never left half-updated by a stop.
 
     The package imports scipy only on first use. The server imports the
-    resampler (``scipy.signal``, more than a second) once at start, so no
-    session streaming at another rate than the canonical one pays for it.
+    resampler (``scipy.signal``) once at start, so no session streaming at
+    another rate than the canonical one waits for that import.
     """
 
     allow_reuse_address = True
