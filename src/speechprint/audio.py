@@ -2,8 +2,8 @@
 
 All downstream processing works on :class:`AudioBuffer`: mono float64
 samples in [-1, 1] plus a sample rate. Telephony sources arrive at a mix
-of rates, so callers normalise to a single canonical rate (8000 Hz by
-default elsewhere in the package) before fingerprinting.
+of rates, so callers normalise to :data:`CANONICAL_RATE` (8000 Hz)
+before fingerprinting; :func:`decode_canonical` does both steps.
 
 Samples that fall outside [-1, 1] (float WAV input, resampler overshoot,
 additive noise) are clipped; every clip increments a module-level counter
@@ -124,10 +124,9 @@ def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
     return format_code, channels, rate, bits
 
 
-def _samples_from_raw(
-    raw: bytes, format_code: int, channels: int, bits: int
-) -> np.ndarray:
-    """Mono samples of whole frames; the fields come from _parse_fmt_chunk."""
+def _samples_from_raw(raw: bytes, fmt: tuple[int, int, int, int]) -> np.ndarray:
+    """Mono samples of whole frames; ``fmt`` is what _parse_fmt_chunk returns."""
+    format_code, channels, _rate, bits = fmt
     frame_bytes = channels * bits // 8
     usable = len(raw) - (len(raw) % frame_bytes)
     if format_code == _WAVE_FORMAT_PCM:
@@ -143,40 +142,116 @@ def _samples_from_raw(
     return samples
 
 
+def _walk_header(data: bytes) -> tuple[tuple[int, int, int, int], int, int] | None:
+    """Reads a WAV header's chunks up to its first data chunk.
+
+    Both decoders read chunk headers here only, so they agree on what a
+    file holds: fmt must come before data, the first data chunk is the
+    audio, and nothing after it is read. Returns the parsed fmt chunk and
+    the data body's offset and declared size, or None when ``data`` ends
+    before that body starts. Raises DecodeError for a non-RIFF input or a
+    data chunk before fmt, and what _parse_fmt_chunk raises for its chunk.
+    """
+    if len(data) < 12:
+        return None
+    if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
+        raise DecodeError("not a RIFF/WAVE file")
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(data):
+        chunk_id = data[pos : pos + 4]
+        (size,) = struct.unpack_from("<I", data, pos + 4)
+        body = pos + 8
+        if chunk_id == b"data":
+            if fmt is None:
+                raise DecodeError("data chunk before fmt chunk")
+            return fmt, body, size
+        if body + size > len(data):
+            return None
+        if chunk_id == b"fmt ":
+            fmt = _parse_fmt_chunk(data[body : body + size])
+        pos = body + size + (size & 1)  # chunks are word aligned
+    return None
+
+
 def decode_wav(data: bytes) -> AudioBuffer:
     """Decodes a RIFF/WAVE byte string into a mono :class:`AudioBuffer`.
 
     Accepts 16-bit PCM and 32-bit IEEE float, 1 or 2 channels. Stereo is
     downmixed by averaging. 16-bit values are scaled by 1/32768 so the
-    most negative code maps exactly to -1.0.
+    most negative code maps exactly to -1.0. The audio is the first data
+    chunk, which must follow the fmt chunk; chunks after it are ignored.
+
+    Unlike :class:`WavStreamDecoder`, which cannot tell a short stream
+    from one still arriving and decodes whatever data arrives, a whole
+    file whose data chunk is shorter than its declared size is an error.
 
     Raises:
         DecodeError: malformed or truncated container.
         UnsupportedFormat: valid container, unsupported encoding.
     """
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise DecodeError("not a RIFF/WAVE file")
-    fmt = None
-    raw = None
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (size,) = struct.unpack("<I", data[pos + 4 : pos + 8])
-        body = data[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise DecodeError(f"truncated {chunk_id!r} chunk")
-        if chunk_id == b"fmt ":
-            fmt = _parse_fmt_chunk(body)
-        elif chunk_id == b"data":
-            raw = body
-        pos += 8 + size + (size & 1)  # chunks are word aligned
-    if fmt is None:
-        raise DecodeError("missing fmt chunk")
-    if raw is None:
-        raise DecodeError("missing data chunk")
-    format_code, channels, rate, bits = fmt
-    samples = _samples_from_raw(raw, format_code, channels, bits)
-    return AudioBuffer(samples, rate)
+    header = _walk_header(data)
+    if header is None:
+        raise DecodeError("WAV header ends before a data chunk")
+    fmt, start, size = header
+    raw = data[start : start + size]
+    if len(raw) < size:
+        raise DecodeError("truncated data chunk")
+    return AudioBuffer(_samples_from_raw(raw, fmt), fmt[2])
+
+
+def decode_canonical(data: bytes) -> AudioBuffer:
+    """Decodes whole WAV bytes and resamples them to :data:`CANONICAL_RATE`."""
+    return resample(decode_wav(data), CANONICAL_RATE)
+
+
+class WavStreamDecoder:
+    """Incremental RIFF/WAVE decoder for chunked byte streams.
+
+    Buffers until the data chunk's header has arrived, then converts
+    every complete frame as it arrives, up to the data chunk's declared
+    size. It walks the header as :func:`decode_wav` does, so both decode
+    the same samples from the same bytes or raise the same error, except
+    for a data chunk cut short (see :func:`decode_wav`).
+    """
+
+    def __init__(self) -> None:
+        self._header = bytearray()
+        self._fmt: tuple[int, int, int, int] | None = None
+        self._tail = b""
+        self._data_left = 0  # bytes of the data chunk not yet seen
+
+    @property
+    def sample_rate(self) -> int | None:
+        return self._fmt[2] if self._fmt else None
+
+    def feed(self, chunk: bytes) -> np.ndarray:
+        """Returns the samples completed by this chunk (may be empty).
+
+        Raises DecodeError or UnsupportedFormat for a header that
+        decode_wav rejects, as soon as the offending chunk has arrived.
+        """
+        if self._fmt is not None:
+            return self._convert(chunk)
+        self._header.extend(chunk)
+        buf = bytes(self._header)
+        header = _walk_header(buf)
+        if header is None:
+            return np.empty(0)
+        self._fmt, start, self._data_left = header
+        self._header = bytearray()
+        return self._convert(buf[start:])
+
+    def _convert(self, raw: bytes) -> np.ndarray:
+        raw = raw[: self._data_left]
+        self._data_left -= len(raw)
+        raw = self._tail + raw
+        _format_code, channels, _rate, bits = self._fmt
+        usable = len(raw) - (len(raw) % (channels * bits // 8))
+        self._tail = raw[usable:]
+        if not usable:
+            return np.empty(0)
+        return _samples_from_raw(raw[:usable], self._fmt)
 
 
 def encode_wav(audio: AudioBuffer, bit_depth: int = 16) -> bytes:
@@ -209,6 +284,10 @@ def encode_wav(audio: AudioBuffer, bit_depth: int = 16) -> bytes:
 def dump_raw(audio: AudioBuffer) -> bytes:
     """Raw little-endian float32 samples, for debugging dumps."""
     return audio.samples.astype("<f4").tobytes()
+
+
+#: The rate every fingerprint and index is made at: telephony's 8 kHz.
+CANONICAL_RATE = 8000
 
 
 def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import decode_wav
+from .audio import CANONICAL_RATE, AudioBuffer, decode_canonical
 from .degrade import RATE_RANGE, DeteriorationSpec, make_query
 from .errors import ConfigError, IoError, TooShort
 from .fingerprint import FingerprintConfig, config_digest, fingerprint_audio
@@ -141,15 +141,15 @@ def _trial_seed(grid: ExperimentGrid, vi: int, si: int, li: int, trial: int):
     )
 
 
-def load_corpus(corpus_dir: str | Path) -> list[tuple[int, "np.ndarray"]]:
-    """Decodes every WAV under ``corpus_dir``; ids follow sorted names."""
+def load_corpus(corpus_dir: str | Path) -> list[tuple[int, AudioBuffer]]:
+    """Decodes every WAV under ``corpus_dir`` to 8 kHz; ids follow sorted names."""
     paths = sorted(Path(corpus_dir).glob("*.wav"))
     if not paths:
         raise ConfigError(f"no .wav files under {corpus_dir}")
     corpus = []
     for i, path in enumerate(paths):
         try:
-            corpus.append((i + 1, decode_wav(path.read_bytes())))
+            corpus.append((i + 1, decode_canonical(path.read_bytes())))
         except OSError as exc:
             raise IoError(f"cannot read {path}: {exc}") from exc
     return corpus
@@ -180,7 +180,7 @@ def run_grid(
             spectral = SpectralConfig.for_variant(
                 variant, window_s=window_ms / 1000.0, stride_s=stride_ms / 1000.0
             )
-            digest = config_digest(spectral, fp_config, corpus[0][1].sample_rate)
+            digest = config_digest(spectral, fp_config, CANONICAL_RATE)
             index = RetrievalIndex.for_config(digest, fp_config)
             for file_id, audio in corpus:
                 index.enroll(

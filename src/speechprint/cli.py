@@ -15,16 +15,15 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import corpus as corpus_mod
-from .audio import decode_wav, dump_raw, encode_wav, resample
+from .audio import CANONICAL_RATE, decode_canonical, decode_wav, dump_raw, encode_wav
 from .degrade import DeteriorationSpec, make_query
 from .errors import SpeechprintError
-from .fingerprint import FingerprintConfig, config_digest, fingerprint_audio
+from .fingerprint import FingerprintConfig, config_digest
 from .index import RetrievalIndex
-from .pipeline import CANONICAL_RATE, Pipeline, TranscriptLabeler, stream_wav_bytes
+from .pipeline import Pipeline, TranscriptLabeler, stream_wav_bytes
 from .registry import (
     LabelRegistry,
     build_registry_from_transcripts,
-    extract_keywords,
     load_transcript_dir,
 )
 from .server import serve
@@ -66,16 +65,21 @@ def _configs(args) -> tuple[SpectralConfig, FingerprintConfig]:
     return spectral, fingerprint
 
 
-def _load_audio(path: str):
-    audio = decode_wav(Path(path).read_bytes())
-    if audio.sample_rate != CANONICAL_RATE:
-        audio = resample(audio, CANONICAL_RATE)
-    return audio
-
-
-def _digest(args) -> int:
+def _pipeline(args, index_path=None, registry_path=None, **options) -> Pipeline:
+    """The pipeline at the flags' configs, over the index and registry
+    files given (the index must match the configs) or new empty ones."""
     spectral, fingerprint = _configs(args)
-    return config_digest(spectral, fingerprint, CANONICAL_RATE)
+    digest = config_digest(spectral, fingerprint, CANONICAL_RATE)
+    if index_path is None:
+        index = RetrievalIndex.for_config(digest, fingerprint)
+    else:
+        index = RetrievalIndex.load(index_path, digest)
+    registry = LabelRegistry.load(registry_path) if registry_path else LabelRegistry()
+    return Pipeline(index, registry, spectral, fingerprint, **options)
+
+
+def _load_audio(path):
+    return decode_canonical(Path(path).read_bytes())
 
 
 def cmd_synth(args) -> int:
@@ -116,29 +120,24 @@ def cmd_inspect_image(args) -> int:
 
 
 def cmd_index_build(args) -> int:
-    spectral, fingerprint = _configs(args)
-    index = RetrievalIndex.for_config(_digest(args), fingerprint)
+    pipeline = _pipeline(args)
     paths = sorted(Path(args.corpus).glob("*.wav"))
     if not paths:
         print(f"no .wav files under {args.corpus}", file=sys.stderr)
         return 1
     for i, path in enumerate(paths):
-        audio = _load_audio(path)
-        index.enroll(fingerprint_audio(audio, spectral, fingerprint, i + 1))
+        pipeline.index.enroll(pipeline.fingerprint(_load_audio(path), i + 1))
         print(f"enrolled {path.name} as file {i + 1}")
-    index.save(args.out)
-    print(f"index with {len(index)} files -> {args.out}")
+    pipeline.index.save(args.out)
+    print(f"index with {len(pipeline.index)} files -> {args.out}")
     return 0
 
 
 def cmd_index_add(args) -> int:
-    spectral, fingerprint = _configs(args)
-    index = RetrievalIndex.load(args.index, _digest(args))
-    file_id = args.file_id if args.file_id else max(index.file_ids, default=0) + 1
-    index.enroll(
-        fingerprint_audio(_load_audio(args.wav), spectral, fingerprint, file_id)
-    )
-    index.save(args.index)
+    pipeline = _pipeline(args, args.index)
+    file_id = args.file_id or pipeline.allocate_file_id()
+    pipeline.index.enroll(pipeline.fingerprint(_load_audio(args.wav), file_id))
+    pipeline.index.save(args.index)
     print(f"enrolled {args.wav} as file {file_id}")
     return 0
 
@@ -184,13 +183,8 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    spectral, fingerprint = _configs(args)
-    index = RetrievalIndex.load(args.index, _digest(args))
-    registry = (
-        LabelRegistry.load(args.registry) if args.registry else LabelRegistry()
-    )
-    pipeline = Pipeline(
-        index, registry, spectral, fingerprint, decision_after_s=args.after_s
+    pipeline = _pipeline(
+        args, args.index, args.registry, decision_after_s=args.after_s
     )
     outcome = pipeline.identify_stream(
         stream_wav_bytes(Path(args.wav).read_bytes()),
@@ -202,41 +196,26 @@ def cmd_identify(args) -> int:
         f"consumed={outcome.audio_consumed_s:.2f}s {outcome.message}"
     )
     if outcome.status == "enrolled" and args.save_index:
-        index.save(args.index)
+        pipeline.index.save(args.index)
         if args.registry:
-            registry.save(args.registry)
+            pipeline.registry.save(args.registry)
     return 0 if outcome.status != "error" else 1
 
 
 def cmd_enroll(args) -> int:
-    spectral, fingerprint = _configs(args)
-    index = RetrievalIndex.load(args.index, _digest(args))
-    registry = (
-        LabelRegistry.load(args.registry) if args.registry else LabelRegistry()
-    )
-    pipeline = Pipeline(
-        index,
-        registry,
-        spectral,
-        fingerprint,
-        labeler=TranscriptLabeler(registry),
-    )
+    pipeline = _pipeline(args, args.index, args.registry)
+    pipeline.labeler = TranscriptLabeler(pipeline.registry)
     outcome = pipeline.enroll_file(_load_audio(args.wav), args.transcript)
-    index.save(args.index)
+    pipeline.index.save(args.index)
     if args.registry:
-        registry.save(args.registry)
+        pipeline.registry.save(args.registry)
     print(f"enrolled file {outcome.file_id} label={outcome.label_id}")
     return 0
 
 
 def cmd_serve(args) -> int:
-    spectral, fingerprint = _configs(args)
-    index = RetrievalIndex.load(args.index, _digest(args))
-    registry = (
-        LabelRegistry.load(args.registry) if args.registry else LabelRegistry()
-    )
-    pipeline = Pipeline(
-        index, registry, spectral, fingerprint, decision_after_s=args.after_s
+    pipeline = _pipeline(
+        args, args.index, args.registry, decision_after_s=args.after_s
     )
     server = serve(args.listen, pipeline)
     host, port = server.server_address
@@ -276,15 +255,7 @@ def cmd_train_cluster(args) -> int:
 def cmd_train_keywords(args) -> int:
     docs = load_transcript_dir(args.transcripts)
     registry = LabelRegistry.load(args.registry)
-    entries = registry.entries()
-    for info in registry.clusters():
-        members = [fid for fid, label in entries.items() if label == info.label_id]
-        if not members:
-            continue
-        group = [d for d in docs if d.language == info.language]
-        registry.set_keywords(
-            info.label_id, extract_keywords(group, members, args.top_k)
-        )
+    registry.refresh_keywords(docs, args.top_k)
     registry.save(args.registry)
     print(f"refreshed keywords for {len(registry.clusters())} clusters")
     return 0

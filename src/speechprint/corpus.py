@@ -14,6 +14,8 @@ corpora as mutually distinct as different recorded announcements.
 Everything is a deterministic function of the seed.
 """
 
+from __future__ import annotations
+
 from pathlib import Path
 
 import numpy as np

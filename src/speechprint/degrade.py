@@ -7,6 +7,8 @@ Every step is driven by an explicit seed so a (file, spec, seed) triple
 always reproduces the same query bytes.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache

@@ -11,17 +11,15 @@ TCP server both run it.
 """
 
 import dataclasses
-import io
 import logging
-import struct
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, _parse_fmt_chunk, _samples_from_raw, resample
-from .errors import DecodeError, IncompatibleIndex, SpeechprintError
+from .audio import CANONICAL_RATE, AudioBuffer, WavStreamDecoder, resample
+from .errors import IncompatibleIndex, SpeechprintError
 from .fingerprint import (
     FingerprintConfig,
     Fingerprint,
@@ -36,7 +34,10 @@ from .spectral import SpectralConfig
 
 logger = logging.getLogger(__name__)
 
-CANONICAL_RATE = 8000
+#: Seconds of audio between a stream's decision points after the first
+REQUERY_INTERVAL_S = 2.0
+#: Seconds of audio after which a stream is only collected for enrolment
+MAX_WAIT_S = 12.0
 
 STATUS_IDENTIFIED = "identified"
 STATUS_ENROLLED = "enrolled"
@@ -58,75 +59,6 @@ class IdentifyOutcome:
     confidence: float = 0.0
     audio_consumed_s: float = 0.0
     message: str = ""
-
-
-class WavStreamDecoder:
-    """Incremental RIFF/WAVE decoder for chunked byte streams.
-
-    Buffers until the fmt and data headers are visible, then converts
-    every complete frame as it arrives, up to the data chunk's declared
-    size; chunks after it are ignored. Only the formats decode_wav
-    accepts are supported.
-    """
-
-    def __init__(self) -> None:
-        self._header = bytearray()
-        self._fmt: tuple[int, int, int, int] | None = None
-        self._frame_bytes = 0
-        self._tail = b""
-        self._data_started = False
-        self._data_left = 0  # bytes of the data chunk not yet seen
-
-    @property
-    def sample_rate(self) -> int | None:
-        return self._fmt[2] if self._fmt else None
-
-    def feed(self, chunk: bytes) -> np.ndarray:
-        """Returns the samples completed by this chunk (may be empty).
-
-        Raises DecodeError or UnsupportedFormat for a fmt chunk that
-        decode_wav rejects, as soon as the whole chunk has arrived.
-        """
-        if self._data_started:
-            return self._convert(chunk)
-        self._header.extend(chunk)
-        buf = bytes(self._header)
-        if len(buf) < 12:
-            return np.empty(0)
-        if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-            raise DecodeError("stream is not RIFF/WAVE")
-        pos = 12
-        while pos + 8 <= len(buf):
-            chunk_id = buf[pos : pos + 4]
-            (size,) = struct.unpack("<I", buf[pos + 4 : pos + 8])
-            if chunk_id == b"fmt ":
-                if pos + 8 + size > len(buf):
-                    return np.empty(0)  # wait for the full fmt chunk
-                self._fmt = _parse_fmt_chunk(buf[pos + 8 : pos + 8 + size])
-                pos += 8 + size + (size & 1)
-            elif chunk_id == b"data":
-                if self._fmt is None:
-                    raise DecodeError("data chunk before fmt chunk")
-                _format_code, channels, _rate, bits = self._fmt
-                self._frame_bytes = channels * bits // 8
-                self._data_started = True
-                self._data_left = size
-                self._header = bytearray()
-                return self._convert(buf[pos + 8 :])
-            else:
-                pos += 8 + size + (size & 1)
-        return np.empty(0)
-
-    def _convert(self, raw: bytes) -> np.ndarray:
-        raw = raw[: self._data_left]
-        self._data_left -= len(raw)
-        raw = self._tail + raw
-        usable = len(raw) - (len(raw) % self._frame_bytes)
-        self._tail = raw[usable:]
-        if not usable:
-            return np.empty(0)
-        format_code, channels, _rate, bits = self._fmt
-        return _samples_from_raw(raw[:usable], format_code, channels, bits)
 
 
 class PendingLabeler:
@@ -185,16 +117,13 @@ class Pipeline:
         spectral_config: SpectralConfig,
         fingerprint_config: FingerprintConfig,
         decision_after_s: float = 6.0,
-        requery_interval_s: float = 2.0,
-        max_wait_s: float = 12.0,
         labeler=None,
-        canonical_rate: int = CANONICAL_RATE,
     ) -> None:
-        if decision_after_s <= 0 or requery_interval_s <= 0:
-            raise SpeechprintError("decision and requery intervals must be positive")
-        if max_wait_s < decision_after_s:
-            raise SpeechprintError("max_wait_s must be >= decision_after_s")
-        digest = config_digest(spectral_config, fingerprint_config, canonical_rate)
+        if not 0 < decision_after_s <= MAX_WAIT_S:
+            raise SpeechprintError(
+                f"decision_after_s must be in (0, {MAX_WAIT_S:g}], got {decision_after_s}"
+            )
+        digest = config_digest(spectral_config, fingerprint_config, CANONICAL_RATE)
         if digest != index.config_digest:
             raise IncompatibleIndex(
                 f"pipeline config digest 0x{digest:016x} != "
@@ -205,14 +134,12 @@ class Pipeline:
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
         self.decision_after_s = decision_after_s
-        self.requery_interval_s = requery_interval_s
-        self.max_wait_s = max_wait_s
         self.labeler = labeler if labeler is not None else PendingLabeler()
-        self.canonical_rate = canonical_rate
         self._id_lock = threading.Lock()
         self._next_id = max(index.file_ids, default=0) + 1
 
-    def _alloc_file_id(self) -> int:
+    def allocate_file_id(self) -> int:
+        """The next file id: one above the largest the index held at start."""
         with self._id_lock:
             file_id = self._next_id
             self._next_id += 1
@@ -223,8 +150,7 @@ class Pipeline:
         return min_audio_seconds(self.spectral_config, self.fingerprint_config)
 
     def fingerprint(self, audio: AudioBuffer, file_id: int = 0) -> Fingerprint:
-        if audio.sample_rate != self.canonical_rate:
-            audio = resample(audio, self.canonical_rate)
+        audio = resample(audio, CANONICAL_RATE)
         return fingerprint_audio(
             audio, self.spectral_config, self.fingerprint_config, file_id
         )
@@ -245,7 +171,7 @@ class Pipeline:
         and inserted. When it fails or abstains the file is marked
         pending rather than blocking enrolment.
         """
-        file_id = self._alloc_file_id()
+        file_id = self.allocate_file_id()
         label_holder: list[int | None] = [None]
 
         def run_labeler() -> None:
@@ -286,9 +212,9 @@ class Pipeline:
     def _decision_points(self, first: float) -> list[float]:
         points = []
         t = first
-        while t <= self.max_wait_s + 1e-9:
+        while t <= MAX_WAIT_S + 1e-9:
             points.append(t)
-            t += self.requery_interval_s
+            t += REQUERY_INTERVAL_S
         return points
 
     def identify_stream(
@@ -351,7 +277,7 @@ class Session:
         if not samples.size:
             return None
         pipeline = self.pipeline
-        if not self._collected and rate == pipeline.canonical_rate:
+        if not self._collected and rate == CANONICAL_RATE:
             self._streamer = StreamingFingerprinter(
                 rate, pipeline.spectral_config, pipeline.fingerprint_config
             )
@@ -400,8 +326,8 @@ class Session:
 
     def _canonical_audio(self) -> AudioBuffer:
         audio = AudioBuffer(np.concatenate(self._collected), self._decoder.sample_rate)
-        if audio.sample_rate != self.pipeline.canonical_rate:
-            audio = resample(audio, self.pipeline.canonical_rate)
+        if audio.sample_rate != CANONICAL_RATE:
+            audio = resample(audio, CANONICAL_RATE)
         return audio
 
     def _streamed(self) -> Fingerprint:
@@ -425,9 +351,4 @@ class Session:
 
 def stream_wav_bytes(data: bytes, chunk_size: int = 4096) -> Iterable[bytes]:
     """Splits WAV bytes into chunks, for driving identify_stream."""
-    view = io.BytesIO(data)
-    while True:
-        chunk = view.read(chunk_size)
-        if not chunk:
-            return
-        yield chunk
+    return (data[i : i + chunk_size] for i in range(0, len(data), chunk_size))

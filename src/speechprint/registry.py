@@ -262,13 +262,17 @@ def extract_keywords(
     whole corpus rank low even when frequent inside the cluster. Returns
     at most top_k (term, weight) pairs with weight > 0, descending.
     """
+    return _top_terms(docs, *vectorize(docs, stop_words), member_ids, top_k)
+
+
+def _top_terms(docs, matrix, features, member_ids, top_k) -> list[tuple[str, float]]:
+    """extract_keywords over vectorize(docs), made once for all clusters."""
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     member_ids = set(member_ids)
     rows = [i for i, d in enumerate(docs) if d.file_id in member_ids]
     if not rows:
         raise ConfigError("member_ids match no documents")
-    matrix, features = vectorize(docs, stop_words)
     mean = matrix[rows].mean(axis=0)
     order = np.argsort(-mean, kind="stable")
     keywords = [
@@ -338,6 +342,25 @@ class LabelRegistry:
             if info is None:
                 raise NotFound(f"no label {label_id}")
             info.keywords = tuple(keywords)
+
+    def refresh_keywords(
+        self, docs: list[TranscriptDoc], top_k: int = 5, stop_words=None
+    ) -> None:
+        """Recomputes the keywords of every cluster that has members.
+
+        As :func:`extract_keywords` over the documents of each cluster's
+        language, which are vectorised once for all of its clusters.
+        """
+        entries = self.entries()
+        groups = {}
+        for info in self.clusters():
+            members = {f for f, label in entries.items() if label == info.label_id}
+            if members:
+                if info.language not in groups:
+                    group = [d for d in docs if d.language == info.language]
+                    groups[info.language] = group, *vectorize(group, stop_words)
+                keywords = _top_terms(*groups[info.language], members, top_k)
+                self.set_keywords(info.label_id, keywords)
 
     def cluster(self, label_id: int) -> ClusterInfo:
         with self._lock:
@@ -473,7 +496,7 @@ def build_registry_from_transcripts(
         by_language.setdefault(doc.language, []).append(doc)
     for language in sorted(by_language):
         group = by_language[language]
-        matrix, _features = vectorize(group, stop_words)
+        matrix, features = vectorize(group, stop_words)
         if algo == "kmeans":
             n_clusters = min(k if k is not None else max(len(group) // 4, 1), len(group))
             labels = cluster_kmeans(matrix, n_clusters, seed=seed)
@@ -485,7 +508,7 @@ def build_registry_from_transcripts(
                 for doc, lab in zip(group, labels)
                 if lab == cluster_number
             ]
-            keywords = extract_keywords(group, members, top_k, stop_words)
+            keywords = _top_terms(group, matrix, features, members, top_k)
             label_id = registry.create_cluster(
                 name=f"{language}-{cluster_number}",
                 language=language,

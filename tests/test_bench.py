@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from speechprint.audio import decode_wav
+from speechprint.audio import decode_wav, encode_wav, resample
 from speechprint.bench import (
     BENCH_FINGERPRINT,
     CSV_HEADER,
@@ -90,6 +90,21 @@ class TestLoadCorpus:
         with pytest.raises(ConfigError):
             load_corpus(tmp_path)
 
+    def test_audio_is_at_the_canonical_rate(self, tmp_path):
+        paths = mixed_rate_corpus(tmp_path / "corpus")
+        corpus = load_corpus(tmp_path / "corpus")
+        assert [audio.sample_rate for _id, audio in corpus] == [8000] * 3
+        rewritten = resample(decode_wav(paths[1].read_bytes()), 8000)
+        assert np.array_equal(corpus[1][1].samples, rewritten.samples)
+
+
+def mixed_rate_corpus(corpus_dir):
+    """Three 6 s files, the second rewritten at 16 kHz."""
+    paths = synth_corpus(corpus_dir, n_files=3, duration_s=6.0, seed=12)
+    clip = decode_wav(paths[1].read_bytes())
+    paths[1].write_bytes(encode_wav(resample(clip, 16000)))
+    return paths
+
 
 class TestRunGrid:
     def test_same_seed_reproduces_results(self, small_corpus_dir):
@@ -171,6 +186,21 @@ class TestRunGrid:
         (cell,) = run_grid(corpus_dir, grid)
         assert cell.accuracy == 0.0
         assert cell.mean_query_latency_s == 0.0
+
+    def test_mixed_rate_corpus_is_enrolled_at_the_canonical_rate(self, tmp_path):
+        mixed_rate_corpus(tmp_path / "corpus")
+        # whole-file queries with no noise and no rate change: the 16 kHz
+        # file is found like the others once both sides are at 8 kHz
+        grid = ExperimentGrid(
+            variants=(Variant.MEL_VOCAL,),
+            strides_ms=(25.0,),
+            query_lens_s=(6.0,),
+            snr_db_range=(200.0, 200.0),
+            rate_range=(1.0, 1.0),
+            trials_per_cell=3,
+        )
+        (cell,) = run_grid(tmp_path / "corpus", grid)
+        assert cell.accuracy == 1.0
 
     def test_progress_callback_sees_every_cell(self, small_corpus_dir):
         grid = ExperimentGrid(

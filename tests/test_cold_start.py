@@ -2,9 +2,10 @@
 
 scipy is imported only on first use (resampling, degradation and the
 grid's Spearman test), so a CLI call or worker start that only decodes,
-fingerprints and queries at the canonical rate never pays for it. Each
-test runs its steps in a fresh interpreter, because this one has long
-since imported scipy.
+fingerprints and queries at the canonical rate never pays for it.
+Neither does it load ``numpy.random``, which only synthesis and
+degradation use. Each test runs its steps in a fresh interpreter,
+because this one has long since imported both.
 """
 
 import subprocess
@@ -35,6 +36,19 @@ assert index.query(prints).file_id == 7
 index.save(sys.argv[2])
 assert sp.RetrievalIndex.load(sys.argv[2], digest).file_ids == [7]
 print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+# the benchmark's cold start alone: no step draws a random number
+BARE_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import speechprint as sp
+import speechprint.cli
+from speechprint.bench import BENCH_FINGERPRINT as fp
+spectral = sp.SpectralConfig.for_variant("mel-vocal")
+sp.StreamingFingerprinter(8000, spectral, fp)
+sp.RetrievalIndex.for_config(sp.config_digest(spectral, fp, 8000), fp)
+print("numpy.random" in sys.modules)
 """
 
 # a server readies the resampler at start, and a 16 kHz stream resamples
@@ -73,3 +87,7 @@ def test_cold_start_loads_no_scipy(tmp_path):
 
 def test_server_start_loads_the_resampler():
     run(SERVER_START)
+
+
+def test_cold_start_loads_no_numpy_random():
+    assert run(BARE_START) == "False"

@@ -129,6 +129,86 @@ class TestDecoder:
         assert str(stream.value) == str(batch.value)
 
 
+def riff(*chunks: tuple[bytes, bytes], sizes: dict | None = None) -> bytes:
+    """A RIFF/WAVE container of (id, body) chunks, each word aligned.
+
+    ``sizes`` overrides the declared size of the chunk with that id.
+    """
+    body = b""
+    for chunk_id, chunk in chunks:
+        size = (sizes or {}).get(chunk_id, len(chunk))
+        body += chunk_id + struct.pack("<I", size) + chunk + b"\x00" * (len(chunk) & 1)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+FMT_8K = (b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16))
+PCM_100 = np.arange(-50, 50, dtype="<i2").tobytes()
+PCM_10 = np.full(10, 1234, dtype="<i2").tobytes()
+LIST = (b"LIST", b"INFOISFT" + struct.pack("<I", 6) + b"synth\x00")
+
+# name -> (WAV bytes, the samples as int16 codes or the error class of
+# decode_wav, the int16 codes a stream of the same bytes decodes). A
+# stream cannot know that it has ended, so where a whole file is
+# malformed at its end (truncated data, no data chunk) it keeps what
+# arrived; everywhere else both decoders agree.
+DECODER_CASES = {
+    "plain": (riff(FMT_8K, (b"data", PCM_100)), PCM_100, PCM_100),
+    "two-data-chunks": (
+        riff(FMT_8K, (b"data", PCM_100), (b"data", PCM_10)), PCM_100, PCM_100
+    ),
+    "fmt-after-data": (
+        riff((b"data", PCM_100), FMT_8K), DecodeError, DecodeError
+    ),
+    "list-after-data": (
+        riff(FMT_8K, (b"data", PCM_100), LIST), PCM_100, PCM_100
+    ),
+    "odd-sized-data": (
+        riff(FMT_8K, (b"data", PCM_100 + b"\x07"), LIST), PCM_100, PCM_100
+    ),
+    "truncated-data": (
+        riff(FMT_8K, (b"data", PCM_100), sizes={b"data": 400}), DecodeError, PCM_100
+    ),
+    "missing-data": (riff(FMT_8K, LIST), DecodeError, b""),
+    "not-riff": (b"RIFX" + riff(FMT_8K, (b"data", PCM_100))[4:], DecodeError, DecodeError),
+}
+
+
+def stream_decode(blob: bytes, chunk_size: int):
+    """The samples a WavStreamDecoder yields for blob, or its error class."""
+    decoder = WavStreamDecoder()
+    try:
+        parts = [
+            decoder.feed(blob[i : i + chunk_size])
+            for i in range(0, len(blob), chunk_size)
+        ]
+    except DecodeError as exc:
+        return type(exc)
+    return np.concatenate([np.empty(0), *parts])
+
+
+class TestDecoderAgreement:
+    """Both decoders follow one rule: fmt before data, the first data wins."""
+
+    @pytest.mark.parametrize("case", list(DECODER_CASES))
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+    def test_stream_decodes_like_whole_file(self, case, chunk_size):
+        blob, whole, streamed = DECODER_CASES[case]
+        if isinstance(whole, type):
+            with pytest.raises(whole):
+                decode_wav(blob)
+        else:
+            assert np.array_equal(decode_wav(blob).samples, codes(whole))
+        got = stream_decode(blob, chunk_size)
+        if isinstance(streamed, type):
+            assert got is streamed
+        else:
+            assert np.array_equal(got, codes(streamed))
+
+
+def codes(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw, dtype="<i2") / 32768.0
+
+
 def slice_two_seconds(clip):
     from speechprint.audio import slice_seconds
 
@@ -328,7 +408,7 @@ class TestPolicy:
         with pytest.raises(SpeechprintError):
             Pipeline(index, registry, SCFG, FCFG, decision_after_s=0.0)
         with pytest.raises(SpeechprintError):
-            Pipeline(index, registry, SCFG, FCFG, max_wait_s=2.0)
+            Pipeline(index, registry, SCFG, FCFG, decision_after_s=12.5)
 
     def test_index_of_another_config_rejected(self):
         linear = SpectralConfig.for_variant("linear-vocal")
