@@ -124,11 +124,15 @@ def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
     return format_code, channels, rate, bits
 
 
-def _samples_from_raw(raw: bytes, fmt: tuple[int, int, int, int]) -> np.ndarray:
-    """Mono samples of whole frames; ``fmt`` is what _parse_fmt_chunk returns."""
+def _samples_from_raw(
+    raw: bytes, fmt: tuple[int, int, int, int]
+) -> tuple[np.ndarray, bytes]:
+    """Mono samples of raw's whole frames, and the bytes of a partial one.
+
+    ``fmt`` is what _parse_fmt_chunk returns.
+    """
     format_code, channels, _rate, bits = fmt
-    frame_bytes = channels * bits // 8
-    usable = len(raw) - (len(raw) % frame_bytes)
+    usable = len(raw) - (len(raw) % (channels * bits // 8))
     if format_code == _WAVE_FORMAT_PCM:
         data = np.frombuffer(raw[:usable], dtype="<i2").astype(np.float64)
         samples = data / _PCM16_SCALE
@@ -139,7 +143,7 @@ def _samples_from_raw(raw: bytes, fmt: tuple[int, int, int, int]) -> np.ndarray:
         samples = _clip_unit(samples, "float wav decode")
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    return samples
+    return samples, raw[usable:]
 
 
 def _walk_header(data: bytes) -> tuple[tuple[int, int, int, int], int, int] | None:
@@ -197,7 +201,8 @@ def decode_wav(data: bytes) -> AudioBuffer:
     raw = data[start : start + size]
     if len(raw) < size:
         raise DecodeError("truncated data chunk")
-    return AudioBuffer(_samples_from_raw(raw, fmt), fmt[2])
+    samples, _partial_frame = _samples_from_raw(raw, fmt)
+    return AudioBuffer(samples, fmt[2])
 
 
 def decode_canonical(data: bytes) -> AudioBuffer:
@@ -245,13 +250,8 @@ class WavStreamDecoder:
     def _convert(self, raw: bytes) -> np.ndarray:
         raw = raw[: self._data_left]
         self._data_left -= len(raw)
-        raw = self._tail + raw
-        _format_code, channels, _rate, bits = self._fmt
-        usable = len(raw) - (len(raw) % (channels * bits // 8))
-        self._tail = raw[usable:]
-        if not usable:
-            return np.empty(0)
-        return _samples_from_raw(raw[:usable], self._fmt)
+        samples, self._tail = _samples_from_raw(self._tail + raw, self._fmt)
+        return samples
 
 
 def encode_wav(audio: AudioBuffer, bit_depth: int = 16) -> bytes:

@@ -150,7 +150,8 @@ class Pipeline:
         return min_audio_seconds(self.spectral_config, self.fingerprint_config)
 
     def fingerprint(self, audio: AudioBuffer, file_id: int = 0) -> Fingerprint:
-        audio = resample(audio, CANONICAL_RATE)
+        if audio.sample_rate != CANONICAL_RATE:
+            audio = resample(audio, CANONICAL_RATE)
         return fingerprint_audio(
             audio, self.spectral_config, self.fingerprint_config, file_id
         )

@@ -343,9 +343,7 @@ class LabelRegistry:
                 raise NotFound(f"no label {label_id}")
             info.keywords = tuple(keywords)
 
-    def refresh_keywords(
-        self, docs: list[TranscriptDoc], top_k: int = 5, stop_words=None
-    ) -> None:
+    def refresh_keywords(self, docs: list[TranscriptDoc], top_k: int) -> None:
         """Recomputes the keywords of every cluster that has members.
 
         As :func:`extract_keywords` over the documents of each cluster's
@@ -358,7 +356,7 @@ class LabelRegistry:
             if members:
                 if info.language not in groups:
                     group = [d for d in docs if d.language == info.language]
-                    groups[info.language] = group, *vectorize(group, stop_words)
+                    groups[info.language] = group, *vectorize(group)
                 keywords = _top_terms(*groups[info.language], members, top_k)
                 self.set_keywords(info.label_id, keywords)
 
