@@ -146,18 +146,27 @@ def _samples_from_raw(
     return samples, raw[usable:]
 
 
-def _walk_header(data: bytes) -> tuple[tuple[int, int, int, int], int, int] | None:
+#: Most bytes a WAV file may hold before its data chunk's body. Both
+#: decoders reject a longer header, so a stream cannot make the server
+#: buffer an unbounded header, and a file is read alike either way.
+_MAX_HEADER_BYTES = 1 << 24
+
+
+def _walk_header(data: bytes) -> tuple[tuple[int, int, int, int], int, int] | int:
     """Reads a WAV header's chunks up to its first data chunk.
 
     Both decoders read chunk headers here only, so they agree on what a
     file holds: fmt must come before data, the first data chunk is the
-    audio, and nothing after it is read. Returns the parsed fmt chunk and
-    the data body's offset and declared size, or None when ``data`` ends
-    before that body starts. Raises DecodeError for a non-RIFF input or a
-    data chunk before fmt, and what _parse_fmt_chunk raises for its chunk.
+    audio, its body starts within the first :data:`_MAX_HEADER_BYTES`
+    bytes, and nothing after it is read. Returns the parsed fmt chunk and
+    the data body's offset and declared size or, when ``data`` ends
+    before that body starts, the length ``data`` must reach before
+    another walk can get further. Raises DecodeError for a non-RIFF
+    input, a data chunk before fmt or a header over the cap, and what
+    _parse_fmt_chunk raises for its chunk.
     """
     if len(data) < 12:
-        return None
+        return 12
     if data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DecodeError("not a RIFF/WAVE file")
     fmt = None
@@ -170,12 +179,17 @@ def _walk_header(data: bytes) -> tuple[tuple[int, int, int, int], int, int] | No
             if fmt is None:
                 raise DecodeError("data chunk before fmt chunk")
             return fmt, body, size
-        if body + size > len(data):
-            return None
+        end = body + size
+        if end + (size & 1) + 8 > _MAX_HEADER_BYTES:
+            raise DecodeError(
+                f"more than {_MAX_HEADER_BYTES} bytes before the data chunk"
+            )
+        if end > len(data):
+            return end
         if chunk_id == b"fmt ":
-            fmt = _parse_fmt_chunk(data[body : body + size])
-        pos = body + size + (size & 1)  # chunks are word aligned
-    return None
+            fmt = _parse_fmt_chunk(data[body:end])
+        pos = end + (size & 1)  # chunks are word aligned
+    return pos + 8
 
 
 def decode_wav(data: bytes) -> AudioBuffer:
@@ -195,7 +209,7 @@ def decode_wav(data: bytes) -> AudioBuffer:
         UnsupportedFormat: valid container, unsupported encoding.
     """
     header = _walk_header(data)
-    if header is None:
+    if isinstance(header, int):
         raise DecodeError("WAV header ends before a data chunk")
     fmt, start, size = header
     raw = data[start : start + size]
@@ -222,6 +236,7 @@ class WavStreamDecoder:
 
     def __init__(self) -> None:
         self._header = bytearray()
+        self._header_need = 0  # buffered bytes the next header walk needs
         self._fmt: tuple[int, int, int, int] | None = None
         self._tail = b""
         self._data_left = 0  # bytes of the data chunk not yet seen
@@ -235,16 +250,20 @@ class WavStreamDecoder:
 
         Raises DecodeError or UnsupportedFormat for a header that
         decode_wav rejects, as soon as the offending chunk has arrived.
+        The header is walked again only once the bytes the last walk
+        stopped short of have arrived, so a long one costs linear time.
         """
         if self._fmt is not None:
             return self._convert(chunk)
-        self._header.extend(chunk)
-        buf = bytes(self._header)
-        header = _walk_header(buf)
-        if header is None:
+        self._header += chunk
+        if len(self._header) < self._header_need:
+            return np.empty(0)
+        header = _walk_header(self._header)
+        if isinstance(header, int):
+            self._header_need = header
             return np.empty(0)
         self._fmt, start, self._data_left = header
-        self._header = bytearray()
+        buf, self._header = self._header, bytearray()
         return self._convert(buf[start:])
 
     def _convert(self, raw: bytes) -> np.ndarray:

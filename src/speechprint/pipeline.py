@@ -85,9 +85,12 @@ class TranscriptLabeler:
         if transcript_path is None:
             return None
         doc = load_transcript(transcript_path, file_id=0)
+        if not doc.tokens:
+            return None
         counts = {}
         for token in doc.tokens:
             counts[token] = counts.get(token, 0) + 1
+        doc_norm = np.sqrt(sum(c * c for c in counts.values()))
         best_label, best_score = None, 0.0
         for info in self.registry.clusters():
             if info.language not in (doc.language, "und") and doc.language != "und":
@@ -95,9 +98,8 @@ class TranscriptLabeler:
             if not info.keywords:
                 continue
             dot = sum(counts.get(t, 0) * w for t, w in info.keywords)
-            doc_norm = np.sqrt(sum(c * c for c in counts.values()))
             kw_norm = np.sqrt(sum(w * w for _t, w in info.keywords))
-            if doc_norm == 0 or kw_norm == 0:
+            if kw_norm == 0:
                 continue
             score = dot / (doc_norm * kw_norm)
             if score > best_score:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speechprint import audio as audio_module
 from speechprint.audio import decode_wav, encode_wav, resample
 from speechprint.corpus import synth_speech_like
 from speechprint.errors import DecodeError, IncompatibleIndex, UnsupportedFormat
@@ -170,6 +171,16 @@ DECODER_CASES = {
     ),
     "missing-data": (riff(FMT_8K, LIST), DecodeError, b""),
     "not-riff": (b"RIFX" + riff(FMT_8K, (b"data", PCM_100))[4:], DecodeError, DecodeError),
+    "header-over-cap": (
+        riff(
+            FMT_8K,
+            LIST,
+            (b"data", PCM_100),
+            sizes={b"LIST": audio_module._MAX_HEADER_BYTES},
+        ),
+        DecodeError,
+        DecodeError,
+    ),
 }
 
 
@@ -203,6 +214,24 @@ class TestDecoderAgreement:
             assert got is streamed
         else:
             assert np.array_equal(got, codes(streamed))
+
+    def test_long_header_walked_a_bounded_number_of_times(self, monkeypatch):
+        """A 4 MiB chunk before the data, fed in 4 KiB pieces, is walked
+        once it has arrived, not once per piece."""
+        calls = []
+
+        def counting_walk(data):
+            calls.append(len(data))
+            return walk(data)
+
+        walk = audio_module._walk_header
+        monkeypatch.setattr(audio_module, "_walk_header", counting_walk)
+        blob = riff(FMT_8K, (b"LIST", bytes(1 << 22)), (b"data", PCM_100))
+        assert np.array_equal(stream_decode(blob, 4096), codes(PCM_100))
+        assert len(calls) <= 3
+        calls.clear()
+        assert np.array_equal(decode_wav(blob).samples, codes(PCM_100))
+        assert calls == [len(blob)]
 
 
 def codes(raw: bytes) -> np.ndarray:
@@ -374,6 +403,11 @@ class TestTranscriptLabeler:
             "lang=de\nsie haben die voicemail message erreicht\n",
             encoding="utf-8",
         )
+        assert TranscriptLabeler(registry)(None, path) is None
+
+    def test_transcript_without_tokens_abstains(self, registry, tmp_path):
+        path = tmp_path / "0.txt"
+        path.write_text("lang=en\n\n", encoding="utf-8")
         assert TranscriptLabeler(registry)(None, path) is None
 
     def test_dissimilar_transcript_abstains(self, registry, tmp_path):
