@@ -92,10 +92,6 @@ class ExperimentGrid:
                 f"rate_range must sit inside [{RATE_RANGE[0]}, {RATE_RANGE[1]}]"
             )
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.variants) * len(self.strides_ms) * len(self.query_lens_s)
-
 
 @dataclass(frozen=True)
 class CellResult:

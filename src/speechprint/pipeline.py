@@ -28,7 +28,7 @@ from .fingerprint import (
     fingerprint_audio,
     min_audio_seconds,
 )
-from .index import MatchResult, RetrievalIndex
+from .index import RetrievalIndex
 from .registry import LabelRegistry, load_transcript
 from .spectral import SpectralConfig
 
@@ -38,6 +38,11 @@ logger = logging.getLogger(__name__)
 REQUERY_INTERVAL_S = 2.0
 #: Seconds of audio after which a stream is only collected for enrolment
 MAX_WAIT_S = 12.0
+#: Seconds of audio a session accepts before it fails. A SIP proxy gives up
+#: on an unanswered INVITE after three minutes (RFC 3261 timer C), so no
+#: early-media phase runs longer; a session holds its decoded audio until
+#: it ends, which at 8 kHz caps it at 11.5 MB of float64 samples.
+MAX_STREAM_S = 180.0
 
 STATUS_IDENTIFIED = "identified"
 STATUS_ENROLLED = "enrolled"
@@ -158,10 +163,6 @@ class Pipeline:
             audio, self.spectral_config, self.fingerprint_config, file_id
         )
 
-    def identify_buffer(self, audio: AudioBuffer) -> MatchResult | None:
-        """One-shot query of a whole buffer (no streaming, no enrolment)."""
-        return self.index.query(self.fingerprint(audio))
-
     def enroll_file(
         self, audio: AudioBuffer, transcript_path=None, *, fingerprint=None
     ) -> IdentifyOutcome:
@@ -250,12 +251,21 @@ class Session:
     enrolls it as a new file on a miss.
 
     ``query`` is the lookup, called with a :class:`Fingerprint` of the
-    stream so far: ``pipeline.index.query``, or a server's batcher. A
-    stream at the canonical rate is fingerprinted once, as it arrives, and
-    its streamer's signature rows serve every query and the enrolment. A
-    stream at another rate is resampled and fingerprinted at each decision
-    point, and once more at the end for both the final query and the
-    enrolment.
+    stream so far: ``pipeline.index.query``, or a server's batcher.
+    :meth:`feed` only decodes and collects samples until a decision point
+    is due. A stream at the canonical rate is fingerprinted once, by one
+    streamer that is fed, at each decision point and at :meth:`finish`,
+    the samples collected since its last feed in one array; its signature
+    rows serve every query and the enrolment. The streamer's output does
+    not depend on how its input is chunked, so this gives the same bits as
+    feeding it every chunk, at one call per decision instead of one per
+    chunk. The price: a real-time stream does its first ``decision_after_s``
+    of fingerprinting at once (about 4 ms for 6 s at the library geometry)
+    rather than spread over the stream. A stream at another rate is
+    resampled and fingerprinted at each decision point, and once more at
+    the end for both the final query and the enrolment.
+
+    A stream longer than :data:`MAX_STREAM_S` seconds of audio fails.
 
     Library errors (undecodable bytes, a failed enrolment) raise. Once an
     outcome is returned the session is over.
@@ -269,37 +279,35 @@ class Session:
         self._decisions = pipeline._decision_points(pipeline.decision_after_s)
         self._collected: list[np.ndarray] = []
         self._consumed = 0
-        # set on the first samples of a stream at the canonical rate
+        # set on the first decision point of a stream at the canonical rate
         self._streamer: StreamingFingerprinter | None = None
+        self._fed = 0  # chunks of _collected the streamer has consumed
         self._signatures: list[np.ndarray] = []
 
     def feed(self, chunk: bytes) -> IdentifyOutcome | None:
         """Consumes the next bytes; an outcome when a decision point hits."""
         samples = self._decoder.feed(chunk)
-        rate = self._decoder.sample_rate
         if not samples.size:
             return None
-        pipeline = self.pipeline
-        if not self._collected and rate == CANONICAL_RATE:
-            self._streamer = StreamingFingerprinter(
-                rate, pipeline.spectral_config, pipeline.fingerprint_config
+        rate = self._decoder.sample_rate
+        if self._consumed + samples.size > MAX_STREAM_S * rate:
+            raise SpeechprintError(
+                f"stream exceeds the {MAX_STREAM_S:g} s cap on a session's audio"
             )
         self._collected.append(samples)
         self._consumed += samples.size
-        if self._streamer is not None:
-            self._signatures.append(self._streamer.feed(samples))
         consumed_s = self._consumed / rate
         due = [t for t in self._decisions if t <= consumed_s + 1e-9]
         if not due:
             return None
         del self._decisions[: len(due)]
-        if self._streamer is not None:
+        if rate == CANONICAL_RATE:
             fp = self._streamed()
         else:
             audio = self._canonical_audio()
-            if audio.duration_seconds < pipeline.min_decision_audio_s - 1e-9:
+            if audio.duration_seconds < self.pipeline.min_decision_audio_s - 1e-9:
                 return None
-            fp = pipeline.fingerprint(audio)
+            fp = self.pipeline.fingerprint(audio)
         return self._identify(fp, consumed_s)
 
     def finish(self) -> IdentifyOutcome:
@@ -318,7 +326,7 @@ class Session:
                 ),
                 audio_consumed_s=audio.duration_seconds,
             )
-        if self._streamer is not None:
+        if self._decoder.sample_rate == CANONICAL_RATE:
             fp = self._streamed()
         else:
             fp = pipeline.fingerprint(audio)
@@ -334,7 +342,18 @@ class Session:
         return audio
 
     def _streamed(self) -> Fingerprint:
-        """The streamer's signature rows so far, blocks 0 onwards."""
+        """Feeds the streamer every sample collected since its last feed, in
+        one array; its signature rows so far, blocks 0 onwards."""
+        if self._streamer is None:
+            self._streamer = StreamingFingerprinter(
+                CANONICAL_RATE,
+                self.pipeline.spectral_config,
+                self.pipeline.fingerprint_config,
+            )
+        if self._fed < len(self._collected):
+            fresh = np.concatenate(self._collected[self._fed :])
+            self._fed = len(self._collected)
+            self._signatures.append(self._streamer.feed(fresh))
         signatures = np.concatenate(self._signatures)
         blocks = np.arange(len(signatures))
         return Fingerprint(0, signatures, blocks, self.pipeline.index.config_digest)

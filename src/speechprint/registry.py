@@ -401,10 +401,6 @@ class LabelRegistry:
         with self._lock:
             return frozenset(self._pending)
 
-    def member_count(self, label_id: int) -> int:
-        with self._lock:
-            return sum(1 for v in self._entries.values() if v == label_id)
-
     def save(self, path: str | Path) -> None:
         """Writes a line-oriented, human-readable registry file atomically."""
         with self._lock:

@@ -15,7 +15,14 @@ Server to client:
 Each connection is one :class:`~speechprint.pipeline.Session`, the same
 identify-or-enroll state machine the CLI runs: AUDIO_CHUNK frames feed
 it, END finishes it, and its queries go straight to the index through
-the server's :class:`QueryBatcher`.
+the server's :class:`QueryBatcher`. A session decodes each frame as it
+arrives but fingerprints only at its decision points and at END.
+
+Both ends move frames through buffered socket files: the server reads
+each connection through a 64 KiB buffer, and :func:`identify_over_socket`
+writes all of its frames through one buffered writer that it flushes
+once, after END. The frames on the wire are unchanged, so any client
+that writes them, in pieces of any size, talks to any server.
 """
 
 import importlib
@@ -23,6 +30,7 @@ import logging
 import socket
 import socketserver
 import struct
+from typing import BinaryIO
 
 from .errors import SpeechprintError
 from .fingerprint import Fingerprint
@@ -45,40 +53,39 @@ OP_ERROR = 0x11
 
 _STATUS_CODES = {STATUS_IDENTIFIED: 0, STATUS_ENROLLED: 1}
 _MAX_FRAME = 1 << 22  # 4 MiB of payload is far beyond any sane chunk
+# socket file buffer: one recv or send moves about 16 frames of 4 KiB
+_BUFFER_BYTES = 1 << 16
 #: Seconds a session may wait on its client before it is dropped. Sessions
 #: run on non-daemon threads that ``server_close`` joins, so without it one
 #: silent client would hold a shutdown forever.
 READ_TIMEOUT_S = 30.0
 
 
-def write_frame(sock: socket.socket, opcode: int, payload: bytes = b"") -> None:
-    sock.sendall(struct.pack("<IB", len(payload) + 1, opcode) + payload)
+def write_frame(out: BinaryIO, opcode: int, payload: bytes = b"") -> None:
+    """Writes one frame to a binary stream in one write call, so that an
+    unbuffered socket writer sends it in one piece."""
+    out.write(struct.pack("<IB", len(payload) + 1, opcode) + payload)
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
-    """Reads one frame; None on clean EOF before any byte."""
-    header = _read_exact(sock, 4)
-    if header is None:
+def read_frame(stream: BinaryIO) -> tuple[int, bytes] | None:
+    """Reads one frame from a buffered binary stream, such as a socket's
+    ``makefile("rb")``; None on clean EOF before any byte.
+
+    A buffered reader's ``read(n)`` returns fewer than n bytes only at
+    EOF, so a short read is a dropped connection.
+    """
+    header = stream.read(4)
+    if not header:
         return None
+    if len(header) < 4:
+        raise SpeechprintError("connection dropped mid-frame")
     (length,) = struct.unpack("<I", header)
     if not 1 <= length <= _MAX_FRAME:
         raise SpeechprintError(f"bad frame length {length}")
-    body = _read_exact(sock, length)
-    if body is None:
+    body = stream.read(length)
+    if len(body) < length:
         raise SpeechprintError("connection dropped mid-frame")
     return body[0], body[1:]
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if buf:
-                raise SpeechprintError("connection dropped mid-frame")
-            return None
-        buf.extend(chunk)
-    return bytes(buf)
 
 
 class QueryBatcher:
@@ -101,8 +108,15 @@ class QueryBatcher:
         self._closed = True
 
 
-class _SessionHandler(socketserver.BaseRequestHandler):
-    """One identify-or-enroll session per connection."""
+class _SessionHandler(socketserver.StreamRequestHandler):
+    """One identify-or-enroll session per connection.
+
+    Frames are read through ``rfile``, a buffered reader, and the one
+    reply frame is written through ``wfile`` in one send; both are closed
+    with the connection.
+    """
+
+    rbufsize = _BUFFER_BYTES
 
     def handle(self) -> None:
         server: PipelineServer = self.server
@@ -110,7 +124,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         session = Session(server.pipeline, server.batcher.submit)
         try:
             while True:
-                frame = read_frame(self.request)
+                frame = read_frame(self.rfile)
                 if frame is None:
                     return  # client went away without END
                 opcode, payload = frame
@@ -141,12 +155,12 @@ class _SessionHandler(socketserver.BaseRequestHandler):
             outcome.label_id or 0,
             outcome.confidence,
         )
-        write_frame(self.request, OP_RESULT, payload)
+        write_frame(self.wfile, OP_RESULT, payload)
         self._drain()
 
     def _send_error(self, message: str) -> None:
         try:
-            write_frame(self.request, OP_ERROR, message.encode("utf-8"))
+            write_frame(self.wfile, OP_ERROR, message.encode("utf-8"))
         except OSError:
             pass
 
@@ -158,7 +172,7 @@ class _SessionHandler(socketserver.BaseRequestHandler):
         """
         try:
             for _ in range(100_000):
-                frame = read_frame(self.request)
+                frame = read_frame(self.rfile)
                 if frame is None or frame[0] == OP_END:
                     return
         except (SpeechprintError, ConnectionError, OSError):
@@ -214,12 +228,22 @@ def identify_over_socket(
     chunk_size: int = 4096,
     timeout_s: float = 60.0,
 ) -> IdentifyOutcome:
-    """Small reference client: streams a WAV file, returns the outcome."""
-    with socket.create_connection((host, port), timeout=timeout_s) as sock:
+    """Small reference client: streams a WAV file, returns the outcome.
+
+    Each frame carries ``chunk_size`` bytes of the file, and all of them
+    go through one buffered writer, flushed once after END; the reply is
+    read through a buffered reader.
+    """
+    with (
+        socket.create_connection((host, port), timeout=timeout_s) as sock,
+        sock.makefile("wb", _BUFFER_BYTES) as out,
+        sock.makefile("rb") as replies,
+    ):
         for start in range(0, len(wav_bytes), chunk_size):
-            write_frame(sock, OP_AUDIO_CHUNK, wav_bytes[start : start + chunk_size])
-        write_frame(sock, OP_END)
-        frame = read_frame(sock)
+            write_frame(out, OP_AUDIO_CHUNK, wav_bytes[start : start + chunk_size])
+        write_frame(out, OP_END)
+        out.flush()
+        frame = read_frame(replies)
     if frame is None:
         raise SpeechprintError("server closed the connection without a result")
     opcode, payload = frame

@@ -8,10 +8,21 @@ import numpy as np
 import pytest
 
 from speechprint import audio as audio_module
+from speechprint import pipeline as pipeline_module
 from speechprint.audio import decode_wav, encode_wav, resample
 from speechprint.corpus import synth_speech_like
-from speechprint.errors import DecodeError, IncompatibleIndex, UnsupportedFormat
-from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
+from speechprint.errors import (
+    DecodeError,
+    IncompatibleIndex,
+    SpeechprintError,
+    UnsupportedFormat,
+)
+from speechprint.fingerprint import (
+    FingerprintConfig,
+    StreamingFingerprinter,
+    config_digest,
+    fingerprint_audio,
+)
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
     CANONICAL_RATE,
@@ -21,6 +32,7 @@ from speechprint.pipeline import (
     IdentifyOutcome,
     PendingLabeler,
     Pipeline,
+    Session,
     TranscriptLabeler,
     WavStreamDecoder,
     stream_wav_bytes,
@@ -47,8 +59,7 @@ def corpus(small_corpus_dir):
     return [decode_wav(p.read_bytes()) for p in paths]
 
 
-@pytest.fixture()
-def pipeline(corpus):
+def build_pipeline(corpus):
     index = RetrievalIndex.for_config(DIGEST, FCFG)
     registry = LabelRegistry()
     label = registry.create_cluster("announcements", "en")
@@ -56,6 +67,11 @@ def pipeline(corpus):
         index.enroll(fingerprint_audio(audio, SCFG, FCFG, file_id=i + 1))
         registry.assign(i + 1, label)
     return Pipeline(index, registry, SCFG, FCFG)
+
+
+@pytest.fixture()
+def pipeline(corpus):
+    return build_pipeline(corpus)
 
 
 class TestDecoder:
@@ -268,7 +284,7 @@ class TestIdentifyStream:
             streamed = pipeline.identify_stream(
                 stream_wav_bytes(encode_wav(audio))
             )
-            offline = pipeline.identify_buffer(audio)
+            offline = pipeline.index.query(pipeline.fingerprint(audio))
             assert streamed.status == STATUS_IDENTIFIED
             assert offline is not None
             assert streamed.file_id == offline.file_id == i + 1
@@ -281,7 +297,7 @@ class TestIdentifyStream:
         assert outcome.label_id is None
         assert outcome.audio_consumed_s == pytest.approx(8.0)
         assert 7 in pipeline.registry.pending()
-        followup = pipeline.identify_buffer(stranger)
+        followup = pipeline.index.query(pipeline.fingerprint(stranger))
         assert followup is not None and followup.file_id == 7
 
     def test_non_canonical_rate_stream_identified(self, pipeline, corpus):
@@ -308,6 +324,49 @@ class TestIdentifyStream:
         outcome = pipeline.identify_stream(stream_wav_bytes(encode_wav(clip)))
         assert outcome.status == STATUS_ENROLLED
         assert calls[0] == one_pass
+
+    def test_streamer_fed_at_decision_points_only(self, corpus, monkeypatch):
+        """Chunk size changes neither the streamer's calls nor its bits."""
+        blob = encode_wav(synth_speech_like(10.0, CANONICAL_RATE, seed=850))
+        whole = fingerprint_audio(decode_wav(blob), SCFG, FCFG)
+        feeds = [0]
+        feed = StreamingFingerprinter.feed
+
+        def counting_feed(streamer, samples):
+            feeds[0] += 1
+            return feed(streamer, samples)
+
+        monkeypatch.setattr(StreamingFingerprinter, "feed", counting_feed)
+        outcomes = []
+        for chunk_size in (4096, 320):
+            pipeline = build_pipeline(corpus)
+            enrolled = []
+            monkeypatch.setattr(pipeline.index, "enroll", enrolled.append)
+            reached = [t for t in pipeline._decision_points(6.0) if t <= 10.0]
+            feeds[0] = 0
+            outcomes.append(
+                pipeline.identify_stream(stream_wav_bytes(blob, chunk_size))
+            )
+            assert 1 <= feeds[0] <= len(reached) + 1
+            [fp] = enrolled
+            assert np.array_equal(fp.signatures, whole.signatures)
+            assert np.array_equal(fp.blocks, whole.blocks)
+        assert outcomes[0].status == STATUS_ENROLLED
+        assert outcomes[0] == outcomes[1]
+
+    def test_stream_over_the_audio_cap_is_error(self, pipeline, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "MAX_STREAM_S", 4.0)
+        at_cap = encode_wav(synth_speech_like(4.0, CANONICAL_RATE, seed=860))
+        outcome = pipeline.identify_stream(stream_wav_bytes(at_cap))
+        assert outcome.status == STATUS_ENROLLED
+        over = encode_wav(synth_speech_like(4.5, CANONICAL_RATE, seed=861))
+        session = Session(pipeline, pipeline.index.query)
+        with pytest.raises(SpeechprintError, match="4 s cap"):
+            for chunk in stream_wav_bytes(over):
+                session.feed(chunk)
+        outcome = pipeline.identify_stream(stream_wav_bytes(over))
+        assert outcome.status == STATUS_ERROR
+        assert "4 s cap" in outcome.message
 
     def test_empty_stream_is_error(self, pipeline):
         outcome = pipeline.identify_stream(iter([]))
@@ -340,7 +399,7 @@ class TestEnroll:
         clip = synth_speech_like(8.0, CANONICAL_RATE, seed=801)
         outcome = pipeline.enroll_file(clip)
         assert outcome.status == STATUS_ENROLLED
-        result = pipeline.identify_buffer(clip)
+        result = pipeline.index.query(pipeline.fingerprint(clip))
         assert result is not None and result.file_id == outcome.file_id
 
     def test_concurrent_enrolments_get_distinct_ids(self, pipeline):
@@ -352,7 +411,7 @@ class TestEnroll:
         ids = [o.file_id for o in outcomes]
         assert len(set(ids)) == 6
         for clip, outcome in zip(clips, outcomes):
-            result = pipeline.identify_buffer(clip)
+            result = pipeline.index.query(pipeline.fingerprint(clip))
             assert result is not None and result.file_id == outcome.file_id
 
     def test_raising_labeler_leaves_pending(self, pipeline):
@@ -437,8 +496,6 @@ class TestPolicy:
     def test_validation(self, corpus):
         index = RetrievalIndex.for_config(DIGEST, FCFG)
         registry = LabelRegistry()
-        from speechprint.errors import SpeechprintError
-
         with pytest.raises(SpeechprintError):
             Pipeline(index, registry, SCFG, FCFG, decision_after_s=0.0)
         with pytest.raises(SpeechprintError):

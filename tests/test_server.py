@@ -1,5 +1,6 @@
 """TCP server: framing, sessions, batched queries, graceful shutdown."""
 
+import io
 import socket
 import struct
 import threading
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from speechprint import pipeline as pipeline_module
 from speechprint.audio import decode_wav, encode_wav, resample, slice_seconds
 from speechprint.corpus import synth_speech_like
 from speechprint.errors import DecodeError, SpeechprintError
@@ -77,25 +79,36 @@ def server_port(srv) -> int:
 class TestFraming:
     def test_round_trip(self):
         a, b = socket.socketpair()
-        with a, b:
-            write_frame(a, OP_AUDIO_CHUNK, b"payload bytes")
-            assert read_frame(b) == (OP_AUDIO_CHUNK, b"payload bytes")
-            write_frame(a, OP_END)
-            assert read_frame(b) == (OP_END, b"")
+        with a, b, a.makefile("wb") as out, b.makefile("rb") as inp:
+            write_frame(out, OP_AUDIO_CHUNK, b"payload bytes")
+            out.flush()
+            assert read_frame(inp) == (OP_AUDIO_CHUNK, b"payload bytes")
+            write_frame(out, OP_END)
+            out.flush()
+            assert read_frame(inp) == (OP_END, b"")
 
     def test_eof_returns_none(self):
         a, b = socket.socketpair()
-        with b:
+        with b, b.makefile("rb") as inp:
             a.close()
-            assert read_frame(b) is None
+            assert read_frame(inp) is None
 
     def test_drop_mid_frame_raises(self):
         a, b = socket.socketpair()
-        with b:
+        with b, b.makefile("rb") as inp:
             a.sendall(struct.pack("<I", 10) + b"\x01ab")
             a.close()
             with pytest.raises(SpeechprintError):
-                read_frame(b)
+                read_frame(inp)
+
+    @pytest.mark.parametrize("sent", [b"\x05", b"\x05\x00\x00"])
+    def test_drop_mid_header_raises(self, sent):
+        a, b = socket.socketpair()
+        with b, b.makefile("rb") as inp:
+            a.sendall(sent)
+            a.close()
+            with pytest.raises(SpeechprintError):
+                read_frame(inp)
 
     def test_opcode_values_pinned(self):
         assert (OP_AUDIO_CHUNK, OP_END, OP_RESULT, OP_ERROR) == (
@@ -140,18 +153,20 @@ class TestSessions:
     def test_empty_stream_gets_error_frame(self, server):
         with socket.create_connection(
             ("127.0.0.1", server_port(server)), timeout=10
-        ) as sock:
-            write_frame(sock, OP_END)
-            opcode, payload = read_frame(sock)
+        ) as sock, sock.makefile("rwb") as stream:
+            write_frame(stream, OP_END)
+            stream.flush()
+            opcode, payload = read_frame(stream)
         assert opcode == OP_ERROR
         assert b"no audio" in payload
 
     def test_unknown_opcode_gets_error_frame(self, server):
         with socket.create_connection(
             ("127.0.0.1", server_port(server)), timeout=10
-        ) as sock:
-            write_frame(sock, 0x7F, b"?")
-            opcode, payload = read_frame(sock)
+        ) as sock, sock.makefile("rwb") as stream:
+            write_frame(stream, 0x7F, b"?")
+            stream.flush()
+            opcode, payload = read_frame(stream)
         assert opcode == OP_ERROR
         assert b"opcode" in payload
 
@@ -169,28 +184,65 @@ class TestSessions:
             decode_wav(blob)
         with socket.create_connection(
             ("127.0.0.1", server_port(server)), timeout=10
-        ) as sock:
-            write_frame(sock, OP_AUDIO_CHUNK, blob)
-            write_frame(sock, OP_END)
-            opcode, payload = read_frame(sock)
+        ) as sock, sock.makefile("rwb") as stream:
+            write_frame(stream, OP_AUDIO_CHUNK, blob)
+            write_frame(stream, OP_END)
+            stream.flush()
+            opcode, payload = read_frame(stream)
         assert opcode == OP_ERROR
         assert payload.decode("utf-8") == str(batch.value)
 
     def test_bad_frame_length_gets_error_frame(self, server):
         with socket.create_connection(
             ("127.0.0.1", server_port(server)), timeout=10
-        ) as sock:
+        ) as sock, sock.makefile("rb") as replies:
             sock.sendall(struct.pack("<I", 0))
-            opcode, payload = read_frame(sock)
+            opcode, payload = read_frame(replies)
         assert opcode == OP_ERROR
         assert b"length" in payload
+
+    @pytest.mark.parametrize("piece", [1, 3, 5000])
+    def test_stream_written_in_any_pieces_gets_same_outcome(
+        self, server, corpus, piece
+    ):
+        """The server reassembles frames however the bytes are cut."""
+        port = server_port(server)
+        blob = encode_wav(slice_seconds(corpus[3], 0.0, 7.0))
+        reference = identify_over_socket("127.0.0.1", port, blob)
+        framed = io.BytesIO()
+        for start in range(0, len(blob), 4096):
+            write_frame(framed, OP_AUDIO_CHUNK, blob[start : start + 4096])
+        write_frame(framed, OP_END)
+        wire = framed.getvalue()
+        with socket.create_connection(
+            ("127.0.0.1", port), timeout=30
+        ) as sock, sock.makefile("rb") as replies:
+            for start in range(0, len(wire), piece):
+                sock.sendall(wire[start : start + piece])
+            reply = read_frame(replies)
+        assert reference.status == STATUS_IDENTIFIED
+        assert reply == (
+            OP_RESULT,
+            struct.pack(
+                "<BQQf", 0, reference.file_id, reference.label_id, reference.confidence
+            ),
+        )
+
+    def test_overlong_stream_gets_error_frame(self, server, corpus, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "MAX_STREAM_S", 3.0)
+        outcome = identify_over_socket(
+            "127.0.0.1", server_port(server), encode_wav(corpus[0])
+        )
+        assert outcome.status == STATUS_ERROR
+        assert "3 s cap" in outcome.message
 
     def test_concurrent_sessions_match_serial(self, server, corpus):
         """12 parallel identifications equal the serial pipeline answers."""
         port = server_port(server)
         blobs = [encode_wav(corpus[i % len(corpus)]) for i in range(12)]
+        pipeline = server.pipeline
         serial = [
-            server.pipeline.identify_buffer(corpus[i % len(corpus)])
+            pipeline.index.query(pipeline.fingerprint(corpus[i % len(corpus)]))
             for i in range(12)
         ]
         with ThreadPoolExecutor(max_workers=12) as pool:
@@ -241,11 +293,15 @@ class TestParityWithIdentifyStream:
             remote = [identify_over_socket("127.0.0.1", port, b) for b in streams]
             # the 16 kHz stream is answered before 8 s of it has been sent
             head = upsampled[: 44 + 8 * 16000 * 2]
-            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            with socket.create_connection(
+                ("127.0.0.1", port), timeout=30
+            ) as sock, sock.makefile("rwb") as stream:
                 for start in range(0, len(head), 4096):
-                    write_frame(sock, OP_AUDIO_CHUNK, head[start : start + 4096])
-                early = read_frame(sock)
-                write_frame(sock, OP_END)
+                    write_frame(stream, OP_AUDIO_CHUNK, head[start : start + 4096])
+                stream.flush()
+                early = read_frame(stream)
+                write_frame(stream, OP_END)
+                stream.flush()
         finally:
             srv.shutdown()
             srv.server_close()
