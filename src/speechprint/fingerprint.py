@@ -7,13 +7,33 @@ Min-hash keeps the key property we rely on for retrieval: the probability
 two signatures agree at one position equals the Jaccard similarity of the
 underlying bit sets, so similarity survives into the compressed domain.
 
+A block's coefficients are defined (FINGERPRINT_VERSION 2) in an order
+that lets overlapping blocks share their work:
+
+1. Each frame's column is Haar transformed along frequency once, as it
+   arrives, zero-padded to a power of two and keeping only the rows the
+   padding can leave non-zero.
+2. The time axis is transformed for a whole stack of blocks at once by
+   the undecimated recursion ``D_l[j] = (A[j] - A[j + 2^(l-1)]) / sqrt2``
+   and ``A_l[j] = (A[j] + A[j + 2^(l-1)]) / sqrt2`` over the stack's
+   frames. Block k gathers ``D_l[k * hop + p * 2^l]`` and ``A_L[k * hop]``,
+   the same float operations on the same operands as its own decimated
+   transform, so a block's bits never depend on its stack.
+3. The block is centred after the transform: its mean times
+   ``sqrt(block_frames) * H(1)``, the frequency transform of a column of
+   ones on the real rows, is subtracted from its time-DC column. The mean
+   is the block's per-frame sums added pairwise in the Haar tree's order.
+
+Centring first, as version 1 did, gives the same coefficients in exact
+arithmetic; in floats a block's bits can differ, so version 2 data never
+meets version 1 data (:func:`config_digest` includes the version).
+
 Every stage also takes a stack of blocks, shaped [n_blocks, rows, cols],
-so one call per stage covers all the blocks an audio chunk completes; a
-block's bits never depend on the stack it is computed in. The Haar
-transform needs power-of-two sides, so a block is defined as its real
-rows zero-padded to the next power of two; the streaming kernel cuts the
-real rows only, and the transform and the sign selection skip the
-padding bit for bit.
+so one call per stage covers all the blocks an audio chunk completes. The
+Haar transform needs power-of-two sides, so a block is defined as its real
+rows zero-padded to the next power of two; the kernel computes the rows
+the padding can make non-zero only, and the sign selection skips the
+others bit for bit.
 
 A file's fingerprint is two aligned columns: a [n_subs, n_permutations]
 matrix of its block signatures ("sub-fingerprints"), one row per block,
@@ -21,6 +41,7 @@ and the block index of each row. Matching happens in
 :mod:`speechprint.index` via banded signature digests.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +56,7 @@ from .spectral import FrameTransform, SpectralConfig, SpectralImage
 SQRT2 = np.sqrt(2.0)
 
 FINGERPRINT_MAGIC = b"SPFP"
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 #: Values a signature byte can take; min-hash positions are capped here.
 SIGNATURE_CAP = 255
@@ -157,11 +178,14 @@ def config_digest(
 ) -> int:
     """Stable 64-bit digest of everything that shapes a signature.
 
-    Fingerprints and indexes are only comparable when this matches.
+    Fingerprints and indexes are only comparable when this matches. The
+    fingerprint version is part of it, so data made by another version of
+    the kernel is refused rather than quietly matched.
     """
     canonical = "|".join(
         [
             "speechprint-cfg-v1",
+            f"fingerprint-v{FINGERPRINT_VERSION}",
             spectral.variant.value,
             repr(float(spectral.window_s)),
             repr(float(spectral.stride_s)),
@@ -185,43 +209,28 @@ def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length() if n > 1 else 1
 
 
-def _cut_blocks(
-    frames: np.ndarray, n_blocks: int, config: FingerprintConfig
+def blocks(
+    image: SpectralImage, config: FingerprintConfig, centred: bool = True
 ) -> np.ndarray:
-    """Stack of ``n_blocks`` centred blocks from [n_frames, n_bins], unpadded.
-
-    Block k takes frames [k * hop, k * hop + block_frames) as its columns,
-    giving a C-contiguous [n_blocks, n_bins, block_frames] stack. Each
-    block's mean is one pairwise sum over its n_bins * block_frames values
-    flattened in row-major order, divided by their count. That sum does not
-    depend on the stack's length, so a block's bits never depend on the
-    stack it was cut in. (A copy of a block in another memory order sums
-    in another order and can differ in the last bit.)
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(
-        frames, config.block_frames, axis=0
-    )[:: config.block_hop_frames][:n_blocks]
-    stack = np.array(windows, dtype=np.float64, order="C")
-    stack -= stack.reshape(n_blocks, -1).mean(axis=1)[:, None, None]
-    return stack
-
-
-def blocks(image: SpectralImage, config: FingerprintConfig) -> np.ndarray:
-    """Overlapping frame blocks, centred and zero padded to a power of two.
+    """Overlapping frame blocks, zero padded to a power of two.
 
     Returns a [n_blocks, rows, block_frames] stack. Block k covers frames
     [k * hop, k * hop + block_frames); the count is
     floor((n_frames - block_frames) / hop) + 1. Rows are padded so the
     Haar transform sees power-of-two sides.
 
-    Each block's real rows have their scalar mean subtracted. Spectral
+    When ``centred`` (version 1's definition), each block's real rows have
+    their scalar mean subtracted: one pairwise sum over the block's real
+    values flattened in row-major order, divided by their count. Spectral
     image values are all positive, so without centring every block in
     every file shares a strong same-sign energy offset (and near-silent
     blocks are virtually identical everywhere); centring leaves only the
-    content-dependent structure to be hashed.
+    content-dependent structure to be hashed. Version 2 centres after the
+    transform instead (see the module docstring) and starts from the
+    uncentred blocks.
 
     Reference oracle with no production caller, kept for tests to compare
-    the streaming kernel against the stages run on its padded blocks.
+    the streaming kernel against the stages run on whole padded blocks.
     """
     n_frames = image.n_frames
     if n_frames < config.block_frames:
@@ -229,38 +238,63 @@ def blocks(image: SpectralImage, config: FingerprintConfig) -> np.ndarray:
             f"{n_frames} frames < one {config.block_frames}-frame block"
         )
     n_blocks = (n_frames - config.block_frames) // config.block_hop_frames + 1
-    real = _cut_blocks(image.data.T, n_blocks, config)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        image.data.T, config.block_frames, axis=0
+    )[:: config.block_hop_frames][:n_blocks]
+    real = np.array(windows, dtype=np.float64, order="C")
+    if centred:
+        real -= real.reshape(n_blocks, -1).mean(axis=1)[:, None, None]
     stack = np.zeros((n_blocks, _next_pow2(image.n_bins), config.block_frames))
     stack[:, : image.n_bins] = real
     return stack
 
 
-def _haar_axis(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
-    """Full 1-D orthonormal Haar transform along ``axis``, from src to dst.
+def _haar_levels(low: np.ndarray, length: int) -> tuple[np.ndarray, list]:
+    """Levels of the 1-D orthonormal Haar transform along the last axis.
 
-    ``src`` is taken as zero-padded along ``axis`` to dst's length there, a
-    power of two, and each level computes only the pairs that hold a real
-    entry: an odd count gets one padding zero appended, so its last pair
-    is x - 0.0 and x + 0.0, exactly as in the padded transform. The pairs
-    of zeros past it give zeros, which dst must already hold. Each level
-    writes its detail half into ``dst`` and carries its approximation
-    half on in a scratch array.
+    ``low`` is taken as zero-padded to ``length``, a power of two, and
+    each level computes only the pairs that hold a real entry: an odd
+    count gets one padding zero appended, so its last pair is x - 0.0 and
+    x + 0.0, exactly as in the padded transform. Returns the final
+    approximation and, finest level first, (half, detail) pairs: a
+    level's details belong at [half, half + detail count) of the padded
+    output, and the rest of it is zero.
     """
-    low = np.moveaxis(src, axis, -1)
-    dst = np.moveaxis(dst, axis, -1)
-    length = dst.shape[-1]
+    levels = []
     while length > 1:
-        half = length // 2
+        length //= 2
         if low.shape[-1] % 2:
             low = np.concatenate([low, np.zeros(low.shape[:-1] + (1,))], axis=-1)
         even, odd = low[..., 0::2], low[..., 1::2]
         high = np.subtract(even, odd)
         high /= SQRT2
-        dst[..., half : half + high.shape[-1]] = high
+        levels.append((length, high))
         low = np.add(even, odd)
         low /= SQRT2
-        length = half
+    return low, levels
+
+
+def _haar_axis(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """Full 1-D orthonormal Haar transform along ``axis``, from src to dst.
+
+    ``src`` is taken as zero-padded along ``axis`` to dst's length there,
+    a power of two (see :func:`_haar_levels`). The coefficients the
+    padding leaves zero are not written, so dst must already hold zeros
+    there.
+    """
+    dst = np.moveaxis(dst, axis, -1)
+    low, levels = _haar_levels(np.moveaxis(src, axis, -1), dst.shape[-1])
+    for half, high in levels:
+        dst[..., half : half + high.shape[-1]] = high
     dst[..., :1] = low
+
+
+def _haar_live(src: np.ndarray, length: int) -> np.ndarray:
+    """The Haar transform of :func:`_haar_axis` along the last axis, with
+    only the coefficients the padding can leave non-zero, in ascending
+    order of their padded index (the rows of :func:`_support`)."""
+    low, levels = _haar_levels(src, length)
+    return np.concatenate([low] + [high for _half, high in levels[::-1]], axis=-1)
 
 
 def _ihaar_axis(a: np.ndarray, axis: int) -> None:
@@ -305,6 +339,10 @@ def haar2d(block: np.ndarray, height: int | None = None) -> np.ndarray:
     any row count: it is treated as zero-padded to ``height`` rows and the
     result is [..., height, cols], bit for bit the transform of the padded
     block. Only the pairs that hold a real row are computed.
+
+    Reference oracle with no production caller: it transforms time first,
+    and the kernel frequency first (see the module docstring), which can
+    differ in the last bits.
     """
     _check_sides(block.shape, height)
     block = np.asarray(block, dtype=np.float64)
@@ -351,7 +389,10 @@ def _support(real_rows: int, height: int, cols: int) -> tuple[np.ndarray, np.nda
 
 
 def top_t_signs(
-    coeffs: np.ndarray, t: int, real_rows: int | None = None
+    coeffs: np.ndarray,
+    t: int,
+    real_rows: int | None = None,
+    height: int | None = None,
 ) -> SparseBits:
     """Sign encoding of the t largest-magnitude coefficients.
 
@@ -363,25 +404,35 @@ def top_t_signs(
     A [n_blocks, rows, cols] stack is encoded block by block into one
     stacked :class:`SparseBits`; a single 2-D block gives a single vector.
 
-    Given ``real_rows``, ``coeffs`` is the :func:`haar2d` of blocks with
-    that many real rows zero-padded to ``rows``, and the coefficient rows
-    the padding leaves zero are left out of the ranking. The bits are the
+    Given ``real_rows``, ``coeffs`` is the transform of blocks with that
+    many real rows zero-padded to ``rows``, and the coefficient rows the
+    padding leaves zero are left out of the ranking. The bits are the
     same, because zeros never rank above a non-zero magnitude and never
-    set a bit.
+    set a bit. Given ``height`` as well, ``coeffs`` holds only the rows
+    the padding to ``height`` can leave non-zero, in ascending order (see
+    :func:`_haar_live`); flat indices still count the padded block.
     """
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
     stacked = coeffs.ndim == 3
     n_blocks = coeffs.shape[0] if stacked else 1
     rows, cols = coeffs.shape[-2:]
-    dimension = 2 * rows * cols
+    padded = rows if height is None else height
+    dimension = 2 * padded * cols
     support = None
-    if real_rows is not None and real_rows < rows:
-        live, support = _support(real_rows, rows, cols)
-        flat = np.take(coeffs.reshape(n_blocks, rows, cols), live, axis=1)
-        flat = flat.reshape(n_blocks, -1)
-    else:
-        flat = coeffs.reshape(n_blocks, -1)
+    live_rows = padded
+    if real_rows is not None and real_rows < padded:
+        live, support = _support(real_rows, padded, cols)
+        live_rows = live.size
+        if height is None:
+            coeffs = np.take(coeffs.reshape(n_blocks, rows, cols), live, axis=1)
+            rows = live_rows
+    if rows != live_rows:
+        raise ConfigError(
+            f"{real_rows} real rows padded to {height} leave {live_rows} "
+            f"coefficient rows, got {rows}"
+        )
+    flat = coeffs.reshape(n_blocks, -1)
     area = flat.shape[1]
     if t >= area:
         keep = flat != 0.0
@@ -472,13 +523,57 @@ def get_minhasher(n_permutations: int, dimension: int, seed: int) -> MinHasher:
 #: geometry) that is 25 blocks of the mel variants' 40 rows, 32 blocks of
 #: linear-vocal's 32 rows at 8 and 16 kHz and 21 of its 47 rows at
 #: 11.025 kHz; with 128-frame blocks (the library's) it is 6, 8 and 5. The
-#: Haar output is padded to 64 rows, 400 KiB for 25 mel blocks. A long file
+#: coefficient stack keeps only the rows the padding can leave non-zero,
+#: 42 of 64 for 40 real rows: 263 KiB for 25 mel blocks. A long file
 #: is fingerprinted in bounded memory, and the kernel's temporaries stay
 #: small enough for the allocator to reuse them from one call to the next.
 #: With 1 MiB stacks every call faulted its temporaries in afresh: about
 #: 2,200 page faults per 6 s benchmark-geometry query and 1,400 per 15 s
 #: library-geometry file, against fewer than one here.
 STACK_ELEMENTS = 1 << 15
+
+
+def _time_levels(
+    freq: np.ndarray, sums: np.ndarray, n_blocks: int, hop: int, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time-axis Haar of ``n_blocks`` blocks, shared over their stack.
+
+    ``freq`` is the [span, live] frequency transform of the stack's
+    frames and ``sums`` their per-frame sums, span being
+    ``(n_blocks - 1) * hop + width``. Level l pairs entries 2^(l-1) frames
+    apart; it is computed only at the frames some block reads, which lie
+    ``gcd(hop, 2^l)`` apart. Returns the [n_blocks, live, width] detail
+    coefficients of every block (column 0 unset), each block's final
+    approximation [n_blocks, live] and its sum, added in the same tree.
+    """
+    out = np.empty((n_blocks, freq.shape[1], width))
+    low, total = freq, sums
+    step, pair = 1, 1  # frames between low's entries, and between a pair's
+    while pair < width:
+        lattice = math.gcd(hop, 2 * pair)
+        stride, offset = lattice // step, pair // step
+        count = ((n_blocks - 1) * hop + width - 2 * pair) // lattice + 1
+        first = slice(0, (count - 1) * stride + 1, stride)
+        second = slice(offset, offset + (count - 1) * stride + 1, stride)
+        even, odd = low[first], low[second]
+        high = np.subtract(even, odd)
+        high /= SQRT2
+        low = np.add(even, odd)
+        low /= SQRT2
+        total = total[first] + total[second]
+        # block k reads this level's entries k * hop + p * 2 * pair, p <
+        # cols; the last block's last one is high's last row
+        cols = width // (2 * pair)
+        row, item = high.strides
+        out[:, :, cols : 2 * cols] = np.ndarray(
+            (n_blocks, high.shape[1], cols),
+            high.dtype,
+            high,
+            strides=(hop // lattice * row, item, 2 * pair // lattice * row),
+        )
+        step, pair = lattice, 2 * pair
+    pick = slice(0, (n_blocks - 1) * (hop // step) + 1, hop // step)
+    return out, low[pick], total[pick]
 
 
 class StreamingFingerprinter:
@@ -490,8 +585,8 @@ class StreamingFingerprinter:
     blocks 0 to :attr:`blocks_emitted` - 1. The result is bit-identical to
     a whole-file pass because neither a frame's column nor a block's bits
     depend on the stack they are computed in. Each feed computes the
-    columns of the frames it completes in one :meth:`FrameTransform.column`
-    call.
+    columns of the frames it completes, and their frequency transforms,
+    in one :meth:`FrameTransform.column` call and one Haar pass.
     """
 
     def __init__(
@@ -505,22 +600,26 @@ class StreamingFingerprinter:
         self._transform = FrameTransform(sample_rate, spectral_config)
         n_bins = self._transform.n_bins
         rows = _next_pow2(n_bins)
-        area = rows * fingerprint_config.block_frames
+        width = fingerprint_config.block_frames
+        area = rows * width
         if fingerprint_config.top_t > area:
             raise ConfigError(
                 f"top_t {fingerprint_config.top_t} exceeds padded block "
                 f"area {area}"
             )
         self._rows = rows
-        self._max_stack = max(
-            1, STACK_ELEMENTS // (n_bins * fingerprint_config.block_frames)
-        )
+        self._max_stack = max(1, STACK_ELEMENTS // (n_bins * width))
         self._hasher = get_minhasher(
             fingerprint_config.n_permutations, 2 * area, fingerprint_config.seed
         )
+        # a block's mean times this is the transform of the block's mean
+        # over its real rows, all in its time-DC column
+        self._dc = np.sqrt(width) * _haar_live(np.ones(n_bins), rows)
         self._no_rows = np.empty((0, fingerprint_config.n_permutations), np.uint8)
         self._buffer = np.empty(0, dtype=np.float64)  # from the next frame's start
-        self._columns = np.empty((0, self._transform.n_bins))
+        # per frame from _columns_start on: its frequency transform, its sum
+        self._columns = np.empty((0, self._dc.size))
+        self._sums = np.empty(0)
         self._columns_start = 0  # absolute frame index of _columns[0]
         self._frames_done = 0
         self._blocks_done = 0
@@ -550,7 +649,10 @@ class StreamingFingerprinter:
         frames = transform.frames(self._buffer)
         if len(frames):
             columns = transform.column(frames)
-            self._columns = np.concatenate([self._columns, columns])
+            self._sums = np.concatenate([self._sums, columns.sum(axis=1)])
+            self._columns = np.concatenate(
+                [self._columns, _haar_live(columns, self._rows)]
+            )
             self._frames_done += len(frames)
             # drop samples no frame will touch again
             self._buffer = self._buffer[len(frames) * transform.hop :]
@@ -569,19 +671,24 @@ class StreamingFingerprinter:
     def _emit_stack(self, n_blocks: int) -> np.ndarray:
         """Fingerprints the next ``n_blocks`` blocks in one kernel call."""
         cfg = self.fingerprint_config
-        hop = cfg.block_hop_frames
+        hop, width = cfg.block_hop_frames, cfg.block_frames
         local = self._blocks_done * hop - self._columns_start
-        span = (n_blocks - 1) * hop + cfg.block_frames
-        frames = self._columns[local : local + span]
-        stack = _cut_blocks(frames, n_blocks, cfg)
-        coeffs = haar2d(stack, self._rows)
-        bits = top_t_signs(coeffs, cfg.top_t, real_rows=stack.shape[1])
+        span = slice(local, local + (n_blocks - 1) * hop + width)
+        coeffs, low, total = _time_levels(
+            self._columns[span], self._sums[span], n_blocks, hop, width
+        )
+        n_bins = self._transform.n_bins
+        means = total / (n_bins * width)
+        coeffs[:, :, 0] = low - means[:, None] * self._dc
+        bits = top_t_signs(coeffs, cfg.top_t, real_rows=n_bins, height=self._rows)
         signatures = self._hasher.signature(bits)
         self._blocks_done += n_blocks
         # columns before the next block's start are done
         keep_from = self._blocks_done * hop
         if keep_from > self._columns_start:
-            self._columns = self._columns[keep_from - self._columns_start :]
+            drop = keep_from - self._columns_start
+            self._columns = self._columns[drop:]
+            self._sums = self._sums[drop:]
             self._columns_start = keep_from
         return signatures
 
@@ -632,40 +739,56 @@ def _record_dtype(n_permutations: int) -> np.dtype:
     return np.dtype([("block", "<u4"), ("signature", "u1", (n_permutations,))])
 
 
+_WIRE_HEADER = "<HQQII"
+
+
 def serialize_fingerprint(fp: Fingerprint) -> bytes:
     """Compact binary form: magic, version, config digest, id, rows.
 
     Layout (little endian): "SPFP", u16 version, u64 config digest,
-    u64 file_id, u32 row count, then per row a u32 block index followed
-    by its n_permutations signature bytes. Every record has the same
-    width, so a reader gets the signature width from the body length.
+    u64 file_id, u32 row count, u32 signature width, then per row a u32
+    block index followed by its signature bytes. The version is
+    :data:`FINGERPRINT_VERSION`, the definition of the bits.
     """
-    records = np.empty(len(fp.blocks), dtype=_record_dtype(fp.signatures.shape[1]))
+    n_rows, width = fp.signatures.shape
+    records = np.empty(n_rows, dtype=_record_dtype(width))
     records["block"] = fp.blocks
     records["signature"] = fp.signatures
     header = struct.pack(
-        "<HQQI", FINGERPRINT_VERSION, fp.config_digest, fp.file_id, len(records)
+        _WIRE_HEADER, FINGERPRINT_VERSION, fp.config_digest, fp.file_id, n_rows, width
     )
     return FINGERPRINT_MAGIC + header + records.tobytes()
 
 
 def deserialize_fingerprint(data: bytes) -> Fingerprint:
-    """Inverse of :func:`serialize_fingerprint`; a record of no rows has no
-    signature width, so it comes back with a [0, 0] signature matrix."""
-    header = 4 + struct.calcsize("<HQQI")
-    if len(data) < header or data[:4] != FINGERPRINT_MAGIC:
+    """Inverse of :func:`serialize_fingerprint`.
+
+    Raises CorruptIndex for a record of another fingerprint version, whose
+    bits this kernel does not make, or whose length disagrees with its
+    header.
+    """
+    header = 4 + struct.calcsize(_WIRE_HEADER)
+    if len(data) < 6 or data[:4] != FINGERPRINT_MAGIC:
         raise CorruptIndex("not a fingerprint record")
-    version, digest, file_id, count = struct.unpack("<HQQI", data[4:header])
+    (version,) = struct.unpack("<H", data[4:6])
     if version != FINGERPRINT_VERSION:
-        raise CorruptIndex(f"unsupported fingerprint version {version}")
-    body = len(data) - header
-    if count == 0:
-        if body:
-            raise CorruptIndex("trailing bytes after empty fingerprint")
-        return Fingerprint(
-            file_id, np.empty((0, 0), np.uint8), np.empty(0, np.int64), digest
+        raise CorruptIndex(
+            f"fingerprint version {version} record; this build reads version "
+            f"{FINGERPRINT_VERSION} only, so the audio must be fingerprinted again"
         )
-    if body % count or body // count <= 4:
-        raise CorruptIndex("fingerprint record length inconsistent with count")
-    records = np.frombuffer(data, _record_dtype(body // count - 4), offset=header)
+    if len(data) < header:
+        raise CorruptIndex("fingerprint record header truncated")
+    _version, digest, file_id, count, width = struct.unpack(
+        _WIRE_HEADER, data[4:header]
+    )
+    if len(data) - header != count * (4 + width):
+        raise CorruptIndex(
+            f"fingerprint record holds {len(data) - header} bytes, not {count} "
+            f"rows of a u32 block and signature width {width}"
+        )
+    if not count:
+        return Fingerprint(
+            file_id, np.empty((0, width), np.uint8), np.empty(0, np.int64), digest
+        )
+    records = np.frombuffer(data, _record_dtype(width), offset=header)
     return Fingerprint(file_id, records["signature"], records["block"], digest)

@@ -166,36 +166,27 @@ class Pipeline:
     def enroll_file(
         self, audio: AudioBuffer, transcript_path=None, *, fingerprint=None
     ) -> IdentifyOutcome:
-        """Fingerprints and enrolls a new file; labelling runs alongside.
+        """Fingerprints and enrolls a new file, then labels it.
 
         ``fingerprint``, when given, was already computed from exactly
         this audio at the canonical rate, and its columns are enrolled
         under the new file id in place of a fresh fingerprint. The
-        labeler runs on its own thread while the fingerprint is computed
-        and inserted. When it fails or abstains the file is marked
-        pending rather than blocking enrolment.
+        labeler runs after the insert, on the calling thread: it and the
+        fingerprint both hold the interpreter lock, so a thread of its own
+        would overlap nothing. When it fails or abstains the file is
+        marked pending rather than failing the enrolment.
         """
         file_id = self.allocate_file_id()
-        label_holder: list[int | None] = [None]
-
-        def run_labeler() -> None:
-            try:
-                label_holder[0] = self.labeler(audio, transcript_path)
-            except Exception:
-                logger.exception("labeler failed for file %d", file_id)
-                label_holder[0] = None
-
-        worker = threading.Thread(target=run_labeler, name=f"label-{file_id}")
-        worker.start()
+        if fingerprint is None:
+            fp = self.fingerprint(audio, file_id)
+        else:
+            fp = dataclasses.replace(fingerprint, file_id=file_id)
+        self.index.enroll(fp)
         try:
-            if fingerprint is None:
-                fp = self.fingerprint(audio, file_id)
-            else:
-                fp = dataclasses.replace(fingerprint, file_id=file_id)
-            self.index.enroll(fp)
-        finally:
-            worker.join()
-        label_id = label_holder[0]
+            label_id = self.labeler(audio, transcript_path)
+        except Exception:
+            logger.exception("labeler failed for file %d", file_id)
+            label_id = None
         if label_id is not None:
             try:
                 self.registry.assign(file_id, label_id)

@@ -9,6 +9,7 @@ from speechprint.corpus import synth_speech_like
 from speechprint.degrade import add_noise
 from speechprint.errors import ConfigError, CorruptIndex, TooShort
 from speechprint.fingerprint import (
+    FINGERPRINT_MAGIC,
     FingerprintConfig,
     Fingerprint,
     MinHasher,
@@ -24,6 +25,9 @@ from speechprint.fingerprint import (
     min_audio_seconds,
     serialize_fingerprint,
     top_t_signs,
+    _haar_axis,
+    _haar_live,
+    _support,
 )
 from speechprint.hashing import mix64, splitmix64
 from speechprint.index import RetrievalIndex
@@ -36,6 +40,39 @@ def image_of(n_bins, n_frames, seed=0):
     data = np.abs(np.random.default_rng(seed).normal(size=(n_bins, n_frames)))
     cfg = SpectralConfig.for_variant("mel-vocal")
     return SpectralImage(data, frame_stride_s=cfg.stride_s, config=cfg)
+
+
+def v2_coefficients(image, cfg):
+    """Version 2 coefficients of every block, from the per-block oracles.
+
+    Each uncentred padded block is transformed along frequency, then along
+    time; then its mean, the per-frame sums added pairwise in the Haar
+    tree's order over n_bins * block_frames, times sqrt(block_frames) *
+    H(1) comes off the time-DC column.
+    """
+    stack = blocks(image, cfg, centred=False)
+    n_bins, width, hop = image.n_bins, cfg.block_frames, cfg.block_hop_frames
+    freq = np.zeros(stack.shape)
+    _haar_axis(stack[:, :n_bins], freq, axis=-2)
+    coeffs = np.empty(stack.shape)
+    _haar_axis(freq, coeffs, axis=-1)
+    ones = np.zeros((stack.shape[1], 1))
+    _haar_axis(np.ones((n_bins, 1)), ones, axis=-2)
+    dc = np.sqrt(width) * ones[:, 0]
+    frame_sums = np.ascontiguousarray(image.data.T).sum(axis=1)
+    for k, block in enumerate(coeffs):
+        total = frame_sums[k * hop : k * hop + width]
+        while len(total) > 1:
+            total = total[0::2] + total[1::2]
+        block[:, 0] -= (total[0] / (n_bins * width)) * dc
+    return coeffs
+
+
+def v2_signatures(image, cfg):
+    """The version 2 reference signatures: top-t and min-hash per block."""
+    coeffs = v2_coefficients(image, cfg)
+    hasher = get_minhasher(cfg.n_permutations, 2 * coeffs[0].size, cfg.seed)
+    return hasher.signature(top_t_signs(coeffs, cfg.top_t))
 
 
 class TestConfig:
@@ -97,12 +134,19 @@ class TestBlocks:
             want[:26] -= want[:26].mean()
             np.testing.assert_array_equal(block, want)
 
+    def test_uncentred_blocks_are_the_windows(self):
+        image = image_of(26, 40, seed=2)
+        cfg = FingerprintConfig(block_frames=32, block_hop_frames=3, top_t=8)
+        got = blocks(image, cfg, centred=False)
+        assert got.shape == (3, 32, 32)
+        for k, block in enumerate(got):
+            np.testing.assert_array_equal(block[:26], image.data[:, 3 * k : 3 * k + 32])
+            assert np.all(block[26:] == 0.0)
+
     def test_stack_matches_streaming_subs(self, speech_clip):
         """The stages run one after another on blocks() reproduce the stream."""
         cfg = SpectralConfig.for_variant("mel-vocal")
-        stack = blocks(make_image(speech_clip, cfg), SMALL)
-        hasher = get_minhasher(SMALL.n_permutations, 2 * stack[0].size, SMALL.seed)
-        signatures = hasher.signature(top_t_signs(haar2d(stack), SMALL.top_t))
+        signatures = v2_signatures(make_image(speech_clip, cfg), SMALL)
         fp = fingerprint_audio(speech_clip, cfg, SMALL)
         np.testing.assert_array_equal(signatures, fp.signatures)
 
@@ -125,9 +169,7 @@ class TestBlocks:
         clip = synth_speech_like(3.0, rate, seed=5)
         spectral = SpectralConfig.for_variant(variant)
         cfg = FingerprintConfig(block_frames=32, block_hop_frames=3, top_t=top_t)
-        stack = blocks(make_image(clip, spectral), cfg)
-        hasher = get_minhasher(cfg.n_permutations, 2 * stack[0].size, cfg.seed)
-        signatures = hasher.signature(top_t_signs(haar2d(stack), cfg.top_t))
+        signatures = v2_signatures(make_image(clip, spectral), cfg)
         fp = fingerprint_audio(clip, spectral, cfg)
         np.testing.assert_array_equal(signatures, fp.signatures)
 
@@ -260,13 +302,23 @@ class TestRealRowKernel:
         got_coeffs = haar2d(stack, height)
         assert bitwise_equal(got_coeffs, want_coeffs)
         want = top_t_signs(want_coeffs, t)
-        got = top_t_signs(got_coeffs, t, real_rows=real_rows)
-        assert got.dimension == want.dimension == 2 * height * stack.shape[-1]
-        np.testing.assert_array_equal(got.indices, want.indices)
-        if want.counts is None:
-            assert got.counts is None
-        else:
-            np.testing.assert_array_equal(got.counts, want.counts)
+        live, _flat = _support(real_rows, height, stack.shape[-1])
+        compact = got_coeffs[..., live, :]
+        # the frequency pass alone, on the live rows only
+        freq = np.zeros(padded.shape)
+        _haar_axis(stack, freq, axis=-2)
+        freq_live = _haar_live(np.swapaxes(stack, -1, -2), height)
+        assert bitwise_equal(np.swapaxes(freq_live, -1, -2), freq[..., live, :])
+        for got in (
+            top_t_signs(got_coeffs, t, real_rows=real_rows),
+            top_t_signs(compact, t, real_rows=real_rows, height=height),
+        ):
+            assert got.dimension == want.dimension == 2 * height * stack.shape[-1]
+            np.testing.assert_array_equal(got.indices, want.indices)
+            if want.counts is None:
+                assert got.counts is None
+            else:
+                np.testing.assert_array_equal(got.counts, want.counts)
 
     @staticmethod
     def compact_area(real_rows: int, height: int, cols: int) -> int:
@@ -328,6 +380,97 @@ class TestRealRowKernel:
         before = stack.copy()
         haar2d(stack, 8)
         np.testing.assert_array_equal(stack, before)
+
+    def test_compact_rows_must_match_the_support(self, rng):
+        coeffs = rng.normal(size=(2, 40, 8))
+        with pytest.raises(ConfigError, match="leave 42 coefficient rows"):
+            top_t_signs(coeffs, 5, real_rows=40, height=64)
+
+
+# the blocks/hop geometries the version 2 kernel is checked at: the
+# benchmark's, the library's, the library's dense and an odd hop
+V2_GEOMETRIES = {
+    "32/1": FingerprintConfig(block_frames=32, block_hop_frames=1, top_t=30),
+    "128/32": FingerprintConfig(block_frames=128, block_hop_frames=32, top_t=200),
+    "128/1": FingerprintConfig(block_frames=128, block_hop_frames=1, top_t=200),
+    "256/3": FingerprintConfig(block_frames=256, block_hop_frames=3, top_t=200),
+}
+
+
+class TestVersion2Kernel:
+    """The streaming kernel equals the per-block version 2 reference, bit
+    for bit in every coefficient, however the audio is fed. (A coefficient
+    off by an ulp rarely moves a signature, so signatures alone would not
+    show it.)"""
+
+    @staticmethod
+    def fed(clip, spectral, cfg, chunk, monkeypatch):
+        """Signatures of the clip fed in ``chunk``-sample pieces, and the
+        coefficient stacks the kernel ranked, back to back."""
+        from speechprint import fingerprint
+
+        stacks = []
+        top_t = fingerprint.top_t_signs
+
+        def capture(coeffs, t, real_rows=None, height=None):
+            stacks.append(coeffs.copy())
+            return top_t(coeffs, t, real_rows, height)
+
+        monkeypatch.setattr(fingerprint, "top_t_signs", capture)
+        streamer = StreamingFingerprinter(clip.sample_rate, spectral, cfg)
+        rows = [
+            streamer.feed(clip.samples[start : start + chunk])
+            for start in range(0, len(clip), chunk)
+        ]
+        streamer.finish()
+        monkeypatch.undo()
+        return np.concatenate(rows), np.concatenate(stacks)
+
+    # 11.025 kHz linear-vocal has 47 real rows, 8 and 16 kHz 32; the mel
+    # variants have 40 at every rate
+    @pytest.mark.parametrize("geometry", sorted(V2_GEOMETRIES))
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000])
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_stream_equals_reference(self, variant, rate, geometry, monkeypatch):
+        cfg = V2_GEOMETRIES[geometry]
+        spectral = SpectralConfig.for_variant(variant)
+        clip = synth_speech_like(9.0, rate, seed=11)
+        image = make_image(clip, spectral)
+        coeffs = v2_coefficients(image, cfg)
+        live, _flat = _support(image.n_bins, coeffs.shape[1], cfg.block_frames)
+        want = v2_signatures(image, cfg)
+        assert len(want) >= 8
+        hop = round(cfg.block_hop_frames * spectral.stride_s * rate)
+        for chunk in (57, hop, len(clip)):
+            signatures, got = self.fed(clip, spectral, cfg, chunk, monkeypatch)
+            assert bitwise_equal(got, coeffs[:, live])
+            np.testing.assert_array_equal(signatures, want)
+
+    @pytest.mark.parametrize("geometry", sorted(V2_GEOMETRIES))
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_coefficients_agree_with_version_1(self, variant, geometry):
+        """Centring after the transform equals centring first in exact
+        arithmetic: each block's coefficients are within 1e-12 times its
+        norm of haar2d of the version 1 centred block."""
+        cfg = V2_GEOMETRIES[geometry]
+        image = make_image(synth_speech_like(7.0, 8000, seed=12), SpectralConfig.for_variant(variant))
+        got = v2_coefficients(image, cfg)
+        want = haar2d(blocks(image, cfg))
+        norms = np.linalg.norm(blocks(image, cfg, centred=False), axis=(1, 2))
+        error = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(error <= 1e-12 * norms)
+        assert np.any(got != want)  # the definitions differ in rounding
+
+    def test_block_bits_do_not_depend_on_the_stack(self, speech_clip, monkeypatch):
+        """One block a stack gives the bits of the default stacks."""
+        from speechprint import fingerprint
+
+        cfg = SpectralConfig.for_variant("mel-vocal")
+        want = fingerprint_audio(speech_clip, cfg, SMALL).signatures
+        monkeypatch.setattr(fingerprint, "STACK_ELEMENTS", 1)
+        np.testing.assert_array_equal(
+            fingerprint_audio(speech_clip, cfg, SMALL).signatures, want
+        )
 
 
 class TestMinHash:
@@ -517,16 +660,17 @@ class TestStreaming:
         from speechprint import fingerprint
 
         sizes = []
-        haar = fingerprint.haar2d
+        top_t = fingerprint.top_t_signs
 
-        def counting_haar(stack, height=None):
-            sizes.append(stack.shape)
-            return haar(stack, height)
+        def counting_top_t(coeffs, t, real_rows=None, height=None):
+            sizes.append(coeffs.shape)
+            return top_t(coeffs, t, real_rows, height)
 
-        monkeypatch.setattr(fingerprint, "haar2d", counting_haar)
+        monkeypatch.setattr(fingerprint, "top_t_signs", counting_top_t)
         fp = fingerprint_audio(speech_clip, self.CFG, SMALL)
         assert fingerprint.STACK_ELEMENTS // (40 * 32) == 25
-        assert sizes[0] == (25, 40, 32)
+        # 40 real rows padded to 64 leave 42 coefficient rows
+        assert sizes[0] == (25, 42, 32)
         assert sum(n for n, _rows, _cols in sizes) == len(fp.blocks)
         assert len(sizes) == -(-len(fp.blocks) // 25)
 
@@ -624,7 +768,20 @@ class TestSerialization:
         )
         back = deserialize_fingerprint(serialize_fingerprint(fp))
         assert back.file_id == 5 and back.config_digest == fp.config_digest
-        assert back.signatures.shape == (0, 0) and back.blocks.shape == (0,)
+        assert back.signatures.shape == (0, 100) and back.blocks.shape == (0,)
+
+    def test_width_is_in_the_header(self):
+        fp = Fingerprint(5, np.zeros((2, 100), np.uint8), np.arange(2))
+        data = serialize_fingerprint(fp)
+        assert data[4:6] == b"\x02\x00"
+        with pytest.raises(CorruptIndex, match="width 100"):
+            deserialize_fingerprint(data[:-104])
+
+    def test_version_1_record_rejected(self):
+        """A version 1 record (no width in its header) is refused by name."""
+        data = FINGERPRINT_MAGIC + b"\x01\x00" + bytes(20) + bytes(104)
+        with pytest.raises(CorruptIndex, match="fingerprint version 1"):
+            deserialize_fingerprint(data)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CorruptIndex):

@@ -1,12 +1,17 @@
 """Golden pins on fingerprint bits and retrieval results.
 
-The digests and results below were recorded from the per-block
+The digests and results below were first recorded from the per-block
 fingerprint pipeline and the tuple-posting vote tally of
 FINGERPRINT_VERSION 1; the index stats and the version 1 file pins from
-the index that kept each band in a dict. Any refactor of the kernel or the index that
-changes one bit of a signature, one block index, one vote or one
-duplicate overlap fails here; a deliberate change of the bits must bump
-FINGERPRINT_VERSION and re-record the pins.
+the index that kept each band in a dict. FINGERPRINT_VERSION 2 (the
+shared-transform kernel, which centres a block after its transform)
+re-recorded every pin whose value it changed: the wire bytes and saved
+index bytes (the config digest includes the version), the 11.025 and
+16 kHz mel pins at the benchmark geometry, and the benchmark geometry's
+query results, stats and loose duplicates. Any refactor of the kernel or
+the index that changes one bit of a signature, one block index, one vote
+or one duplicate overlap fails here; a deliberate change of the bits
+must bump FINGERPRINT_VERSION and re-record the pins.
 """
 
 import dataclasses
@@ -30,6 +35,7 @@ from speechprint.fingerprint import (
     get_minhasher,
     serialize_fingerprint,
 )
+from speechprint.errors import IncompatibleIndex
 from speechprint.index import IndexStats, RetrievalIndex
 from speechprint.spectral import SpectralConfig, Variant
 
@@ -71,7 +77,7 @@ def fingerprint_digest(fp) -> str:
 
 
 def test_fingerprint_version_unchanged():
-    assert FINGERPRINT_VERSION == 1
+    assert FINGERPRINT_VERSION == 2
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
@@ -86,26 +92,28 @@ def test_batch_fingerprint_matches_golden_digest(clip, variant, geometry):
 
 
 # (length, sha256) of serialize_fingerprint for the clip above enrolled
-# as WIRE_FILE_ID, recorded from the encoder that packed one sub at a time
+# as WIRE_FILE_ID, first recorded from the encoder that packed one sub at
+# a time; re-recorded for record version 2, whose header adds the
+# signature width and whose config digest includes the fingerprint version
 WIRE_FILE_ID = 2**40 + 3
 GOLDEN_WIRE = {
     ("linear-vocal", "bench"): (
-        29770, "bbd91ec7f956290a01f8d497f0a3d40858d9fb8a420cd46aade5225c31eba622"
+        29774, "a3aa5e0c9cb323487ae6095f470788e6e8f7c8e1f6496cefab0bf22d948a1309"
     ),
     ("linear-vocal", "library"): (
-        650, "47c0791169115c5b689552646be472763c59873c159e8605616318539dcb113a"
+        654, "90781ff21d0ea9868aa8d33490794e15cbd87bda7a4d14764ccf82bff5a1dfa1"
     ),
     ("mel-vocal", "bench"): (
-        29770, "1b88365077219df71e7f08a14c26856d7e4ffa77e72cef58493b8027ab57deea"
+        29774, "a793cedfdb3632aeb5e8cfef5ede54f797d192b12c936c21e2ce92be50bf2e90"
     ),
     ("mel-vocal", "library"): (
-        650, "aa8544c487d5eae4c4bc7fa46e113996d81efbc80666b7f836dc9da4a18e01f5"
+        654, "ff339fc071fd043a4a18790e6d8fdf51395bfe69c1c89378a52a553d2511bb3b"
     ),
     ("mel-wide", "bench"): (
-        29770, "21e99cf5dd817861010a2cc01d29e083c6d48f3f818d12a8c5b8e671de85d48b"
+        29774, "907f1192df9342b37a65f6c91d8b0b915b792c0053ebf3b2ad08fc733b8897e2"
     ),
     ("mel-wide", "library"): (
-        650, "1c48d350096f690f796bcec98db6c39ac4b58fc37c08836e865c4fd7b29659d5"
+        654, "6f8efea6125948f3feaac9f1abc81e9e40d2bd13b899fb7957f9c7476ca12c13"
     ),
 }
 
@@ -135,13 +143,13 @@ GOLDEN_DIGESTS_AT_RATE = {
         6, "fce1befbf749e9ed875375d8a78b42ba00745a904816b7b4e880f3381d5e729b"
     ),
     ("mel-vocal", "bench", 11025): (
-        285, "70563a78a95bf3f5f177e276d6586dcf67a6ddedebc8e515f40fb36026f5a062"
+        285, "82718c03d05ac5990c6364cfc53bd36d5eb9cb76749eb736911a8092d5800ccd"
     ),
     ("mel-vocal", "library", 11025): (
         6, "39423da30953074f77ad787f4c38329d529a4c914938319760ece20ccd067584"
     ),
     ("mel-wide", "bench", 11025): (
-        285, "524ec847feca1b71ba982b779ed03974b886eab7f769592aa1119bff32ccf53d"
+        285, "8abd8ea6bdfaecde91fcfe1404ebdf23536d486307fdb35f578dd78c7063258f"
     ),
     ("mel-wide", "library", 11025): (
         6, "2d8e10a3ea319cc8ab7a3266a4271d5345ae3680f8fc544efbc063f61b2c0551"
@@ -153,13 +161,13 @@ GOLDEN_DIGESTS_AT_RATE = {
         6, "6d313a4b0eb75226e298b2a7d5872e8273a50df99a9dc74b4a276e021451b2ab"
     ),
     ("mel-vocal", "bench", 16000): (
-        286, "002a43465051c31db7129312543753cbce0583a5e417242f6978d6b2dd6dfc64"
+        286, "98d87f813d2d1cbe5fa0e796d9973d380e57f4eb128c870e1355ada3915e38f6"
     ),
     ("mel-vocal", "library", 16000): (
         6, "f97eb40dae27eff7099dba72ee8bc441769facf8aceba518978065580e33fa66"
     ),
     ("mel-wide", "bench", 16000): (
-        286, "cb39983b668b7e312049a5d697f1c6a93b873b48e5096d5ade2ce85d16cd38aa"
+        286, "54f1c7ca4fb84b96033c2141b79bebd202b6694222fa1e851328fe71fc2c567f"
     ),
     ("mel-wide", "library", 16000): (
         6, "79a76bae82752af520bfc83f1c511d1b1114a74cb84d1f5d5d91215ffc047018"
@@ -284,18 +292,18 @@ GOLDEN_DUPLICATES = {
             (8589934592, 18446744073709551615, 0.8452914798206278),
             (3, 4294967301, 0.8385650224215246),
             (3, 18446744073709551615, 0.8116591928251121),
-            (3, 17, 0.6591928251121076),
-            (3, 8589934592, 0.6591928251121076),
+            (3, 17, 0.6614349775784754),
+            (3, 8589934592, 0.6614349775784754),
             (17, 1099511627777, 0.5807174887892377),
             (8589934592, 1099511627777, 0.5807174887892377),
             (9, 17, 0.5672645739910314),
             (9, 8589934592, 0.5672645739910314),
             (9, 18446744073709551615, 0.47533632286995514),
             (4294967301, 18446744073709551615, 0.45964125560538116),
-            (1099511627777, 18446744073709551615, 0.45739910313901344),
+            (1099511627777, 18446744073709551615, 0.45964125560538116),
             (17, 4294967301, 0.2914798206278027),
             (4294967301, 8589934592, 0.2914798206278027),
-            (3, 1099511627777, 0.26681614349775784),
+            (3, 1099511627777, 0.26905829596412556),
             (3, 9, 0.23542600896860988),
             (4294967301, 1099511627777, 0.18385650224215247),
             (9, 4294967301, 0.15246636771300448),
@@ -327,32 +335,32 @@ GOLDEN_RESULTS = {
         [None, None],
     ],
     "bench": [
-        [(3, 2931, 256, 0.8951048951048951), (3, 4781, 284, 0.993006993006993)],
-        [(3, 633, 109, 0.38652482269503546), (3, 1926, 257, 0.9113475177304965)],
-        [(17, 3040, 275, 0.9615384615384616), (17, 4363, 286, 1.0)],
-        [(17, 940, 143, 0.5070921985815603), (17, 1961, 248, 0.8794326241134752)],
+        [(3, 2936, 257, 0.8986013986013986), (3, 4785, 284, 0.993006993006993)],
+        [(3, 635, 109, 0.38652482269503546), (3, 1929, 257, 0.9113475177304965)],
+        [(17, 3038, 275, 0.9615384615384616), (17, 4361, 286, 1.0)],
+        [(17, 941, 143, 0.5070921985815603), (17, 1963, 248, 0.8794326241134752)],
         [
-            (4294967301, 2887, 253, 0.8846153846153846),
-            (4294967301, 5021, 283, 0.9895104895104895),
+            (4294967301, 2891, 253, 0.8846153846153846),
+            (4294967301, 5020, 283, 0.9895104895104895),
         ],
         [
             (4294967301, 994, 135, 0.4787234042553192),
-            (4294967301, 2531, 247, 0.875886524822695),
+            (4294967301, 2529, 246, 0.8723404255319149),
         ],
-        [(9, 5087, 280, 0.9790209790209791), (1099511627777, 6639, 286, 1.0)],
-        [(9, 2046, 232, 0.8226950354609929), (9, 3546, 275, 0.975177304964539)],
+        [(9, 5087, 280, 0.9790209790209791), (1099511627777, 6636, 286, 1.0)],
+        [(9, 2054, 232, 0.8226950354609929), (9, 3551, 275, 0.975177304964539)],
         [
-            (18446744073709551615, 4039, 265, 0.9265734265734266),
-            (18446744073709551615, 6417, 284, 0.993006993006993),
+            (18446744073709551615, 4033, 264, 0.9230769230769231),
+            (18446744073709551615, 6371, 284, 0.993006993006993),
         ],
         [
             (18446744073709551615, 1394, 173, 0.6134751773049646),
-            (18446744073709551615, 3217, 259, 0.9184397163120568),
+            (18446744073709551615, 3224, 259, 0.9184397163120568),
         ],
         [None, (1099511627777, 586, 191, 0.6678321678321678)],
         [
             (18446744073709551615, 389, 77, 0.2692307692307692),
-            (3, 1762, 243, 0.8496503496503497),
+            (3, 1749, 243, 0.8496503496503497),
         ],
     ],
 }
@@ -362,7 +370,7 @@ GOLDEN_RESULTS = {
 # dicts did
 GOLDEN_STATS = {
     "library": IndexStats(n_files=7, n_subs=77, n_postings=1540, n_buckets=1197),
-    "bench": IndexStats(n_files=7, n_subs=3122, n_postings=62440, n_buckets=32703),
+    "bench": IndexStats(n_files=7, n_subs=3122, n_postings=62440, n_buckets=32689),
 }
 
 SPECTRAL = SpectralConfig.for_variant(Variant.MEL_VOCAL)
@@ -439,11 +447,12 @@ def test_stats_match_golden(planted):
     assert index.stats() == GOLDEN_STATS[geometry]
 
 
-# sha256 of the version 2 save bytes of the planted index, recorded from
-# the index that kept a per-file copy of every band digest
+# sha256 of the version 2 save bytes of the planted index, first recorded
+# from the index that kept a per-file copy of every band digest, and again
+# for fingerprint version 2's config digest and bits
 GOLDEN_SAVE_SHA256 = {
-    "library": "7119721b21d3d5a5d5abe7c02baa4b53451b9ad53d9f656a90a302fefdd03b7f",
-    "bench": "fea0850b3b51caa46ca1b2702aee59a2d91bb68cce526fb93a34f6f71987712d",
+    "library": "4f5c1a268a187ae2837dea97421b3784ae53b01c2f6306b504a6ab481524e5f0",
+    "bench": "390fc2f30355faa1a13f3d3e88dd5fcfd8e819825dfbefaf6377ed1fcaf15069",
 }
 
 
@@ -498,12 +507,14 @@ def test_version_2_round_trip_matches_golden(planted, tmp_path):
     assert loaded.find_duplicates(0.05, min_band_votes=1) == loose
 
 
-# tests/data/index_v1.spix was written by the version 1 writer (per-file
-# records, FNV-1a checksum) at the library geometry and mel-vocal
-# spectra: 12 s clips synth_speech_like(12.0, 8000, seed=610 + i) as
-# files V1_IDS, plus the first under 25 dB noise (add_noise seed 3) as
-# V1_NOISY_COPY
+# tests/data/index_v1.spix was written by the index version 1 writer
+# (per-file records, FNV-1a checksum) from fingerprint version 1 at the
+# library geometry and mel-vocal spectra: 12 s clips
+# synth_speech_like(12.0, 8000, seed=610 + i) as files V1_IDS, plus the
+# first under 25 dB noise (add_noise seed 3) as V1_NOISY_COPY. Its config
+# digest is the version 1 one, which no build of version 2 computes
 V1_FIXTURE = Path(__file__).parent / "data" / "index_v1.spix"
+V1_CONFIG_DIGEST = 0x081BC0055B668542
 V1_IDS = (6, 2**32 + 7)
 V1_NOISY_COPY = 2**64 - 1
 V1_STATS = IndexStats(n_files=3, n_subs=33, n_postings=660, n_buckets=566)
@@ -519,29 +530,21 @@ V1_RESULTS = [
     [None, (4294967303, 2, 2, 0.3333333333333333)],
     [None, None],
 ]
+# the version 1 fingerprints of those five queries, made by the version 1
+# kernel: their signature rows back to back, the block of each row and
+# the row count of each query
+V1_QUERIES = Path(__file__).parent / "data" / "index_v1_queries.npz"
 
 
 @pytest.fixture(scope="module")
 def v1_queries():
-    audios = [synth_speech_like(12.0, 8000, seed=610 + i) for i in range(len(V1_IDS))]
-    queries = []
-    for i, audio in enumerate(audios):
-        queries.append(
-            make_query(
-                audio,
-                DeteriorationSpec(8.0, snr_db=20.0, rate=1.0, offset_s=1.6),
-                np.random.SeedSequence((61, i)),
-            )
-        )
-        queries.append(
-            make_query(
-                audio,
-                DeteriorationSpec(8.0, snr_db=12.0, rate=1.01, offset_s=0.8),
-                np.random.SeedSequence((62, i)),
-            )
-        )
-    queries.append(synth_speech_like(8.0, 8000, seed=990))
-    return [fingerprint_audio(q, SPECTRAL, LIBRARY) for q in queries]
+    with np.load(V1_QUERIES) as data:
+        signatures, blocks, counts = data["signatures"], data["blocks"], data["counts"]
+    ends = np.cumsum(counts)
+    return [
+        Fingerprint(0, signatures[end - n : end], blocks[end - n : end], V1_CONFIG_DIGEST)
+        for n, end in zip(counts, ends)
+    ]
 
 
 def check_v1_pins(index, queries):
@@ -559,14 +562,26 @@ def check_v1_pins(index, queries):
 
 
 def test_version_1_file_still_loads(v1_queries):
-    digest = config_digest(SPECTRAL, LIBRARY, 8000)
     assert V1_FIXTURE.read_bytes()[4:6] == b"\x01\x00"
-    check_v1_pins(RetrievalIndex.load(V1_FIXTURE, digest), v1_queries)
+    check_v1_pins(RetrievalIndex.load(V1_FIXTURE, V1_CONFIG_DIGEST), v1_queries)
 
 
 def test_version_1_file_resaved_as_version_2(v1_queries, tmp_path):
-    digest = config_digest(SPECTRAL, LIBRARY, 8000)
     path = tmp_path / "resaved.spix"
-    RetrievalIndex.load(V1_FIXTURE, digest).save(path)
+    RetrievalIndex.load(V1_FIXTURE, V1_CONFIG_DIGEST).save(path)
     assert path.read_bytes()[4:6] == b"\x02\x00"
-    check_v1_pins(RetrievalIndex.load(path, digest), v1_queries)
+    check_v1_pins(RetrievalIndex.load(path, V1_CONFIG_DIGEST), v1_queries)
+
+
+def test_version_1_data_is_refused_under_version_2(v1_queries):
+    """The digest of this build's config differs from the version 1 one,
+    so a version 1 index file or fingerprint raises, naming the version."""
+    digest = config_digest(SPECTRAL, LIBRARY, 8000)
+    assert digest != V1_CONFIG_DIGEST
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+        RetrievalIndex.load(V1_FIXTURE, digest)
+    index = RetrievalIndex.for_config(digest, LIBRARY)
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+        index.query(v1_queries[0])
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+        index.enroll(dataclasses.replace(v1_queries[0], file_id=1))
