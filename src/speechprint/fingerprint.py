@@ -404,13 +404,12 @@ def top_t_signs(
     A [n_blocks, rows, cols] stack is encoded block by block into one
     stacked :class:`SparseBits`; a single 2-D block gives a single vector.
 
-    Given ``real_rows``, ``coeffs`` is the transform of blocks with that
-    many real rows zero-padded to ``rows``, and the coefficient rows the
-    padding leaves zero are left out of the ranking. The bits are the
-    same, because zeros never rank above a non-zero magnitude and never
-    set a bit. Given ``height`` as well, ``coeffs`` holds only the rows
-    the padding to ``height`` can leave non-zero, in ascending order (see
-    :func:`_haar_live`); flat indices still count the padded block.
+    Given ``real_rows`` and ``height``, ``coeffs`` is the transform of
+    blocks with that many real rows zero-padded to ``height`` rows, with
+    only the rows the padding can leave non-zero, in ascending order (see
+    :func:`_haar_live`); flat indices still count the padded block. The
+    bits are those of the whole padded transform, because zeros never
+    rank above a non-zero magnitude and never set a bit.
     """
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
@@ -424,12 +423,9 @@ def top_t_signs(
     if real_rows is not None and real_rows < padded:
         live, support = _support(real_rows, padded, cols)
         live_rows = live.size
-        if height is None:
-            coeffs = np.take(coeffs.reshape(n_blocks, rows, cols), live, axis=1)
-            rows = live_rows
     if rows != live_rows:
         raise ConfigError(
-            f"{real_rows} real rows padded to {height} leave {live_rows} "
+            f"{real_rows} real rows padded to {padded} leave {live_rows} "
             f"coefficient rows, got {rows}"
         )
     flat = coeffs.reshape(n_blocks, -1)
