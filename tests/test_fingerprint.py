@@ -461,17 +461,6 @@ class TestVersion2Kernel:
         assert np.all(error <= 1e-12 * norms)
         assert np.any(got != want)  # the definitions differ in rounding
 
-    def test_block_bits_do_not_depend_on_the_stack(self, speech_clip, monkeypatch):
-        """One block a stack gives the bits of the default stacks."""
-        from speechprint import fingerprint
-
-        cfg = SpectralConfig.for_variant("mel-vocal")
-        want = fingerprint_audio(speech_clip, cfg, SMALL).signatures
-        monkeypatch.setattr(fingerprint, "STACK_ELEMENTS", 1)
-        np.testing.assert_array_equal(
-            fingerprint_audio(speech_clip, cfg, SMALL).signatures, want
-        )
-
 
 class TestMinHash:
     def test_empty_set_is_all_cap(self):
