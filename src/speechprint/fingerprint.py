@@ -57,6 +57,11 @@ SQRT2 = np.sqrt(2.0)
 
 FINGERPRINT_MAGIC = b"SPFP"
 FINGERPRINT_VERSION = 2
+#: Appended to a config digest mismatch: the digest covers the version
+VERSION_NOTE = (
+    f" (digests include the fingerprint version, {FINGERPRINT_VERSION} in this "
+    f"build; data made by another version must be rebuilt)"
+)
 
 #: Values a signature byte can take; min-hash positions are capped here.
 SIGNATURE_CAP = 255

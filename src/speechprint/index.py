@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex, IoError
 from .fileio import write_atomic
-from .fingerprint import FINGERPRINT_VERSION, Fingerprint
+from .fingerprint import VERSION_NOTE, Fingerprint
 from .hashing import fnv1a64, fnv1a64_rows
 
 INDEX_MAGIC = b"SPIX"
@@ -33,11 +33,6 @@ INDEX_VERSION = 2
 # min_band_votes, min_confidence, file count
 _HEADER_FMT = "<HQHHHdI"
 _HEADER_LEN = 4 + struct.calcsize(_HEADER_FMT)
-# the digest covers the fingerprint version, so a mismatch may be one
-_VERSION_NOTE = (
-    f" (digests include the fingerprint version, {FINGERPRINT_VERSION} in this "
-    f"build; data made by another version must be rebuilt)"
-)
 # postings are int32 row numbers
 _MAX_ROWS = 2**31 - 1
 
@@ -160,7 +155,7 @@ class RetrievalIndex:
         if fp.config_digest != self.config_digest:
             raise IncompatibleIndex(
                 f"fingerprint config digest 0x{fp.config_digest:016x} != "
-                f"index digest 0x{self.config_digest:016x}{_VERSION_NOTE}"
+                f"index digest 0x{self.config_digest:016x}{VERSION_NOTE}"
             )
 
     def enroll(self, fp: Fingerprint) -> None:
@@ -576,7 +571,7 @@ class RetrievalIndex:
         if expected_config_digest is not None and digest != expected_config_digest:
             raise IncompatibleIndex(
                 f"index built for config 0x{digest:016x}, expected "
-                f"0x{expected_config_digest:016x}{_VERSION_NOTE}"
+                f"0x{expected_config_digest:016x}{VERSION_NOTE}"
             )
         index = cls(
             digest,

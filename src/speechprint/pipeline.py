@@ -21,6 +21,7 @@ import numpy as np
 from .audio import CANONICAL_RATE, AudioBuffer, WavStreamDecoder, resample
 from .errors import IncompatibleIndex, SpeechprintError
 from .fingerprint import (
+    VERSION_NOTE,
     FingerprintConfig,
     Fingerprint,
     StreamingFingerprinter,
@@ -134,7 +135,7 @@ class Pipeline:
         if digest != index.config_digest:
             raise IncompatibleIndex(
                 f"pipeline config digest 0x{digest:016x} != "
-                f"index digest 0x{index.config_digest:016x}"
+                f"index digest 0x{index.config_digest:016x}{VERSION_NOTE}"
             )
         self.index = index
         self.registry = registry

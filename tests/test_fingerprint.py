@@ -446,6 +446,21 @@ class TestVersion2Kernel:
             assert bitwise_equal(got, coeffs[:, live])
             np.testing.assert_array_equal(signatures, want)
 
+    # hop equal to the block, hops that share 16 or 4 frames with the
+    # block's powers of two (so levels stride over their lattice), and
+    # blocks of one and two frames
+    @pytest.mark.parametrize("width,hop", [(32, 32), (64, 48), (16, 12), (2, 1), (1, 1)])
+    def test_other_geometries_equal_reference(self, width, hop, monkeypatch):
+        cfg = FingerprintConfig(block_frames=width, block_hop_frames=hop, top_t=20)
+        spectral = SpectralConfig.for_variant("mel-vocal")
+        clip = synth_speech_like(4.0, 8000, seed=13)
+        image = make_image(clip, spectral)
+        coeffs = v2_coefficients(image, cfg)
+        live, _flat = _support(image.n_bins, coeffs.shape[1], width)
+        signatures, got = self.fed(clip, spectral, cfg, len(clip), monkeypatch)
+        assert bitwise_equal(got, coeffs[:, live])
+        np.testing.assert_array_equal(signatures, v2_signatures(image, cfg))
+
     @pytest.mark.parametrize("geometry", sorted(V2_GEOMETRIES))
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_coefficients_agree_with_version_1(self, variant, geometry):

@@ -37,6 +37,8 @@ from speechprint.fingerprint import (
 )
 from speechprint.errors import IncompatibleIndex
 from speechprint.index import IndexStats, RetrievalIndex
+from speechprint.pipeline import Pipeline
+from speechprint.registry import LabelRegistry
 from speechprint.spectral import SpectralConfig, Variant
 
 LIBRARY = FingerprintConfig()
@@ -585,3 +587,5 @@ def test_version_1_data_is_refused_under_version_2(v1_queries):
         index.query(v1_queries[0])
     with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
         index.enroll(dataclasses.replace(v1_queries[0], file_id=1))
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+        Pipeline(RetrievalIndex.load(V1_FIXTURE), LabelRegistry(), SPECTRAL, LIBRARY)
