@@ -528,9 +528,10 @@ def get_minhasher(n_permutations: int, dimension: int, seed: int) -> MinHasher:
 #: 42 of 64 for 40 real rows: 263 KiB for 25 mel blocks. A long file
 #: is fingerprinted in bounded memory, and the kernel's temporaries stay
 #: small enough for the allocator to reuse them from one call to the next.
-#: With 1 MiB stacks every call faulted its temporaries in afresh: about
-#: 2,200 page faults per 6 s benchmark-geometry query and 1,400 per 15 s
-#: library-geometry file, against fewer than one here.
+#: (The per-block kernel faulted its temporaries in afresh on every call
+#: with 1 MiB stacks; the shared-transform kernel faulted no page per 15 s
+#: file at 2^15, 2^16 or 2^17 elements, and ran as fast at each, within
+#: the noise of a 2-CPU box, at both geometries.)
 STACK_ELEMENTS = 1 << 15
 
 
