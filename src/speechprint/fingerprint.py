@@ -13,12 +13,12 @@ that lets overlapping blocks share their work:
 1. Each frame's column is Haar transformed along frequency once, as it
    arrives, zero-padded to a power of two and keeping only the rows the
    padding can leave non-zero.
-2. The time axis is transformed for a whole stack of blocks at once by
+2. The time axis is transformed for a whole run of blocks at once by
    the undecimated recursion ``D_l[j] = (A[j] - A[j + 2^(l-1)]) / sqrt2``
-   and ``A_l[j] = (A[j] + A[j + 2^(l-1)]) / sqrt2`` over the stack's
+   and ``A_l[j] = (A[j] + A[j + 2^(l-1)]) / sqrt2`` over the run's
    frames. Block k gathers ``D_l[k * hop + p * 2^l]`` and ``A_L[k * hop]``,
    the same float operations on the same operands as its own decimated
-   transform, so a block's bits never depend on its stack.
+   transform, so a block's bits never depend on its run or stack.
 3. The block is centred after the transform: its mean times
    ``sqrt(block_frames) * H(1)``, the frequency transform of a column of
    ones on the real rows, is subtracted from its time-DC column. The mean
@@ -29,11 +29,12 @@ arithmetic; in floats a block's bits can differ, so version 2 data never
 meets version 1 data (:func:`config_digest` includes the version).
 
 Every stage also takes a stack of blocks, shaped [n_blocks, rows, cols],
-so one call per stage covers all the blocks an audio chunk completes. The
-Haar transform needs power-of-two sides, so a block is defined as its real
-rows zero-padded to the next power of two; the kernel computes the rows
-the padding can make non-zero only, and the sign selection skips the
-others bit for bit.
+so one call per stage covers a stack of the blocks an audio chunk
+completes; a stack's sign bits are rows of one width. The Haar transform
+needs power-of-two sides, so a block is defined as its real rows
+zero-padded to the next power of two; the kernel computes the rows the
+padding can make non-zero only, and the sign selection skips the others
+bit for bit.
 
 A file's fingerprint is two aligned columns: a [n_subs, n_permutations]
 matrix of its block signatures ("sub-fingerprints"), one row per block,
@@ -112,31 +113,27 @@ class FingerprintConfig:
 
 @dataclass(frozen=True, eq=False)
 class SparseBits:
-    """Sparse bit vector: sorted set bit indices plus the full dimension.
+    """Sparse bit vector: set bit indices plus the full dimension.
 
-    A stack of vectors, one per block, keeps every vector's indices back
-    to back in ``indices`` and the number belonging to vector k in
-    ``counts[k]``; ``counts`` is None for a single vector. ``len`` is the
-    number of set bits over the whole stack.
+    ``indices`` is [k] for one vector or [n, k] for a stack of n, one row
+    per block, every row the same width. An entry equal to ``dimension``
+    marks a slot with no bit. ``len`` is the number of set bits over the
+    whole stack.
     """
 
     indices: np.ndarray
     dimension: int
-    counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.int64)
         object.__setattr__(self, "indices", idx)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.dimension):
+        if idx.ndim not in (1, 2):
+            raise ConfigError(f"expected [k] or [n, k] bit indices, got {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() > self.dimension):
             raise ConfigError("bit index out of range")
-        if self.counts is not None:
-            counts = np.asarray(self.counts, dtype=np.int64)
-            object.__setattr__(self, "counts", counts)
-            if counts.ndim != 1 or np.any(counts < 0) or counts.sum() != idx.size:
-                raise ConfigError("bit counts must be >= 0 and sum to the index count")
 
     def __len__(self) -> int:
-        return int(self.indices.size)
+        return int(np.count_nonzero(self.indices < self.dimension))
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,9 +399,11 @@ def top_t_signs(
     """Sign encoding of the t largest-magnitude coefficients.
 
     Flat coefficient i contributes bit 2i when positive and bit 2i+1 when
-    negative; zeros contribute nothing even when ranked. Magnitude ties at
-    the cut are resolved toward lower flat indices, so the output is a
-    pure function of the coefficient values.
+    negative; a zero contributes nothing even when ranked, and its slot
+    holds the no-bit marker ``dimension``. Magnitude ties at the cut are
+    resolved toward lower flat indices, so the output is a pure function
+    of the coefficient values. Each vector has min(t, area) slots, its
+    bits ascending.
 
     A [n_blocks, rows, cols] stack is encoded block by block into one
     stacked :class:`SparseBits`; a single 2-D block gives a single vector.
@@ -418,8 +417,6 @@ def top_t_signs(
     """
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
-    stacked = coeffs.ndim == 3
-    n_blocks = coeffs.shape[0] if stacked else 1
     rows, cols = coeffs.shape[-2:]
     padded = rows if height is None else height
     dimension = 2 * padded * cols
@@ -433,30 +430,25 @@ def top_t_signs(
             f"{real_rows} real rows padded to {padded} leave {live_rows} "
             f"coefficient rows, got {rows}"
         )
-    flat = coeffs.reshape(n_blocks, -1)
+    flat = coeffs.reshape(-1, rows * cols)
     area = flat.shape[1]
-    if t >= area:
-        keep = flat != 0.0
-    else:
-        magnitude = np.abs(flat)
-        cutoff = np.partition(magnitude, area - t, axis=1)[:, area - t, None]
-        keep = magnitude >= cutoff
-        over = np.flatnonzero(keep.sum(axis=1) > t)
-        if over.size:
-            # more ties at the cut than free slots: the lowest indices win
-            ties = magnitude[over] == cutoff[over]
-            free = t - (magnitude[over] > cutoff[over]).sum(axis=1)
-            keep[over] &= ~ties | (np.cumsum(ties, axis=1) <= free[:, None])
-    kept = np.flatnonzero(keep)
+    t = min(t, area)
+    magnitude = np.abs(flat)
+    cutoff = np.partition(magnitude, area - t, axis=1)[:, area - t, None]
+    keep = magnitude >= cutoff
+    over = np.flatnonzero(keep.sum(axis=1) > t)
+    if over.size:
+        # more ties at the cut than free slots: the lowest indices win
+        ties = magnitude[over] == cutoff[over]
+        free = t - (magnitude[over] > cutoff[over]).sum(axis=1)
+        keep[over] &= ~ties | (np.cumsum(ties, axis=1) <= free[:, None])
+    # every row keeps exactly t flat positions
+    kept = np.flatnonzero(keep).reshape(len(flat), t)
     values = flat.reshape(-1)[kept]
-    nonzero = values != 0.0
-    block, column = np.divmod(kept[nonzero], area)
-    if support is not None:
-        column = support[column]
-    bits = 2 * column + (values[nonzero] < 0.0)
-    if not stacked:
-        return SparseBits(bits, dimension)
-    return SparseBits(bits, dimension, np.bincount(block, minlength=n_blocks))
+    column = kept % area
+    bits = 2 * (column if support is None else support[column]) + (values < 0.0)
+    bits[values == 0.0] = dimension
+    return SparseBits(bits.reshape(coeffs.shape[:-2] + (t,)), dimension)
 
 
 class MinHasher:
@@ -467,6 +459,10 @@ class MinHasher:
     purposes and reproducible everywhere. Signature entry j is the
     position of the first set bit under permutation j, capped at 255 so it
     fits a byte.
+
+    ``table[b, j]``, uint8, is bit b's position under permutation j, so
+    capped; bit-major, one bit's positions are one contiguous row to
+    gather. Its last row, all 255, is the no-bit marker's.
     """
 
     def __init__(self, n_permutations: int, dimension: int, seed: int) -> None:
@@ -481,16 +477,15 @@ class MinHasher:
         )
         keys = splitmix64(salts[:, None] ^ np.arange(dimension, dtype=np.uint64))
         # xor with a salt is injective and splitmix64 is a bijection on u64,
-        # so one permutation's keys are distinct and every sort kind gives
-        # the same order: the default kind is exact, not only faster
-        order = np.argsort(keys, axis=1)
-        # stored bit-major, so one bit's positions under every permutation
-        # are one contiguous row to gather; bit order[j, r] has rank r
-        self._by_bit = np.empty((dimension, n_permutations), dtype=np.int32)
-        np.put_along_axis(
-            self._by_bit, order.T, np.arange(dimension, dtype=np.int32)[:, None], axis=0
-        )
-        self._positions = self._by_bit.T
+        # so one permutation's keys are distinct: its lowest keys are one
+        # set however they are found, and sort into one order. Only those
+        # below the cap get a position of their own.
+        ranked = min(SIGNATURE_CAP, dimension)
+        lowest = np.argpartition(keys, ranked - 1, axis=1)[:, :ranked]
+        rank = np.take_along_axis(keys, lowest, axis=1).argsort(axis=1).argsort(axis=1)
+        self.table = np.full((dimension + 1, n_permutations), SIGNATURE_CAP, np.uint8)
+        self.table[lowest.T, np.arange(n_permutations)] = rank.T
+        self.table.flags.writeable = False
 
     def signature(self, bits: SparseBits) -> np.ndarray:
         """Min-hash signature of a sparse bit set, dtype uint8.
@@ -503,14 +498,7 @@ class MinHasher:
                 f"bit vector dimension {bits.dimension} != hasher "
                 f"dimension {self.dimension}"
             )
-        counts = np.array([len(bits)]) if bits.counts is None else bits.counts
-        out = np.full((counts.size, self.n_permutations), SIGNATURE_CAP, dtype=np.uint8)
-        filled = np.flatnonzero(counts)
-        if filled.size:
-            starts = (np.cumsum(counts) - counts)[filled]
-            mins = np.minimum.reduceat(self._by_bit[bits.indices], starts, axis=0)
-            out[filled] = np.minimum(mins, SIGNATURE_CAP)
-        return out[0] if bits.counts is None else out
+        return self.table[bits.indices].min(axis=-2, initial=SIGNATURE_CAP)
 
 
 @lru_cache(maxsize=16)
@@ -525,30 +513,34 @@ def get_minhasher(n_permutations: int, dimension: int, seed: int) -> MinHasher:
 #: linear-vocal's 32 rows at 8 and 16 kHz and 21 of its 47 rows at
 #: 11.025 kHz; with 128-frame blocks (the library's) it is 6, 8 and 5. The
 #: coefficient stack keeps only the rows the padding can leave non-zero,
-#: 42 of 64 for 40 real rows: 263 KiB for 25 mel blocks. A long file
-#: is fingerprinted in bounded memory, and the kernel's temporaries stay
-#: small enough for the allocator to reuse them from one call to the next.
-#: (The per-block kernel faulted its temporaries in afresh on every call
-#: with 1 MiB stacks; the shared-transform kernel faulted no page per 15 s
-#: file at 2^15, 2^16 or 2^17 elements, and ran as fast at each, within
-#: the noise of a 2-CPU box, at both geometries.)
+#: 42 of 64 for 40 real rows: 263 KiB for 25 mel blocks. It also bounds a
+#: run, the blocks that share one time recursion: whole stacks over at
+#: most STACK_ELEMENTS // n_bins frames (819 for 40 rows), so 775 mel
+#: blocks at hop 1 and 18 at the library's hop 32, and a 15 s file is one
+#: run. A run's level arrays hold up to 1.3 MiB at 32/1 and 1.8 MiB at
+#: 128/1. A long file is fingerprinted in bounded memory, and no 15 s or
+#: 60 s file faulted a page in, at runs of one stack, of this bound or of
+#: four times it (within the noise of a 2-CPU box, no run length was
+#: faster for a 15 s file).
 STACK_ELEMENTS = 1 << 15
 
 
 def _time_levels(
     freq: np.ndarray, sums: np.ndarray, n_blocks: int, hop: int, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time-axis Haar of ``n_blocks`` blocks, shared over their stack.
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Time-axis Haar of ``n_blocks`` blocks, shared over their run.
 
-    ``freq`` is the [span, live] frequency transform of the stack's
-    frames and ``sums`` their per-frame sums, span being
+    ``freq`` is the [span, live] frequency transform of the run's frames
+    and ``sums`` their per-frame sums, span being
     ``(n_blocks - 1) * hop + width``. Level l pairs entries 2^(l-1) frames
     apart; it is computed only at the frames some block reads, which lie
-    ``gcd(hop, 2^l)`` apart. Returns the [n_blocks, live, width] detail
-    coefficients of every block (column 0 unset), each block's final
-    approximation [n_blocks, live] and its sum, added in the same tree.
+    ``gcd(hop, 2^l)`` apart. Returns, finest level first, one strided
+    [n_blocks, live, width / 2^l] view per level of every block's detail
+    coefficients, which belong at columns [width / 2^l, width / 2^(l-1))
+    of its transform; and each block's final approximation [n_blocks,
+    live] and its sum, added in the same tree.
     """
-    out = np.empty((n_blocks, freq.shape[1], width))
+    levels = []
     low, total = freq, sums
     step, pair = 1, 1  # frames between low's entries, and between a pair's
     while pair < width:
@@ -564,18 +556,14 @@ def _time_levels(
         low /= SQRT2
         total = total[first] + total[second]
         # block k reads this level's entries k * hop + p * 2 * pair, p <
-        # cols; the last block's last one is high's last row
-        cols = width // (2 * pair)
+        # width / (2 * pair); the last block's last one is high's last row
         row, item = high.strides
-        out[:, :, cols : 2 * cols] = np.ndarray(
-            (n_blocks, high.shape[1], cols),
-            high.dtype,
-            high,
-            strides=(hop // lattice * row, item, 2 * pair // lattice * row),
-        )
+        shape = (n_blocks, high.shape[1], width // (2 * pair))
+        strides = (hop // lattice * row, item, 2 * pair // lattice * row)
+        levels.append(np.ndarray(shape, high.dtype, high, strides=strides))
         step, pair = lattice, 2 * pair
     pick = slice(0, (n_blocks - 1) * (hop // step) + 1, hop // step)
-    return out, low[pick], total[pick]
+    return levels, low[pick], total[pick]
 
 
 class StreamingFingerprinter:
@@ -586,7 +574,7 @@ class StreamingFingerprinter:
     row per block in block order, so the rows of every feed so far are
     blocks 0 to :attr:`blocks_emitted` - 1. The result is bit-identical to
     a whole-file pass because neither a frame's column nor a block's bits
-    depend on the stack they are computed in. Each feed computes the
+    depend on the run or stack they are computed in. Each feed computes the
     columns of the frames it completes, and their frequency transforms,
     in one :meth:`FrameTransform.column` call and one Haar pass.
     """
@@ -611,6 +599,10 @@ class StreamingFingerprinter:
             )
         self._rows = rows
         self._max_stack = max(1, STACK_ELEMENTS // (n_bins * width))
+        # one time recursion covers a run of whole stacks: see STACK_ELEMENTS
+        hop = fingerprint_config.block_hop_frames
+        run = (STACK_ELEMENTS // n_bins - width) // hop + 1
+        self._max_run = max(1, run // self._max_stack) * self._max_stack
         self._hasher = get_minhasher(
             fingerprint_config.n_permutations, 2 * area, fingerprint_config.seed
         )
@@ -665,33 +657,39 @@ class StreamingFingerprinter:
         if self._frames_done >= width:
             ready = (self._frames_done - width) // hop + 1 - self._blocks_done
         while ready > 0:
-            n_blocks = min(ready, self._max_stack)
-            fresh.append(self._emit_stack(n_blocks))
+            n_blocks = min(ready, self._max_run)
+            fresh.extend(self._emit_run(n_blocks))
             ready -= n_blocks
         return np.concatenate(fresh) if fresh else self._no_rows
 
-    def _emit_stack(self, n_blocks: int) -> np.ndarray:
-        """Fingerprints the next ``n_blocks`` blocks in one kernel call."""
+    def _emit_run(self, n_blocks: int) -> list[np.ndarray]:
+        """Fingerprints the next ``n_blocks`` blocks: one time recursion,
+        then one top-t and one min-hash call per stack of them."""
         cfg = self.fingerprint_config
         hop, width = cfg.block_hop_frames, cfg.block_frames
         local = self._blocks_done * hop - self._columns_start
         span = slice(local, local + (n_blocks - 1) * hop + width)
-        coeffs, low, total = _time_levels(
+        levels, low, total = _time_levels(
             self._columns[span], self._sums[span], n_blocks, hop, width
         )
         n_bins = self._transform.n_bins
         means = total / (n_bins * width)
-        coeffs[:, :, 0] = low - means[:, None] * self._dc
-        bits = top_t_signs(coeffs, cfg.top_t, real_rows=n_bins, height=self._rows)
-        signatures = self._hasher.signature(bits)
+        dc = low - means[:, None] * self._dc
+        signatures = []
+        for start in range(0, n_blocks, self._max_stack):
+            stack = slice(start, start + self._max_stack)
+            # the time-DC column, then the levels coarsest first
+            coeffs = np.concatenate(
+                [dc[stack, :, None]] + [high[stack] for high in levels[::-1]], axis=2
+            )
+            bits = top_t_signs(coeffs, cfg.top_t, real_rows=n_bins, height=self._rows)
+            signatures.append(self._hasher.signature(bits))
         self._blocks_done += n_blocks
         # columns before the next block's start are done
-        keep_from = self._blocks_done * hop
-        if keep_from > self._columns_start:
-            drop = keep_from - self._columns_start
-            self._columns = self._columns[drop:]
-            self._sums = self._sums[drop:]
-            self._columns_start = keep_from
+        drop = self._blocks_done * hop - self._columns_start
+        self._columns = self._columns[drop:]
+        self._sums = self._sums[drop:]
+        self._columns_start += drop
         return signatures
 
     def finish(self) -> None:

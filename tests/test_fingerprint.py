@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from speechprint.audio import AudioBuffer
 from speechprint.corpus import synth_speech_like
 from speechprint.degrade import add_noise
 from speechprint.errors import ConfigError, CorruptIndex, TooShort
@@ -250,7 +251,10 @@ class TestTopTSigns:
 
     def test_zeros_inside_top_set_no_bits(self):
         bits = top_t_signs(np.array([[1.0, 0.0, 0.0, 0.0]]), 3)
-        np.testing.assert_array_equal(bits.indices, [0])
+        # the two ranked zeros hold the no-bit marker, the dimension
+        np.testing.assert_array_equal(bits.indices, [0, 8, 8])
+        np.testing.assert_array_equal(real_bits(bits), [[0]])
+        assert len(bits) == 1
 
     def test_rejects_bad_t(self):
         with pytest.raises(ConfigError):
@@ -269,15 +273,20 @@ class TestTopTSigns:
         for t in (1, 2, 3, 4, 5):
             stacked = top_t_signs(stack, t)
             assert stacked.dimension == 8
-            assert stacked.counts.tolist() == [
-                len(top_t_signs(block, t)) for block in stack
-            ]
-            pieces = np.split(stacked.indices, np.cumsum(stacked.counts)[:-1])
-            for block, piece in zip(stack, pieces):
-                np.testing.assert_array_equal(piece, top_t_signs(block, t).indices)
+            assert stacked.indices.shape == (len(stack), min(t, 4))
+            assert len(stacked) == sum(len(top_t_signs(block, t)) for block in stack)
+            for block, row in zip(stack, stacked.indices):
+                np.testing.assert_array_equal(row, top_t_signs(block, t).indices)
 
-    def test_single_block_has_no_counts(self):
-        assert top_t_signs(np.ones((2, 2)), 2).counts is None
+    def test_single_block_gives_one_row(self):
+        assert top_t_signs(np.ones((2, 2)), 2).indices.shape == (2,)
+        assert top_t_signs(np.ones((1, 2, 2)), 2).indices.shape == (1, 2)
+
+
+def real_bits(bits: SparseBits) -> list[np.ndarray]:
+    """The set bits of each vector of a stack, or of a single vector: the
+    entries below the dimension, ascending."""
+    return [row[row < bits.dimension] for row in np.atleast_2d(bits.indices)]
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -311,11 +320,13 @@ class TestRealRowKernel:
         assert bitwise_equal(np.swapaxes(freq_live, -1, -2), freq[..., live, :])
         got = top_t_signs(compact, t, real_rows=real_rows, height=height)
         assert got.dimension == want.dimension == 2 * height * stack.shape[-1]
-        np.testing.assert_array_equal(got.indices, want.indices)
-        if want.counts is None:
-            assert got.counts is None
-        else:
-            np.testing.assert_array_equal(got.counts, want.counts)
+        # a row of the compact area may be narrower and hold its markers
+        # elsewhere, never other bits
+        assert got.indices.ndim == want.indices.ndim == stack.ndim - 1
+        got_rows, want_rows = real_bits(got), real_bits(want)
+        assert len(got_rows) == len(want_rows)
+        for got_row, want_row in zip(got_rows, want_rows):
+            np.testing.assert_array_equal(got_row, want_row)
 
     @staticmethod
     def compact_area(real_rows: int, height: int, cols: int) -> int:
@@ -448,18 +459,52 @@ class TestVersion2Kernel:
 
     # hop equal to the block, hops that share 16 or 4 frames with the
     # block's powers of two (so levels stride over their lattice), and
-    # blocks of one and two frames
-    @pytest.mark.parametrize("width,hop", [(32, 32), (64, 48), (16, 12), (2, 1), (1, 1)])
-    def test_other_geometries_equal_reference(self, width, hop, monkeypatch):
-        cfg = FingerprintConfig(block_frames=width, block_hop_frames=hop, top_t=20)
+    # blocks of one and two frames, on 4 s of speech fed whole; then
+    # other audio at the benchmark's and the library's geometry: 40 s,
+    # whose blocks span several runs of one time recursion when fed
+    # whole; silence, every coefficient zero and every slot a marker;
+    # and speech rounded to whole units, nearly silent, whose magnitudes
+    # tie at the cut, zeros and non-zeros alike
+    @pytest.mark.parametrize(
+        "audio,width,hop,top_t,pieces",
+        [
+            pytest.param("speech", 32, 32, 20, False, id="32-32"),
+            pytest.param("speech", 64, 48, 20, False, id="64-48"),
+            pytest.param("speech", 16, 12, 20, False, id="16-12"),
+            pytest.param("speech", 2, 1, 20, False, id="2-1"),
+            pytest.param("speech", 1, 1, 20, False, id="1-1"),
+            pytest.param("long", 32, 1, 30, True, id="long-32-1"),
+            pytest.param("silence", 32, 1, 30, True, id="silence-32-1"),
+            pytest.param("silence", 128, 32, 200, True, id="silence-128-32"),
+            pytest.param("rounded", 32, 1, 30, True, id="rounded-32-1"),
+            pytest.param("rounded", 128, 32, 200, True, id="rounded-128-32"),
+        ],
+    )
+    def test_other_geometries_equal_reference(
+        self, audio, width, hop, top_t, pieces, monkeypatch
+    ):
+        cfg = FingerprintConfig(block_frames=width, block_hop_frames=hop, top_t=top_t)
         spectral = SpectralConfig.for_variant("mel-vocal")
-        clip = synth_speech_like(4.0, 8000, seed=13)
+        clip = {
+            "speech": lambda: synth_speech_like(4.0, 8000, seed=13),
+            "long": lambda: synth_speech_like(40.0, 8000, seed=13),
+            "silence": lambda: AudioBuffer(np.zeros(9 * 8000), 8000),
+            "rounded": lambda: AudioBuffer(
+                np.round(synth_speech_like(9.0, 8000, seed=11).samples), 8000
+            ),
+        }[audio]()
         image = make_image(clip, spectral)
         coeffs = v2_coefficients(image, cfg)
         live, _flat = _support(image.n_bins, coeffs.shape[1], width)
-        signatures, got = self.fed(clip, spectral, cfg, len(clip), monkeypatch)
-        assert bitwise_equal(got, coeffs[:, live])
-        np.testing.assert_array_equal(signatures, v2_signatures(image, cfg))
+        want = v2_signatures(image, cfg)
+        if audio == "long":
+            assert len(want) > 2 * StreamingFingerprinter(8000, spectral, cfg)._max_run
+        if audio == "silence":
+            assert not np.any(coeffs) and np.all(want == 255)
+        for chunk in (len(clip), 57) if pieces else (len(clip),):
+            signatures, got = self.fed(clip, spectral, cfg, chunk, monkeypatch)
+            assert bitwise_equal(got, coeffs[:, live])
+            np.testing.assert_array_equal(signatures, want)
 
     @pytest.mark.parametrize("geometry", sorted(V2_GEOMETRIES))
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
@@ -497,9 +542,13 @@ class TestMinHash:
         assert np.any(a != b)
 
     def test_permutations_are_bijections(self):
+        """Each permutation gives positions 0-254 to one bit each and caps
+        the other 257 at 255; the marker row is 255 throughout."""
         hasher = MinHasher(8, 512, seed=42)
-        for row in hasher._positions:
-            assert np.array_equal(np.sort(row), np.arange(512))
+        capped = np.minimum(np.arange(512), 255)
+        for column in hasher.table[:512].T:
+            assert np.array_equal(np.sort(column), capped)
+        assert np.all(hasher.table[512] == 255)
 
     @pytest.mark.parametrize(
         "n_permutations, dimension, seed",
@@ -508,15 +557,16 @@ class TestMinHash:
     def test_table_equals_one_stable_sort_per_permutation(
         self, n_permutations, dimension, seed
     ):
-        """The one-pass table against the reference: a stable sort a row."""
+        """The one-pass capped table against the reference: a stable sort a
+        row, capped at 255, plus the marker row."""
         base = np.arange(dimension, dtype=np.uint64)
-        want = np.empty((n_permutations, dimension), dtype=np.int32)
+        want = np.full((dimension + 1, n_permutations), 255, dtype=np.int64)
         for j in range(n_permutations):
             keys = splitmix64(base ^ np.uint64(mix64(seed * 0x1F123BB5 + j)))
-            want[j, np.argsort(keys, kind="stable")] = np.arange(dimension)
+            want[np.argsort(keys, kind="stable"), j] = np.arange(dimension)
         hasher = MinHasher(n_permutations, dimension, seed)
-        np.testing.assert_array_equal(hasher._positions, want)
-        assert hasher._by_bit.flags.c_contiguous
+        assert hasher.table.dtype == np.uint8 and hasher.table.flags.c_contiguous
+        np.testing.assert_array_equal(hasher.table, np.minimum(want, 255))
 
     def test_match_fraction_estimates_jaccard(self, rng):
         """Mean |match fraction - exact Jaccard| stays within 0.05 at p=1000."""
@@ -539,30 +589,38 @@ class TestMinHash:
             hasher.signature(SparseBits(np.array([1]), 128))
 
     def test_stack_equals_per_vector(self):
-        hasher = MinHasher(20, 64, seed=3)
-        vectors = [[], [5], [0, 7, 63], [], [1, 2, 3, 4, 40], []]
-        stacked = SparseBits(
-            np.concatenate([np.array(v, dtype=np.int64) for v in vectors]),
-            64,
-            [len(v) for v in vectors],
-        )
+        """Rows padded with the no-bit marker hash as their set bits alone,
+        and the signature is the least capped position of any of them."""
+        hasher = MinHasher(20, 300, seed=3)
+        vectors = [[], [5], [0, 7, 299], [], [1, 2, 3, 4, 40], []]
+        rows = np.full((len(vectors), 5), 300)
+        for row, vector in zip(rows, vectors):
+            row[: len(vector)] = vector
+        stacked = SparseBits(rows, 300)
+        assert len(stacked) == 9
         signatures = hasher.signature(stacked)
         assert signatures.shape == (len(vectors), 20)
         assert signatures.dtype == np.uint8
         for vector, got in zip(vectors, signatures):
-            want = hasher.signature(SparseBits(np.array(vector, dtype=np.int64), 64))
+            want = hasher.signature(SparseBits(np.array(vector, dtype=np.int64), 300))
             np.testing.assert_array_equal(got, want)
+            least = hasher.table[vector].min(axis=0) if vector else 255
+            np.testing.assert_array_equal(got, np.broadcast_to(least, (20,)))
         assert np.all(signatures[0] == 255) and np.all(signatures[-1] == 255)
 
-    def test_counts_must_cover_indices(self):
+    def test_indices_are_a_vector_or_rows(self):
         with pytest.raises(ConfigError):
-            SparseBits(np.array([1, 2, 3]), 64, [1, 1])
+            SparseBits(np.zeros((2, 2, 2), dtype=np.int64), 64)
         with pytest.raises(ConfigError):
-            SparseBits(np.array([1, 2]), 64, [3, -1])
+            SparseBits(np.array(3), 64)
 
     def test_out_of_range_bit_rejected(self):
         with pytest.raises(ConfigError):
-            SparseBits(np.array([3, 64, 5]), 64, [3])
+            SparseBits(np.array([3, 65, 5]), 64)
+        with pytest.raises(ConfigError):
+            SparseBits(np.array([[3, 64], [-1, 5]]), 64)
+        # the dimension itself is the no-bit marker
+        assert len(SparseBits(np.array([3, 64, 5]), 64)) == 2
 
 
 class TestFingerprintAudio:
