@@ -190,50 +190,57 @@ def test_fingerprint_at_rate_matches_golden_digest(variant, geometry, rate):
     assert fingerprint_digest(fp) == digest
 
 
-# sha256 of the bit-major rank table (``MinHasher._by_bit``, <i4) at the
-# benchmark geometry's dimension and the library's, recorded from the
-# builder that sorted one permutation at a time
+# sha256 of the capped bit-major rank table (``MinHasher.table``, uint8,
+# [dimension + 1, n_permutations]) at the benchmark geometry's dimension
+# and the library's; each equals the digest of min(255, the full int32
+# rank table that one stable sort per permutation gives), with the
+# all-255 marker row appended
 GOLDEN_MINHASH_TABLES = {
-    4096: "87336147126d94d95b5d0017a0f337163f3d90623d683cff9722509c73e2acd2",
-    16384: "243510ee6b91d3e5575a5834d24bc4669a7237554f1b4df046e1f09b07157e7c",
+    4096: "25742f85db1e17e6cb9c4f27d001cd04fa6a776b8d71a96bba04a6be8009f38d",
+    16384: "d0e3a5d42404e91dc7aa9d841d301e5d2182c2267f50eabf2f96f92f64ad88f1",
 }
 
 
 @pytest.mark.parametrize("dimension", sorted(GOLDEN_MINHASH_TABLES))
 def test_minhash_table_matches_golden_digest(dimension):
-    table = get_minhasher(LIBRARY.n_permutations, dimension, LIBRARY.seed)._by_bit
-    assert table.shape == (dimension, LIBRARY.n_permutations)
-    assert table.dtype == np.int32 and table.flags.c_contiguous
-    digest = hashlib.sha256(table.astype("<i4").tobytes()).hexdigest()
+    table = get_minhasher(LIBRARY.n_permutations, dimension, LIBRARY.seed).table
+    assert table.shape == (dimension + 1, LIBRARY.n_permutations)
+    assert table.dtype == np.uint8 and table.flags.c_contiguous
+    digest = hashlib.sha256(table.tobytes()).hexdigest()
     assert digest == GOLDEN_MINHASH_TABLES[dimension]
 
 
-# the smallest tables, recorded the same way; seed 2**64 - 1 and a
-# negative seed give other salts
+# the smallest tables, recorded the same way: row b is bit b's position
+# under each permutation, and the last row the marker's; seed 2**64 - 1
+# and a negative seed give other salts
 @pytest.mark.parametrize(
     "shape, seed, positions",
     [
-        ((1, 1), LIBRARY.seed, [[0]]),
-        ((3, 2), LIBRARY.seed, [[1, 0], [0, 1], [0, 1]]),
-        ((3, 2), 2**64 - 1, [[1, 0], [0, 1], [1, 0]]),
-        ((3, 2), -5, [[1, 0], [1, 0], [0, 1]]),
+        ((1, 1), LIBRARY.seed, [[0], [255]]),
+        ((3, 2), LIBRARY.seed, [[1, 0, 0], [0, 1, 1], [255, 255, 255]]),
+        ((3, 2), 2**64 - 1, [[1, 0, 1], [0, 1, 0], [255, 255, 255]]),
+        ((3, 2), -5, [[1, 1, 0], [0, 0, 1], [255, 255, 255]]),
     ],
 )
 def test_smallest_minhash_tables(shape, seed, positions):
     hasher = MinHasher(*shape, seed)
-    assert hasher._positions.tolist() == positions
-    assert hasher._by_bit.flags.c_contiguous
+    assert hasher.table.tolist() == positions
+    assert hasher.table.flags.c_contiguous
 
 
 @pytest.mark.parametrize(
     "n_permutations, dimension", [(1, 1), (3, 2), (7, 33), (100, 4096), (100, 16384)]
 )
 def test_minhash_rows_are_permutations(n_permutations, dimension):
-    positions = MinHasher(n_permutations, dimension, LIBRARY.seed)._positions
-    assert positions.shape == (n_permutations, dimension)
+    """Each permutation gives positions 0 to min(dimension, 255) - 1 to
+    one bit each and caps every other bit, and the marker, at 255."""
+    table = MinHasher(n_permutations, dimension, LIBRARY.seed).table
+    assert table.shape == (dimension + 1, n_permutations)
+    capped = np.minimum(np.arange(dimension + 1), 255)
+    capped[-1] = 255
     np.testing.assert_array_equal(
-        np.sort(positions, axis=1),
-        np.broadcast_to(np.arange(dimension), positions.shape),
+        np.sort(table, axis=0),
+        np.broadcast_to(capped[:, None], table.shape),
     )
 
 
