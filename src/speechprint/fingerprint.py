@@ -518,10 +518,11 @@ def get_minhasher(n_permutations: int, dimension: int, seed: int) -> MinHasher:
 #: most STACK_ELEMENTS // n_bins frames (819 for 40 rows), so 775 mel
 #: blocks at hop 1 and 18 at the library's hop 32, and a 15 s file is one
 #: run. A run's level arrays hold up to 1.3 MiB at 32/1 and 1.8 MiB at
-#: 128/1. A long file is fingerprinted in bounded memory, and no 15 s or
-#: 60 s file faulted a page in, at runs of one stack, of this bound or of
-#: four times it (within the noise of a 2-CPU box, no run length was
-#: faster for a 15 s file).
+#: 128/1. A long file is fingerprinted in bounded memory. (On a 2-CPU box
+#: the recursion, gathers and centring of a 15 s file took 2.7-3.0 ms at
+#: 128/1 and 1.0-1.2 ms at 32/1, against 15-18 and 2.8-3.8 ms with one
+#: recursion per stack; no 15 s or 60 s file faulted a page in, at runs of
+#: one stack, of this bound or of four times it.)
 STACK_ELEMENTS = 1 << 15
 
 
