@@ -13,6 +13,7 @@ and logs one warning so bulk jobs can audit how much clipping happened.
 import logging
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -309,6 +310,47 @@ def dump_raw(audio: AudioBuffer) -> bytes:
 CANONICAL_RATE = 8000
 
 
+@lru_cache(maxsize=8)
+def _rate_filter(up: int, down: int) -> np.ndarray:
+    """The Kaiser low-pass ``resample_poly`` designs for ``up``/``down``.
+
+    At the factors in the thousands that a few-percent clock drift gives,
+    its design takes milliseconds, so a repeated ratio reuses it.
+    """
+    from scipy.signal import firwin
+
+    n = max(up, down)
+    taps = firwin(20 * n + 1, 1.0 / n, window=("kaiser", 5.0))
+    taps.flags.writeable = False
+    return taps
+
+
+def _polyphase(
+    samples: np.ndarray, up: int, down: int, n_out: int, context: str
+) -> np.ndarray:
+    """``samples`` resampled by ``up``/``down``, fixed to ``n_out`` and clipped.
+
+    The output equals scipy's ``resample_poly(samples, up, down)`` bit for
+    bit, cut or zero-padded to ``n_out`` samples; ``context`` names the
+    step in the clip log. scipy is imported on first use: that import
+    takes several times as long as the rest of the package's, and
+    decoding and fingerprinting at the canonical rate never need it.
+    """
+    if up == down:
+        out = samples.copy()
+    else:
+        from scipy.signal import resample_poly
+
+        # cast as resample_poly casts a filter it designs, so the bits match
+        taps = _rate_filter(up, down).astype(samples.dtype, copy=False)
+        out = resample_poly(samples, up, down, window=taps)
+    if len(out) > n_out:
+        out = out[:n_out]
+    elif len(out) < n_out:
+        out = np.pad(out, (0, n_out - len(out)))
+    return _clip_unit(out, context)
+
+
 def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited resampling to ``target_rate``.
 
@@ -316,28 +358,18 @@ def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     rate ratio, then fixes the length to round(len * target/source) with
     half-up rounding so durations stay predictable. Equal rates return
     the input unchanged.
-
-    The filter is scipy's ``resample_poly``, imported on first use: that
-    import takes several times as long as the rest of the package's, and
-    decoding and fingerprinting at the canonical rate never need it.
     """
     if target_rate <= 0:
         raise ConfigError(f"target_rate must be positive, got {target_rate}")
     if target_rate == audio.sample_rate:
         return audio
-    from scipy.signal import resample_poly
-
     g = gcd(target_rate, audio.sample_rate)
-    up, down = target_rate // g, audio.sample_rate // g
-    out = resample_poly(audio.samples, up, down)
     n_out = (2 * len(audio) * target_rate + audio.sample_rate) // (
         2 * audio.sample_rate
     )
-    if len(out) > n_out:
-        out = out[:n_out]
-    elif len(out) < n_out:
-        out = np.pad(out, (0, n_out - len(out)))
-    out = _clip_unit(out, "resample")
+    out = _polyphase(
+        audio.samples, target_rate // g, audio.sample_rate // g, n_out, "resample"
+    )
     return AudioBuffer(out, target_rate)
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, _clip_unit, slice_seconds
+from .audio import AudioBuffer, _clip_unit, _polyphase, slice_seconds
 from .errors import ConfigError, SilentSignal, TooShort
 
 RATE_RANGE = (0.97, 1.03)
@@ -83,21 +82,6 @@ def random_offset_slice(
     )
 
 
-@lru_cache(maxsize=8)
-def _rate_filter(up: int, down: int) -> np.ndarray:
-    """The low-pass filter ``resample_poly`` designs for ``up``/``down``.
-
-    At the factors in the thousands that a few-percent rate gives, its
-    Kaiser design takes milliseconds, so a repeated rate reuses it.
-    """
-    from scipy.signal import firwin
-
-    n = max(up, down)
-    taps = firwin(20 * n + 1, 1.0 / n, window=("kaiser", 5.0))
-    taps.flags.writeable = False
-    return taps
-
-
 def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     """Plays the audio back ``rate`` times faster, keeping the nominal rate.
 
@@ -105,31 +89,19 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     by 3%; the buffer's sample_rate field is unchanged, exactly like a
     capture whose clock drifted. Output length is round(len / rate).
 
-    scipy's ``firwin`` and ``resample_poly`` design and apply the filter;
-    both are imported on first use, so importing the package does not pay
-    for scipy.
+    The filter is :mod:`speechprint.audio`'s polyphase low-pass at the
+    rational ratio nearest ``rate`` with a denominator of at most 10000.
     """
     if rate <= 0:
         raise ConfigError(f"rate must be positive, got {rate}")
     if rate == 1.0:
         return audio
     ratio = Fraction(rate).limit_denominator(10000)
-    up, down = ratio.denominator, ratio.numerator
-    if up == down:
-        # a rate this close to 1 rounds to the ratio 1/1: nothing to filter
-        out = audio.samples.copy()
-    else:
-        from scipy.signal import resample_poly
-
-        # cast as resample_poly casts a filter it designs, so the bits match
-        taps = _rate_filter(up, down).astype(audio.samples.dtype)
-        out = resample_poly(audio.samples, up, down, window=taps)
     n_out = int(np.floor(len(audio) / rate + 0.5))
-    if len(out) > n_out:
-        out = out[:n_out]
-    elif len(out) < n_out:
-        out = np.pad(out, (0, n_out - len(out)))
-    out = _clip_unit(out, "rate change")
+    # a rate this close to 1 can round to the ratio 1/1, which is a copy
+    out = _polyphase(
+        audio.samples, ratio.denominator, ratio.numerator, n_out, "rate change"
+    )
     return AudioBuffer(out, audio.sample_rate)
 
 

@@ -81,7 +81,6 @@ class FingerprintConfig:
     block_frames: int = 128
     block_hop_frames: int = 32
     top_t: int = 200
-    n_permutations: int = 100
     band_count: int = 20
     band_width: int = 5
     seed: int = 0x53504650
@@ -98,17 +97,13 @@ class FingerprintConfig:
             )
         if self.top_t < 1:
             raise ConfigError(f"top_t must be >= 1, got {self.top_t}")
-        if self.n_permutations < 1:
-            raise ConfigError(
-                f"n_permutations must be >= 1, got {self.n_permutations}"
-            )
         if self.band_count < 1 or self.band_width < 1:
             raise ConfigError("band_count and band_width must be >= 1")
-        if self.band_count * self.band_width != self.n_permutations:
-            raise ConfigError(
-                f"band_count * band_width must equal n_permutations "
-                f"({self.band_count} * {self.band_width} != {self.n_permutations})"
-            )
+
+    @property
+    def n_permutations(self) -> int:
+        """Signature length: one min-hash per position of every band."""
+        return self.band_count * self.band_width
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,46 +46,35 @@ _VARIANT_BANDS = {
 class SpectralConfig:
     """Framing plus band layout for one image variant.
 
-    The band edges and mel bin count are pinned per variant; construct
-    via :meth:`for_variant` and only choose window/stride.
+    Only the window and stride are chosen; the band edges and the mel bin
+    count are properties of the variant.
     """
 
     variant: Variant
     window_s: float = 0.1
     stride_s: float = 0.025
-    f_min: float | None = None
-    f_max: float | None = None
-    n_bins: int | None = None
 
     def __post_init__(self) -> None:
-        variant = Variant(self.variant)
-        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "variant", Variant(self.variant))
         if self.stride_s <= 0:
             raise ConfigError(f"stride_s must be positive, got {self.stride_s}")
         if self.window_s < self.stride_s:
             raise ConfigError(
                 f"window_s ({self.window_s}) must be >= stride_s ({self.stride_s})"
             )
-        f_min, f_max = _VARIANT_BANDS[variant]
-        if self.f_min is None:
-            object.__setattr__(self, "f_min", f_min)
-        if self.f_max is None:
-            object.__setattr__(self, "f_max", f_max)
-        if (self.f_min, self.f_max) != (f_min, f_max):
-            raise ConfigError(
-                f"{variant.value} analyses {f_min:g}-{f_max:g} Hz, "
-                f"got {self.f_min:g}-{self.f_max:g}"
-            )
-        if variant is Variant.LINEAR_VOCAL:
-            if self.n_bins is not None:
-                raise ConfigError("linear-vocal derives its bin count from the FFT")
-        else:
-            if self.n_bins is None:
-                object.__setattr__(self, "n_bins", N_MEL_BINS)
-            if self.n_bins != N_MEL_BINS:
-                raise ConfigError(
-                    f"mel variants use {N_MEL_BINS} bins, got {self.n_bins}"
-                )
+
+    @property
+    def f_min(self) -> float:
+        return _VARIANT_BANDS[self.variant][0]
+
+    @property
+    def f_max(self) -> float:
+        return _VARIANT_BANDS[self.variant][1]
+
+    @property
+    def n_bins(self) -> int | None:
+        """Mel bins, or None for linear-vocal, whose FFT sets its bin count."""
+        return None if self.variant is Variant.LINEAR_VOCAL else N_MEL_BINS
 
     @classmethod
     def for_variant(

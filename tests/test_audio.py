@@ -175,6 +175,28 @@ class TestResample:
         with pytest.raises(ConfigError):
             resample(tone(100.0, 0.1, 8000), -1)
 
+    @pytest.mark.parametrize(
+        "source, up, down",
+        [(16000, 1, 2), (11025, 320, 441), (44100, 80, 441), (4000, 2, 1)],
+    )
+    def test_equals_scipy_design_with_shared_taps(self, source, up, down):
+        from scipy.signal import resample_poly
+
+        from speechprint.audio import _clip_unit, _rate_filter
+
+        rng = np.random.default_rng(source)
+        buf = AudioBuffer(rng.uniform(-0.5, 0.5, source // 5 | 1), source)
+        n_out = (2 * len(buf) * 8000 + source) // (2 * source)
+        designed = resample_poly(buf.samples, up, down)  # scipy designs the filter
+        designed = np.pad(designed[:n_out], (0, max(0, n_out - len(designed))))
+        expected = _clip_unit(designed, "resample").tobytes()
+        hits = _rate_filter.cache_info().hits
+        for _ in range(2):  # the second call reuses the first call's taps
+            assert resample(buf, 8000).samples.tobytes() == expected
+        assert _rate_filter.cache_info().hits >= hits + 1
+        taps = _rate_filter(up, down)
+        assert _rate_filter(up, down) is taps and not taps.flags.writeable
+
 
 class TestSlice:
     def test_whole_buffer_identity(self, tone):

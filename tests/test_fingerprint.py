@@ -77,13 +77,11 @@ def v2_signatures(image, cfg):
 
 
 class TestConfig:
-    def test_band_product_must_match_permutations(self):
-        with pytest.raises(ConfigError):
-            FingerprintConfig(band_count=3, band_width=5, n_permutations=100)
-
     def test_block_frames_power_of_two(self):
         with pytest.raises(ConfigError):
             FingerprintConfig(block_frames=48)
+        cfg = FingerprintConfig(block_frames=64, band_count=3, band_width=5)
+        assert cfg.n_permutations == cfg.band_count * cfg.band_width == 15
 
     def test_hop_bounded_by_block(self):
         with pytest.raises(ConfigError):

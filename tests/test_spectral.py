@@ -134,14 +134,6 @@ class TestConfig:
         wide = SpectralConfig.for_variant("mel-wide")
         assert (wide.f_min, wide.f_max) == (300.0, 2000.0)
 
-    def test_contradicting_band_rejected(self):
-        with pytest.raises(ConfigError):
-            SpectralConfig(Variant.MEL_VOCAL, f_min=50.0)
-
-    def test_linear_variant_rejects_forced_bins(self):
-        with pytest.raises(ConfigError):
-            SpectralConfig(Variant.LINEAR_VOCAL, n_bins=40)
-
     def test_stride_beyond_window_rejected(self):
         with pytest.raises(ConfigError):
             SpectralConfig(Variant.MEL_VOCAL, window_s=0.02, stride_s=0.05)
