@@ -154,33 +154,28 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[int, AudioBuffer]]:
 def run_grid(
     corpus_dir: str | Path,
     grid: ExperimentGrid,
-    fingerprint_config: FingerprintConfig | None = None,
-    window_ms: float = 100.0,
-    min_band_votes: int | None = None,
-    min_confidence: float | None = None,
     progress=None,
 ) -> list[CellResult]:
     """Runs the full grid and returns one CellResult per cell.
 
-    For each (variant, stride) the corpus is enrolled once; each cell
+    For each (variant, stride) the corpus is enrolled once, at
+    :data:`BENCH_FINGERPRINT` and the default analysis window; each cell
     then runs trials_per_cell degraded queries (random offset, random
-    rate in rate_range, random SNR in snr_db_range) against it. A trial
-    counts as correct when the top match is the query's source file.
-    Latency covers fingerprinting plus querying, not degradation.
+    rate in rate_range, random SNR in snr_db_range) against it at the
+    index's default thresholds. A trial counts as correct when the top
+    match is the query's source file. Latency covers fingerprinting plus
+    querying, not degradation.
     """
-    fp_config = BENCH_FINGERPRINT if fingerprint_config is None else fingerprint_config
     corpus = load_corpus(corpus_dir)
     results = []
     for vi, variant in enumerate(grid.variants):
         for si, stride_ms in enumerate(grid.strides_ms):
-            spectral = SpectralConfig.for_variant(
-                variant, window_s=window_ms / 1000.0, stride_s=stride_ms / 1000.0
-            )
-            digest = config_digest(spectral, fp_config, CANONICAL_RATE)
-            index = RetrievalIndex.for_config(digest, fp_config)
+            spectral = SpectralConfig.for_variant(variant, stride_s=stride_ms / 1000.0)
+            digest = config_digest(spectral, BENCH_FINGERPRINT, CANONICAL_RATE)
+            index = RetrievalIndex.for_config(digest, BENCH_FINGERPRINT)
             for file_id, audio in corpus:
                 index.enroll(
-                    fingerprint_audio(audio, spectral, fp_config, file_id)
+                    fingerprint_audio(audio, spectral, BENCH_FINGERPRINT, file_id)
                 )
             for li, query_len_s in enumerate(grid.query_lens_s):
                 correct = 0
@@ -198,12 +193,12 @@ def run_grid(
                     query = make_query(audio, spec, seed)
                     t0 = time.perf_counter()
                     try:
-                        fp = fingerprint_audio(query, spectral, fp_config)
+                        fp = fingerprint_audio(query, spectral, BENCH_FINGERPRINT)
                     except TooShort:
                         # query shorter than one block at this stride:
                         # the system cannot answer, scored as a miss
                         continue
-                    result = index.query(fp, min_band_votes, min_confidence)
+                    result = index.query(fp)
                     latency += time.perf_counter() - t0
                     timed += 1
                     if result is not None and result.file_id == file_id:

@@ -50,22 +50,25 @@ def _add_fingerprint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fp-seed", type=int, default=0x53504650)
 
 
-def _configs(args) -> tuple[SpectralConfig, FingerprintConfig]:
-    spectral = SpectralConfig.for_variant(
+def _spectral_config(args) -> SpectralConfig:
+    return SpectralConfig.for_variant(
         args.variant,
         window_s=args.window_ms / 1000.0,
         stride_s=args.stride_ms / 1000.0,
     )
+
+
+def _configs(args) -> tuple[SpectralConfig, FingerprintConfig]:
     fingerprint = FingerprintConfig(
         block_frames=args.block_frames,
         block_hop_frames=args.block_hop_frames,
         top_t=args.top_t,
         seed=args.fp_seed,
     )
-    return spectral, fingerprint
+    return _spectral_config(args), fingerprint
 
 
-def _pipeline(args, index_path=None, registry_path=None, **options) -> Pipeline:
+def _pipeline(args, index_path=None, registry_path=None) -> Pipeline:
     """The pipeline at the flags' configs, over the index and registry
     files given (the index must match the configs) or new empty ones."""
     spectral, fingerprint = _configs(args)
@@ -75,7 +78,7 @@ def _pipeline(args, index_path=None, registry_path=None, **options) -> Pipeline:
     else:
         index = RetrievalIndex.load(index_path, digest)
     registry = LabelRegistry.load(registry_path) if registry_path else LabelRegistry()
-    return Pipeline(index, registry, spectral, fingerprint, **options)
+    return Pipeline(index, registry, spectral, fingerprint)
 
 
 def _load_audio(path):
@@ -106,7 +109,7 @@ def cmd_inspect_audio(args) -> int:
 
 
 def cmd_inspect_image(args) -> int:
-    spectral, _ = _configs(args)
+    spectral = _spectral_config(args)
     image = make_image(_load_audio(args.wav), spectral)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -130,15 +133,6 @@ def cmd_index_build(args) -> int:
         print(f"enrolled {path.name} as file {i + 1}")
     pipeline.index.save(args.out)
     print(f"index with {len(pipeline.index)} files -> {args.out}")
-    return 0
-
-
-def cmd_index_add(args) -> int:
-    pipeline = _pipeline(args, args.index)
-    file_id = args.file_id or pipeline.allocate_file_id()
-    pipeline.index.enroll(pipeline.fingerprint(_load_audio(args.wav), file_id))
-    pipeline.index.save(args.index)
-    print(f"enrolled {args.wav} as file {file_id}")
     return 0
 
 
@@ -183,9 +177,7 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    pipeline = _pipeline(
-        args, args.index, args.registry, decision_after_s=args.after_s
-    )
+    pipeline = _pipeline(args, args.index, args.registry)
     outcome = pipeline.identify_stream(
         stream_wav_bytes(Path(args.wav).read_bytes()),
         transcript_path=args.transcript,
@@ -214,9 +206,7 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    pipeline = _pipeline(
-        args, args.index, args.registry, decision_after_s=args.after_s
-    )
+    pipeline = _pipeline(args, args.index, args.registry)
     server = serve(args.listen, pipeline)
     host, port = server.server_address
     print(f"listening on {host}:{port}")
@@ -337,13 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spectral_args(p)
     _add_fingerprint_args(p)
     p.set_defaults(func=cmd_index_build)
-    p = xsub.add_parser("add")
-    p.add_argument("--index", required=True)
-    p.add_argument("--file-id", type=int, default=0)
-    p.add_argument("wav")
-    _add_spectral_args(p)
-    _add_fingerprint_args(p)
-    p.set_defaults(func=cmd_index_add)
     p = xsub.add_parser("stats")
     p.add_argument("--index", required=True)
     p.set_defaults(func=cmd_index_stats)
@@ -366,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("--index", required=True)
     p.add_argument("--registry")
-    p.add_argument("--after-s", type=float, default=6.0)
     p.add_argument("--transcript")
     p.add_argument("--save-index", action="store_true")
     _add_spectral_args(p)
@@ -386,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:9311")
     p.add_argument("--index", required=True)
     p.add_argument("--registry")
-    p.add_argument("--after-s", type=float, default=6.0)
     _add_spectral_args(p)
     _add_fingerprint_args(p)
     p.set_defaults(func=cmd_serve)

@@ -4,8 +4,8 @@ The intended deployment listens to early media: audio arrives in small
 chunks, and after a few seconds we either recognise an already-enrolled
 announcement (and can act on its label immediately) or keep listening,
 eventually enrolling the whole recording as a new file. Decisions happen
-at a configurable point (6 s of audio by default) and are retried every
-couple of seconds up to a cap, after which the stream is just collected
+at 6 s of audio and are retried every 2 s up to 12 s
+(:data:`DECISION_POINTS_S`), after which the stream is just collected
 for enrolment. :class:`Session` is that state machine; the CLI and the
 TCP server both run it.
 """
@@ -35,15 +35,16 @@ from .spectral import SpectralConfig
 
 logger = logging.getLogger(__name__)
 
-#: Seconds of audio between a stream's decision points after the first
-REQUERY_INTERVAL_S = 2.0
-#: Seconds of audio after which a stream is only collected for enrolment
-MAX_WAIT_S = 12.0
+#: Seconds of decoded audio at which a stream is queried; after the last
+#: it is only collected for enrolment
+DECISION_POINTS_S = (6.0, 8.0, 10.0, 12.0)
 #: Seconds of audio a session accepts before it fails. A SIP proxy gives up
 #: on an unanswered INVITE after three minutes (RFC 3261 timer C), so no
 #: early-media phase runs longer; a session holds its decoded audio until
 #: it ends, which at 8 kHz caps it at 11.5 MB of float64 samples.
 MAX_STREAM_S = 180.0
+#: Cosine similarity below which a transcript is left unlabelled
+MIN_TRANSCRIPT_SIMILARITY = 0.1
 
 STATUS_IDENTIFIED = "identified"
 STATUS_ENROLLED = "enrolled"
@@ -78,14 +79,14 @@ class TranscriptLabeler:
     """Labels enrolments whose transcript matches an existing cluster.
 
     Scores each same-language cluster by cosine similarity between the
-    transcript's term counts and the cluster's keyword weights; a score
-    above the floor yields that cluster's label, anything else stays
-    pending. A real deployment would put an ASR system in front of this.
+    transcript's term counts and the cluster's keyword weights; a best
+    score of at least :data:`MIN_TRANSCRIPT_SIMILARITY` yields that
+    cluster's label, anything else stays pending. A real deployment would
+    put an ASR system in front of this.
     """
 
-    def __init__(self, registry: LabelRegistry, min_similarity: float = 0.1) -> None:
+    def __init__(self, registry: LabelRegistry) -> None:
         self.registry = registry
-        self.min_similarity = min_similarity
 
     def __call__(self, audio: AudioBuffer, transcript_path=None) -> int | None:
         if transcript_path is None:
@@ -110,7 +111,7 @@ class TranscriptLabeler:
             score = dot / (doc_norm * kw_norm)
             if score > best_score:
                 best_label, best_score = info.label_id, score
-        if best_label is not None and best_score >= self.min_similarity:
+        if best_label is not None and best_score >= MIN_TRANSCRIPT_SIMILARITY:
             return best_label
         return None
 
@@ -124,13 +125,8 @@ class Pipeline:
         registry: LabelRegistry,
         spectral_config: SpectralConfig,
         fingerprint_config: FingerprintConfig,
-        decision_after_s: float = 6.0,
         labeler=None,
     ) -> None:
-        if not 0 < decision_after_s <= MAX_WAIT_S:
-            raise SpeechprintError(
-                f"decision_after_s must be in (0, {MAX_WAIT_S:g}], got {decision_after_s}"
-            )
         digest = config_digest(spectral_config, fingerprint_config, CANONICAL_RATE)
         if digest != index.config_digest:
             raise IncompatibleIndex(
@@ -141,7 +137,6 @@ class Pipeline:
         self.registry = registry
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
-        self.decision_after_s = decision_after_s
         self.labeler = labeler if labeler is not None else PendingLabeler()
         self._id_lock = threading.Lock()
         self._next_id = max(index.file_ids, default=0) + 1
@@ -205,14 +200,6 @@ class Pipeline:
             audio_consumed_s=audio.duration_seconds,
         )
 
-    def _decision_points(self, first: float) -> list[float]:
-        points = []
-        t = first
-        while t <= MAX_WAIT_S + 1e-9:
-            points.append(t)
-            t += REQUERY_INTERVAL_S
-        return points
-
     def identify_stream(
         self, chunks: Iterable[bytes], transcript_path=None
     ) -> IdentifyOutcome:
@@ -236,11 +223,10 @@ class Pipeline:
 class Session:
     """One stream's identify-or-enroll state machine.
 
-    Feed it the stream's WAV bytes as they arrive. Queries fire once
-    ``decision_after_s`` seconds of audio have been decoded and again
-    every requery interval up to the wait cap; the first confident match
-    is the outcome. Otherwise :meth:`finish` queries the whole stream and
-    enrolls it as a new file on a miss.
+    Feed it the stream's WAV bytes as they arrive. Queries fire as the
+    decoded audio reaches each of :data:`DECISION_POINTS_S`; the first
+    confident match is the outcome. Otherwise :meth:`finish` queries the
+    whole stream and enrolls it as a new file on a miss.
 
     ``query`` is the lookup, called with a :class:`Fingerprint` of the
     stream so far: ``pipeline.index.query``, or a server's batcher.
@@ -251,8 +237,8 @@ class Session:
     rows serve every query and the enrolment. The streamer's output does
     not depend on how its input is chunked, so this gives the same bits as
     feeding it every chunk, at one call per decision instead of one per
-    chunk. The price: a real-time stream does its first ``decision_after_s``
-    of fingerprinting at once (about 4 ms for 6 s at the library geometry)
+    chunk. The price: a real-time stream does its first decision's
+    fingerprinting at once (about 4 ms for 6 s at the library geometry)
     rather than spread over the stream. A stream at another rate is
     resampled and fingerprinted at each decision point, and once more at
     the end for both the final query and the enrolment.
@@ -268,7 +254,7 @@ class Session:
         self._query = query
         self._transcript_path = transcript_path
         self._decoder = WavStreamDecoder()
-        self._decisions = pipeline._decision_points(pipeline.decision_after_s)
+        self._decisions = list(DECISION_POINTS_S)
         self._collected: list[np.ndarray] = []
         self._consumed = 0
         # set on the first decision point of a stream at the canonical rate

@@ -34,6 +34,8 @@ DEFAULT_STOP_WORDS = frozenset(
     """a an and are as at be by for from has have i in is it of on or that the
     this to was we will with you your""".split()
 )
+#: Lloyd iterations after which k-means stops even if assignments still move
+KMEANS_MAX_ITER = 100
 
 
 def tokenize(text: str) -> list[str]:
@@ -91,29 +93,25 @@ def load_transcript_dir(path: str | Path) -> list[TranscriptDoc]:
     return docs
 
 
-def vectorize(
-    docs: list[TranscriptDoc],
-    stop_words: frozenset[str] | set[str] | None = None,
-) -> tuple[np.ndarray, list[tuple[str, str]]]:
+def vectorize(docs: list[TranscriptDoc]) -> tuple[np.ndarray, list[tuple[str, str]]]:
     """TF-IDF matrix over per-language vocabulary blocks.
 
-    tf is the raw count in the document, idf is log(N / df) over the
-    whole collection, and each non-zero row is L2 normalised. Because a
-    term's column is keyed by (language, term), the same word in two
-    languages occupies two columns and documents of different languages
-    share no dimensions.
+    Tokens in :data:`DEFAULT_STOP_WORDS` are dropped. tf is the raw count
+    in the document, idf is log(N / df) over the whole collection, and
+    each non-zero row is L2 normalised. Because a term's column is keyed
+    by (language, term), the same word in two languages occupies two
+    columns and documents of different languages share no dimensions.
 
     Returns:
         (matrix [n_docs, vocab], feature list of (language, term)).
     """
     if not docs:
         raise ConfigError("vectorize needs at least one document")
-    stop = DEFAULT_STOP_WORDS if stop_words is None else frozenset(stop_words)
     features: dict[tuple[str, str], int] = {}
     doc_terms: list[Counter] = []
     for doc in docs:
         counts = Counter(
-            (doc.language, tok) for tok in doc.tokens if tok not in stop
+            (doc.language, tok) for tok in doc.tokens if tok not in DEFAULT_STOP_WORDS
         )
         doc_terms.append(counts)
         for key in counts:
@@ -142,10 +140,9 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
 
 
-def _kmeans_iterations(
-    vectors: np.ndarray, k: int, seed: int, max_iter: int
-):
-    """Yields (assignments, objective) per Lloyd iteration.
+def _kmeans_iterations(vectors: np.ndarray, k: int, seed: int):
+    """Yields (assignments, objective) per Lloyd iteration, at most
+    :data:`KMEANS_MAX_ITER` of them.
 
     Rows are unit normalised first, which makes squared Euclidean
     distance a monotone proxy for cosine distance. k-means++ seeding,
@@ -171,7 +168,7 @@ def _kmeans_iterations(
         chosen[pick] = True
         d2 = np.minimum(d2, np.sum((unit - centres[j]) ** 2, axis=1))
     assignments = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = ((unit[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
         new_assign = dists.argmin(axis=1)
         objective = float(dists[np.arange(n), new_assign].sum())
@@ -185,9 +182,7 @@ def _kmeans_iterations(
                 centres[j] = members.mean(axis=0)
 
 
-def cluster_kmeans(
-    vectors: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
-) -> np.ndarray:
+def cluster_kmeans(vectors: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Cluster assignment per row via seeded k-means++ plus Lloyd.
 
     Deterministic for a fixed (vectors, k, seed). Raises ConfigError when
@@ -201,7 +196,7 @@ def cluster_kmeans(
             f"k must be in [1, {vectors.shape[0]}], got {k}"
         )
     assignments = None
-    for assignments, _objective in _kmeans_iterations(vectors, k, seed, max_iter):
+    for assignments, _objective in _kmeans_iterations(vectors, k, seed):
         pass
     return assignments
 
@@ -254,7 +249,6 @@ def extract_keywords(
     docs: list[TranscriptDoc],
     member_ids: list[int] | set[int],
     top_k: int = 5,
-    stop_words: frozenset[str] | set[str] | None = None,
 ) -> list[tuple[str, float]]:
     """Highest mean TF-IDF terms over a cluster's documents.
 
@@ -262,7 +256,7 @@ def extract_keywords(
     whole corpus rank low even when frequent inside the cluster. Returns
     at most top_k (term, weight) pairs with weight > 0, descending.
     """
-    return _top_terms(docs, *vectorize(docs, stop_words), member_ids, top_k)
+    return _top_terms(docs, *vectorize(docs), member_ids, top_k)
 
 
 def _top_terms(docs, matrix, features, member_ids, top_k) -> list[tuple[str, float]]:
@@ -407,7 +401,8 @@ class LabelRegistry:
             lines = ["# speechprint registry v1", "[clusters]"]
             for info in self.clusters():
                 kws = ",".join(f"{t}:{w!r}" for t, w in info.keywords)
-                name = info.name.replace("\t", " ").replace("\n", " ")
+                # load splits on every line boundary str.splitlines knows
+                name = " ".join(info.name.replace("\t", " ").splitlines())
                 lines.append(
                     f"{info.label_id}\t{info.language}\t{name}\t{kws}"
                 )
@@ -427,8 +422,8 @@ class LabelRegistry:
             raise IoError(f"cannot read registry from {path}: {exc}") from exc
         registry = cls()
         section = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line in ("[clusters]", "[pending]", "[entries]"):
@@ -436,13 +431,13 @@ class LabelRegistry:
                 continue
             try:
                 if section == "[clusters]":
-                    # the keywords field may vanish entirely: an empty
-                    # keyword list leaves a trailing tab that strip() eats
-                    parts = line.split("\t")
+                    # split the unstripped line: strip() would eat the
+                    # tabs around an empty name and an empty keyword list
+                    parts = raw.split("\t")
                     if not 3 <= len(parts) <= 4:
                         raise ValueError(f"expected 4 fields, got {len(parts)}")
                     label_str, language, name = parts[:3]
-                    kw_str = parts[3] if len(parts) == 4 else ""
+                    kw_str = parts[3].strip() if len(parts) == 4 else ""
                     keywords = []
                     if kw_str:
                         for part in kw_str.split(","):
@@ -473,7 +468,6 @@ def build_registry_from_transcripts(
     min_pts: int = 3,
     seed: int = 0,
     top_k: int = 5,
-    stop_words: frozenset[str] | set[str] | None = None,
 ) -> LabelRegistry:
     """Clusters transcripts per language and materialises a registry.
 
@@ -490,7 +484,7 @@ def build_registry_from_transcripts(
         by_language.setdefault(doc.language, []).append(doc)
     for language in sorted(by_language):
         group = by_language[language]
-        matrix, features = vectorize(group, stop_words)
+        matrix, features = vectorize(group)
         if algo == "kmeans":
             n_clusters = min(k if k is not None else max(len(group) // 4, 1), len(group))
             labels = cluster_kmeans(matrix, n_clusters, seed=seed)

@@ -88,7 +88,6 @@ class SpectralImage:
     """Log-compressed band-limited spectrogram: [n_bins, n_frames]."""
 
     data: np.ndarray
-    frame_stride_s: float
     config: SpectralConfig
 
     def __post_init__(self) -> None:
@@ -386,6 +385,4 @@ def make_image(audio: AudioBuffer, config: SpectralConfig) -> SpectralImage:
             f"{audio.duration_seconds:.3f}s of audio is shorter than one "
             f"{config.window_s:g}s analysis window"
         )
-    return SpectralImage(
-        transform.column(frames).T, frame_stride_s=config.stride_s, config=config
-    )
+    return SpectralImage(transform.column(frames).T, config)

@@ -1,10 +1,81 @@
-"""The command line end to end: synth, index, identify, enroll and training."""
+"""The command line end to end: synth, inspect, index, identify, enroll
+and training, and its pinned surface."""
 
-from speechprint.audio import encode_wav, resample
-from speechprint.cli import main
+import argparse
+import csv
+
+import numpy as np
+
+from speechprint.audio import decode_canonical, decode_wav, dump_raw, encode_wav, resample
+from speechprint.cli import build_parser, main
 from speechprint.corpus import synth_speech_like
 from speechprint.index import RetrievalIndex
 from speechprint.registry import LabelRegistry
+from speechprint.spectral import SpectralConfig, make_image
+
+SPECTRAL = ["--variant", "--window-ms", "--stride-ms"]
+FINGERPRINT = ["--block-frames", "--block-hop-frames", "--top-t", "--fp-seed"]
+
+# Every leaf command and its argument names. Adding or removing a command
+# or a flag changes the command-line surface: update this table in the
+# same change and say so in CHANGES.md.
+COMMANDS = {
+    "synth": ["out_dir", "--n-files", "--duration-s", "--seed"],
+    "inspect audio": ["wav", "--dump-raw"],
+    "inspect image": ["wav", "--out", *SPECTRAL],
+    "index build": ["--corpus", "--out", *SPECTRAL, *FINGERPRINT],
+    "index stats": ["--index"],
+    "index dedup": ["--index", "--threshold"],
+    "degrade": ["wav", "out", "--len-s", "--snr-db", "--rate", "--offset-s", "--seed"],
+    "identify": ["wav", "--index", "--registry", "--transcript", "--save-index",
+                 *SPECTRAL, *FINGERPRINT],
+    "enroll": ["wav", "--index", "--registry", "--transcript", *SPECTRAL, *FINGERPRINT],
+    "serve": ["--listen", "--index", "--registry", *SPECTRAL, *FINGERPRINT],
+    "train cluster": ["--transcripts", "--out", "--algo", "--k", "--eps", "--min-pts",
+                      "--seed", "--top-k"],
+    "train keywords": ["--transcripts", "--registry", "--top-k"],
+    "train name-cluster": ["--registry", "label_id", "name"],
+    "label lookup": ["--registry", "file_id"],
+    "bench run": ["--corpus", "--out", "--grid"],
+}
+
+
+def leaf_commands(parser, path=()):
+    """(command words, argument names) of every leaf under ``parser``."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        names = [
+            a.option_strings[-1] if a.option_strings else a.dest
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        yield " ".join(path), names
+        return
+    for word, child in subparsers[0].choices.items():
+        yield from leaf_commands(child, (*path, word))
+
+
+def test_command_surface_is_pinned():
+    surface = dict(leaf_commands(build_parser()))
+    assert surface == COMMANDS
+    assert (len(surface), sum(map(len, surface.values()))) == (15, 82)
+
+
+def test_inspect_writes_raw_samples_and_image(tmp_path):
+    wav = tmp_path / "wide.wav"
+    wav.write_bytes(encode_wav(resample(synth_speech_like(2.0, 8000, seed=92), 16000)))
+    raw, table = tmp_path / "samples.f32", tmp_path / "image.csv"
+    assert main(["inspect", "audio", str(wav), "--dump-raw", str(raw)]) == 0
+    assert raw.read_bytes() == dump_raw(decode_wav(wav.read_bytes()))
+
+    assert main(["inspect", "image", str(wav), "--out", str(table)]) == 0
+    image = make_image(
+        decode_canonical(wav.read_bytes()), SpectralConfig.for_variant("mel-vocal")
+    )
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = [[float(v) for v in row] for row in csv.reader(fh)]
+    assert [len(row) for row in rows] == [image.n_frames] * image.n_bins
+    np.testing.assert_allclose(rows, image.data, rtol=1e-5, atol=0)
 
 
 def test_round_trip(tmp_path, capsys):
@@ -16,8 +87,8 @@ def test_round_trip(tmp_path, capsys):
     wide = tmp_path / "wide.wav"
     wide.write_bytes(encode_wav(resample(synth_speech_like(8.0, 8000, seed=90), 16000)))
     capsys.readouterr()
-    assert main(["index", "add", "--index", index, str(wide)]) == 0
-    assert capsys.readouterr().out == f"enrolled {wide} as file 4\n"
+    assert main(["enroll", str(wide), "--index", index]) == 0
+    assert capsys.readouterr().out == "enrolled file 4 label=None\n"
 
     assert main(["identify", str(corpus / "file001.wav"), "--index", index]) == 0
     assert "status=identified file_id=2 " in capsys.readouterr().out
@@ -37,7 +108,7 @@ def test_index_of_other_flags_is_an_error(tmp_path, capsys):
     main(["index", "build", "--corpus", str(corpus), "--out", index])
     wav = str(corpus / "file000.wav")
     for argv in (
-        ["index", "add", "--index", index, "--top-t", "100", wav],
+        ["enroll", wav, "--index", index, "--top-t", "100"],
         ["identify", wav, "--index", index, "--variant", "mel-wide"],
         ["enroll", wav, "--index", index, "--fp-seed", "1"],
     ):

@@ -40,7 +40,7 @@ SMALL = FingerprintConfig(block_frames=32, block_hop_frames=1, top_t=30)
 def image_of(n_bins, n_frames, seed=0):
     data = np.abs(np.random.default_rng(seed).normal(size=(n_bins, n_frames)))
     cfg = SpectralConfig.for_variant("mel-vocal")
-    return SpectralImage(data, frame_stride_s=cfg.stride_s, config=cfg)
+    return SpectralImage(data, cfg)
 
 
 def v2_coefficients(image, cfg):

@@ -627,20 +627,3 @@ def test_cli_index_stats_prints_geometry(capsys):
     assert "geometry: 20 bands x 5" in out
     assert "min_band_votes: 2" in out
     assert "min_confidence: 0.1" in out
-
-
-def test_cli_index_add_rejects_file_id_outside_u64(small_corpus_dir, tmp_path, capsys):
-    from speechprint.cli import main
-
-    path = tmp_path / "idx.spix"
-    build = ["index", "build", "--corpus", str(small_corpus_dir), "--out", str(path)]
-    assert main(build) == 0
-    saved = path.read_bytes()
-    wav = str(sorted(Path(small_corpus_dir).glob("*.wav"))[0])
-    for file_id in ("-3", str(2**64)):
-        capsys.readouterr()
-        add = ["index", "add", "--index", str(path), "--file-id", file_id, wav]
-        assert main(add) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: file id {file_id} is outside [0, 2^64)\n"
-    assert path.read_bytes() == saved

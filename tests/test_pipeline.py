@@ -9,7 +9,7 @@ import pytest
 
 from speechprint import audio as audio_module
 from speechprint import pipeline as pipeline_module
-from speechprint.audio import decode_wav, encode_wav, resample
+from speechprint.audio import decode_wav, encode_wav, resample, slice_seconds
 from speechprint.corpus import synth_speech_like
 from speechprint.errors import (
     DecodeError,
@@ -26,6 +26,7 @@ from speechprint.fingerprint import (
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
     CANONICAL_RATE,
+    DECISION_POINTS_S,
     STATUS_ENROLLED,
     STATUS_ERROR,
     STATUS_IDENTIFIED,
@@ -255,8 +256,6 @@ def codes(raw: bytes) -> np.ndarray:
 
 
 def slice_two_seconds(clip):
-    from speechprint.audio import slice_seconds
-
     return slice_seconds(clip, 0.0, 2.0)
 
 
@@ -342,7 +341,7 @@ class TestIdentifyStream:
             pipeline = build_pipeline(corpus)
             enrolled = []
             monkeypatch.setattr(pipeline.index, "enroll", enrolled.append)
-            reached = [t for t in pipeline._decision_points(6.0) if t <= 10.0]
+            reached = [t for t in DECISION_POINTS_S if t <= 10.0]
             feeds[0] = 0
             outcomes.append(
                 pipeline.identify_stream(stream_wav_bytes(blob, chunk_size))
@@ -490,16 +489,34 @@ class TestTranscriptLabeler:
 
 
 class TestPolicy:
-    def test_decision_points_follow_requery_schedule(self, pipeline):
-        assert pipeline._decision_points(6.0) == [6.0, 8.0, 10.0, 12.0]
+    def test_new_stream_queried_at_6_8_10_12_s_and_at_finish(self):
+        """A stream nothing matches is queried at each decision point, then
+        once over all of it before it is enrolled."""
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(DIGEST, FCFG), LabelRegistry(), SCFG, FCFG
+        )
+        clip = synth_speech_like(13.0, CANONICAL_RATE, seed=870)
+        blob = encode_wav(clip)
+        header = len(blob) - 2 * len(clip)  # 16-bit mono samples end the file
+        bytes_per_s = 2 * CANONICAL_RATE
+        queried = []
 
-    def test_validation(self, corpus):
-        index = RetrievalIndex.for_config(DIGEST, FCFG)
-        registry = LabelRegistry()
-        with pytest.raises(SpeechprintError):
-            Pipeline(index, registry, SCFG, FCFG, decision_after_s=0.0)
-        with pytest.raises(SpeechprintError):
-            Pipeline(index, registry, SCFG, FCFG, decision_after_s=12.5)
+        def query(fp):
+            queried.append(fp.blocks.size)
+            return None
+
+        session = Session(pipeline, query)
+        chunks = [
+            blob[i : i + bytes_per_s] for i in range(header, len(blob), bytes_per_s)
+        ]
+        for chunk in [blob[:header], *chunks]:
+            assert session.feed(chunk) is None
+        assert session.finish().status == STATUS_ENROLLED
+        expected = [
+            fingerprint_audio(slice_seconds(clip, 0.0, t), SCFG, FCFG).blocks.size
+            for t in (6.0, 8.0, 10.0, 12.0, 13.0)
+        ]
+        assert queried == expected
 
     def test_index_of_another_config_rejected(self):
         linear = SpectralConfig.for_variant("linear-vocal")

@@ -170,7 +170,7 @@ class TestKMeans:
     def test_objective_non_increasing(self, rng):
         vectors = rng.standard_normal((60, 10))
         objectives = [
-            obj for _assign, obj in _kmeans_iterations(vectors, 5, seed=2, max_iter=50)
+            obj for _assign, obj in _kmeans_iterations(vectors, 5, seed=2)
         ]
         assert len(objectives) >= 2
         for earlier, later in zip(objectives, objectives[1:]):
@@ -333,6 +333,32 @@ class TestRegistry:
         path = tmp_path / "labels.reg"
         reg.save(path)
         assert LabelRegistry.load(path).cluster(label).name == "tab here"
+
+    @pytest.mark.parametrize(
+        "separator",
+        ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+         "\u2028", "\u2029"],
+    )
+    def test_name_with_line_boundary_round_trips(self, tmp_path, separator):
+        """load splits the file with str.splitlines, so save must leave no
+        boundary it knows inside a name."""
+        reg = LabelRegistry()
+        label = reg.create_cluster(f"busy{separator}tone", "en", [("busy", 0.5)])
+        path = tmp_path / "labels.reg"
+        reg.save(path)
+        loaded = LabelRegistry.load(path).cluster(label)
+        assert (loaded.name, loaded.keywords) == ("busy tone", (("busy", 0.5),))
+
+    @pytest.mark.parametrize("name", ["", " ", "busy "])
+    def test_name_without_keywords_round_trips(self, tmp_path, name):
+        """A cluster's name survives beside an empty keyword list, even a
+        blank one, which create_cluster gives by default."""
+        reg = LabelRegistry()
+        label = reg.create_cluster(name, "en")
+        path = tmp_path / "labels.reg"
+        reg.save(path)
+        loaded = LabelRegistry.load(path).cluster(label)
+        assert (loaded.name, loaded.keywords) == (name, ())
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
         from speechprint import fileio
