@@ -3,7 +3,10 @@
 All downstream processing works on :class:`AudioBuffer`: mono float64
 samples in [-1, 1] plus a sample rate. Telephony sources arrive at a mix
 of rates, so callers normalise to :data:`CANONICAL_RATE` (8000 Hz)
-before fingerprinting; :func:`decode_canonical` does both steps.
+before fingerprinting; :func:`decode_canonical` does both steps. Files
+and streams share one :class:`Resampler`: :func:`resample` feeds it a
+whole buffer at once, a streaming session feeds it samples as they
+arrive, and both get the same bits.
 
 Samples that fall outside [-1, 1] (float WAV input, resampler overshoot,
 additive noise) are clipped; every clip increments a module-level counter
@@ -325,52 +328,103 @@ def _rate_filter(up: int, down: int) -> np.ndarray:
     return taps
 
 
-def _polyphase(
-    samples: np.ndarray, up: int, down: int, n_out: int, context: str
-) -> np.ndarray:
-    """``samples`` resampled by ``up``/``down``, fixed to ``n_out`` and clipped.
+class Resampler:
+    """Polyphase resampling by ``up``/``down`` of a file or a stream.
 
-    The output equals scipy's ``resample_poly(samples, up, down)`` bit for
-    bit, cut or zero-padded to ``n_out`` samples; ``context`` names the
-    step in the clip log. scipy is imported on first use: that import
-    takes several times as long as the rest of the package's, and
-    decoding and fingerprinting at the canonical rate never need it.
+    :meth:`feed` takes input in pieces of any size and returns each output
+    whose filter taps have all arrived; :meth:`finish` takes the last
+    piece and returns the rest. However the input is split, the outputs
+    are scipy's ``resample_poly(x, up, down, window=_rate_filter(up,
+    down))`` bit for bit, cut or zero-padded to the length given to
+    :meth:`finish` and clipped to [-1, 1] (``context`` names the step in
+    the clip log): each ``upfirdn`` call starts at a multiple of ``down``
+    input samples, so each output is the same sum over the same taps in
+    the same order. A stream's last ``len(taps) / up`` or so input
+    samples wait for the next feed or the end. Equal factors copy; only
+    unequal ones import scipy, whose import costs more than the rest of
+    the package's.
     """
-    if up == down:
-        out = samples.copy()
-    else:
-        from scipy.signal import resample_poly
 
-        # cast as resample_poly casts a filter it designs, so the bits match
-        taps = _rate_filter(up, down).astype(samples.dtype, copy=False)
-        out = resample_poly(samples, up, down, window=taps)
-    if len(out) > n_out:
-        out = out[:n_out]
-    elif len(out) < n_out:
-        out = np.pad(out, (0, n_out - len(out)))
-    return _clip_unit(out, context)
+    def __init__(self, up: int, down: int, context: str) -> None:
+        g = gcd(up, down)
+        self.up, self.down = up // g, down // g
+        self._context = context
+        self._n_in = 0  # input samples taken
+        self._n_out = 0  # output samples returned
+        self._start = 0  # input index of _buffer[0], a multiple of down
+        self._buffer = np.empty(0)
+        self._delay, self._reach = 0, 1  # a copy's
+        if self.up != self.down:
+            taps = _rate_filter(self.up, self.down)
+            # resample_poly's padding: output 0 is the filter's centre tap
+            half_len = (len(taps) - 1) // 2
+            pre_pad = self.down - half_len % self.down
+            self._taps = np.concatenate((np.zeros(pre_pad), taps * self.up))
+            self._delay = (half_len + pre_pad) // self.down
+            self._reach = -(-len(self._taps) // self.up)  # input samples per sum
+
+    def feed(self, samples: np.ndarray) -> np.ndarray:
+        """Takes more input; returns the outputs it completed."""
+        self._take(samples)
+        # output j reads input up to (j + delay) * down // up
+        return self._emit((self._n_in * self.up - 1) // self.down + 1 - self._delay)
+
+    def finish(self, n_out: int, samples: np.ndarray = ()) -> np.ndarray:
+        """Takes the last input; returns the rest of an ``n_out``-sample output."""
+        self._take(samples)
+        # resample_poly's own length is ceil(n_in * up / down); zeros follow
+        out = self._emit(min(n_out, -(-self._n_in * self.up // self.down)))
+        pad = max(0, n_out - self._n_out)
+        self._n_out += pad
+        return np.pad(out, (0, pad))
+
+    def _take(self, samples: np.ndarray) -> None:
+        samples = np.asarray(samples, dtype=np.float64)
+        self._n_in += samples.size
+        self._buffer = np.concatenate((self._buffer, samples))
+
+    def _emit(self, stop: int) -> np.ndarray:
+        """Outputs from the next one up to ``stop``, clipped."""
+        if stop <= self._n_out:
+            return np.empty(0)
+        # output m of _buffer is the stream's output m + start * up / down,
+        # before the delay is trimmed
+        first = self._n_out + self._delay - self._start // self.down * self.up
+        out = self._buffer
+        if self.up != self.down:
+            from scipy.signal import upfirdn
+
+            out = upfirdn(self._taps, self._buffer, self.up, self.down)
+        out = out[first : first + stop - self._n_out]
+        self._n_out += out.size
+        # keep the input the next output's sum starts at, from a multiple of down
+        oldest = ((self._n_out + self._delay) * self.down) // self.up - self._reach + 1
+        keep = max(self._start, oldest // self.down * self.down)
+        self._buffer = self._buffer[keep - self._start :]
+        self._start = keep
+        return _clip_unit(out, self._context)
+
+
+def resampled_length(n_samples: int, source_rate: int, target_rate: int) -> int:
+    """round(n_samples * target_rate / source_rate), rounding half up."""
+    return (2 * n_samples * target_rate + source_rate) // (2 * source_rate)
 
 
 def resample(audio: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited resampling to ``target_rate``.
 
-    Uses a polyphase windowed-sinc filter (Kaiser window) at the rational
-    rate ratio, then fixes the length to round(len * target/source) with
-    half-up rounding so durations stay predictable. Equal rates return
-    the input unchanged.
+    Passes the whole input to one :class:`Resampler` at the rational rate
+    ratio (a Kaiser-windowed sinc) and fixes the length to
+    :func:`resampled_length`, so durations stay predictable. Equal rates
+    return the input unchanged.
     """
     if target_rate <= 0:
         raise ConfigError(f"target_rate must be positive, got {target_rate}")
     if target_rate == audio.sample_rate:
         return audio
-    g = gcd(target_rate, audio.sample_rate)
-    n_out = (2 * len(audio) * target_rate + audio.sample_rate) // (
-        2 * audio.sample_rate
-    )
-    out = _polyphase(
-        audio.samples, target_rate // g, audio.sample_rate // g, n_out, "resample"
-    )
-    return AudioBuffer(out, target_rate)
+    resampler = Resampler(target_rate, audio.sample_rate, "resample")
+    n_out = resampled_length(len(audio), audio.sample_rate, target_rate)
+    return AudioBuffer(resampler.finish(n_out, audio.samples), target_rate)
 
 
 def slice_seconds(audio: AudioBuffer, start_s: float, duration_s: float) -> AudioBuffer:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .audio import AudioBuffer, _clip_unit, _polyphase, slice_seconds
+from .audio import AudioBuffer, Resampler, _clip_unit, slice_seconds
 from .errors import ConfigError, SilentSignal, TooShort
 
 RATE_RANGE = (0.97, 1.03)
@@ -89,8 +89,9 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     by 3%; the buffer's sample_rate field is unchanged, exactly like a
     capture whose clock drifted. Output length is round(len / rate).
 
-    The filter is :mod:`speechprint.audio`'s polyphase low-pass at the
-    rational ratio nearest ``rate`` with a denominator of at most 10000.
+    The input goes through one :class:`~speechprint.audio.Resampler` at
+    the rational ratio nearest ``rate`` with a denominator of at most
+    10000.
     """
     if rate <= 0:
         raise ConfigError(f"rate must be positive, got {rate}")
@@ -99,10 +100,8 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     ratio = Fraction(rate).limit_denominator(10000)
     n_out = int(np.floor(len(audio) / rate + 0.5))
     # a rate this close to 1 can round to the ratio 1/1, which is a copy
-    out = _polyphase(
-        audio.samples, ratio.denominator, ratio.numerator, n_out, "rate change"
-    )
-    return AudioBuffer(out, audio.sample_rate)
+    resampler = Resampler(ratio.denominator, ratio.numerator, "rate change")
+    return AudioBuffer(resampler.finish(n_out, audio.samples), audio.sample_rate)
 
 
 def add_noise(

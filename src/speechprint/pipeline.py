@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CANONICAL_RATE, AudioBuffer, WavStreamDecoder, resample
+from .audio import (
+    CANONICAL_RATE,
+    AudioBuffer,
+    Resampler,
+    WavStreamDecoder,
+    resample,
+    resampled_length,
+)
 from .errors import IncompatibleIndex, SpeechprintError
 from .fingerprint import (
     VERSION_NOTE,
@@ -231,17 +238,20 @@ class Session:
     ``query`` is the lookup, called with a :class:`Fingerprint` of the
     stream so far: ``pipeline.index.query``, or a server's batcher.
     :meth:`feed` only decodes and collects samples until a decision point
-    is due. A stream at the canonical rate is fingerprinted once, by one
-    streamer that is fed, at each decision point and at :meth:`finish`,
-    the samples collected since its last feed in one array; its signature
-    rows serve every query and the enrolment. The streamer's output does
-    not depend on how its input is chunked, so this gives the same bits as
-    feeding it every chunk, at one call per decision instead of one per
-    chunk. The price: a real-time stream does its first decision's
-    fingerprinting at once (about 4 ms for 6 s at the library geometry)
-    rather than spread over the stream. A stream at another rate is
-    resampled and fingerprinted at each decision point, and once more at
-    the end for both the final query and the enrolment.
+    is due. Every stream takes one path: at each decision point and at
+    :meth:`finish`, the samples collected since the last one go in one
+    array through the stream's :class:`~speechprint.audio.Resampler` (none
+    at the canonical rate) into one streamer. Its signature rows serve
+    every query and the enrolment, and the resampler's output is the
+    enrolled audio. Neither output depends on how its input is chunked,
+    so a stream gets the bits of its whole file at one call per decision.
+    The price: a real-time stream does its first decision's work at once
+    (about 4 ms of fingerprinting for 6 s at the library geometry), and
+    at another rate a decision misses the outputs of the last few input
+    samples, which wait for more input.
+    :meth:`finish` queries again only if the answer could have changed:
+    the fingerprint has rows the last query lacked, or a file was
+    enrolled since (files are only ever added).
 
     A stream longer than :data:`MAX_STREAM_S` seconds of audio fails.
 
@@ -255,12 +265,14 @@ class Session:
         self._transcript_path = transcript_path
         self._decoder = WavStreamDecoder()
         self._decisions = list(DECISION_POINTS_S)
-        self._collected: list[np.ndarray] = []
+        self._collected: list[np.ndarray] = []  # decoded, not yet fingerprinted
         self._consumed = 0
-        # set on the first decision point of a stream at the canonical rate
+        # both set at the first decision point
+        self._resampler: Resampler | None = None
         self._streamer: StreamingFingerprinter | None = None
-        self._fed = 0  # chunks of _collected the streamer has consumed
+        self._canonical: list[np.ndarray] = []  # the stream at the canonical rate
         self._signatures: list[np.ndarray] = []
+        self._asked: tuple[int, int] | None = None  # (rows, files) at the last query
 
     def feed(self, chunk: bytes) -> IdentifyOutcome | None:
         """Consumes the next bytes; an outcome when a decision point hits."""
@@ -279,65 +291,66 @@ class Session:
         if not due:
             return None
         del self._decisions[: len(due)]
-        if rate == CANONICAL_RATE:
-            fp = self._streamed()
-        else:
-            audio = self._canonical_audio()
-            if audio.duration_seconds < self.pipeline.min_decision_audio_s - 1e-9:
-                return None
-            fp = self.pipeline.fingerprint(audio)
-        return self._identify(fp, consumed_s)
+        return self._identify(self._fingerprint(), consumed_s)
 
     def finish(self) -> IdentifyOutcome:
         """Ends the stream: a last query over all of it, else enrolment."""
         if not self._consumed:
             return IdentifyOutcome(STATUS_ERROR, message="stream carried no audio")
         pipeline = self.pipeline
-        audio = self._canonical_audio()
+        n_out = resampled_length(
+            self._consumed, self._decoder.sample_rate, CANONICAL_RATE
+        )
+        duration_s = n_out / CANONICAL_RATE
         minimum = pipeline.min_decision_audio_s
-        if audio.duration_seconds < minimum - 1e-9:
+        if duration_s < minimum - 1e-9:
             return IdentifyOutcome(
                 STATUS_ERROR,
                 message=(
-                    f"{audio.duration_seconds:.3f}s of audio is below the "
+                    f"{duration_s:.3f}s of audio is below the "
                     f"{minimum:.3f}s fingerprinting minimum"
                 ),
-                audio_consumed_s=audio.duration_seconds,
+                audio_consumed_s=duration_s,
             )
-        if self._decoder.sample_rate == CANONICAL_RATE:
-            fp = self._streamed()
-        else:
-            fp = pipeline.fingerprint(audio)
-        outcome = self._identify(fp, audio.duration_seconds)
-        if outcome is not None:
-            return outcome
+        fp = self._fingerprint(n_out)
+        if self._asked != (len(fp.blocks), len(pipeline.index)):
+            outcome = self._identify(fp, duration_s)
+            if outcome is not None:
+                return outcome
+        audio = AudioBuffer(np.concatenate(self._canonical), CANONICAL_RATE)
         return pipeline.enroll_file(audio, self._transcript_path, fingerprint=fp)
 
-    def _canonical_audio(self) -> AudioBuffer:
-        audio = AudioBuffer(np.concatenate(self._collected), self._decoder.sample_rate)
-        if audio.sample_rate != CANONICAL_RATE:
-            audio = resample(audio, CANONICAL_RATE)
-        return audio
-
-    def _streamed(self) -> Fingerprint:
-        """Feeds the streamer every sample collected since its last feed, in
-        one array; its signature rows so far, blocks 0 onwards."""
+    def _fingerprint(self, n_out: int | None = None) -> Fingerprint:
+        """Feeds every sample collected since the last call, in one array,
+        through the resampler into the streamer; its signature rows so
+        far, blocks 0 onwards. ``n_out``, at the end, is the stream's
+        length at the canonical rate, and the resampler's rest goes too."""
+        pipeline = self.pipeline
         if self._streamer is None:
+            rate = self._decoder.sample_rate
+            if rate != CANONICAL_RATE:
+                self._resampler = Resampler(CANONICAL_RATE, rate, "resample")
             self._streamer = StreamingFingerprinter(
-                CANONICAL_RATE,
-                self.pipeline.spectral_config,
-                self.pipeline.fingerprint_config,
+                CANONICAL_RATE, pipeline.spectral_config, pipeline.fingerprint_config
             )
-        if self._fed < len(self._collected):
-            fresh = np.concatenate(self._collected[self._fed :])
-            self._fed = len(self._collected)
-            self._signatures.append(self._streamer.feed(fresh))
+        fresh = np.concatenate(self._collected) if self._collected else np.empty(0)
+        self._collected = []
+        if self._resampler is not None:
+            if n_out is None:
+                fresh = self._resampler.feed(fresh)
+            else:
+                fresh = self._resampler.finish(n_out, fresh)
+        self._canonical.append(fresh)
+        self._signatures.append(self._streamer.feed(fresh))
         signatures = np.concatenate(self._signatures)
         blocks = np.arange(len(signatures))
-        return Fingerprint(0, signatures, blocks, self.pipeline.index.config_digest)
+        return Fingerprint(0, signatures, blocks, pipeline.index.config_digest)
 
     def _identify(self, fp: Fingerprint, consumed_s: float) -> IdentifyOutcome | None:
-        result = self._query(fp) if fp.blocks.size else None
+        if not fp.blocks.size:
+            return None
+        self._asked = (len(fp.blocks), len(self.pipeline.index))
+        result = self._query(fp)
         if result is None:
             return None
         return IdentifyOutcome(

@@ -198,6 +198,80 @@ class TestResample:
         assert _rate_filter(up, down) is taps and not taps.flags.writeable
 
 
+def _change_rate_ratio(rate):
+    from fractions import Fraction
+
+    ratio = Fraction(rate).limit_denominator(10000)
+    return ratio.denominator, ratio.numerator
+
+
+# (up, down) before reduction: 11.025-48 kHz to 8 kHz, 8 kHz to 16 kHz,
+# and change_rate's ratios at four sweep rates and a 4-digit denominator
+RESAMPLER_RATIOS = [(8000, source) for source in (11025, 16000, 22050, 44100, 48000)]
+RESAMPLER_RATIOS += [(16000, 8000)]
+RESAMPLER_RATIOS += [_change_rate_ratio(r) for r in (0.97, 0.985, 1.015, 1.03, 1.0123)]
+
+
+class TestResampler:
+    @pytest.mark.parametrize("up, down", RESAMPLER_RATIOS)
+    def test_any_split_equals_resample_poly(self, up, down):
+        """Fed whole or in random pieces down to 1 sample, the outputs are
+        resample_poly's, cut or zero-padded to n_out and clipped."""
+        from math import gcd
+
+        from scipy.signal import resample_poly
+
+        from speechprint.audio import Resampler, _rate_filter, resampled_length
+
+        g = gcd(up, down)
+        rng = np.random.default_rng(up * 7919 + down)
+        # louder than [-1, 1] in places, so the clip is exercised
+        x = rng.uniform(-1.1, 1.1, 3 * down // g + 4000)
+        designed = resample_poly(x, up, down, window=_rate_filter(up // g, down // g))
+        for n_out in (resampled_length(len(x), down, up), len(designed) + 3):
+            expected = np.clip(
+                np.pad(designed[:n_out], (0, max(0, n_out - len(designed)))), -1, 1
+            )
+            splits = [[]]  # whole
+            for _ in range(3):
+                cuts = rng.choice(len(x) - 40, rng.integers(1, 30), replace=False)
+                ones = rng.integers(0, len(x) - 40)  # a run of 1-sample pieces
+                cuts = np.concatenate((cuts, np.arange(ones, ones + 40)))
+                splits.append(np.unique(cuts))
+            for k, cuts in enumerate(splits):
+                resampler = Resampler(up, down, "test")
+                *head, last = np.split(x, cuts)
+                if k % 2:  # every piece fed, and finish given none
+                    head, last = head + [last], ()
+                pieces = [resampler.feed(p) for p in head]
+                got = np.concatenate(pieces + [resampler.finish(n_out, last)])
+                assert np.array_equal(got, expected)
+
+    def test_clip_count_does_not_depend_on_the_split(self):
+        from speechprint.audio import Resampler
+
+        x = np.sign(np.sin(np.arange(16000) / 7.0))  # a square wave overshoots
+        counts = []
+        for cuts in ([], np.arange(500, 16000, 500)):
+            before = clip_stats.count
+            resampler = Resampler(8000, 16000, "test")
+            for piece in np.split(x, cuts):
+                resampler.feed(piece)
+            resampler.finish(8000)
+            counts.append(clip_stats.count - before)
+        assert counts[0] == counts[1] > 0
+
+    def test_equal_factors_copy(self):
+        from speechprint.audio import Resampler
+
+        x = np.array([0.5, -2.0, 0.25])
+        resampler = Resampler(3, 3, "test")
+        out = resampler.feed(x[:2])
+        assert np.array_equal(out, [0.5, -1.0]) and not np.shares_memory(out, x)
+        assert np.array_equal(resampler.finish(5, x[2:]), [0.25, 0.0, 0.0])
+        assert np.array_equal(Resampler(2, 2, "test").finish(2, x), [0.5, -1.0])
+
+
 class TestSlice:
     def test_whole_buffer_identity(self, tone):
         buf = tone(100.0, 10.0, 8000)

@@ -18,7 +18,8 @@ SRC = str(Path(speechprint.__file__).resolve().parent.parent)
 
 # the benchmark's cold start (import, a streamer, an empty index), then a
 # short 8 kHz clip decoded, fingerprinted, enrolled, queried, saved and
-# loaded
+# loaded, an 8 kHz stream identified and another enrolled, and a resampler
+# with equal factors used
 COLD_START = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -35,6 +36,12 @@ index.enroll(prints)
 assert index.query(prints).file_id == 7
 index.save(sys.argv[2])
 assert sp.RetrievalIndex.load(sys.argv[2], digest).file_ids == [7]
+pipeline = sp.Pipeline(index, sp.LabelRegistry(), spectral, fp)
+wav = sp.encode_wav(sp.synth_speech_like(7.0, 8000, seed=5))
+assert pipeline.identify_stream(sp.pipeline.stream_wav_bytes(wav)).file_id == 7
+new = sp.encode_wav(sp.synth_speech_like(7.0, 8000, seed=6))
+assert pipeline.identify_stream(sp.pipeline.stream_wav_bytes(new)).status == "enrolled"
+assert len(sp.audio.Resampler(2, 2, "copy").feed(clip.samples)) == len(clip)
 print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

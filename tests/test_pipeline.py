@@ -9,7 +9,14 @@ import pytest
 
 from speechprint import audio as audio_module
 from speechprint import pipeline as pipeline_module
-from speechprint.audio import decode_wav, encode_wav, resample, slice_seconds
+from speechprint.audio import (
+    clip_stats,
+    decode_canonical,
+    decode_wav,
+    encode_wav,
+    resample,
+    slice_seconds,
+)
 from speechprint.corpus import synth_speech_like
 from speechprint.errors import (
     DecodeError,
@@ -393,6 +400,68 @@ class TestIdentifyStream:
         assert "minimum" in outcome.message
 
 
+def split_bytes(blob: bytes, piece, rng=None):
+    """blob in pieces of ``piece`` bytes, or of random sizes up to 8 KiB."""
+    if piece == "random":
+        cuts = np.cumsum(rng.integers(1, 8192, len(blob) // 2048 + 1))
+        cuts = cuts[cuts < len(blob)]
+        return [blob[a:b] for a, b in zip([0, *cuts], [*cuts, len(blob)])]
+    return list(stream_wav_bytes(blob, piece))
+
+
+class TestOneSessionPath:
+    """Every rate takes one path: a stream's outcome and enrolled rows do
+    not depend on how its bytes are split, and equal the whole file's."""
+
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000, 44100])
+    def test_any_split_gives_the_whole_file_outcome(self, corpus, rate):
+        rng = np.random.default_rng(rate)
+        known = encode_wav(resample(corpus[1], rate))
+        new = encode_wav(resample(synth_speech_like(6.2, CANONICAL_RATE, seed=880), rate))
+        whole_rows = fingerprint_audio(decode_canonical(new), SCFG, FCFG).signatures
+        cases = (
+            (known, (320, 4096, "random"), STATUS_IDENTIFIED),
+            (new, (1, 320, 4096, "random"), STATUS_ENROLLED),
+        )
+        for blob, pieces, status in cases:
+            outcomes = set()
+            for piece in (len(blob), *pieces):
+                pipeline = build_pipeline(corpus)
+                enrolled = []
+                enroll = pipeline.index.enroll
+
+                def recording_enroll(fp):
+                    enrolled.append(fp)
+                    enroll(fp)
+
+                pipeline.index.enroll = recording_enroll
+                outcome = pipeline.identify_stream(split_bytes(blob, piece, rng))
+                assert outcome.status == status
+                if status == STATUS_ENROLLED:
+                    [fp] = enrolled
+                    assert np.array_equal(fp.signatures, whole_rows)
+                    outcomes.add(outcome)
+                else:  # decided when 6 s had arrived, however the bytes were cut
+                    assert not enrolled
+                    outcomes.add(outcome.file_id)
+            assert len(outcomes) == 1
+
+    def test_clip_count_is_the_whole_file_resample(self):
+        """Each input sample is resampled, and each clip counted, once."""
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(DIGEST, FCFG), LabelRegistry(), SCFG, FCFG
+        )
+        loud = 3.0 * synth_speech_like(13.0, 16000, seed=890).samples
+        blob = encode_wav(audio_module.AudioBuffer(np.clip(loud, -1, 1), 16000))
+        before = clip_stats.count
+        resample(decode_wav(blob), CANONICAL_RATE)
+        whole = clip_stats.count - before
+        before = clip_stats.count
+        outcome = pipeline.identify_stream(stream_wav_bytes(blob))
+        assert outcome.status == STATUS_ENROLLED
+        assert clip_stats.count - before == whole > 0
+
+
 class TestEnroll:
     def test_enroll_then_identify(self, pipeline):
         clip = synth_speech_like(8.0, CANONICAL_RATE, seed=801)
@@ -517,6 +586,47 @@ class TestPolicy:
             for t in (6.0, 8.0, 10.0, 12.0, 13.0)
         ]
         assert queried == expected
+
+    def test_finish_repeats_no_query_that_cannot_change(self):
+        """A new 10 s stream is queried at 6, 8 and 10 s; at finish the
+        fingerprint and the index are those of its 10 s query."""
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(DIGEST, FCFG), LabelRegistry(), SCFG, FCFG
+        )
+        queried = []
+
+        def query(fp):
+            queried.append(fp.blocks.size)
+            return pipeline.index.query(fp)
+
+        blob = encode_wav(synth_speech_like(10.0, CANONICAL_RATE, seed=895))
+        session = Session(pipeline, query)
+        for chunk in stream_wav_bytes(blob):
+            assert session.feed(chunk) is None
+        assert session.finish().status == STATUS_ENROLLED
+        assert len(queried) == 3
+
+    def test_finish_requeries_after_an_enrolment(self):
+        """A copy enrolled after the last decision point is found at finish."""
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(DIGEST, FCFG), LabelRegistry(), SCFG, FCFG
+        )
+        clip = synth_speech_like(10.0, CANONICAL_RATE, seed=896)
+        queried = []
+
+        def query(fp):
+            queried.append(fp.blocks.size)
+            return pipeline.index.query(fp)
+
+        session = Session(pipeline, query)
+        for chunk in stream_wav_bytes(encode_wav(clip)):
+            assert session.feed(chunk) is None
+        assert len(queried) == 3
+        copy = pipeline.enroll_file(clip)
+        outcome = session.finish()
+        assert len(queried) == 4
+        assert outcome.status == STATUS_IDENTIFIED
+        assert outcome.file_id == copy.file_id
 
     def test_index_of_another_config_rejected(self):
         linear = SpectralConfig.for_variant("linear-vocal")
