@@ -28,6 +28,17 @@ Centring first, as version 1 did, gives the same coefficients in exact
 arithmetic; in floats a block's bits can differ, so version 2 data never
 meets version 1 data (:func:`config_digest` includes the version).
 
+Version 3 keeps that kernel and changes the image it reads: a variant
+whose band ends far enough below the input's Nyquist frequency is
+computed from a decimated copy of the signal
+(:class:`~speechprint.spectral.FrameTransform`). At 8 kHz the vocal
+variants read 2 kHz, where their magnitudes agree with the 8 kHz ones to
+within the decimation filter's error, not bit for bit, and at 16 kHz
+every variant is decimated. Those signatures differ from version 2's;
+mel-wide at 8 kHz and every variant at 11.025 kHz are not decimated and
+keep version 2's signatures. Every config digest names the version, so
+no version 2 index or fingerprint meets version 3 data.
+
 Every stage also takes a stack of blocks, shaped [n_blocks, rows, cols],
 so one call per stage covers a stack of the blocks an audio chunk
 completes; a stack's sign bits are rows of one width. The Haar transform
@@ -49,15 +60,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import CANONICAL_RATE, AudioBuffer
 from .errors import ConfigError, CorruptIndex, TooShort
 from .hashing import fnv1a64, mix64, splitmix64
-from .spectral import FrameTransform, SpectralConfig, SpectralImage
+from .spectral import Decimator, FrameTransform, SpectralConfig, SpectralImage
 
 SQRT2 = np.sqrt(2.0)
 
 FINGERPRINT_MAGIC = b"SPFP"
-FINGERPRINT_VERSION = 2
+FINGERPRINT_VERSION = 3
 #: Appended to a config digest mismatch: the digest covers the version
 VERSION_NOTE = (
     f" (digests include the fingerprint version, {FINGERPRINT_VERSION} in this "
@@ -584,6 +595,7 @@ class StreamingFingerprinter:
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
         self._transform = FrameTransform(sample_rate, spectral_config)
+        self._decimator = Decimator(self._transform.decimation)
         n_bins = self._transform.n_bins
         rows = _next_pow2(n_bins)
         width = fingerprint_config.block_frames
@@ -606,7 +618,8 @@ class StreamingFingerprinter:
         # over its real rows, all in its time-DC column
         self._dc = np.sqrt(width) * _haar_live(np.ones(n_bins), rows)
         self._no_rows = np.empty((0, fingerprint_config.n_permutations), np.uint8)
-        self._buffer = np.empty(0, dtype=np.float64)  # from the next frame's start
+        # the analysis-rate signal from the next frame's start
+        self._buffer = np.empty(0, dtype=np.float64)
         # per frame from _columns_start on: its frequency transform, its sum
         self._columns = np.empty((0, self._dc.size))
         self._sums = np.empty(0)
@@ -634,7 +647,7 @@ class StreamingFingerprinter:
         signatures of the blocks they completed."""
         samples = np.asarray(samples, dtype=np.float64)
         self._samples_seen += samples.size
-        self._buffer = np.concatenate([self._buffer, samples])
+        self._buffer = np.concatenate([self._buffer, self._decimator.feed(samples)])
         transform = self._transform
         frames = transform.frames(self._buffer)
         if len(frames):
@@ -709,7 +722,7 @@ def fingerprint_audio(
     """Full fingerprint of a buffer: image, blocks, Haar, signs, min-hash.
 
     Raises TooShort when the audio cannot fill a single block, i.e. it is
-    shorter than window_s + (block_frames - 1) * stride_s.
+    shorter than :func:`min_audio_seconds` at its rate.
     """
     streamer = StreamingFingerprinter(
         audio.sample_rate, spectral_config, fingerprint_config
@@ -721,13 +734,19 @@ def fingerprint_audio(
 
 
 def min_audio_seconds(
-    spectral_config: SpectralConfig, fingerprint_config: FingerprintConfig
+    spectral_config: SpectralConfig,
+    fingerprint_config: FingerprintConfig,
+    sample_rate: int = CANONICAL_RATE,
 ) -> float:
-    """Shortest audio that yields at least one block signature."""
-    return (
-        spectral_config.window_s
-        + (fingerprint_config.block_frames - 1) * spectral_config.stride_s
-    )
+    """Shortest audio at ``sample_rate`` that yields a block signature.
+
+    That is the block's frames, window_s + (block_frames - 1) * stride_s,
+    plus the reach of the decimation filter past the last frame's end (see
+    :class:`~speechprint.spectral.FrameTransform`): 13 samples at 8 kHz
+    for the vocal variants, none for mel-wide.
+    """
+    transform = FrameTransform(sample_rate, spectral_config)
+    return transform.samples_for(fingerprint_config.block_frames) / sample_rate
 
 
 def _record_dtype(n_permutations: int) -> np.dtype:

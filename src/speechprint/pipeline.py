@@ -157,7 +157,9 @@ class Pipeline:
 
     @property
     def min_decision_audio_s(self) -> float:
-        return min_audio_seconds(self.spectral_config, self.fingerprint_config)
+        return min_audio_seconds(
+            self.spectral_config, self.fingerprint_config, CANONICAL_RATE
+        )
 
     def fingerprint(self, audio: AudioBuffer, file_id: int = 0) -> Fingerprint:
         if audio.sample_rate != CANONICAL_RATE:
@@ -246,9 +248,14 @@ class Session:
     enrolled audio. Neither output depends on how its input is chunked,
     so a stream gets the bits of its whole file at one call per decision.
     The price: a real-time stream does its first decision's work at once
-    (about 4 ms of fingerprinting for 6 s at the library geometry), and
-    at another rate a decision misses the outputs of the last few input
-    samples, which wait for more input.
+    (about 1.2 ms of fingerprinting for 6 s of mel-vocal at the library
+    geometry on a 2-CPU box), and a decision misses what the last few
+    samples complete, which waits for more input: the resampler's outputs
+    at another rate, and for the vocal variants a frame until 13
+    canonical samples past its end have arrived, the reach of the
+    spectral front end's decimation filter. Six seconds still hold four
+    library blocks, and :func:`~speechprint.fingerprint.min_audio_seconds`
+    counts the reach.
     :meth:`finish` queries again only if the answer could have changed:
     the fingerprint has rows the last query lacked, or a file was
     enrolled since (files are only ever added).

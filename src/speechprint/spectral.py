@@ -10,6 +10,13 @@ wide-band fingerprinting layout we render one of three images:
 All variants share the same framing (Hann window, 100 ms default window,
 configurable stride) and the same log compression log1p(1000 * x), which
 keeps quiet harmonics visible without letting the floor dominate.
+
+An image is computed at an analysis rate: the input rate divided by a
+power of two, as far as the band and the frame grid allow (see
+:class:`FrameTransform`). At 8 kHz the vocal variants read a 2 kHz copy
+of the signal, made by one :class:`Decimator`, and take a 256-point FFT
+per frame instead of a 1024-point one; the frames, the bin spacing and
+the image's shape are the same as at the input rate.
 """
 
 from dataclasses import dataclass
@@ -277,15 +284,122 @@ def mel_filterbank(
     return np.log1p(LOG_GAIN * (weights @ spec))
 
 
-#: Upper bound on the samples one FFT call transforms: 64 frames of a
-#: 1024-point FFT. Per-frame cost, most of it the FFT, levels off from
-#: about 32 frames a call and for mel-vocal rose again at 256; a bounded
-#: step keeps a long file's FFT temporaries bounded too.
+#: Taps of the decimation filter per unit of the factor (plus one centre
+#: tap), and its Kaiser window's beta: 33 taps at a factor of 4
+_TAPS_PER_FACTOR = 8
+_KAISER_BETA = 6.0
+
+
+@lru_cache(maxsize=8)
+def _decimation_taps(factor: int) -> np.ndarray:
+    """The low-pass filter a :class:`Decimator` by ``factor`` applies.
+
+    A Kaiser-windowed (beta 6.0) sinc of ``8 * factor + 1`` taps, cut off
+    at the decimated signal's Nyquist frequency, with DC gain ``factor``:
+    scipy's ``firwin(8 * factor + 1, 1 / factor, window=("kaiser", 6.0))``
+    times ``factor``, except that the sinc's zeros, every ``factor``-th
+    tap from the centre, are exactly zero. Its stopband is at least 60 dB
+    down from 0.74 of the decimated rate, so nothing within a quarter of
+    that rate of the band's edges aliases into the band; the passband is
+    flat to 0.01 dB up to a quarter of it, where the band ends. The gain
+    keeps a band's FFT magnitudes on the input rate's scale: a window of
+    1 / ``factor`` the samples sums 1 / ``factor`` of the taper.
+    """
+    n_taps = _TAPS_PER_FACTOR * factor + 1
+    offsets = np.arange(n_taps) - n_taps // 2
+    taps = np.sinc(offsets / factor) * np.kaiser(n_taps, _KAISER_BETA)
+    taps[(offsets % factor == 0) & (offsets != 0)] = 0.0
+    taps *= factor / taps.sum()
+    taps.flags.writeable = False
+    return taps
+
+
+class Decimator:
+    """Low-pass filtering and decimation by ``factor`` of a file or a stream.
+
+    Output k is the filter of :func:`_decimation_taps` centred on input
+    sample ``k * factor``, with zeros before the first sample. It is the
+    centre tap times that sample, plus, for each pair of equal nonzero
+    taps from the outermost in, the tap times the sum of its two samples:
+    the same sum in the same order however the input is split, so a
+    stream and a whole file get the same bits. Each output is returned
+    once the last sample it reads has arrived, :attr:`reach` samples past
+    its centre, and nothing is padded at the end: an input's last outputs
+    wait for more input. The outputs equal scipy's ``resample_poly(x, 1,
+    factor, window=_decimation_taps(factor))`` to rounding, cut where the
+    taps run out. Each tap reads one phase of the input, every
+    ``factor``-th sample, so only the outputs kept are computed.
+
+    Nothing is clipped, and :data:`~speechprint.audio.clip_stats` is not
+    touched: the filter's gain can take a sample past 1, and the image
+    reads magnitudes, not samples. A factor of 1 returns its input.
+    """
+
+    def __init__(self, factor: int) -> None:
+        self.factor = factor
+        self.reach = 0
+        if factor > 1:
+            taps = _decimation_taps(factor)
+            self.reach = len(taps) // 2
+            self._centre = taps[self.reach]
+            self._pairs = [(j, taps[j]) for j in range(self.reach) if taps[j]]
+            # the input from the next output's first tap on
+            self._buffer = np.zeros(self.reach)
+
+    def feed(self, samples: np.ndarray) -> np.ndarray:
+        """Takes more input; returns the outputs it completed."""
+        samples = np.asarray(samples, dtype=np.float64)
+        if self.factor == 1:
+            return samples
+        x = np.concatenate((self._buffer, samples))
+        span, step = 2 * self.reach + 1, self.factor
+        n_out = (len(x) - span) // step + 1 if len(x) >= span else 0
+        if not n_out:
+            self._buffer = x
+            return np.empty(0)
+
+        def phase(tap: int) -> np.ndarray:
+            return x[tap : tap + (n_out - 1) * step + 1 : step]
+
+        out = self._centre * phase(self.reach)
+        pair = np.empty(n_out)
+        for tap, weight in self._pairs:
+            np.add(phase(tap), phase(span - 1 - tap), out=pair)
+            pair *= weight
+            out += pair
+        self._buffer = x[n_out * step :]
+        return out
+
+
+#: Upper bound on the samples one FFT call transforms: 256 frames of the
+#: vocal variants' 256-point FFT, 64 of mel-wide's 1024-point one at
+#: 8 kHz. A bounded step keeps a long file's FFT temporaries bounded too.
+#: At 256 points the per-frame cost of a column call (taper, FFT, band
+#: magnitudes, mel product) on a 2-CPU box, in microseconds at 16, 32,
+#: 64, 128, 256, 512 and 1024 frames a call, four runs each: mel-vocal
+#: 2.4-2.8, 1.8-2.8, 1.6-2.2, 1.6-1.8, 1.5-1.8, 1.6-2.2 and 3.1-5.3;
+#: linear-vocal 1.7-2.1, 1.3-1.6, 1.2-1.4, 1.0-1.9, 1.0-1.7, 1.2-1.8 and
+#: 2.8-4.0. The cost is flat from 64 to 512 frames, so 256 stays. (At
+#: 1024 points it levelled off from about 32 frames a call and for
+#: mel-vocal rose again at 256.)
 STACK_SAMPLES = 1 << 16
 
 
 class FrameTransform:
     """Spectral column computation shared by batch and streaming.
+
+    Frames are cut from the signal at the analysis rate, the input rate
+    divided by :attr:`decimation`: the largest power of two for which the
+    analysis rate is at least four times the band's top frequency and
+    which divides both the window and the hop in input samples. The
+    input goes through a :class:`Decimator` by that factor first (none at
+    a factor of 1), so frame i covers the same input samples as it would
+    at the input rate, and the FFT of the ``window / decimation`` samples
+    has the same bin spacing. :attr:`window`, :attr:`hop` and
+    :attr:`n_fft` count samples at the analysis rate. At 8 kHz the vocal
+    variants decimate by 4 (a 200-sample window, a 50-sample hop and a
+    256-point FFT at 2 kHz); mel-wide, whose band reaches 2 kHz, and every
+    variant at 11.025 kHz, whose 1103-sample window is odd, decimate by 1.
 
     :meth:`column` takes one frame or a stack of frames, and a frame's
     column never depends on the stack it came in: the Hann taper is an
@@ -320,21 +434,29 @@ class FrameTransform:
     def __init__(self, sample_rate: int, config: SpectralConfig) -> None:
         self.sample_rate = sample_rate
         self.config = config
-        self.window, self.hop, self.n_fft = frame_params(
-            sample_rate, config.window_s, config.stride_s
-        )
+        window, hop, n_fft = frame_params(sample_rate, config.window_s, config.stride_s)
+        factor = 1
+        while (
+            sample_rate / (2 * factor) >= 4 * config.f_max
+            and window % (2 * factor) == 0
+            and hop % (2 * factor) == 0
+        ):
+            factor *= 2
+        self.decimation = factor
+        # input samples an analysis sample reads past its own position
+        self.reach = len(_decimation_taps(factor)) // 2 if factor > 1 else 0
+        rate = sample_rate / factor
+        self.window, self.hop, self.n_fft = window // factor, hop // factor, n_fft // factor
         self._taper = np.hanning(self.window)
         self._step = max(1, STACK_SAMPLES // self.n_fft)
         if config.variant is Variant.LINEAR_VOCAL:
-            lo, hi = _linear_bin_range(
-                sample_rate, self.n_fft, config.f_min, config.f_max
-            )
+            lo, hi = _linear_bin_range(rate, self.n_fft, config.f_min, config.f_max)
             self._bins = slice(lo, hi + 1)
             self._weights = None
             self.n_bins = hi - lo + 1
         else:
             self._weights = _mel_weight_prefix(
-                sample_rate, self.n_fft, config.n_bins, config.f_min, config.f_max
+                rate, self.n_fft, config.n_bins, config.f_min, config.f_max
             )
             self._bins = slice(0, self._weights.shape[1])
             self.n_bins = config.n_bins
@@ -365,11 +487,19 @@ class FrameTransform:
         return np.log1p(LOG_GAIN * banded)
 
     def frames(self, samples: np.ndarray) -> np.ndarray:
-        """[n_frames, window] view of every full frame in ``samples``."""
+        """[n_frames, window] view of every full frame in ``samples``, a
+        signal at the analysis rate (a :class:`Decimator`'s output)."""
         if len(samples) < self.window:
             return np.empty((0, self.window))
         view = np.lib.stride_tricks.sliding_window_view(samples, self.window)
         return view[:: self.hop]
+
+    def samples_for(self, n_frames: int) -> int:
+        """Fewest input samples whose decimated signal holds ``n_frames``
+        (at least one) full frames: the last frame's end, plus the
+        decimation filter's reach past its last sample."""
+        end = (n_frames - 1) * self.hop + self.window
+        return (end - 1) * self.decimation + self.reach + 1
 
 
 def make_image(audio: AudioBuffer, config: SpectralConfig) -> SpectralImage:
@@ -377,12 +507,15 @@ def make_image(audio: AudioBuffer, config: SpectralConfig) -> SpectralImage:
 
     Dispatches to the linear band selection or the mel filterbank based
     on ``config.variant``; all variants share framing and compression.
+    The audio is decimated to the analysis rate first (see
+    :class:`FrameTransform`).
     """
     transform = FrameTransform(audio.sample_rate, config)
-    frames = transform.frames(audio.samples)
+    frames = transform.frames(Decimator(transform.decimation).feed(audio.samples))
     if len(frames) < 1:
         raise TooShort(
-            f"{audio.duration_seconds:.3f}s of audio is shorter than one "
-            f"{config.window_s:g}s analysis window"
+            f"{audio.duration_seconds:.4f}s of audio is shorter than the "
+            f"{transform.samples_for(1) / audio.sample_rate:.4f}s one "
+            f"{config.window_s:g}s analysis window needs"
         )
     return SpectralImage(transform.column(frames).T, config)

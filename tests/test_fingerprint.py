@@ -676,6 +676,59 @@ class TestFingerprintAudio:
         assert len({base, other_rate, other_stride}) == 3
 
 
+LIBRARY = FingerprintConfig()
+# input samples that complete the first library block: 128 frames of the
+# input grid, plus the decimation filter's reach past the last one's end
+# less the factor's other phases (16 - 3 samples at 8 kHz, 32 - 7 at
+# 16 kHz for the vocal variants, 8 - 1 for mel-wide at 16 kHz)
+LIBRARY_MINIMUM = {
+    ("linear-vocal", 8000): 26213,
+    ("mel-vocal", 8000): 26213,
+    ("mel-wide", 8000): 26200,
+    ("linear-vocal", 16000): 52425,
+    ("mel-vocal", 16000): 52425,
+    ("mel-wide", 16000): 52407,
+}
+
+
+class TestLengthBoundary:
+    """min_audio_seconds is exact at the input rate, for every variant."""
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_minimum_yields_one_block_and_one_less_none(self, variant, rate):
+        spectral = SpectralConfig.for_variant(variant)
+        need = round(min_audio_seconds(spectral, LIBRARY, rate) * rate)
+        assert need == LIBRARY_MINIMUM[(variant, rate)]
+        samples = synth_speech_like(need / rate + 0.1, rate, seed=41).samples
+        fp = fingerprint_audio(AudioBuffer(samples[:need], rate), spectral, LIBRARY)
+        assert fp.blocks.tolist() == [0]
+        with pytest.raises(TooShort):
+            fingerprint_audio(AudioBuffer(samples[: need - 1], rate), spectral, LIBRARY)
+        for n, blocks_wanted in ((need, 1), (need - 1, 0)):
+            streamer = StreamingFingerprinter(rate, spectral, LIBRARY)
+            rows = [streamer.feed(samples[i : min(i + 997, n)]) for i in range(0, n, 997)]
+            assert len(np.concatenate(rows)) == streamer.blocks_emitted == blocks_wanted
+            assert streamer.seconds_consumed == n / rate
+            if blocks_wanted:
+                streamer.finish()
+                np.testing.assert_array_equal(np.concatenate(rows), fp.signatures)
+            else:
+                with pytest.raises(TooShort):
+                    streamer.finish()
+
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_six_seconds_complete_four_library_blocks(self, variant):
+        """The first decision point still has four blocks: the fourth ends
+        at 5.875 s of frames, and the reach adds 13 samples at most."""
+        spectral = SpectralConfig.for_variant(variant)
+        streamer = StreamingFingerprinter(8000, spectral, LIBRARY)
+        streamer.feed(synth_speech_like(6.0, 8000, seed=42).samples)
+        assert streamer.blocks_emitted == 4
+        fourth = min_audio_seconds(spectral, LIBRARY) + 3 * 32 * spectral.stride_s
+        assert fourth < 6.0
+
+
 class TestStreaming:
     CFG = SpectralConfig.for_variant("mel-vocal")
 
@@ -833,7 +886,7 @@ class TestSerialization:
     def test_width_is_in_the_header(self):
         fp = Fingerprint(5, np.zeros((2, 100), np.uint8), np.arange(2))
         data = serialize_fingerprint(fp)
-        assert data[4:6] == b"\x02\x00"
+        assert data[4:6] == b"\x03\x00"
         with pytest.raises(CorruptIndex, match="width 100"):
             deserialize_fingerprint(data[:-104])
 
@@ -841,6 +894,18 @@ class TestSerialization:
         """A version 1 record (no width in its header) is refused by name."""
         data = FINGERPRINT_MAGIC + b"\x01\x00" + bytes(20) + bytes(104)
         with pytest.raises(CorruptIndex, match="fingerprint version 1"):
+            deserialize_fingerprint(data)
+
+    def test_version_2_record_rejected(self):
+        """A version 2 record, whose header is laid out as version 3's, is
+        refused naming both versions: its bits came from the 8 kHz front
+        end."""
+        fp = Fingerprint(5, np.zeros((1, 100), np.uint8), np.arange(1))
+        data = serialize_fingerprint(fp)
+        data = data[:4] + b"\x02\x00" + data[6:]
+        with pytest.raises(
+            CorruptIndex, match="fingerprint version 2 record; this build reads version 3"
+        ):
             deserialize_fingerprint(data)
 
     def test_bad_magic_rejected(self):

@@ -79,7 +79,7 @@ def fingerprint_digest(fp) -> str:
 
 
 def test_fingerprint_version_unchanged():
-    assert FINGERPRINT_VERSION == 2
+    assert FINGERPRINT_VERSION == 3
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
@@ -582,17 +582,44 @@ def test_version_1_file_resaved_as_version_2(v1_queries, tmp_path):
     check_v1_pins(RetrievalIndex.load(path, V1_CONFIG_DIGEST), v1_queries)
 
 
-def test_version_1_data_is_refused_under_version_2(v1_queries):
+def test_version_1_data_is_refused(v1_queries):
     """The digest of this build's config differs from the version 1 one,
     so a version 1 index file or fingerprint raises, naming the version."""
     digest = config_digest(SPECTRAL, LIBRARY, 8000)
     assert digest != V1_CONFIG_DIGEST
-    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
         RetrievalIndex.load(V1_FIXTURE, digest)
     index = RetrievalIndex.for_config(digest, LIBRARY)
-    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
         index.query(v1_queries[0])
-    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
         index.enroll(dataclasses.replace(v1_queries[0], file_id=1))
-    with pytest.raises(IncompatibleIndex, match="fingerprint version, 2"):
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
         Pipeline(RetrievalIndex.load(V1_FIXTURE), LabelRegistry(), SPECTRAL, LIBRARY)
+
+
+# tests/data/index_v2.spix was saved by fingerprint version 2 (index file
+# version 2) at the library geometry and mel-vocal spectra: 12 s clips
+# synth_speech_like(12.0, 8000, seed=630 + i) as files V2_IDS. Its config
+# digest is the version 2 one, which no build of version 3 computes
+V2_FIXTURE = Path(__file__).parent / "data" / "index_v2.spix"
+V2_CONFIG_DIGEST = 0x544F39BA1A33958D
+V2_IDS = (4, 2**36 + 9)
+V2_STATS = IndexStats(n_files=2, n_subs=22, n_postings=440, n_buckets=440)
+
+
+def test_version_2_data_is_refused():
+    """The version 2 file loads under its own digest only: this build's
+    digest, and so a pipeline over it, raises naming version 3."""
+    assert V2_FIXTURE.read_bytes()[4:6] == b"\x02\x00"
+    index = RetrievalIndex.load(V2_FIXTURE, V2_CONFIG_DIGEST)
+    assert index.stats() == V2_STATS and index.file_ids == list(V2_IDS)
+    digest = config_digest(SPECTRAL, LIBRARY, 8000)
+    assert digest not in (V2_CONFIG_DIGEST, V1_CONFIG_DIGEST)
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 3 in this build"):
+        RetrievalIndex.load(V2_FIXTURE, digest)
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 3 in this build"):
+        Pipeline(RetrievalIndex.load(V2_FIXTURE), LabelRegistry(), SPECTRAL, LIBRARY)
+    fp = fingerprint_audio(synth_speech_like(4.0, 8000, seed=630), SPECTRAL, LIBRARY)
+    with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
+        index.query(fp)

@@ -29,6 +29,7 @@ from speechprint.fingerprint import (
     StreamingFingerprinter,
     config_digest,
     fingerprint_audio,
+    min_audio_seconds,
 )
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
@@ -398,6 +399,33 @@ class TestIdentifyStream:
         outcome = pipeline.identify_stream(stream_wav_bytes(encode_wav(tiny)))
         assert outcome.status == STATUS_ERROR
         assert "minimum" in outcome.message
+
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("variant", ["linear-vocal", "mel-vocal", "mel-wide"])
+    def test_minimum_length_boundary(self, variant, rate):
+        """A stream exactly min_audio_seconds long at the canonical rate
+        is enrolled; one canonical sample less is below the minimum."""
+        spectral = SpectralConfig.for_variant(variant)
+        need = round(min_audio_seconds(spectral, FCFG) * CANONICAL_RATE)
+        clip = synth_speech_like(need / CANONICAL_RATE + 0.1, rate, seed=43)
+        # 16 kHz: 2n input samples give n canonical ones, 2n - 2 give n - 1
+        per = rate // CANONICAL_RATE
+        for n, status in ((need, STATUS_ENROLLED), (need - 1, STATUS_ERROR)):
+            samples = clip.samples[: per * n]
+            digest = config_digest(spectral, FCFG, CANONICAL_RATE)
+            pipeline = Pipeline(
+                RetrievalIndex.for_config(digest, FCFG), LabelRegistry(), spectral, FCFG
+            )
+            blob = encode_wav(audio_module.AudioBuffer(samples, rate))
+            outcome = pipeline.identify_stream(stream_wav_bytes(blob))
+            assert outcome.status == status
+            assert outcome.audio_consumed_s == pytest.approx(n / CANONICAL_RATE)
+            if status == STATUS_ERROR:
+                assert "below the" in outcome.message
+                assert "fingerprinting minimum" in outcome.message
+            else:
+                assert pipeline.index.stats().n_subs == 1
 
 
 def split_bytes(blob: bytes, piece, rng=None):
