@@ -8,7 +8,14 @@ shared-transform kernel, which centres a block after its transform)
 re-recorded every pin whose value it changed: the wire bytes and saved
 index bytes (the config digest includes the version), the 11.025 and
 16 kHz mel pins at the benchmark geometry, and the benchmark geometry's
-query results, stats and loose duplicates. Any refactor of the kernel or
+query results, stats and loose duplicates. FINGERPRINT_VERSION 3 (vocal
+images at a 2 kHz analysis rate, every variant decimated at 16 kHz)
+re-recorded the 8 kHz vocal pins, the 16 kHz pins except mel-wide's at
+the library geometry, the wire and saved index bytes, and the planted
+index's results, duplicates and stats. An 8 s clip ends on a frame's
+last sample, which a vocal image now lacks, so the benchmark geometry
+has 285 blocks there, not 286. Mel-wide at 8 kHz and every 11.025 kHz
+pin kept its value. Any refactor of the kernel or
 the index that changes one bit of a signature, one block index, one vote
 or one duplicate overlap fails here; a deliberate change of the bits
 must bump FINGERPRINT_VERSION and re-record the pins.
@@ -47,16 +54,16 @@ GEOMETRIES = {"library": LIBRARY, "bench": BENCH_FINGERPRINT}
 # sha256 over the signature matrix bytes, then the block indices as <i8
 GOLDEN_DIGESTS = {
     ("linear-vocal", "library"): (
-        6, "5eb5e08aa59dc61907b3fe2a066834f85139ee30168c857da944d6ee2110519d"
+        6, "cce44f7fa1cca5978666ab8c51513b70e5bc896af61d6207980854db1d5ff0d9"
     ),
     ("linear-vocal", "bench"): (
-        286, "bb01537de705f206f46d93dec0db9997f1b99a5c017b3a4095ad8f801283ca59"
+        285, "1226106ead270c0839cd620e9a0616b2527c255dd04ac1c4513f6769756fcd42"
     ),
     ("mel-vocal", "library"): (
-        6, "216c79310121c5ee324cc71f8da6d9507d8084b75b032c47c905381201af89b4"
+        6, "e8fa122c410b582bd7505364cb9a4c81056f9cc0b4aac8536856f2b73cb44cb9"
     ),
     ("mel-vocal", "bench"): (
-        286, "50bef65f8a52f712893350f27b7d8379b2ed808c1066cc4f0cc4d603a6d4184a"
+        285, "934ea001875890dfdeb3f5b930c0e9a6d38c5260664379b2073304155dc7bf2b"
     ),
     ("mel-wide", "library"): (
         6, "82ff3ea5b76bdde9b8a1d3f9330423abb59c149ffaf4924196881e26ca6180ad"
@@ -96,26 +103,27 @@ def test_batch_fingerprint_matches_golden_digest(clip, variant, geometry):
 # (length, sha256) of serialize_fingerprint for the clip above enrolled
 # as WIRE_FILE_ID, first recorded from the encoder that packed one sub at
 # a time; re-recorded for record version 2, whose header adds the
-# signature width and whose config digest includes the fingerprint version
+# signature width and whose config digest includes the fingerprint version,
+# and for fingerprint version 3, whose version and digests are new
 WIRE_FILE_ID = 2**40 + 3
 GOLDEN_WIRE = {
     ("linear-vocal", "bench"): (
-        29774, "a3aa5e0c9cb323487ae6095f470788e6e8f7c8e1f6496cefab0bf22d948a1309"
+        29670, "412b1b267d9e4f0a13ac047ed1b9752af060347c29b0546a4463ae5ca0ee28b1"
     ),
     ("linear-vocal", "library"): (
-        654, "90781ff21d0ea9868aa8d33490794e15cbd87bda7a4d14764ccf82bff5a1dfa1"
+        654, "dc73d7ed9430b6dd35e97835e2f214eae4627123fe59ccf9640132d34ccdfb32"
     ),
     ("mel-vocal", "bench"): (
-        29774, "a793cedfdb3632aeb5e8cfef5ede54f797d192b12c936c21e2ce92be50bf2e90"
+        29670, "7eb9a368e0f99ace9f832bef256ee6639193371bff7a338070c0b1ad526c7938"
     ),
     ("mel-vocal", "library"): (
-        654, "ff339fc071fd043a4a18790e6d8fdf51395bfe69c1c89378a52a553d2511bb3b"
+        654, "814c2d54a48e354e2904df81031c54f93c998a92b68eb4a0497d223edc30c99c"
     ),
     ("mel-wide", "bench"): (
-        29774, "907f1192df9342b37a65f6c91d8b0b915b792c0053ebf3b2ad08fc733b8897e2"
+        29774, "9da0339225f678fa3cdbc3070a10884bf5f33a0b7ecd91f6164a74ee2510ce94"
     ),
     ("mel-wide", "library"): (
-        654, "6f8efea6125948f3feaac9f1abc81e9e40d2bd13b899fb7957f9c7476ca12c13"
+        654, "66d08f8612977eb960a2141a31e7eb7e366e10455ab637fd362150aff8fff99b"
     ),
 }
 
@@ -157,19 +165,19 @@ GOLDEN_DIGESTS_AT_RATE = {
         6, "2d8e10a3ea319cc8ab7a3266a4271d5345ae3680f8fc544efbc063f61b2c0551"
     ),
     ("linear-vocal", "bench", 16000): (
-        286, "0562d8ed098bc9e7aa3b1750bf9244c2292118c315f32b75295f76eaa8c53aa8"
+        285, "c0f031b539c16faa2e7b80c0db26974b3a9fce3d375db1207876652c0f22715a"
     ),
     ("linear-vocal", "library", 16000): (
-        6, "6d313a4b0eb75226e298b2a7d5872e8273a50df99a9dc74b4a276e021451b2ab"
+        6, "b48c43ec5536308f547001bcdee04fe9b2f8bd9603981fe29eae08799a5269a6"
     ),
     ("mel-vocal", "bench", 16000): (
-        286, "98d87f813d2d1cbe5fa0e796d9973d380e57f4eb128c870e1355ada3915e38f6"
+        285, "49c07845f646814f0a25e17df7dacf0a63cdb6ba3076f83a5755a61c250d63bf"
     ),
     ("mel-vocal", "library", 16000): (
-        6, "f97eb40dae27eff7099dba72ee8bc441769facf8aceba518978065580e33fa66"
+        6, "09573f2297f7e5c82e61d1db6fb3db05d4fd8c981adc3d86f03967d7d14ff2d4"
     ),
     ("mel-wide", "bench", 16000): (
-        286, "54f1c7ca4fb84b96033c2141b79bebd202b6694222fa1e851328fe71fc2c567f"
+        285, "70f8c6b599764413f831a6d545f1425fbd205b7da66a804b7078767646b51ca4"
     ),
     ("mel-wide", "library", 16000): (
         6, "79a76bae82752af520bfc83f1c511d1b1114a74cb84d1f5d5d91215ffc047018"
@@ -297,25 +305,25 @@ GOLDEN_DUPLICATES = {
         [
             (9, 1099511627777, 1.0),
             (17, 8589934592, 1.0),
-            (17, 18446744073709551615, 0.8452914798206278),
-            (8589934592, 18446744073709551615, 0.8452914798206278),
-            (3, 4294967301, 0.8385650224215246),
-            (3, 18446744073709551615, 0.8116591928251121),
-            (3, 17, 0.6614349775784754),
-            (3, 8589934592, 0.6614349775784754),
-            (17, 1099511627777, 0.5807174887892377),
-            (8589934592, 1099511627777, 0.5807174887892377),
-            (9, 17, 0.5672645739910314),
-            (9, 8589934592, 0.5672645739910314),
-            (9, 18446744073709551615, 0.47533632286995514),
-            (4294967301, 18446744073709551615, 0.45964125560538116),
-            (1099511627777, 18446744073709551615, 0.45964125560538116),
-            (17, 4294967301, 0.2914798206278027),
-            (4294967301, 8589934592, 0.2914798206278027),
-            (3, 1099511627777, 0.26905829596412556),
-            (3, 9, 0.23542600896860988),
-            (4294967301, 1099511627777, 0.18385650224215247),
-            (9, 4294967301, 0.15246636771300448),
+            (3, 4294967301, 0.8426966292134831),
+            (17, 18446744073709551615, 0.8426966292134831),
+            (8589934592, 18446744073709551615, 0.8426966292134831),
+            (3, 18446744073709551615, 0.8224719101123595),
+            (3, 17, 0.6629213483146067),
+            (3, 8589934592, 0.6629213483146067),
+            (17, 1099511627777, 0.5910112359550562),
+            (8589934592, 1099511627777, 0.5910112359550562),
+            (9, 17, 0.5707865168539326),
+            (9, 8589934592, 0.5707865168539326),
+            (9, 18446744073709551615, 0.4786516853932584),
+            (4294967301, 18446744073709551615, 0.4651685393258427),
+            (1099511627777, 18446744073709551615, 0.46292134831460674),
+            (17, 4294967301, 0.2943820224719101),
+            (4294967301, 8589934592, 0.2943820224719101),
+            (3, 1099511627777, 0.27191011235955054),
+            (3, 9, 0.24943820224719102),
+            (4294967301, 1099511627777, 0.1842696629213483),
+            (9, 4294967301, 0.15056179775280898),
         ],
     ),
 }
@@ -327,49 +335,49 @@ GOLDEN_DUPLICATES = {
 # clips that were never enrolled.
 GOLDEN_RESULTS = {
     "library": [
-        [(3, 12, 3, 0.5), (3, 15, 6, 1.0)],
+        [(3, 11, 3, 0.5), (3, 14, 6, 1.0)],
         [None, (3, 1, 1, 0.16666666666666666)],
-        [(17, 27, 6, 1.0), (17, 27, 6, 1.0)],
+        [(17, 30, 6, 1.0), (17, 31, 6, 1.0)],
         [None, (17, 1, 1, 0.16666666666666666)],
         [
-            (4294967301, 15, 4, 0.6666666666666666),
-            (4294967301, 16, 5, 0.8333333333333334),
+            (4294967301, 16, 4, 0.6666666666666666),
+            (4294967301, 17, 5, 0.8333333333333334),
         ],
         [None, None],
         [(1099511627777, 31, 6, 1.0), (1099511627777, 31, 6, 1.0)],
-        [None, (1099511627777, 3, 3, 0.5)],
-        [(18446744073709551615, 30, 6, 1.0), (18446744073709551615, 30, 6, 1.0)],
+        [None, (1099511627777, 4, 4, 0.6666666666666666)],
+        [(18446744073709551615, 29, 6, 1.0), (18446744073709551615, 29, 6, 1.0)],
         [None, None],
         [None, None],
         [None, None],
     ],
     "bench": [
-        [(3, 2936, 257, 0.8986013986013986), (3, 4785, 284, 0.993006993006993)],
-        [(3, 635, 109, 0.38652482269503546), (3, 1929, 257, 0.9113475177304965)],
-        [(17, 3038, 275, 0.9615384615384616), (17, 4361, 286, 1.0)],
-        [(17, 941, 143, 0.5070921985815603), (17, 1963, 248, 0.8794326241134752)],
+        [(3, 2973, 254, 0.8912280701754386), (3, 4832, 283, 0.9929824561403509)],
+        [(3, 634, 113, 0.40070921985815605), (3, 1917, 253, 0.8971631205673759)],
+        [(17, 3048, 272, 0.9543859649122807), (17, 4362, 285, 1.0)],
+        [(17, 955, 144, 0.5106382978723404), (17, 1975, 248, 0.8794326241134752)],
         [
-            (4294967301, 2891, 253, 0.8846153846153846),
-            (4294967301, 5020, 283, 0.9895104895104895),
+            (4294967301, 2871, 251, 0.8807017543859649),
+            (4294967301, 4981, 281, 0.9859649122807017),
         ],
         [
-            (4294967301, 994, 135, 0.4787234042553192),
-            (4294967301, 2529, 246, 0.8723404255319149),
+            (4294967301, 1014, 133, 0.4716312056737589),
+            (4294967301, 2518, 245, 0.8687943262411347),
         ],
-        [(9, 5087, 280, 0.9790209790209791), (1099511627777, 6636, 286, 1.0)],
-        [(9, 2054, 232, 0.8226950354609929), (9, 3551, 275, 0.975177304964539)],
+        [(9, 5004, 280, 0.9824561403508771), (9, 6720, 285, 1.0)],
+        [(9, 2030, 232, 0.8226950354609929), (9, 3514, 275, 0.975177304964539)],
         [
-            (18446744073709551615, 4033, 264, 0.9230769230769231),
-            (18446744073709551615, 6371, 284, 0.993006993006993),
+            (18446744073709551615, 3997, 262, 0.9192982456140351),
+            (18446744073709551615, 6363, 283, 0.9929824561403509),
         ],
         [
-            (18446744073709551615, 1394, 173, 0.6134751773049646),
-            (18446744073709551615, 3224, 259, 0.9184397163120568),
+            (18446744073709551615, 1366, 172, 0.6099290780141844),
+            (18446744073709551615, 3204, 259, 0.9184397163120568),
         ],
-        [None, (1099511627777, 586, 191, 0.6678321678321678)],
+        [None, (1099511627777, 571, 190, 0.6666666666666666)],
         [
-            (18446744073709551615, 389, 77, 0.2692307692307692),
-            (3, 1749, 243, 0.8496503496503497),
+            (18446744073709551615, 369, 75, 0.2631578947368421),
+            (3, 1775, 243, 0.8526315789473684),
         ],
     ],
 }
@@ -378,8 +386,8 @@ GOLDEN_RESULTS = {
 # postings and buckets (distinct keys per band) exactly as the per-band
 # dicts did
 GOLDEN_STATS = {
-    "library": IndexStats(n_files=7, n_subs=77, n_postings=1540, n_buckets=1197),
-    "bench": IndexStats(n_files=7, n_subs=3122, n_postings=62440, n_buckets=32689),
+    "library": IndexStats(n_files=7, n_subs=77, n_postings=1540, n_buckets=1195),
+    "bench": IndexStats(n_files=7, n_subs=3115, n_postings=62300, n_buckets=32630),
 }
 
 SPECTRAL = SpectralConfig.for_variant(Variant.MEL_VOCAL)
@@ -458,10 +466,10 @@ def test_stats_match_golden(planted):
 
 # sha256 of the version 2 save bytes of the planted index, first recorded
 # from the index that kept a per-file copy of every band digest, and again
-# for fingerprint version 2's config digest and bits
+# for fingerprint version 2's and version 3's config digests and bits
 GOLDEN_SAVE_SHA256 = {
-    "library": "4f5c1a268a187ae2837dea97421b3784ae53b01c2f6306b504a6ab481524e5f0",
-    "bench": "390fc2f30355faa1a13f3d3e88dd5fcfd8e819825dfbefaf6377ed1fcaf15069",
+    "library": "db931c9a0cb12eef6bc62227baaa4f7ab7e88aa84c41a3734a883d4c656a6df5",
+    "bench": "48f59cd5ddc3a660f2005a2643074104ba5ce3e701ee55fcc3058c26f562f258",
 }
 
 
