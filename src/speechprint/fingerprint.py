@@ -740,10 +740,10 @@ def min_audio_seconds(
 ) -> float:
     """Shortest audio at ``sample_rate`` that yields a block signature.
 
-    That is the block's frames, window_s + (block_frames - 1) * stride_s,
-    plus the reach of the decimation filter past the last frame's end (see
-    :class:`~speechprint.spectral.FrameTransform`): 13 samples at 8 kHz
-    for the vocal variants, none for mel-wide.
+    That is the block's frames, a window plus block_frames - 1 hops, each
+    rounded to whole samples, plus the reach of the decimation filter past
+    the last frame's end (see :class:`~speechprint.spectral.FrameTransform`):
+    13 samples at 8 kHz for the vocal variants, none for mel-wide.
     """
     transform = FrameTransform(sample_rate, spectral_config)
     return transform.samples_for(fingerprint_config.block_frames) / sample_rate

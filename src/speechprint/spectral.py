@@ -302,8 +302,8 @@ def _decimation_taps(factor: int) -> np.ndarray:
     down from 0.74 of the decimated rate, so nothing within a quarter of
     that rate of the band's edges aliases into the band; the passband is
     flat to 0.01 dB up to a quarter of it, where the band ends. The gain
-    keeps a band's FFT magnitudes on the input rate's scale: a window of
-    1 / ``factor`` the samples sums 1 / ``factor`` of the taper.
+    keeps a band's FFT magnitudes on the input rate's scale, since a Hann
+    window of 1 / ``factor`` the samples sums to 1 / ``factor`` as much.
     """
     n_taps = _TAPS_PER_FACTOR * factor + 1
     offsets = np.arange(n_taps) - n_taps // 2
@@ -332,7 +332,9 @@ class Decimator:
 
     Nothing is clipped, and :data:`~speechprint.audio.clip_stats` is not
     touched: the filter's gain can take a sample past 1, and the image
-    reads magnitudes, not samples. A factor of 1 returns its input.
+    reads magnitudes, not samples. A factor of 1 returns its input. (The
+    rate changer :class:`~speechprint.audio.Resampler` clips, and imports
+    scipy, which would cost a fresh process a second or more.)
     """
 
     def __init__(self, factor: int) -> None:

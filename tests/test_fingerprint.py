@@ -680,8 +680,13 @@ LIBRARY = FingerprintConfig()
 # input samples that complete the first library block: 128 frames of the
 # input grid, plus the decimation filter's reach past the last one's end
 # less the factor's other phases (16 - 3 samples at 8 kHz, 32 - 7 at
-# 16 kHz for the vocal variants, 8 - 1 for mel-wide at 16 kHz)
+# 16 kHz for the vocal variants, 8 - 1 for mel-wide at 16 kHz). At
+# 11.025 kHz nothing is decimated, and the frames are 1103 samples with a
+# 276-sample hop, 48 samples more than 3.275 s
 LIBRARY_MINIMUM = {
+    ("linear-vocal", 11025): 36155,
+    ("mel-vocal", 11025): 36155,
+    ("mel-wide", 11025): 36155,
     ("linear-vocal", 8000): 26213,
     ("mel-vocal", 8000): 26213,
     ("mel-wide", 8000): 26200,
@@ -694,7 +699,7 @@ LIBRARY_MINIMUM = {
 class TestLengthBoundary:
     """min_audio_seconds is exact at the input rate, for every variant."""
 
-    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000])
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_minimum_yields_one_block_and_one_less_none(self, variant, rate):
         spectral = SpectralConfig.for_variant(variant)
