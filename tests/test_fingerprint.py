@@ -684,12 +684,12 @@ LIBRARY = FingerprintConfig()
 # 11.025 kHz nothing is decimated, and the frames are 1103 samples with a
 # 276-sample hop, 48 samples more than 3.275 s
 LIBRARY_MINIMUM = {
-    ("linear-vocal", 11025): 36155,
-    ("mel-vocal", 11025): 36155,
-    ("mel-wide", 11025): 36155,
     ("linear-vocal", 8000): 26213,
     ("mel-vocal", 8000): 26213,
     ("mel-wide", 8000): 26200,
+    ("linear-vocal", 11025): 36155,
+    ("mel-vocal", 11025): 36155,
+    ("mel-wide", 11025): 36155,
     ("linear-vocal", 16000): 52425,
     ("mel-vocal", 16000): 52425,
     ("mel-wide", 16000): 52407,
@@ -724,8 +724,8 @@ class TestLengthBoundary:
 
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_six_seconds_complete_four_library_blocks(self, variant):
-        """The first decision point still has four blocks: the fourth ends
-        at 5.875 s of frames, and the reach adds 13 samples at most."""
+        """The first decision point still has four blocks: the fourth's
+        last frame ends at 5.675 s, and the reach adds 13 samples."""
         spectral = SpectralConfig.for_variant(variant)
         streamer = StreamingFingerprinter(8000, spectral, LIBRARY)
         streamer.feed(synth_speech_like(6.0, 8000, seed=42).samples)

@@ -400,7 +400,6 @@ class TestIdentifyStream:
         assert outcome.status == STATUS_ERROR
         assert "minimum" in outcome.message
 
-
     @pytest.mark.parametrize("rate", [8000, 16000])
     @pytest.mark.parametrize("variant", ["linear-vocal", "mel-vocal", "mel-wide"])
     def test_minimum_length_boundary(self, variant, rate):

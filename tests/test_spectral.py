@@ -25,11 +25,6 @@ from speechprint.spectral import (
 )
 
 
-def decimated(transform: FrameTransform, samples: np.ndarray) -> np.ndarray:
-    """The analysis-rate signal the transform frames."""
-    return Decimator(transform.decimation).feed(samples)
-
-
 class TestMelScale:
     def test_known_point(self):
         # 700 Hz sits one doubling up the (1 + f/700) curve
@@ -157,7 +152,7 @@ class TestStackedColumns:
             sample_rate, SpectralConfig.for_variant(variant, stride_s=stride_s)
         )
         clip = synth_speech_like(8.0, sample_rate, seed=11)
-        frames = transform.frames(decimated(transform, clip.samples))
+        frames = transform.frames(Decimator(transform.decimation).feed(clip.samples))
         single = np.array([transform.column(frame) for frame in frames])
         # more frames than one FFT call takes, so the stack is split
         assert len(frames) > STACK_SAMPLES // transform.n_fft
@@ -231,9 +226,9 @@ class TestOracle:
             expected = band_select_linear(spec, rate, cfg.f_min, cfg.f_max).T
         else:
             expected = np.array([
-                mel_filterbank(spec[:, i : i + 1], rate, cfg.n_bins, cfg.f_min, cfg.f_max)[
-                    :, 0
-                ]
+                mel_filterbank(
+                    spec[:, i : i + 1], rate, cfg.n_bins, cfg.f_min, cfg.f_max
+                )[:, 0]
                 for i in range(spec.shape[1])
             ])
         frames = transform.frames(analysis.samples)
