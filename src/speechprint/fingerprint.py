@@ -32,12 +32,12 @@ Version 3 keeps that kernel and changes the image it reads: a variant
 whose band ends far enough below the input's Nyquist frequency is
 computed from a decimated copy of the signal
 (:class:`~speechprint.spectral.FrameTransform`). At 8 kHz the vocal
-variants read 2 kHz, where their magnitudes agree with the 8 kHz ones to
-within the decimation filter's error, not bit for bit, and at 16 kHz
-every variant is decimated. Those signatures differ from version 2's;
-mel-wide at 8 kHz and every variant at 11.025 kHz are not decimated and
-keep version 2's signatures. Every config digest names the version, so
-no version 2 index or fingerprint meets version 3 data.
+variants read 2 kHz, where their image values are close to the 8 kHz
+ones but not equal, and at 16 kHz every variant is decimated. Those
+signatures differ from version 2's; mel-wide at 8 kHz and every variant
+at 11.025 kHz are not decimated and keep version 2's signatures. Every
+config digest names the version, so no version 2 index or fingerprint
+meets version 3 data.
 
 Every stage also takes a stack of blocks, shaped [n_blocks, rows, cols],
 so one call per stage covers a stack of the blocks an audio chunk

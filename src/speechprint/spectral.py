@@ -298,12 +298,13 @@ def _decimation_taps(factor: int) -> np.ndarray:
     at the decimated signal's Nyquist frequency, with DC gain ``factor``:
     scipy's ``firwin(8 * factor + 1, 1 / factor, window=("kaiser", 6.0))``
     times ``factor``, except that the sinc's zeros, every ``factor``-th
-    tap from the centre, are exactly zero. Its stopband is at least 60 dB
-    down from 0.74 of the decimated rate, so nothing within a quarter of
-    that rate of the band's edges aliases into the band; the passband is
-    flat to 0.01 dB up to a quarter of it, where the band ends. The gain
-    keeps a band's FFT magnitudes on the input rate's scale, since a Hann
-    window of 1 / ``factor`` the samples sums to 1 / ``factor`` as much.
+    tap from the centre, are exactly zero. The image's band ends at most a
+    quarter of the decimated rate up, where the passband is still flat to
+    0.01 dB; what would fold onto the band lies at three quarters of that
+    rate or more, and the stopband is at least 60 dB down from 0.74 of
+    it. The gain keeps a band's FFT magnitudes on the input rate's scale,
+    since a Hann window of 1 / ``factor`` the samples sums to 1 /
+    ``factor`` as much.
     """
     n_taps = _TAPS_PER_FACTOR * factor + 1
     offsets = np.arange(n_taps) - n_taps // 2

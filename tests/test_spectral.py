@@ -285,9 +285,9 @@ class TestMakeImage:
             make_image(buf, SpectralConfig.for_variant("mel-vocal"))
 
     def test_image_matches_the_input_rate_image(self, speech_clip):
-        """The 2 kHz image is the 8 kHz one to within the filter's error,
-        frame for frame; the decimator's reach costs the last frame. A gain
-        other than the factor would shift every value by about its log."""
+        """The 2 kHz image is close to the 8 kHz one, frame for frame; the
+        decimator's reach costs the last frame. A gain other than the
+        factor would shift every value by about its log."""
         for variant in (Variant.LINEAR_VOCAL, Variant.MEL_VOCAL):
             cfg = SpectralConfig.for_variant(variant)
             image = make_image(speech_clip, cfg)
