@@ -37,14 +37,18 @@ _HEADER_LEN = 4 + struct.calcsize(_HEADER_FMT)
 _MAX_ROWS = 2**31 - 1
 
 #: Upper bound on the (row, posting) pairs that one slice of a band join
-#: expands and counts at once, about 4 MiB of temporaries: a batch of
+#: expands and counts at once, about 2.5 MiB of temporaries: a batch of
 #: queries, or a self-join over buckets that many subs share, stays in
 #: bounded memory. A slice holds whole rows, so one row with more pairs
-#: than this is a slice of its own. Of 2^12 to 2^22, 2^14 to 2^16 ran
-#: the fastest self-join of the benchmark's catalog-build index (14
-#: files, 7,924 subs, about 240,000 pairs in 4 slices at 2^16); from
-#: 2^18 it ran 25-35% slower.
+#: than this is a slice of its own. Of 2^12 to 2^20, 2^15 to 2^17 ran
+#: the fastest self-join of the benchmark's seed-1 catalog-build index
+#: (14 files, 7,910 subs, 248,006 pairs in 4 slices at 2^16): medians of
+#: 12.1 and 14.4 ms at 2^16 in two sweeps on a 2-CPU box, 14-20% more at
+#: 2^13 and 22-30% more from 2^18.
 PAIR_ELEMENTS = 1 << 16
+#: A band join numbers each (row, index row) pair of a slice in one u32 of
+#: this many bits: the row's place in the slice above the index row.
+_PAIR_BITS = 32
 
 DEFAULT_MIN_BAND_VOTES = 2
 DEFAULT_MIN_CONFIDENCE = 0.1
@@ -83,9 +87,10 @@ class RetrievalIndex:
     the row numbers of the subs holding each key. A query finds all of
     its buckets with one binary search per band, probing k and k + 1;
     :meth:`find_duplicates` joins the bands with themselves, with no
-    search; loading rebuilds every band with one stable sort. The band
-    digests live in the bands only, and :meth:`save` scatters them back
-    into rows. Thread safety: enrolment, queries and persistence hold
+    search. Loading sorts each band once, and enrolment sorts a file's
+    keys the same way and merges them in (see :func:`_sort_bands`). The
+    band digests live in the bands only, and :meth:`save` scatters them
+    back into rows. Thread safety: enrolment, queries and persistence hold
     one lock.
     """
 
@@ -99,7 +104,7 @@ class RetrievalIndex:
     ) -> None:
         if band_count < 1 or band_width < 1:
             raise ConfigError("band_count and band_width must be >= 1")
-        _check_thresholds(min_band_votes, min_confidence)
+        _check_thresholds(min_band_votes, band_count, min_confidence)
         self.config_digest = config_digest
         self.band_count = band_count
         self.band_width = band_width
@@ -184,8 +189,10 @@ class RetrievalIndex:
         """Appends one new file's rows and merges its keys into every band;
         lock held.
 
-        Its keys go after equal keys already enrolled, in row order, so the
-        bands equal what :meth:`_build` makes of all rows at once.
+        The new keys are sorted as :meth:`_build` sorts them. Each goes
+        after the equal keys already enrolled and the new keys before it,
+        and the old keys fill the other places in order, so the bands
+        equal what :meth:`_build` makes of all rows at once.
         """
         first_row = self._row_file.size
         ordinal = len(self._ids)
@@ -194,24 +201,23 @@ class RetrievalIndex:
         n_new = blocks.size
         self._row_file = np.append(self._row_file, np.full(n_new, ordinal, np.int32))
         self._row_block = np.append(self._row_block, blocks.astype(np.uint32))
+        new_keys, order = _sort_bands(np.ascontiguousarray(digests.T))
         width = self._keys.shape[1] + n_new
-        order = np.argsort(digests, axis=0, kind="stable")
-        new_keys = np.take_along_axis(digests, order, axis=0).T
-        new_postings = (first_row + order).T
         # merged position of each new key: after the equal keys already
         # enrolled and the new keys before it, in the flattened bands
         dest = np.array(
             [k.searchsorted(new, side="right") for k, new in zip(self._keys, new_keys)]
         )
         dest += np.arange(n_new) + width * np.arange(self.band_count)[:, None]
-        is_new = np.zeros(self.band_count * width, dtype=bool)
-        is_new[dest.ravel()] = True
-        keys = np.empty(self.band_count * width, dtype=np.uint64)
-        keys[is_new] = new_keys.ravel()
-        keys[~is_new] = self._keys.ravel()
-        postings = np.empty(self.band_count * width, dtype=np.int32)
-        postings[is_new] = new_postings.ravel()
-        postings[~is_new] = self._postings.ravel()
+        dest = dest.ravel()
+        old = np.ones(self.band_count * width, dtype=bool)
+        old[dest] = False
+        keys = np.empty(old.size, dtype=np.uint64)
+        keys[old] = self._keys.ravel()
+        keys[dest] = new_keys.ravel()
+        postings = np.empty(old.size, dtype=np.int32)
+        postings[old] = self._postings.ravel()
+        postings[dest] = (order + first_row).ravel()
         self._keys = keys.reshape(self.band_count, width)
         self._postings = postings.reshape(self.band_count, width)
 
@@ -221,7 +227,8 @@ class RetrievalIndex:
         """Fills an empty index from whole-index columns in one pass.
 
         File k has id ``ids[k]`` and the next ``counts[k]`` rows of
-        ``blocks`` and ``digests``; its ordinal is k.
+        ``blocks`` and ``digests``; its ordinal is k. Each band is sorted
+        once by :func:`_sort_bands`, equal keys in row order.
         """
         if blocks.size > _MAX_ROWS:
             raise ConfigError(f"an index holds at most {_MAX_ROWS} subs")
@@ -229,10 +236,7 @@ class RetrievalIndex:
         self._ordinals = {file_id: k for k, file_id in enumerate(ids)}
         self._row_file = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
         self._row_block = blocks.astype(np.uint32)
-        by_band = np.ascontiguousarray(digests.T)
-        order = np.argsort(by_band, axis=1, kind="stable")
-        self._keys = np.take_along_axis(by_band, order, axis=1)
-        self._postings = order.astype(np.int32)
+        self._keys, self._postings = _sort_bands(np.ascontiguousarray(digests.T))
 
     def __contains__(self, file_id: int) -> bool:
         with self._lock:
@@ -254,45 +258,60 @@ class RetrievalIndex:
             arrays = (self._keys, self._postings, self._row_file, self._row_block)
             return sum(a.nbytes for a in arrays)
 
-    def _join(self, starts: np.ndarray, sizes: np.ndarray, min_band_votes: int):
+    def _join(
+        self, bounds: np.ndarray, starts: np.ndarray, sizes: np.ndarray, min_band_votes: int
+    ):
         """Band hits of (row, index row) pairs, in slices of whole rows.
 
-        Row r of ``starts`` and ``sizes`` ([n_rows, band_count]) shares
-        band j's key with the postings at flat positions ``starts[r, j]``
-        onwards, ``sizes[r, j]`` of them, in the flattened bands. Yields
-        per slice (rows, index rows, hits) of the pairs that share at
-        least min_band_votes keys, sorted by row then index row. A slice
-        expands at most PAIR_ELEMENTS pairs, unless one row has more.
-        Lock held.
+        Row r shares a band key with ``sizes[k]`` postings from flat
+        position ``starts[k]`` onwards in the flattened bands, for each k
+        in ``bounds[r]:bounds[r + 1]``. Yields per slice (rows, index
+        rows, hits) of the pairs that share at least min_band_votes keys,
+        sorted by row then index row. A slice expands at most
+        PAIR_ELEMENTS pairs, unless one row has more, and at most the rows
+        that _PAIR_BITS can number above an index row. One sort of a
+        slice's pair numbers and the length of each run of equal numbers
+        give the hits. Lock held.
         """
-        n_index = self._row_file.size
-        flat = self._postings.ravel()
-        per_row = sizes.sum(axis=1)
+        flat = self._postings.ravel().view(np.uint32)
+        bits = max(self._row_file.size - 1, 0).bit_length()
         # pairs before each row
-        before = np.zeros(per_row.size + 1, dtype=np.int64)
-        np.cumsum(per_row, out=before[1:])
+        before = np.zeros(starts.size + 1, dtype=np.int64)
+        sizes.cumsum(out=before[1:])
+        before = before.take(bounds)
+        n_rows = bounds.size - 1
         lo = 0
-        while lo < per_row.size:
-            hi = int(np.searchsorted(before, before[lo] + PAIR_ELEMENTS, "right")) - 1
-            hi = max(hi, lo + 1)
+        while lo < n_rows:
+            hi = int(before.searchsorted(before[lo] + PAIR_ELEMENTS, "right")) - 1
+            hi = min(max(hi, lo + 1), lo + (1 << _PAIR_BITS - bits))
             total = int(before[hi] - before[lo])
             if total:
-                seg_sizes = sizes[lo:hi].ravel()
-                seg_starts = starts[lo:hi].ravel()
+                seg_sizes = sizes[bounds[lo] : bounds[hi]]
                 # one range expansion over the slice's buckets
-                skip = np.repeat(seg_starts - (np.cumsum(seg_sizes) - seg_sizes), seg_sizes)
-                partners = flat[np.arange(total) + skip]
-                row_base = np.repeat(np.arange(lo, hi, dtype=np.int64) * n_index, per_row[lo:hi])
-                # one hit count per (row, index row) pair
-                pairs, hits = np.unique(row_base + partners, return_counts=True)
-                qualifies = hits >= min_band_votes
-                pairs, hits = pairs[qualifies], hits[qualifies]
-                yield pairs // n_index, pairs % n_index, hits
+                at = (starts[bounds[lo] : bounds[hi]] - seg_sizes.cumsum() + seg_sizes).repeat(
+                    seg_sizes
+                )
+                at += np.arange(total)
+                pairs = (np.arange(hi - lo, dtype=np.uint32) << bits).repeat(
+                    before[lo + 1 : hi + 1] - before[lo:hi]
+                )
+                pairs |= flat.take(at)
+                pairs.sort()
+                runs = _run_bounds(pairs)
+                hits = runs[1:] - runs[:-1]
+                qualifies = (hits >= min_band_votes).nonzero()[0]
+                pairs = pairs.take(runs.take(qualifies))
+                yield (
+                    (pairs >> bits).astype(np.int64) + lo,
+                    (pairs & (1 << bits) - 1).astype(np.int64),
+                    hits.take(qualifies),
+                )
             lo = hi
 
-    def _probe(self, digest_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where each query row's bucket of each band starts, and its size,
-        as [n_rows, band_count] flat positions and counts; lock held."""
+    def _probe(self, digest_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each query row's bucket of each band, in the form :meth:`_join`
+        takes: row r's buckets are entries r * band_count onwards, one per
+        band; lock held."""
         n_rows, bands = digest_rows.shape
         width = self._keys.shape[1]
         # a bucket of key k runs from the band's first key >= k to its
@@ -304,29 +323,50 @@ class RetrievalIndex:
         # k + 1 wraps to 0 for the largest u64, whose bucket ends the band
         bounds[:, n_rows:][probes[:, n_rows:] == 0] = width
         starts = bounds[:, :n_rows] + width * np.arange(bands)[:, None]
-        return starts.T, (bounds[:, n_rows:] - bounds[:, :n_rows]).T
+        sizes = bounds[:, n_rows:] - bounds[:, :n_rows]
+        return np.arange(0, (n_rows + 1) * bands, bands), starts.T.ravel(), sizes.T.ravel()
 
-    def _later_partners(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's partners in the self-join, as :meth:`_probe` gives a
-        query row's buckets: in each band, the postings of later files in
-        its bucket. Lock held.
+    def _later_partners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's partners in the self-join, in the form :meth:`_join`
+        takes: in each band, the postings of later files in its bucket.
+        Lock held; the index holds at least one row.
 
-        Within a bucket the postings ascend by row and so by file, so a
-        row's partners are the rest of its bucket after its own file's run.
+        Within a bucket the postings ascend by row and so by file. Every
+        posting of a run of one file in a bucket has the same partners,
+        the rest of the bucket after the run, so only the runs that do not
+        end their bucket have any.
         """
-        bands, n_rows = self._keys.shape
-        files = self._row_file[self._postings]
-        new_bucket = np.ones((bands, n_rows), dtype=bool)
-        new_bucket[:, 1:] = self._keys[:, 1:] != self._keys[:, :-1]
-        new_run = new_bucket.copy()
-        new_run[:, 1:] |= files[:, 1:] != files[:, :-1]
-        # flat position of row r's posting in band j
-        where = np.empty((n_rows, bands), dtype=np.int64)
-        where[self._postings, np.arange(bands)[:, None]] = np.arange(
-            bands * n_rows
-        ).reshape(bands, n_rows)
-        starts = _run_ends(new_run)[where]
-        return starts, _run_ends(new_bucket)[where] - starts
+        width = self._keys.shape[1]
+        keys = self._keys.ravel()
+        postings = self._postings.ravel()
+        new_bucket = np.empty(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new_bucket[1:])
+        new_bucket[::width] = True
+        files = self._row_file.take(postings)
+        new_run = np.empty(keys.size, dtype=bool)
+        np.not_equal(files[1:], files[:-1], out=new_run[1:])
+        new_run |= new_bucket
+        # each run's first position, then the end of the bands, and
+        # whether each starts a bucket, the end counting as one
+        first = np.append(np.flatnonzero(new_run), keys.size)
+        starts_bucket = np.append(new_bucket.take(first[:-1]), True)
+        # a run followed by a run of its own bucket has partners, from its
+        # end to the first position of the next run that starts a bucket
+        has = np.flatnonzero(~starts_bucket[1:])
+        ends = first.take(has + 1)
+        next_bucket = starts_bucket.cumsum().take(has)
+        bucket_ends = first.take(starts_bucket.nonzero()[0].take(next_bucket))
+        # the positions of those runs, grouped by row
+        lengths = ends - first.take(has)
+        at = np.repeat(ends - np.cumsum(lengths), lengths)
+        at += np.arange(at.size)
+        rows = postings.take(at)
+        order = np.argsort(rows)
+        run = np.repeat(np.arange(has.size), lengths).take(order)
+        starts = ends.take(run)
+        sizes = bucket_ends.take(run) - starts
+        bounds = rows.take(order).searchsorted(np.arange(self._row_file.size + 1))
+        return bounds, starts, sizes
 
     def _answer(
         self,
@@ -337,7 +377,7 @@ class RetrievalIndex:
         """Every query's answer from one probe of the bands and one join."""
         v = self.min_band_votes if min_band_votes is None else min_band_votes
         c = self.min_confidence if min_confidence is None else min_confidence
-        _check_thresholds(v, c)
+        _check_thresholds(v, self.band_count, c)
         for q in queries:
             self._check_digest(q)
         results: list[MatchResult | None] = [None] * len(queries)
@@ -357,13 +397,13 @@ class RetrievalIndex:
             n_files = len(ids)
             tallies = []
             for rows, index_rows, hits in self._join(*self._probe(digest_rows), v):
-                files = self._row_file[index_rows]
+                files = self._row_file.take(index_rows)
                 # within a row the index rows, and so the files, ascend: a
                 # new (row, file) starts wherever either changes
-                first = np.ones(rows.size, dtype=bool)
+                first = np.ones(rows.size, dtype=np.int64)
                 first[1:] = (rows[1:] != rows[:-1]) | (files[1:] != files[:-1])
                 tallies.append(
-                    _sum_by_key(query_of_row[rows] * n_files + files, first, hits)
+                    _sum_by_key(query_of_row.take(rows) * n_files + files, first, hits)
                 )
         if not tallies:
             return results
@@ -401,6 +441,8 @@ class RetrievalIndex:
         query subs) reaches the floor.
 
         Raises:
+            ConfigError: min_band_votes outside [1, band_count], or
+                min_confidence outside (0, 1].
             IncompatibleIndex: the fingerprint was built under another config.
         """
         return self._answer([fp], min_band_votes, min_confidence)[0]
@@ -440,39 +482,43 @@ class RetrievalIndex:
 
         Returns (file_a, file_b, overlap) tuples, file_a < file_b,
         sorted by descending overlap then ids.
+
+        Raises:
+            ConfigError: threshold outside (0, 1), since no overlap
+                exceeds 1, or min_band_votes outside [1, band_count].
         """
-        if not 0.0 < threshold <= 1.0:
-            raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+        if not 0.0 < threshold < 1.0:
+            raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
         v = self.min_band_votes if min_band_votes is None else min_band_votes
-        _check_thresholds(v)
+        _check_thresholds(v, self.band_count)
         forward, backward = [], []
         with self._lock:
             ids = self._ids
             n_files = len(ids)
+            if n_files < 2:
+                return []
             row_file = self._row_file
             for rows, partners, _hits in self._join(*self._later_partners(), v):
-                files = row_file[rows].astype(np.int64)
-                partner_files = row_file[partners]
+                files = row_file.take(rows)
+                partner_files = row_file.take(partners)
                 # one entry per distinct (row, partner file): within a row
                 # the partners, and so their files, ascend
-                first = np.ones(rows.size, dtype=bool)
-                first[1:] = (rows[1:] != rows[:-1]) | (
-                    partner_files[1:] != partner_files[:-1]
+                first = _run_bounds(rows << 32 | partner_files)[:-1]
+                forward.append(
+                    files.take(first).astype(np.int64) << 32 | partner_files.take(first)
                 )
-                forward.append(files[first] * n_files + partner_files[first])
-                backward.append(np.unique(partners * n_files + files))
+                backward.append(_count_distinct(partners << 32 | files)[0])
         if not forward:
             return []
-        # file pair fa * n_files + fb, fa < fb, -> subs of fa matched in fb
-        pair_keys, ahead = np.unique(np.concatenate(forward), return_counts=True)
-        behind_rows = np.unique(np.concatenate(backward))
+        # file pair fa << 32 | fb, fa < fb, -> subs of fa matched in fb
+        pair_keys, ahead = _count_distinct(np.concatenate(forward))
+        behind_rows = _count_distinct(np.concatenate(backward))[0]
         # and -> subs of fb matched in fa; both directions hold the same pairs
-        _, behind = np.unique(
-            behind_rows % n_files * n_files + row_file[behind_rows // n_files],
-            return_counts=True,
+        _, behind = _count_distinct(
+            (behind_rows & 0xFFFFFFFF) << 32 | row_file.take(behind_rows >> 32)
         )
         counts = np.bincount(row_file, minlength=n_files)
-        fa, fb = pair_keys // n_files, pair_keys % n_files
+        fa, fb = pair_keys >> 32, pair_keys & 0xFFFFFFFF
         overlap = np.maximum(ahead / counts[fa], behind / counts[fb])
         found = np.flatnonzero(overlap > threshold)
         pairs = []
@@ -546,7 +592,8 @@ class RetrievalIndex:
         """Reads an index written by :meth:`save`, version 1 or 2.
 
         Raises:
-            CorruptIndex: bad magic, truncation, checksum mismatch, or
+            CorruptIndex: bad magic, truncation, checksum mismatch, a
+                geometry or threshold out of range in the header, or
                 counts that disagree with the payload.
             IncompatibleIndex: unknown version, or the stored config
                 digest differs from ``expected_config_digest``.
@@ -573,13 +620,16 @@ class RetrievalIndex:
                 f"index built for config 0x{digest:016x}, expected "
                 f"0x{expected_config_digest:016x}{VERSION_NOTE}"
             )
-        index = cls(
-            digest,
-            band_count=bands,
-            band_width=width,
-            min_band_votes=votes,
-            min_confidence=confidence,
-        )
+        try:
+            index = cls(
+                digest,
+                band_count=bands,
+                band_width=width,
+                min_band_votes=votes,
+                min_confidence=confidence,
+            )
+        except ConfigError as exc:
+            raise CorruptIndex(f"index header out of range: {exc}") from exc
         read = _read_v1 if version == 1 else _read_v2
         ids, counts, blocks, digests = read(blob, n_files, bands)
         seen: set[int] = set()
@@ -591,27 +641,70 @@ class RetrievalIndex:
         return index
 
 
-def _check_thresholds(min_band_votes: int, min_confidence: float = 1.0) -> None:
-    """Raises ConfigError for a vote count or a confidence floor out of range."""
-    if min_band_votes < 1:
-        raise ConfigError(f"min_band_votes must be >= 1, got {min_band_votes}")
+def _check_thresholds(
+    min_band_votes: int, band_count: int, min_confidence: float = 1.0
+) -> None:
+    """Raises ConfigError for a vote count or a confidence floor out of
+    range: a pair of subs shares at most ``band_count`` band keys."""
+    if not 1 <= min_band_votes <= band_count:
+        raise ConfigError(
+            f"min_band_votes must be in [1, {band_count}] for {band_count} bands, "
+            f"got {min_band_votes}"
+        )
     if not 0.0 < min_confidence <= 1.0:
         raise ConfigError(f"min_confidence must be in (0, 1], got {min_confidence}")
 
 
 def _sum_by_key(keys: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distinct keys, ascending, and each weight summed per key."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    sums = (np.bincount(inverse, w, distinct.size).astype(np.int64) for w in weights)
-    return distinct, *sums
+    order = keys.argsort()
+    keys = keys.take(order)
+    first = _run_bounds(keys)[:-1]
+    return keys.take(first), *(np.add.reduceat(w.take(order), first) for w in weights)
 
 
-def _run_ends(run_starts: np.ndarray) -> np.ndarray:
-    """Per flat position, the end of the run holding it, where a run
-    starts at every True of ``run_starts``."""
-    flat = run_starts.ravel()
-    firsts = np.flatnonzero(flat)
-    return np.append(firsts[1:], flat.size)[np.cumsum(flat) - 1]
+def _run_bounds(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in ``values``, then its size."""
+    first = np.ones(values.size + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:-1])
+    return first.nonzero()[0]
+
+
+def _count_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and how often each occurs; sorts
+    ``values`` in place."""
+    values.sort()
+    bounds = _run_bounds(values)
+    return values[bounds[:-1]], np.diff(bounds)
+
+
+def _sort_bands(by_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of [bands, n] u64 keys in ascending order, and the int32
+    column each key came from, equal keys in column order: what a stable
+    argsort gives.
+
+    One sort of u64 words, each a key's top 32 bits above its column,
+    orders the keys by top half and then by column. Distinct keys that
+    share a top half are rare (about n**2 / 2**33 pairs in a band of n);
+    a run of equal top halves that holds them out of order is sorted
+    again, stably by key.
+    """
+    packed = by_band & np.uint64(0xFFFFFFFF00000000)
+    packed |= np.arange(by_band.shape[1], dtype=np.uint64)
+    packed.sort(axis=1)
+    order = (packed & np.uint64(0xFFFFFFFF)).astype(np.int32)
+    keys = np.take_along_axis(by_band, order, axis=1)
+    down = keys[:, 1:] < keys[:, :-1]
+    if down.any():
+        top = keys >> np.uint64(32)
+        new_top = np.ones(keys.shape, dtype=bool)
+        new_top[:, 1:] = top[:, 1:] != top[:, :-1]
+        run = np.cumsum(new_top).reshape(keys.shape)
+        redo = np.nonzero(np.isin(run, run[:, 1:][down]))
+        again = np.lexsort((keys[redo], run[redo]))
+        order[redo] = order[redo][again]
+        keys[redo] = keys[redo][again]
+    return keys, order
 
 
 def _blake2b(data: bytes) -> bytes:

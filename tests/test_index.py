@@ -151,6 +151,23 @@ class TestQuery:
         with pytest.raises(ConfigError):
             index.query(prints[0], min_confidence=1.5)
 
+    def test_votes_beyond_band_count_rejected(self, index, prints):
+        """A pair of subs shares at most band_count keys, so more votes
+        could only ever find nothing."""
+        bands = FCFG.band_count
+        with pytest.raises(ConfigError, match="min_band_votes"):
+            RetrievalIndex.for_config(DIGEST, FCFG, min_band_votes=bands + 1)
+        with pytest.raises(ConfigError, match="min_band_votes"):
+            index.query(prints[0], min_band_votes=bands + 1)
+        with pytest.raises(ConfigError, match="min_band_votes"):
+            index.query_batch(prints, min_band_votes=bands + 1)
+        with pytest.raises(ConfigError, match="min_band_votes"):
+            index.find_duplicates(min_band_votes=bands + 1)
+        # every band key of an exact copy is shared
+        assert index.query(prints[2], min_band_votes=bands).file_id == 2
+        index.enroll(dataclasses.replace(prints[2], file_id=100))
+        assert index.find_duplicates(min_band_votes=bands) == [(2, 100, 1.0)]
+
     def test_query_of_another_config_rejected(self, index, corpus):
         linear = SpectralConfig.for_variant("linear-vocal")
         fp = fingerprint_audio(corpus[0], linear, FCFG)
@@ -321,8 +338,11 @@ class TestDuplicates:
         assert index.find_duplicates(threshold=0.8) == []
 
     def test_bad_threshold_rejected(self, index):
-        with pytest.raises(ConfigError):
-            index.find_duplicates(threshold=0.0)
+        # a pair is reported when its overlap, at most 1, exceeds the
+        # threshold, so 1.0 could report nothing
+        for threshold in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigError, match=r"threshold must be in \(0, 1\)"):
+                index.find_duplicates(threshold=threshold)
 
 
 # small indexes over a 3-letter signature alphabet, so that band keys
@@ -445,6 +465,22 @@ class TestAgainstOracle:
                 oracle_query(prints, q, votes, 0.01) for q in queries
             ]
 
+    def test_rows_per_slice_capped_by_pair_bits(self, monkeypatch):
+        """A slice holds no more rows than its pair numbers can count."""
+        rng = np.random.default_rng(35)
+        prints = oracle_prints(rng, ORACLE_IDS, repeated=True)
+        idx = oracle_index(prints)
+        # two rows a slice
+        bits = (idx._row_file.size - 1).bit_length()
+        monkeypatch.setattr(index_module, "_PAIR_BITS", bits + 1)
+        for rows, _, _ in idx._join(*idx._later_partners(), 1):
+            assert rows.max() - rows.min() < 2
+        self.check_duplicates(idx, prints)
+        queries = oracle_prints(rng, range(12), sources=prints)
+        assert idx.query_batch(queries, min_band_votes=2, min_confidence=0.01) == [
+            oracle_query(prints, q, 2, 0.01) for q in queries
+        ]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_queries(self, seed):
         rng = np.random.default_rng(40 + seed)
@@ -565,6 +601,72 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded._keys, idx._keys)
         np.testing.assert_array_equal(loaded._postings, idx._postings)
 
+    def test_loaded_order_among_equal_keys_is_stable(self, prints, tmp_path):
+        """Loading orders each band as a stable argsort of the saved
+        digests, and enrolling file by file as one build of all rows, when
+        buckets hold many postings of several files."""
+        sub = prints[1].signatures[:1]
+        files = [
+            *prints,
+            dataclasses.replace(prints[1], file_id=100),
+            Fingerprint(50, np.repeat(sub, 120, axis=0), np.arange(120), DIGEST),
+        ]
+        order = np.random.default_rng(3).permutation(len(files))
+        idx = RetrievalIndex.for_config(DIGEST, FCFG)
+        for k in order:
+            idx.enroll(files[k])
+        bucket = idx._keys[0] == idx._band_digests(sub)[0, 0]
+        assert bucket.sum() >= 100
+        assert len(set(idx._row_file[idx._postings[0, bucket]].tolist())) >= 3
+        path = tmp_path / "idx.spix"
+        idx.save(path)
+        blob = path.read_bytes()
+        _, _, _, digests = index_module._read_v2(blob, len(files), FCFG.band_count)
+        stable = np.argsort(digests.T, axis=1, kind="stable")
+        loaded = RetrievalIndex.load(path)
+        np.testing.assert_array_equal(loaded._postings, stable)
+        np.testing.assert_array_equal(
+            loaded._keys, np.take_along_axis(digests.T, stable, axis=1)
+        )
+        # the same rows in enrolment order, built at once
+        built = RetrievalIndex.for_config(DIGEST, FCFG)
+        rows = [files[k] for k in order]
+        built._build(
+            [fp.file_id for fp in rows],
+            np.array([fp.blocks.size for fp in rows]),
+            np.concatenate([fp.blocks for fp in rows]),
+            built._band_digests(np.concatenate([fp.signatures for fp in rows])),
+        )
+        np.testing.assert_array_equal(built._keys, idx._keys)
+        np.testing.assert_array_equal(built._postings, idx._postings)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_band_sort_equals_stable_argsort(self, seed):
+        """Keys that share their top 32 bits but differ, in any column
+        order, and equal keys: the band sort agrees with a stable argsort."""
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 2, 7, 300):
+            top = rng.integers(0, 3, (5, n), dtype=np.uint64) << np.uint64(32)
+            keys = top | rng.integers(0, 4, (5, n), dtype=np.uint64)
+            keys[0] |= np.uint64(0xFFFFFFFF00000000)
+            sorted_keys, order = index_module._sort_bands(keys)
+            stable = np.argsort(keys, axis=1, kind="stable")
+            np.testing.assert_array_equal(order, stable)
+            np.testing.assert_array_equal(
+                sorted_keys, np.take_along_axis(keys, stable, axis=1)
+            )
+
+    def test_header_votes_beyond_band_count_rejected(self, index, tmp_path):
+        path = tmp_path / "idx.spix"
+        index.save(path)
+        blob = path.read_bytes()
+        # min_band_votes follows magic, version, digest, bands and width
+        at = 4 + struct.calcsize("<HQHH")
+        body = blob[:at] + struct.pack("<H", FCFG.band_count + 1) + blob[at + 2 : -8]
+        path.write_bytes(with_checksum(body))
+        with pytest.raises(CorruptIndex, match="min_band_votes"):
+            RetrievalIndex.load(path)
+
     def test_largest_band_key_found(self, tmp_path, monkeypatch):
         """A bucket keyed 2**64 - 1 is found, though its key + 1 wraps to 0."""
         keys = np.random.default_rng(5).integers(0, 2**63, (4, 20), dtype=np.uint64)
@@ -627,3 +729,10 @@ def test_cli_index_stats_prints_geometry(capsys):
     assert "geometry: 20 bands x 5" in out
     assert "min_band_votes: 2" in out
     assert "min_confidence: 0.1" in out
+
+
+def test_cli_dedup_threshold_one_is_an_error(capsys):
+    from speechprint.cli import main
+
+    assert main(["index", "dedup", "--index", str(V1_FIXTURE), "--threshold", "1.0"]) == 2
+    assert "threshold must be in (0, 1), got 1.0" in capsys.readouterr().err
