@@ -286,12 +286,8 @@ class RetrievalIndex:
             hi = min(max(hi, lo + 1), lo + (1 << _PAIR_BITS - bits))
             total = int(before[hi] - before[lo])
             if total:
-                seg_sizes = sizes[bounds[lo] : bounds[hi]]
-                # one range expansion over the slice's buckets
-                at = (starts[bounds[lo] : bounds[hi]] - seg_sizes.cumsum() + seg_sizes).repeat(
-                    seg_sizes
-                )
-                at += np.arange(total)
+                # the flat positions of the slice's buckets
+                at = _ranges(starts[bounds[lo] : bounds[hi]], sizes[bounds[lo] : bounds[hi]])
                 pairs = (np.arange(hi - lo, dtype=np.uint32) << bits).repeat(
                     before[lo + 1 : hi + 1] - before[lo:hi]
                 )
@@ -357,10 +353,9 @@ class RetrievalIndex:
         next_bucket = starts_bucket.cumsum().take(has)
         bucket_ends = first.take(starts_bucket.nonzero()[0].take(next_bucket))
         # the positions of those runs, grouped by row
-        lengths = ends - first.take(has)
-        at = np.repeat(ends - np.cumsum(lengths), lengths)
-        at += np.arange(at.size)
-        rows = postings.take(at)
+        run_first = first.take(has)
+        lengths = ends - run_first
+        rows = postings.take(_ranges(run_first, lengths))
         order = np.argsort(rows)
         run = np.repeat(np.arange(has.size), lengths).take(order)
         starts = ends.take(run)
@@ -661,6 +656,14 @@ def _sum_by_key(keys: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...
     keys = keys.take(order)
     first = _run_bounds(keys)[:-1]
     return keys.take(first), *(np.add.reduceat(w.take(order), first) for w in weights)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions ``starts[k]`` onwards, ``sizes[k]`` of them, for
+    each k in turn."""
+    at = (starts - sizes.cumsum() + sizes).repeat(sizes)
+    at += np.arange(at.size)
+    return at
 
 
 def _run_bounds(values: np.ndarray) -> np.ndarray:
