@@ -686,11 +686,11 @@ def _sort_bands(by_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column each key came from, equal keys in column order: what a stable
     argsort gives.
 
-    One sort of u64 words, each a key's top 32 bits above its column,
-    orders the keys by top half and then by column. Distinct keys that
-    share a top half are rare (about n**2 / 2**33 pairs in a band of n);
-    a run of equal top halves that holds them out of order is sorted
-    again, stably by key.
+    One sort of u64 words, each a key's top 32 bits above its column
+    (columns are rows, fewer than 2**31), orders the keys by top half and
+    then by column. Distinct hash keys that share a top half are rare
+    (about n**2 / 2**33 pairs in a band of n); a run of equal top halves
+    that holds them out of order is sorted again, stably by key.
     """
     packed = by_band & np.uint64(0xFFFFFFFF00000000)
     packed |= np.arange(by_band.shape[1], dtype=np.uint64)
