@@ -42,7 +42,6 @@ from .pipeline import (
     CANONICAL_RATE,
     IdentifyOutcome,
     Pipeline,
-    PendingLabeler,
     TranscriptLabeler,
     stream_wav_bytes,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "IndexStats",
     "LabelRegistry",
     "MatchResult",
-    "PendingLabeler",
     "Pipeline",
     "PipelineServer",
     "RetrievalIndex",

@@ -19,8 +19,8 @@ from .audio import CANONICAL_RATE, decode_canonical, decode_wav, dump_raw, encod
 from .degrade import DeteriorationSpec, make_query
 from .errors import SpeechprintError
 from .fingerprint import FingerprintConfig, config_digest
-from .index import RetrievalIndex
-from .pipeline import Pipeline, TranscriptLabeler, stream_wav_bytes
+from .index import DEFAULT_DUPLICATE_THRESHOLD, RetrievalIndex
+from .pipeline import Pipeline, stream_wav_bytes
 from .registry import (
     LabelRegistry,
     build_registry_from_transcripts,
@@ -196,7 +196,6 @@ def cmd_identify(args) -> int:
 
 def cmd_enroll(args) -> int:
     pipeline = _pipeline(args, args.index, args.registry)
-    pipeline.labeler = TranscriptLabeler(pipeline.registry)
     outcome = pipeline.enroll_file(_load_audio(args.wav), args.transcript)
     pipeline.index.save(args.index)
     if args.registry:
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_index_stats)
     p = xsub.add_parser("dedup")
     p.add_argument("--index", required=True)
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=float, default=DEFAULT_DUPLICATE_THRESHOLD)
     p.set_defaults(func=cmd_index_dedup)
 
     p = sub.add_parser("degrade", help="apply the degradation protocol to a file")

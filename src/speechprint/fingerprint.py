@@ -47,13 +47,13 @@ zero-padded to the next power of two; the kernel computes the rows the
 padding can make non-zero only, and the sign selection skips the others
 bit for bit.
 
-A file's fingerprint is two aligned columns: a [n_subs, n_permutations]
-matrix of its block signatures ("sub-fingerprints"), one row per block,
-and the block index of each row. Matching happens in
+A file's fingerprint is a [n_subs, n_permutations] matrix of its block
+signatures ("sub-fingerprints"), row k for block k. Matching happens in
 :mod:`speechprint.index` via banded signature digests.
 """
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,41 +144,35 @@ class SparseBits:
 
 @dataclass(frozen=True, eq=False)
 class Fingerprint:
-    """One file's block signatures as two aligned read-only columns.
+    """One file's block signatures as a read-only matrix.
 
     Row k of the [n_subs, n_permutations] uint8 ``signatures`` (a view of
     the matrix passed in, not a copy) is the min-hash signature of block
-    ``blocks[k]``. The id must fit the u64 and each block index the u32
+    k. The id and the config digest must be integers that fit the u64
     that index files and the wire format store; ConfigError otherwise.
     """
 
     file_id: int
     signatures: np.ndarray
-    blocks: np.ndarray
     config_digest: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.file_id < 1 << 64:
             raise ConfigError(f"file id {self.file_id} is outside [0, 2^64)")
+        digest = self.config_digest
+        if not isinstance(digest, numbers.Integral) or not 0 <= digest < 1 << 64:
+            raise ConfigError(
+                f"config digest {digest!r} is not an integer or is outside [0, 2^64)"
+            )
         signatures = np.asarray(self.signatures)
         if signatures.ndim != 2 or signatures.dtype != np.uint8:
             raise ConfigError(
                 f"signatures must be a 2-D uint8 matrix, got "
                 f"{signatures.dtype} of shape {signatures.shape}"
             )
-        blocks = np.asarray(self.blocks)
-        if blocks.shape != signatures.shape[:1] or blocks.dtype.kind not in "iu":
-            raise ConfigError(
-                f"blocks must be {len(signatures)} integers, one per signature "
-                f"row, got {blocks.dtype} of shape {blocks.shape}"
-            )
-        if blocks.size and (blocks.min() < 0 or blocks.max() >= 1 << 32):
-            raise ConfigError(f"file {self.file_id} has block indices outside u32")
         signatures = signatures.view()
-        blocks = blocks.astype(np.int64)
-        signatures.flags.writeable = blocks.flags.writeable = False
+        signatures.flags.writeable = False
         object.__setattr__(self, "signatures", signatures)
-        object.__setattr__(self, "blocks", blocks)
 
 
 def config_digest(
@@ -729,8 +723,7 @@ def fingerprint_audio(
     )
     signatures = streamer.feed(audio.samples)
     streamer.finish()
-    blocks = np.arange(streamer.blocks_emitted)
-    return Fingerprint(file_id, signatures, blocks, streamer.config_digest)
+    return Fingerprint(file_id, signatures, streamer.config_digest)
 
 
 def min_audio_seconds(
@@ -762,12 +755,12 @@ def serialize_fingerprint(fp: Fingerprint) -> bytes:
 
     Layout (little endian): "SPFP", u16 version, u64 config digest,
     u64 file_id, u32 row count, u32 signature width, then per row a u32
-    block index followed by its signature bytes. The version is
+    block index, k for row k, followed by its signature bytes. The version is
     :data:`FINGERPRINT_VERSION`, the definition of the bits.
     """
     n_rows, width = fp.signatures.shape
     records = np.empty(n_rows, dtype=_record_dtype(width))
-    records["block"] = fp.blocks
+    records["block"] = np.arange(n_rows)
     records["signature"] = fp.signatures
     header = struct.pack(
         _WIRE_HEADER, FINGERPRINT_VERSION, fp.config_digest, fp.file_id, n_rows, width
@@ -779,8 +772,8 @@ def deserialize_fingerprint(data: bytes) -> Fingerprint:
     """Inverse of :func:`serialize_fingerprint`.
 
     Raises CorruptIndex for a record of another fingerprint version, whose
-    bits this kernel does not make, or whose length disagrees with its
-    header.
+    bits this kernel does not make, whose length disagrees with its
+    header, or whose block indices are not 0..n-1.
     """
     header = 4 + struct.calcsize(_WIRE_HEADER)
     if len(data) < 6 or data[:4] != FINGERPRINT_MAGIC:
@@ -802,8 +795,8 @@ def deserialize_fingerprint(data: bytes) -> Fingerprint:
             f"rows of a u32 block and signature width {width}"
         )
     if not count:
-        return Fingerprint(
-            file_id, np.empty((0, width), np.uint8), np.empty(0, np.int64), digest
-        )
+        return Fingerprint(file_id, np.empty((0, width), np.uint8), digest)
     records = np.frombuffer(data, _record_dtype(width), offset=header)
-    return Fingerprint(file_id, records["signature"], records["block"], digest)
+    if not np.array_equal(records["block"], np.arange(count)):
+        raise CorruptIndex("fingerprint record's block indices are not 0..n-1")
+    return Fingerprint(file_id, records["signature"], digest)

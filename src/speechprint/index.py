@@ -81,24 +81,25 @@ class IndexStats:
 class RetrievalIndex:
     """In-memory LSH index over banded sub-fingerprint digests.
 
-    Every enrolled sub is one row, numbered in enrolment order, and two
-    row columns hold each row's file ordinal and block index. Each band
-    is one sorted array of band keys with an aligned array of postings,
-    the row numbers of the subs holding each key. A query finds all of
-    its buckets with one binary search per band, probing k and k + 1;
-    :meth:`find_duplicates` joins the bands with themselves, with no
-    search. Loading sorts each band once, and enrolment sorts a file's
-    keys the same way and merges them in (see :func:`_sort_bands`). The
-    band digests live in the bands only, and :meth:`save` scatters them
-    back into rows. Thread safety: enrolment, queries and persistence hold
-    one lock.
+    Every enrolled sub is one row, numbered in enrolment order, and a
+    row column holds each row's file ordinal. A file's rows are
+    contiguous and in block order, so a row's block is the row minus its
+    file's first row. Each band is one sorted array of band keys with an
+    aligned array of postings, the row numbers of the subs holding each
+    key. A query finds all of its buckets with one binary search per
+    band, probing k and k + 1; :meth:`find_duplicates` joins the bands
+    with themselves, with no search. Loading sorts each band once, and
+    enrolment sorts a file's keys the same way and merges them in (see
+    :func:`_sort_bands`). The band digests live in the bands only, and
+    :meth:`save` scatters them back into rows. Thread safety: enrolment,
+    queries and persistence hold one lock.
     """
 
     def __init__(
         self,
         config_digest: int,
-        band_count: int = 20,
-        band_width: int = 5,
+        band_count: int,
+        band_width: int,
         min_band_votes: int = DEFAULT_MIN_BAND_VOTES,
         min_confidence: float = DEFAULT_MIN_CONFIDENCE,
     ) -> None:
@@ -115,10 +116,9 @@ class RetrievalIndex:
         # holding each key
         self._keys = np.empty((band_count, 0), dtype=np.uint64)
         self._postings = np.empty((band_count, 0), dtype=np.int32)
-        # per row: its file's ordinal (the file's position in _ids) and its
-        # block index; a file's rows are contiguous and in block order
+        # per row: its file's ordinal (the file's position in _ids); a
+        # file's rows are contiguous and in block order
         self._row_file = np.empty(0, dtype=np.int32)
-        self._row_block = np.empty(0, dtype=np.uint32)
         self._ids: list[int] = []
         self._ordinals: dict[int, int] = {}
         self._lock = threading.RLock()
@@ -167,7 +167,7 @@ class RetrievalIndex:
         """Adds a file's sub-fingerprints. file_id must be new.
 
         :class:`Fingerprint` has already checked that the id fits the u64
-        and the block indices the u32 an index file stores.
+        an index file stores.
 
         Raises:
             ConfigError: the fingerprint has no subs.
@@ -175,17 +175,18 @@ class RetrievalIndex:
             IncompatibleIndex: fingerprint built under another config.
         """
         self._check_digest(fp)
-        if not fp.blocks.size:
+        n_subs = len(fp.signatures)
+        if not n_subs:
             raise ConfigError(f"fingerprint for file {fp.file_id} has no subs")
         digests = self._band_digests(fp.signatures)
         with self._lock:
             if fp.file_id in self._ordinals:
                 raise DuplicateId(f"file id {fp.file_id} already enrolled")
-            if self._row_file.size + fp.blocks.size > _MAX_ROWS:
+            if self._row_file.size + n_subs > _MAX_ROWS:
                 raise ConfigError(f"an index holds at most {_MAX_ROWS} subs")
-            self._merge(fp.file_id, digests, fp.blocks)
+            self._merge(fp.file_id, digests)
 
-    def _merge(self, file_id: int, digests: np.ndarray, blocks: np.ndarray) -> None:
+    def _merge(self, file_id: int, digests: np.ndarray) -> None:
         """Appends one new file's rows and merges its keys into every band;
         lock held.
 
@@ -198,9 +199,8 @@ class RetrievalIndex:
         ordinal = len(self._ids)
         self._ids.append(file_id)
         self._ordinals[file_id] = ordinal
-        n_new = blocks.size
+        n_new = len(digests)
         self._row_file = np.append(self._row_file, np.full(n_new, ordinal, np.int32))
-        self._row_block = np.append(self._row_block, blocks.astype(np.uint32))
         new_keys, order = _sort_bands(np.ascontiguousarray(digests.T))
         width = self._keys.shape[1] + n_new
         # merged position of each new key: after the equal keys already
@@ -221,21 +221,18 @@ class RetrievalIndex:
         self._keys = keys.reshape(self.band_count, width)
         self._postings = postings.reshape(self.band_count, width)
 
-    def _build(
-        self, ids: list[int], counts: np.ndarray, blocks: np.ndarray, digests: np.ndarray
-    ) -> None:
+    def _build(self, ids: list[int], counts: np.ndarray, digests: np.ndarray) -> None:
         """Fills an empty index from whole-index columns in one pass.
 
         File k has id ``ids[k]`` and the next ``counts[k]`` rows of
-        ``blocks`` and ``digests``; its ordinal is k. Each band is sorted
-        once by :func:`_sort_bands`, equal keys in row order.
+        ``digests``, its blocks in order; its ordinal is k. Each band is
+        sorted once by :func:`_sort_bands`, equal keys in row order.
         """
-        if blocks.size > _MAX_ROWS:
+        if len(digests) > _MAX_ROWS:
             raise ConfigError(f"an index holds at most {_MAX_ROWS} subs")
         self._ids = list(ids)
         self._ordinals = {file_id: k for k, file_id in enumerate(ids)}
         self._row_file = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
-        self._row_block = blocks.astype(np.uint32)
         self._keys, self._postings = _sort_bands(np.ascontiguousarray(digests.T))
 
     def __contains__(self, file_id: int) -> bool:
@@ -253,9 +250,9 @@ class RetrievalIndex:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the index's arrays: bands, postings, row columns."""
+        """Bytes held by the index's arrays: bands, postings, row files."""
         with self._lock:
-            arrays = (self._keys, self._postings, self._row_file, self._row_block)
+            arrays = (self._keys, self._postings, self._row_file)
             return sum(a.nbytes for a in arrays)
 
     def _join(
@@ -376,10 +373,10 @@ class RetrievalIndex:
         for q in queries:
             self._check_digest(q)
         results: list[MatchResult | None] = [None] * len(queries)
-        asked = [k for k, q in enumerate(queries) if q.blocks.size]
+        asked = [k for k, q in enumerate(queries) if len(q.signatures)]
         if not asked:
             return results
-        n_subs = [queries[k].blocks.size for k in asked]
+        n_subs = [len(queries[k].signatures) for k in asked]
         # a query of another geometry raises here, not as a stacking error
         for k in asked:
             self._check_width(queries[k].signatures.shape[1])
@@ -539,8 +536,9 @@ class RetrievalIndex:
         min_band_votes, f64 min_confidence, u32 file count n; then, over
         the files in ascending id order, the ids (u64[n]), their sub
         counts (u32[n]), all block indices (u32[N], N the total sub
-        count) and all band digests (u64[N, band_count], row-major);
-        finally the 8-byte blake2b digest of all preceding bytes.
+        count; each file's 0..n-1) and all band digests (u64[N,
+        band_count], row-major); finally the 8-byte blake2b digest of all
+        preceding bytes.
         """
         with self._lock:
             ids = self._ids
@@ -554,8 +552,6 @@ class RetrievalIndex:
             saved_first[saved] = np.cumsum(saved_counts) - saved_counts
             shift = saved_first - (np.cumsum(counts) - counts)
             place = np.arange(n_rows) + shift[self._row_file]
-            blocks = np.empty(n_rows, dtype="<u4")
-            blocks[place] = self._row_block
             digests = np.empty((n_rows, self.band_count), dtype="<u8")
             digests[place[self._postings], np.arange(self.band_count)[:, None]] = (
                 self._keys
@@ -574,7 +570,7 @@ class RetrievalIndex:
                 ),
                 np.array([ids[k] for k in saved], dtype="<u8").tobytes(),
                 saved_counts.astype("<u4").tobytes(),
-                blocks.tobytes(),
+                _block_column(saved_counts).astype("<u4").tobytes(),
                 digests.tobytes(),
             ]
         blob = b"".join(parts)
@@ -588,8 +584,9 @@ class RetrievalIndex:
 
         Raises:
             CorruptIndex: bad magic, truncation, checksum mismatch, a
-                geometry or threshold out of range in the header, or
-                counts that disagree with the payload.
+                geometry or threshold out of range in the header, counts
+                that disagree with the payload, or block indices that are
+                not each file's 0..n-1.
             IncompatibleIndex: unknown version, or the stored config
                 digest differs from ``expected_config_digest``.
         """
@@ -632,7 +629,9 @@ class RetrievalIndex:
             if file_id in seen:
                 raise CorruptIndex(f"file id {file_id} stored twice")
             seen.add(file_id)
-        index._build(ids, counts, blocks, digests)
+        if not np.array_equal(blocks, _block_column(counts)):
+            raise CorruptIndex("index block indices are not each file's 0..n-1")
+        index._build(ids, counts, digests)
         return index
 
 
@@ -664,6 +663,11 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     at = (starts - sizes.cumsum() + sizes).repeat(sizes)
     at += np.arange(at.size)
     return at
+
+
+def _block_column(counts: np.ndarray) -> np.ndarray:
+    """The block indices of files of ``counts`` rows: each file's 0..n-1."""
+    return _ranges(np.zeros_like(counts), counts)
 
 
 def _run_bounds(values: np.ndarray) -> np.ndarray:
@@ -741,7 +745,7 @@ def _read_v2(blob: bytes, n_files: int, bands: int):
     return (
         ids,
         counts.astype(np.int64),
-        blocks.astype(np.int64),
+        blocks,
         digests.astype(np.uint64, copy=False).reshape(n_subs, bands),
     )
 
@@ -775,7 +779,7 @@ def _read_v1(blob: bytes, n_files: int, bands: int):
     return (
         ids,
         np.array(counts, dtype=np.int64),
-        np.frombuffer(b"".join(blocks), dtype="<u4").astype(np.int64),
+        np.frombuffer(b"".join(blocks), dtype="<u4"),
         np.frombuffer(b"".join(digests), dtype="<u8")
         .astype(np.uint64)
         .reshape(-1, bands),

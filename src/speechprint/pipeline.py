@@ -75,13 +75,6 @@ class IdentifyOutcome:
     message: str = ""
 
 
-class PendingLabeler:
-    """Labeler that never labels; enrolments stay pending for a human."""
-
-    def __call__(self, audio: AudioBuffer, transcript_path=None) -> int | None:
-        return None
-
-
 class TranscriptLabeler:
     """Labels enrolments whose transcript matches an existing cluster.
 
@@ -124,7 +117,12 @@ class TranscriptLabeler:
 
 
 class Pipeline:
-    """Identify-or-enroll orchestration shared by the CLI and the server."""
+    """Identify-or-enroll orchestration shared by the CLI and the server.
+
+    ``labeler`` labels each enrolment from its audio and transcript; the
+    default, a :class:`TranscriptLabeler` over ``registry``, abstains
+    when there is no transcript, so the file stays pending.
+    """
 
     def __init__(
         self,
@@ -144,7 +142,7 @@ class Pipeline:
         self.registry = registry
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
-        self.labeler = labeler if labeler is not None else PendingLabeler()
+        self.labeler = labeler if labeler is not None else TranscriptLabeler(registry)
         self._id_lock = threading.Lock()
         self._next_id = max(index.file_ids, default=0) + 1
 
@@ -174,7 +172,7 @@ class Pipeline:
         """Fingerprints and enrolls a new file, then labels it.
 
         ``fingerprint``, when given, was already computed from exactly
-        this audio at the canonical rate, and its columns are enrolled
+        this audio at the canonical rate, and its signatures are enrolled
         under the new file id in place of a fresh fingerprint. The
         labeler runs after the insert, on the calling thread: it and the
         fingerprint both hold the interpreter lock, so a thread of its own
@@ -320,7 +318,7 @@ class Session:
                 audio_consumed_s=duration_s,
             )
         fp = self._fingerprint(n_out)
-        if self._asked != (len(fp.blocks), len(pipeline.index)):
+        if self._asked != (len(fp.signatures), len(pipeline.index)):
             outcome = self._identify(fp, duration_s)
             if outcome is not None:
                 return outcome
@@ -350,13 +348,12 @@ class Session:
         self._canonical.append(fresh)
         self._signatures.append(self._streamer.feed(fresh))
         signatures = np.concatenate(self._signatures)
-        blocks = np.arange(len(signatures))
-        return Fingerprint(0, signatures, blocks, pipeline.index.config_digest)
+        return Fingerprint(0, signatures, pipeline.index.config_digest)
 
     def _identify(self, fp: Fingerprint, consumed_s: float) -> IdentifyOutcome | None:
-        if not fp.blocks.size:
+        if not len(fp.signatures):
             return None
-        self._asked = (len(fp.blocks), len(self.pipeline.index))
+        self._asked = (len(fp.signatures), len(self.pipeline.index))
         result = self._query(fp)
         if result is None:
             return None

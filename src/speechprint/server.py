@@ -32,7 +32,7 @@ import socketserver
 import struct
 from typing import BinaryIO
 
-from .errors import SpeechprintError
+from .errors import IoError, SpeechprintError
 from .fingerprint import Fingerprint
 from .index import MatchResult
 from .pipeline import (
@@ -199,9 +199,14 @@ class PipelineServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address: tuple[str, int], pipeline: Pipeline) -> None:
         importlib.import_module("scipy.signal")
-        super().__init__(address, _SessionHandler)
+        # set before binding: a failed bind calls server_close
         self.pipeline = pipeline
         self.batcher = QueryBatcher(pipeline.index)
+        try:
+            super().__init__(address, _SessionHandler)
+        except OSError as exc:
+            host, port = address
+            raise IoError(f"cannot listen on {host}:{port}: {exc}") from exc
 
     def server_close(self) -> None:
         super().server_close()
@@ -213,6 +218,8 @@ def parse_endpoint(listen: str) -> tuple[str, int]:
     host, sep, port = listen.rpartition(":")
     if not sep or not port.isdigit():
         raise SpeechprintError(f"listen endpoint must be host:port, got {listen!r}")
+    if int(port) > 65535:
+        raise SpeechprintError(f"listen port must be in [0, 65535], got {port}")
     return host or "0.0.0.0", int(port)
 
 

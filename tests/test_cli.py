@@ -3,6 +3,7 @@ and training, and its pinned surface."""
 
 import argparse
 import csv
+import socket
 
 import numpy as np
 
@@ -140,3 +141,40 @@ def test_train_keywords_restores_the_cluster_keywords(tmp_path):
                  "--registry", registry]) == 0
     refreshed = LabelRegistry.load(registry)
     assert {info.label_id: info.keywords for info in refreshed.clusters()} == keywords
+
+
+def test_identify_with_transcript_labels_the_enrolment(tmp_path, capsys):
+    """identify-or-enroll labels a new file from its transcript, as enroll
+    does."""
+    corpus, index = tmp_path / "corpus", str(tmp_path / "calls.idx")
+    main(["synth", str(corpus), "--n-files", "2", "--duration-s", "8"])
+    main(["index", "build", "--corpus", str(corpus), "--out", index])
+    labels = str(tmp_path / "labels.tsv")
+    registry = LabelRegistry()
+    registry.create_cluster("voicemail", "en", [("voicemail", 0.8), ("message", 0.5)])
+    registry.create_cluster("busy", "en", [("busy", 0.8), ("later", 0.5)])
+    registry.save(labels)
+    new, transcript = tmp_path / "new.wav", tmp_path / "new.txt"
+    new.write_bytes(encode_wav(synth_speech_like(8.0, 8000, seed=91)))
+    transcript.write_text("lang=en\nthe line is busy please call later\n")
+    capsys.readouterr()
+    assert main(["identify", str(new), "--index", index, "--registry", labels,
+                 "--transcript", str(transcript), "--save-index"]) == 0
+    assert "status=enrolled file_id=3 label_id=2 " in capsys.readouterr().out
+    saved = LabelRegistry.load(labels)
+    assert saved.lookup(3) == 2 and 3 not in saved.pending()
+
+
+def test_serve_on_a_bad_endpoint_is_one_error_line(tmp_path, capsys):
+    corpus, index = tmp_path / "corpus", str(tmp_path / "calls.idx")
+    main(["synth", str(corpus), "--n-files", "1", "--duration-s", "4"])
+    main(["index", "build", "--corpus", str(corpus), "--out", index])
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        for listen in (f"127.0.0.1:{port}", "127.0.0.1:70000"):
+            capsys.readouterr()
+            assert main(["serve", "--listen", listen, "--index", index]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,5 +1,6 @@
 """Block extraction, Haar transform, sign encoding, min-hash, streaming."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -630,12 +631,6 @@ class TestFingerprintAudio:
         # 10 s at 25 ms stride = 397 full frames -> floor((397-128)/32)+1
         assert fp.signatures.shape == ((397 - 128) // 32 + 1, 100) == (9, 100)
 
-    def test_block_indices_strictly_increase(self, speech_clip):
-        """Row k is block k: a whole-file fingerprint skips no block."""
-        fp = fingerprint_audio(speech_clip, self.CFG, SMALL)
-        assert fp.blocks.dtype == np.int64
-        np.testing.assert_array_equal(fp.blocks, np.arange(len(fp.signatures)))
-
     def test_determinism(self, speech_clip):
         a = fingerprint_audio(speech_clip, self.CFG, SMALL)
         b = fingerprint_audio(speech_clip, self.CFG, SMALL)
@@ -652,7 +647,7 @@ class TestFingerprintAudio:
         )
         full = fingerprint_audio(speech_clip, self.CFG, fcfg)
         late = fingerprint_audio(shifted, self.CFG, fcfg)
-        n = len(late.blocks) - 1
+        n = len(late.signatures) - 1
         np.testing.assert_array_equal(full.signatures[1 : n + 1], late.signatures[:n])
 
     def test_too_short_raises(self, tone):
@@ -662,7 +657,7 @@ class TestFingerprintAudio:
     def test_min_audio_seconds_is_tight(self, tone):
         need = min_audio_seconds(self.CFG, SMALL)
         fp = fingerprint_audio(tone(200.0, need + 0.001, 8000), self.CFG, SMALL)
-        assert len(fp.blocks) == 1
+        assert len(fp.signatures) == 1
         with pytest.raises(TooShort):
             fingerprint_audio(tone(200.0, need - 0.03, 8000), self.CFG, SMALL)
 
@@ -707,7 +702,7 @@ class TestLengthBoundary:
         assert need == LIBRARY_MINIMUM[(variant, rate)]
         samples = synth_speech_like(need / rate + 0.1, rate, seed=41).samples
         fp = fingerprint_audio(AudioBuffer(samples[:need], rate), spectral, LIBRARY)
-        assert fp.blocks.tolist() == [0]
+        assert len(fp.signatures) == 1
         with pytest.raises(TooShort):
             fingerprint_audio(AudioBuffer(samples[: need - 1], rate), spectral, LIBRARY)
         for n, blocks_wanted in ((need, 1), (need - 1, 0)):
@@ -746,7 +741,7 @@ class TestStreaming:
             for start in range(0, len(speech_clip), chunk)
         ]
         streamer.finish()
-        assert streamer.blocks_emitted == len(batch.blocks)
+        assert streamer.blocks_emitted == len(batch.signatures)
         np.testing.assert_array_equal(np.concatenate(rows), batch.signatures)
 
     def test_subs_arrive_as_blocks_complete(self, speech_clip):
@@ -789,8 +784,8 @@ class TestStreaming:
         assert fingerprint.STACK_ELEMENTS // (40 * 32) == 25
         # 40 real rows padded to 64 leave 42 coefficient rows
         assert sizes[0] == (25, 42, 32)
-        assert sum(n for n, _rows, _cols in sizes) == len(fp.blocks)
-        assert len(sizes) == -(-len(fp.blocks) // 25)
+        assert sum(n for n, _rows, _cols in sizes) == len(fp.signatures)
+        assert len(sizes) == -(-len(fp.signatures) // 25)
 
     def test_top_t_limit_is_the_padded_area(self):
         """40 real rows pad to 64, so 32-frame blocks allow top_t <= 2048."""
@@ -822,38 +817,32 @@ class TestFingerprintColumns:
     )
     def test_signatures_must_be_a_uint8_matrix(self, signatures):
         with pytest.raises(ConfigError, match="2-D uint8"):
-            Fingerprint(1, signatures, np.arange(2))
+            Fingerprint(1, signatures)
 
-    @pytest.mark.parametrize(
-        "blocks",
-        [np.arange(2), np.arange(4), np.arange(3).reshape(3, 1), np.zeros(3), []],
-        ids=["short", "long", "2-D", "float", "empty-list"],
-    )
-    def test_blocks_must_be_one_integer_per_row(self, blocks):
-        with pytest.raises(ConfigError, match="one per signature row"):
-            Fingerprint(1, np.zeros((3, 100), np.uint8), blocks)
+    def test_a_block_column_in_third_place_is_refused(self):
+        """The third field is the config digest: a caller that still passes
+        a block column there fails at once."""
+        with pytest.raises(ConfigError, match="config digest"):
+            Fingerprint(1, np.zeros((3, 100), np.uint8), np.arange(3))
 
     def test_columns_are_read_only(self):
         signatures = np.zeros((3, 100), np.uint8)
-        blocks = np.arange(3)
-        fp = Fingerprint(1, signatures, blocks)
+        fp = Fingerprint(1, signatures)
         assert np.shares_memory(fp.signatures, signatures)
         with pytest.raises(ValueError):
             fp.signatures[0, 0] = 1
-        with pytest.raises(ValueError):
-            fp.blocks[0] = 1
-        # the caller's arrays stay writable
-        signatures[0, 0] = blocks[0] = 1
+        # the caller's array stays writable
+        signatures[0, 0] = 1
 
     @pytest.mark.parametrize(
-        "file_id,block", [(-1, 0), (2**64, 0), (0, 2**32), (0, -1)]
+        "file_id,digest", [(-1, 0), (2**64, 0), (0, 2**64), (0, -1)]
     )
-    def test_serialize_cannot_reach_struct_error(self, file_id, block):
-        """Out-of-range ids and blocks stop at construction with ConfigError,
-        so the encoder only ever packs values that fit."""
+    def test_serialize_cannot_reach_struct_error(self, file_id, digest):
+        """Out-of-range ids and config digests stop at construction with
+        ConfigError, so the encoder only ever packs values that fit."""
         with pytest.raises(ConfigError, match="outside"):
             serialize_fingerprint(
-                Fingerprint(file_id, np.zeros((1, 100), np.uint8), np.array([block]))
+                Fingerprint(file_id, np.zeros((1, 100), np.uint8), digest)
             )
 
 
@@ -865,31 +854,28 @@ class TestSerialization:
         back = deserialize_fingerprint(serialize_fingerprint(fp))
         assert back.file_id == 77
         assert back.config_digest == fp.config_digest
-        assert back.signatures.dtype == np.uint8 and back.blocks.dtype == np.int64
+        assert back.signatures.dtype == np.uint8
         np.testing.assert_array_equal(back.signatures, fp.signatures)
-        np.testing.assert_array_equal(back.blocks, fp.blocks)
 
     def test_widest_values_round_trip(self):
-        """The largest id and block index the constructor admits go on the
-        wire as they are."""
+        """The largest id and config digest the constructor admits go on
+        the wire as they are."""
         signatures = np.arange(200, dtype=np.uint8).reshape(2, 100)
-        fp = Fingerprint(2**64 - 1, signatures, np.array([0, 2**32 - 1]), 2**64 - 1)
+        fp = Fingerprint(2**64 - 1, signatures, 2**64 - 1)
         back = deserialize_fingerprint(serialize_fingerprint(fp))
         assert (back.file_id, back.config_digest) == (2**64 - 1, 2**64 - 1)
-        assert back.blocks.tolist() == [0, 2**32 - 1]
         np.testing.assert_array_equal(back.signatures, signatures)
 
     def test_empty_fingerprint_round_trip(self):
         fp = Fingerprint(
-            5, np.empty((0, 100), np.uint8), np.empty(0, np.int64),
-            config_digest(self.CFG, SMALL, 8000),
+            5, np.empty((0, 100), np.uint8), config_digest(self.CFG, SMALL, 8000)
         )
         back = deserialize_fingerprint(serialize_fingerprint(fp))
         assert back.file_id == 5 and back.config_digest == fp.config_digest
-        assert back.signatures.shape == (0, 100) and back.blocks.shape == (0,)
+        assert back.signatures.shape == (0, 100)
 
     def test_width_is_in_the_header(self):
-        fp = Fingerprint(5, np.zeros((2, 100), np.uint8), np.arange(2))
+        fp = Fingerprint(5, np.zeros((2, 100), np.uint8))
         data = serialize_fingerprint(fp)
         assert data[4:6] == b"\x03\x00"
         with pytest.raises(CorruptIndex, match="width 100"):
@@ -905,13 +891,25 @@ class TestSerialization:
         """A version 2 record, whose header is laid out as version 3's, is
         refused naming both versions: its bits came from the 8 kHz front
         end."""
-        fp = Fingerprint(5, np.zeros((1, 100), np.uint8), np.arange(1))
+        fp = Fingerprint(5, np.zeros((1, 100), np.uint8))
         data = serialize_fingerprint(fp)
         data = data[:4] + b"\x02\x00" + data[6:]
         with pytest.raises(
             CorruptIndex, match="fingerprint version 2 record; this build reads version 3"
         ):
             deserialize_fingerprint(data)
+
+    def test_blocks_other_than_row_numbers_rejected(self):
+        """Row k of a record is block k; a record that says otherwise is
+        refused, not renumbered."""
+        fp = Fingerprint(5, np.zeros((2, 100), np.uint8))
+        data = bytearray(serialize_fingerprint(fp))
+        # the second row's u32 block index, after the header and one row
+        second = 4 + struct.calcsize("<HQQII") + 104
+        assert data[second : second + 4] == b"\x01\x00\x00\x00"
+        data[second : second + 4] = b"\x02\x00\x00\x00"
+        with pytest.raises(CorruptIndex, match="0..n-1"):
+            deserialize_fingerprint(bytes(data))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CorruptIndex):

@@ -51,7 +51,8 @@ from speechprint.spectral import SpectralConfig, Variant
 LIBRARY = FingerprintConfig()
 GEOMETRIES = {"library": LIBRARY, "bench": BENCH_FINGERPRINT}
 
-# sha256 over the signature matrix bytes, then the block indices as <i8
+# sha256 over the signature matrix bytes, then the block indices (row k
+# is block k) as <i8
 GOLDEN_DIGESTS = {
     ("linear-vocal", "library"): (
         6, "cce44f7fa1cca5978666ab8c51513b70e5bc896af61d6207980854db1d5ff0d9"
@@ -81,7 +82,7 @@ def clip():
 
 def fingerprint_digest(fp) -> str:
     h = hashlib.sha256(fp.signatures.tobytes())
-    h.update(fp.blocks.astype("<i8").tobytes())
+    h.update(np.arange(len(fp.signatures), dtype="<i8").tobytes())
     return h.hexdigest()
 
 
@@ -96,7 +97,7 @@ def test_batch_fingerprint_matches_golden_digest(clip, variant, geometry):
         clip, SpectralConfig.for_variant(variant), GEOMETRIES[geometry]
     )
     n_subs, digest = GOLDEN_DIGESTS[(variant, geometry)]
-    assert len(fp.blocks) == n_subs
+    assert len(fp.signatures) == n_subs
     assert fingerprint_digest(fp) == digest
 
 
@@ -194,7 +195,7 @@ def test_fingerprint_at_rate_matches_golden_digest(variant, geometry, rate):
         clip, SpectralConfig.for_variant(variant), GEOMETRIES[geometry]
     )
     n_subs, digest = GOLDEN_DIGESTS_AT_RATE[(variant, geometry, rate)]
-    assert len(fp.blocks) == n_subs
+    assert len(fp.signatures) == n_subs
     assert fingerprint_digest(fp) == digest
 
 
@@ -274,7 +275,8 @@ def test_streaming_fingerprint_matches_golden_digest(clip, variant, geometry, ch
     streamer.finish()
     per_feed = [len(fresh) for fresh in rows]
     signatures = np.concatenate(rows)
-    fp = Fingerprint(0, signatures, np.arange(streamer.blocks_emitted))
+    fp = Fingerprint(0, signatures)
+    assert len(signatures) == streamer.blocks_emitted
     n_subs, digest = GOLDEN_DIGESTS[(variant, geometry)]
     assert len(signatures) == n_subs
     assert fingerprint_digest(fp) == digest
@@ -558,8 +560,11 @@ def v1_queries():
     with np.load(V1_QUERIES) as data:
         signatures, blocks, counts = data["signatures"], data["blocks"], data["counts"]
     ends = np.cumsum(counts)
+    # row k of each query is its block k, so the stored blocks carry nothing
+    for n, end in zip(counts, ends):
+        np.testing.assert_array_equal(blocks[end - n : end], np.arange(n))
     return [
-        Fingerprint(0, signatures[end - n : end], blocks[end - n : end], V1_CONFIG_DIGEST)
+        Fingerprint(0, signatures[end - n : end], V1_CONFIG_DIGEST)
         for n, end in zip(counts, ends)
     ]
 

@@ -72,7 +72,7 @@ class TestEnroll:
         result = index.query(prints[2])
         assert result.file_id == 2
         assert result.confidence == 1.0
-        assert result.matched_subs == len(prints[2].blocks)
+        assert result.matched_subs == len(prints[2].signatures)
 
     def test_exact_subs_with_strict_thresholds(self, index, prints):
         result = index.query(prints[4], min_band_votes=1, min_confidence=0.5)
@@ -89,23 +89,11 @@ class TestEnroll:
         with pytest.raises(IncompatibleIndex):
             index.enroll(fp)
 
-    def test_block_index_beyond_u32_rejected(self, prints):
-        """A Fingerprint holds only blocks an index file can store."""
-        signature = prints[0].signatures[:1]
-        for block in (1 << 32, 2**64 - 1, -1):
-            blocks = np.array([block], dtype=np.uint64 if block > 0 else np.int64)
-            with pytest.raises(ConfigError, match="u32"):
-                Fingerprint(7, signature, blocks, DIGEST)
-        fp = Fingerprint(7, signature, np.array([(1 << 32) - 1]), DIGEST)
-        idx = RetrievalIndex.for_config(DIGEST, FCFG)
-        idx.enroll(fp)
-        assert idx.stats().n_subs == 1
-
     @pytest.mark.parametrize("file_id", [-3, -1, 2**64, 2**70])
     def test_file_id_outside_u64_rejected(self, prints, file_id):
         fp = prints[0]
         with pytest.raises(ConfigError, match="outside"):
-            Fingerprint(file_id, fp.signatures, fp.blocks, DIGEST)
+            Fingerprint(file_id, fp.signatures, DIGEST)
 
     def test_membership_and_ids(self, index):
         assert 3 in index and 99 not in index
@@ -114,12 +102,15 @@ class TestEnroll:
 
     def test_stats_counting(self, index, prints):
         stats = index.stats()
-        n_subs = sum(len(fp.blocks) for fp in prints)
+        n_subs = sum(len(fp.signatures) for fp in prints)
         assert isinstance(stats, IndexStats)
         assert stats.n_files == 6
         assert stats.n_subs == n_subs
         assert stats.n_postings == n_subs * FCFG.band_count
         assert 0 < stats.n_buckets <= stats.n_postings
+        one = RetrievalIndex.for_config(DIGEST, FCFG)
+        one.enroll(Fingerprint(7, prints[0].signatures[:1], DIGEST))
+        assert one.stats() == IndexStats(1, 1, FCFG.band_count, FCFG.band_count)
 
 
 class TestQuery:
@@ -177,7 +168,7 @@ class TestQuery:
             index.query_batch([fp])
 
     def test_empty_query_is_none(self, index):
-        empty = Fingerprint(0, np.empty((0, 100), np.uint8), np.empty(0, int), DIGEST)
+        empty = Fingerprint(0, np.empty((0, 100), np.uint8), DIGEST)
         assert index.query(empty) is None
 
     def test_relaxing_thresholds_never_loses_matches(self, index, corpus):
@@ -232,8 +223,8 @@ class TestBatch:
 
     def test_empty_fingerprints_in_one_batch(self, index, prints):
         """A query of no rows answers None, whether or not it has a width."""
-        empty = Fingerprint(50, np.empty((0, 100), np.uint8), np.empty(0, int), DIGEST)
-        unsized = Fingerprint(50, np.empty((0, 0), np.uint8), np.empty(0, int), DIGEST)
+        empty = Fingerprint(50, np.empty((0, 100), np.uint8), DIGEST)
+        unsized = Fingerprint(50, np.empty((0, 0), np.uint8), DIGEST)
         # the wire keeps a row-less fingerprint's width
         back = deserialize_fingerprint(serialize_fingerprint(empty))
         assert back.signatures.shape == (0, 100)
@@ -252,7 +243,7 @@ class TestBatch:
 
     def test_fingerprint_of_another_width_anywhere_rejected(self, index, prints):
         width = FCFG.band_count * FCFG.band_width
-        other = Fingerprint(0, np.zeros((3, width + 5), np.uint8), np.arange(3), DIGEST)
+        other = Fingerprint(0, np.zeros((3, width + 5), np.uint8), DIGEST)
         for batch in ([other], [prints[0], other], [other, prints[1]]):
             with pytest.raises(IncompatibleIndex, match="signature width"):
                 index.query_batch(batch)
@@ -369,14 +360,14 @@ def oracle_prints(rng, ids, repeated=False, sources=()):
     if repeated:
         sigs[0] = np.repeat(sigs[0][:1], 5, axis=0)
     return [
-        Fingerprint(file_id, sig, np.arange(len(sig))) for file_id, sig in zip(ids, sigs)
+        Fingerprint(file_id, sig) for file_id, sig in zip(ids, sigs)
     ]
 
 
 def shared_bands(a: Fingerprint, b: Fingerprint) -> np.ndarray:
-    """[len(a.blocks), len(b.blocks)]: how many bands each pair of subs shares."""
+    """[len(a.signatures), len(b.signatures)]: how many bands each pair of subs shares."""
     def bands(fp):
-        return fp.signatures.reshape(len(fp.blocks), ORACLE_BANDS, ORACLE_WIDTH)
+        return fp.signatures.reshape(len(fp.signatures), ORACLE_BANDS, ORACLE_WIDTH)
 
     return (bands(a)[:, None] == bands(b)[None]).all(axis=3).sum(axis=2)
 
@@ -388,7 +379,7 @@ def oracle_duplicates(prints, threshold, votes):
         for b in prints:
             if a.file_id != b.file_id:
                 matched = (shared_bands(a, b) >= votes).any(axis=1)
-                frac = int(np.count_nonzero(matched)) / len(a.blocks)
+                frac = int(np.count_nonzero(matched)) / len(a.signatures)
                 pair = (min(a.file_id, b.file_id), max(a.file_id, b.file_id))
                 overlap[pair] = max(overlap.get(pair, 0.0), frac)
     found = [(a, b, frac) for (a, b), frac in overlap.items() if frac > threshold]
@@ -408,9 +399,9 @@ def oracle_query(prints, query, votes, confidence):
     if not ranked:
         return None
     matched, score, file_id = min(ranked)
-    if -matched / len(query.blocks) < confidence:
+    if -matched / len(query.signatures) < confidence:
         return None
-    return MatchResult(file_id, -score, -matched, -matched / len(query.blocks))
+    return MatchResult(file_id, -score, -matched, -matched / len(query.signatures))
 
 
 def oracle_index(prints):
@@ -539,7 +530,7 @@ class TestPersistence:
         path = tmp_path / "idx.spix"
         idx.save(path)
         blob = path.read_bytes()
-        n = len(prints[0].blocks)
+        n = len(prints[0].signatures)
         pos = HEADER_LEN
         file_id, count = blob[pos : pos + 8], blob[pos + 8 : pos + 12]
         pos += 12
@@ -550,6 +541,27 @@ class TestPersistence:
         )
         path.write_bytes(with_checksum(twice))
         with pytest.raises(CorruptIndex, match="stored twice"):
+            RetrievalIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "blocks", [[1, 2, 3], [0, 2, 1], [0, 1, 3]], ids=["from-1", "swapped", "gap"]
+    )
+    def test_blocks_other_than_each_files_row_numbers_rejected(
+        self, prints, tmp_path, blocks
+    ):
+        """A file's rows are its blocks 0..n-1 in order; a file that stores
+        other block indices is refused, not renumbered."""
+        idx = RetrievalIndex.for_config(DIGEST, FCFG)
+        idx.enroll(Fingerprint(3, prints[0].signatures[:2], DIGEST))
+        idx.enroll(Fingerprint(5, prints[1].signatures[:1], DIGEST))
+        path = tmp_path / "idx.spix"
+        idx.save(path)
+        blob = path.read_bytes()
+        pos = HEADER_LEN + 12 * 2
+        assert blob[pos : pos + 12] == np.array([0, 1, 0], "<u4").tobytes()
+        body = blob[:pos] + np.array(blocks, "<u4").tobytes() + blob[pos + 12 : -8]
+        path.write_bytes(with_checksum(body))
+        with pytest.raises(CorruptIndex, match="0..n-1"):
             RetrievalIndex.load(path)
 
     def test_file_stored_twice_rejected_v1(self, tmp_path):
@@ -609,7 +621,7 @@ class TestPersistence:
         files = [
             *prints,
             dataclasses.replace(prints[1], file_id=100),
-            Fingerprint(50, np.repeat(sub, 120, axis=0), np.arange(120), DIGEST),
+            Fingerprint(50, np.repeat(sub, 120, axis=0), DIGEST),
         ]
         order = np.random.default_rng(3).permutation(len(files))
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
@@ -633,8 +645,7 @@ class TestPersistence:
         rows = [files[k] for k in order]
         built._build(
             [fp.file_id for fp in rows],
-            np.array([fp.blocks.size for fp in rows]),
-            np.concatenate([fp.blocks for fp in rows]),
+            np.array([len(fp.signatures) for fp in rows]),
             built._band_digests(np.concatenate([fp.signatures for fp in rows])),
         )
         np.testing.assert_array_equal(built._keys, idx._keys)
@@ -675,7 +686,7 @@ class TestPersistence:
         header = struct.pack("<HQHHHdI", 2, DIGEST, 20, 5, 2, 0.1, 2)
         body = (
             b"SPIX" + header + np.array([1, 2], "<u8").tobytes()
-            + np.array([4, 4], "<u4").tobytes() + np.arange(8, dtype="<u4").tobytes()
+            + np.array([4, 4], "<u4").tobytes() + np.arange(4, dtype="<u4").tobytes() * 2
             + keys.astype("<u8").tobytes() * 2
         )
         path = tmp_path / "idx.spix"
@@ -685,7 +696,7 @@ class TestPersistence:
         # a query holding those keys finds the bucket too
         with monkeypatch.context() as patch:
             patch.setattr(loaded, "_band_digests", lambda signatures: keys)
-            fp = Fingerprint(0, np.zeros((4, 100), np.uint8), np.arange(4), DIGEST)
+            fp = Fingerprint(0, np.zeros((4, 100), np.uint8), DIGEST)
             assert loaded.query(fp, min_band_votes=20) == MatchResult(1, 80, 4, 1.0)
         # band 0: one bucket; band 7: the 2**64 - 1 bucket and 3 others;
         # the other 18 bands: 4 buckets each

@@ -39,7 +39,6 @@ from speechprint.pipeline import (
     STATUS_ERROR,
     STATUS_IDENTIFIED,
     IdentifyOutcome,
-    PendingLabeler,
     Pipeline,
     Session,
     TranscriptLabeler,
@@ -357,7 +356,6 @@ class TestIdentifyStream:
             assert 1 <= feeds[0] <= len(reached) + 1
             [fp] = enrolled
             assert np.array_equal(fp.signatures, whole.signatures)
-            assert np.array_equal(fp.blocks, whole.blocks)
         assert outcomes[0].status == STATUS_ENROLLED
         assert outcomes[0] == outcomes[1]
 
@@ -598,7 +596,7 @@ class TestPolicy:
         queried = []
 
         def query(fp):
-            queried.append(fp.blocks.size)
+            queried.append(len(fp.signatures))
             return None
 
         session = Session(pipeline, query)
@@ -609,7 +607,7 @@ class TestPolicy:
             assert session.feed(chunk) is None
         assert session.finish().status == STATUS_ENROLLED
         expected = [
-            fingerprint_audio(slice_seconds(clip, 0.0, t), SCFG, FCFG).blocks.size
+            len(fingerprint_audio(slice_seconds(clip, 0.0, t), SCFG, FCFG).signatures)
             for t in (6.0, 8.0, 10.0, 12.0, 13.0)
         ]
         assert queried == expected
@@ -623,7 +621,7 @@ class TestPolicy:
         queried = []
 
         def query(fp):
-            queried.append(fp.blocks.size)
+            queried.append(len(fp.signatures))
             return pipeline.index.query(fp)
 
         blob = encode_wav(synth_speech_like(10.0, CANONICAL_RATE, seed=895))
@@ -642,7 +640,7 @@ class TestPolicy:
         queried = []
 
         def query(fp):
-            queried.append(fp.blocks.size)
+            queried.append(len(fp.signatures))
             return pipeline.index.query(fp)
 
         session = Session(pipeline, query)
@@ -662,9 +660,6 @@ class TestPolicy:
         )
         with pytest.raises(IncompatibleIndex):
             Pipeline(index, LabelRegistry(), SCFG, FCFG)
-
-    def test_pending_labeler_always_abstains(self):
-        assert PendingLabeler()(None, None) is None
 
     def test_outcome_defaults(self):
         outcome = IdentifyOutcome(STATUS_ERROR, message="x")

@@ -1,5 +1,7 @@
 """The package's public names: each resolves, and the list is pinned."""
 
+import dataclasses
+
 import speechprint
 
 # Adding or removing a public name is an API change: update this list in
@@ -18,7 +20,6 @@ PUBLIC_NAMES = [
     "IndexStats",
     "LabelRegistry",
     "MatchResult",
-    "PendingLabeler",
     "Pipeline",
     "PipelineServer",
     "RetrievalIndex",
@@ -68,3 +69,9 @@ def test_public_names_resolve_and_are_pinned():
     assert sorted(speechprint.__all__) == PUBLIC_NAMES
     missing = [name for name in PUBLIC_NAMES if not hasattr(speechprint, name)]
     assert missing == []
+
+
+def test_fingerprint_fields_are_pinned():
+    """Row k of the signatures is block k, so no block column is stored."""
+    fields = [field.name for field in dataclasses.fields(speechprint.Fingerprint)]
+    assert fields == ["file_id", "signatures", "config_digest"]

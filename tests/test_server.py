@@ -13,7 +13,7 @@ import pytest
 from speechprint import pipeline as pipeline_module
 from speechprint.audio import decode_wav, encode_wav, resample, slice_seconds
 from speechprint.corpus import synth_speech_like
-from speechprint.errors import DecodeError, SpeechprintError
+from speechprint.errors import DecodeError, IoError, SpeechprintError
 from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
@@ -126,6 +126,24 @@ class TestEndpoint:
     def test_garbage_rejected(self):
         with pytest.raises(SpeechprintError):
             parse_endpoint("no-port-here")
+
+    def test_port_above_65535_rejected(self):
+        with pytest.raises(SpeechprintError, match="65535"):
+            parse_endpoint("127.0.0.1:70000")
+
+    def test_failed_bind_raises_one_library_error(self):
+        """A busy port and a port out of range each raise the package's
+        own error, naming the endpoint, not a traceback from the close."""
+        index = RetrievalIndex.for_config(DIGEST, FCFG)
+        pipeline = Pipeline(index, LabelRegistry(), SCFG, FCFG)
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            with pytest.raises(IoError, match=f"cannot listen on 127.0.0.1:{port}"):
+                serve(f"127.0.0.1:{port}", pipeline)
+        with pytest.raises(SpeechprintError):
+            serve("127.0.0.1:70000", pipeline)
 
 
 class TestSessions:
