@@ -24,6 +24,7 @@ from .pipeline import Pipeline, stream_wav_bytes
 from .registry import (
     LabelRegistry,
     build_registry_from_transcripts,
+    load_transcript,
     load_transcript_dir,
 )
 from .server import serve
@@ -83,6 +84,14 @@ def _pipeline(args, index_path=None, registry_path=None) -> Pipeline:
 
 def _load_audio(path):
     return decode_canonical(Path(path).read_bytes())
+
+
+def _load_transcript(args):
+    """The --transcript file's document, or None; an unreadable file is an
+    error before any audio is read or the index touched."""
+    if args.transcript is None:
+        return None
+    return load_transcript(args.transcript, file_id=0)
 
 
 def cmd_synth(args) -> int:
@@ -177,10 +186,10 @@ def cmd_degrade(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    transcript = _load_transcript(args)
     pipeline = _pipeline(args, args.index, args.registry)
     outcome = pipeline.identify_stream(
-        stream_wav_bytes(Path(args.wav).read_bytes()),
-        transcript_path=args.transcript,
+        stream_wav_bytes(Path(args.wav).read_bytes()), transcript
     )
     print(
         f"status={outcome.status} file_id={outcome.file_id} "
@@ -195,8 +204,10 @@ def cmd_identify(args) -> int:
 
 
 def cmd_enroll(args) -> int:
+    transcript = _load_transcript(args)
     pipeline = _pipeline(args, args.index, args.registry)
-    outcome = pipeline.enroll_file(_load_audio(args.wav), args.transcript)
+    audio = _load_audio(args.wav)
+    outcome = pipeline.enroll_file(pipeline.fingerprint(audio), transcript)
     pipeline.index.save(args.index)
     if args.registry:
         pipeline.registry.save(args.registry)

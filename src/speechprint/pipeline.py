@@ -13,6 +13,7 @@ TCP server both run it.
 import dataclasses
 import logging
 import threading
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .fingerprint import (
     min_audio_seconds,
 )
 from .index import RetrievalIndex
-from .registry import LabelRegistry, load_transcript
+from .registry import LabelRegistry, TranscriptDoc
 from .spectral import SpectralConfig
 
 logger = logging.getLogger(__name__)
@@ -47,8 +48,9 @@ logger = logging.getLogger(__name__)
 DECISION_POINTS_S = (6.0, 8.0, 10.0, 12.0)
 #: Seconds of audio a session accepts before it fails. A SIP proxy gives up
 #: on an unanswered INVITE after three minutes (RFC 3261 timer C), so no
-#: early-media phase runs longer; a session holds its decoded audio until
-#: it ends, which at 8 kHz caps it at 11.5 MB of float64 samples.
+#: early-media phase runs longer. A session's only copy of its audio, the
+#: decoded samples not yet fingerprinted, is thus at most 11.5 MB of
+#: float64 samples at 8 kHz.
 MAX_STREAM_S = 180.0
 #: Cosine similarity below which a transcript is left unlabelled
 MIN_TRANSCRIPT_SIMILARITY = 0.1
@@ -81,22 +83,18 @@ class TranscriptLabeler:
     Scores each same-language cluster by cosine similarity between the
     transcript's term counts and the cluster's keyword weights; a best
     score of at least :data:`MIN_TRANSCRIPT_SIMILARITY` yields that
-    cluster's label, anything else stays pending. A real deployment would
-    put an ASR system in front of this.
+    cluster's label, anything else stays pending. It scores the given
+    :class:`~speechprint.registry.TranscriptDoc` (None abstains) and
+    reads no file. A real deployment would put an ASR system in front.
     """
 
     def __init__(self, registry: LabelRegistry) -> None:
         self.registry = registry
 
-    def __call__(self, audio: AudioBuffer, transcript_path=None) -> int | None:
-        if transcript_path is None:
+    def __call__(self, doc: TranscriptDoc | None) -> int | None:
+        if doc is None or not doc.tokens:
             return None
-        doc = load_transcript(transcript_path, file_id=0)
-        if not doc.tokens:
-            return None
-        counts = {}
-        for token in doc.tokens:
-            counts[token] = counts.get(token, 0) + 1
+        counts = Counter(doc.tokens)
         doc_norm = np.sqrt(sum(c * c for c in counts.values()))
         best_label, best_score = None, 0.0
         for info in self.registry.clusters():
@@ -119,9 +117,10 @@ class TranscriptLabeler:
 class Pipeline:
     """Identify-or-enroll orchestration shared by the CLI and the server.
 
-    ``labeler`` labels each enrolment from its audio and transcript; the
-    default, a :class:`TranscriptLabeler` over ``registry``, abstains
-    when there is no transcript, so the file stays pending.
+    ``labeler(transcript)`` labels each enrolment from its
+    :class:`~speechprint.registry.TranscriptDoc` or None; the default, a
+    :class:`TranscriptLabeler` over ``registry``, abstains when there is
+    no transcript, so the file stays pending.
     """
 
     def __init__(
@@ -166,27 +165,20 @@ class Pipeline:
             audio, self.spectral_config, self.fingerprint_config, file_id
         )
 
-    def enroll_file(
-        self, audio: AudioBuffer, transcript_path=None, *, fingerprint=None
-    ) -> IdentifyOutcome:
-        """Fingerprints and enrolls a new file, then labels it.
+    def enroll_file(self, fingerprint: Fingerprint, transcript=None) -> IdentifyOutcome:
+        """Enrolls a fingerprint's rows as a new file, then labels it.
 
-        ``fingerprint``, when given, was already computed from exactly
-        this audio at the canonical rate, and its signatures are enrolled
-        under the new file id in place of a fresh fingerprint. The
-        labeler runs after the insert, on the calling thread: it and the
-        fingerprint both hold the interpreter lock, so a thread of its own
-        would overlap nothing. When it fails or abstains the file is
-        marked pending rather than failing the enrolment.
+        The rows go in under the next file id, whatever file id
+        ``fingerprint`` carries. The labeler then gets ``transcript``, on
+        the calling thread; when it fails or abstains the file is marked
+        pending rather than failing the enrolment. The outcome's
+        ``audio_consumed_s`` is 0: an enrolment sees no audio, and a
+        :class:`Session` sets it to the stream's length.
         """
         file_id = self.allocate_file_id()
-        if fingerprint is None:
-            fp = self.fingerprint(audio, file_id)
-        else:
-            fp = dataclasses.replace(fingerprint, file_id=file_id)
-        self.index.enroll(fp)
+        self.index.enroll(dataclasses.replace(fingerprint, file_id=file_id))
         try:
-            label_id = self.labeler(audio, transcript_path)
+            label_id = self.labeler(transcript)
         except Exception:
             logger.exception("labeler failed for file %d", file_id)
             label_id = None
@@ -200,23 +192,19 @@ class Pipeline:
                 label_id = None
         if label_id is None:
             self.registry.mark_pending(file_id)
-        return IdentifyOutcome(
-            STATUS_ENROLLED,
-            file_id=file_id,
-            label_id=label_id,
-            audio_consumed_s=audio.duration_seconds,
-        )
+        return IdentifyOutcome(STATUS_ENROLLED, file_id=file_id, label_id=label_id)
 
     def identify_stream(
-        self, chunks: Iterable[bytes], transcript_path=None
+        self, chunks: Iterable[bytes], transcript=None
     ) -> IdentifyOutcome:
         """Consumes a chunked WAV byte stream until a terminal outcome.
 
         Runs one :class:`Session` against the index directly. A confident
         early match returns at once (the rest of the stream is not
-        consumed); any library error becomes an error outcome.
+        consumed); any library error becomes an error outcome. An
+        enrolment is labelled from ``transcript``.
         """
-        session = Session(self, self.index.query, transcript_path)
+        session = Session(self, self.index.query, transcript)
         try:
             for chunk in chunks:
                 outcome = session.feed(bytes(chunk))
@@ -242,9 +230,10 @@ class Session:
     :meth:`finish`, the samples collected since the last one go in one
     array through the stream's :class:`~speechprint.audio.Resampler` (none
     at the canonical rate) into one streamer. Its signature rows serve
-    every query and the enrolment, and the resampler's output is the
-    enrolled audio. Neither output depends on how its input is chunked,
-    so a stream gets the bits of its whole file at one call per decision.
+    every query and the enrolment; the decoded samples not yet fed are
+    the session's only copy of its audio. Neither stage's output depends
+    on how its input is chunked, so a stream gets the bits of its whole
+    file at one call per decision.
     The price: a real-time stream does its first decision's work at once
     (about 1.2 ms of fingerprinting for 6 s of mel-vocal at the library
     geometry on a 2-CPU box), and a decision misses what the last few
@@ -256,7 +245,8 @@ class Session:
     counts the reach.
     :meth:`finish` queries again only if the answer could have changed:
     the fingerprint has rows the last query lacked, or a file was
-    enrolled since (files are only ever added).
+    enrolled since (files are only ever added). An enrolment is labelled
+    from ``transcript``.
 
     A stream longer than :data:`MAX_STREAM_S` seconds of audio fails.
 
@@ -264,10 +254,10 @@ class Session:
     outcome is returned the session is over.
     """
 
-    def __init__(self, pipeline: Pipeline, query, transcript_path=None) -> None:
+    def __init__(self, pipeline: Pipeline, query, transcript=None) -> None:
         self.pipeline = pipeline
         self._query = query
-        self._transcript_path = transcript_path
+        self._transcript = transcript
         self._decoder = WavStreamDecoder()
         self._decisions = list(DECISION_POINTS_S)
         self._collected: list[np.ndarray] = []  # decoded, not yet fingerprinted
@@ -275,7 +265,6 @@ class Session:
         # both set at the first decision point
         self._resampler: Resampler | None = None
         self._streamer: StreamingFingerprinter | None = None
-        self._canonical: list[np.ndarray] = []  # the stream at the canonical rate
         self._signatures: list[np.ndarray] = []
         self._asked: tuple[int, int] | None = None  # (rows, files) at the last query
 
@@ -322,8 +311,8 @@ class Session:
             outcome = self._identify(fp, duration_s)
             if outcome is not None:
                 return outcome
-        audio = AudioBuffer(np.concatenate(self._canonical), CANONICAL_RATE)
-        return pipeline.enroll_file(audio, self._transcript_path, fingerprint=fp)
+        outcome = pipeline.enroll_file(fp, self._transcript)
+        return dataclasses.replace(outcome, audio_consumed_s=duration_s)
 
     def _fingerprint(self, n_out: int | None = None) -> Fingerprint:
         """Feeds every sample collected since the last call, in one array,
@@ -345,7 +334,6 @@ class Session:
                 fresh = self._resampler.feed(fresh)
             else:
                 fresh = self._resampler.finish(n_out, fresh)
-        self._canonical.append(fresh)
         self._signatures.append(self._streamer.feed(fresh))
         signatures = np.concatenate(self._signatures)
         return Fingerprint(0, signatures, pipeline.index.config_digest)

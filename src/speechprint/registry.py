@@ -74,7 +74,7 @@ def load_transcript(path: str | Path, file_id: int | None = None) -> TranscriptD
             ) from exc
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read transcript {path}: {exc}") from exc
     lines = text.splitlines()
     language = "und"

@@ -6,6 +6,7 @@ import csv
 import socket
 
 import numpy as np
+import pytest
 
 from speechprint.audio import decode_canonical, decode_wav, dump_raw, encode_wav, resample
 from speechprint.cli import build_parser, main
@@ -163,6 +164,31 @@ def test_identify_with_transcript_labels_the_enrolment(tmp_path, capsys):
     assert "status=enrolled file_id=3 label_id=2 " in capsys.readouterr().out
     saved = LabelRegistry.load(labels)
     assert saved.lookup(3) == 2 and 3 not in saved.pending()
+
+
+@pytest.mark.parametrize("command", ["enroll", "identify"])
+@pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+def test_unreadable_transcript_is_one_error_line(tmp_path, capsys, command, kind):
+    """A transcript that cannot be read stops enroll and identify with one
+    error line, before the audio is opened, and leaves the index as it
+    was."""
+    corpus, index = tmp_path / "corpus", tmp_path / "calls.idx"
+    main(["synth", str(corpus), "--n-files", "1", "--duration-s", "8"])
+    main(["index", "build", "--corpus", str(corpus), "--out", str(index)])
+    before = index.read_bytes()
+    new, transcript = tmp_path / "new.wav", tmp_path / "new.txt"
+    new.write_bytes(encode_wav(synth_speech_like(8.0, 8000, seed=92)))
+    if kind == "not-utf8":
+        transcript.write_bytes(b"lang=en\n\xff\xfe busy\n")
+    save = ["--save-index"] if command == "identify" else []
+    for wav in (new, tmp_path / "absent.wav"):
+        capsys.readouterr()
+        assert main([command, str(wav), "--index", str(index),
+                     "--transcript", str(transcript), *save]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "transcript" in err and not out
+        assert index.read_bytes() == before
 
 
 def test_serve_on_a_bad_endpoint_is_one_error_line(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Streaming identify-or-enroll pipeline and the incremental WAV decoder."""
 
 import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from speechprint.pipeline import (
     WavStreamDecoder,
     stream_wav_bytes,
 )
-from speechprint.registry import LabelRegistry
+from speechprint.registry import LabelRegistry, TranscriptDoc, load_transcript
 from speechprint.spectral import FrameTransform, SpectralConfig
 
 FCFG = FingerprintConfig()
@@ -486,11 +487,34 @@ class TestOneSessionPath:
         assert outcome.status == STATUS_ENROLLED
         assert clip_stats.count - before == whole > 0
 
+    def test_session_keeps_one_copy_of_its_audio(self):
+        """A 60 s 8 kHz stream nothing matches, fed in 4 KiB chunks and
+        enrolled, allocates at its peak under three times its decoded
+        float64 samples: the collected samples, their concatenation for
+        the fingerprinter and the fingerprinter's working set."""
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(DIGEST, FCFG), LabelRegistry(), SCFG, FCFG
+        )
+        clip = synth_speech_like(60.0, CANONICAL_RATE, seed=897)
+        chunks = list(stream_wav_bytes(encode_wav(clip), 4096))
+        pipeline.fingerprint(slice_seconds(clip, 0.0, 7.0))  # builds cached tables
+        tracemalloc.start()
+        try:
+            session = Session(pipeline, pipeline.index.query)
+            for chunk in chunks:
+                assert session.feed(chunk) is None
+            outcome = session.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.status == STATUS_ENROLLED
+        assert peak < 3 * clip.samples.nbytes
+
 
 class TestEnroll:
     def test_enroll_then_identify(self, pipeline):
         clip = synth_speech_like(8.0, CANONICAL_RATE, seed=801)
-        outcome = pipeline.enroll_file(clip)
+        outcome = pipeline.enroll_file(pipeline.fingerprint(clip))
         assert outcome.status == STATUS_ENROLLED
         result = pipeline.index.query(pipeline.fingerprint(clip))
         assert result is not None and result.file_id == outcome.file_id
@@ -500,28 +524,49 @@ class TestEnroll:
             synth_speech_like(8.0, CANONICAL_RATE, seed=820 + i) for i in range(6)
         ]
         with ThreadPoolExecutor(max_workers=6) as pool:
-            outcomes = list(pool.map(pipeline.enroll_file, clips))
+            outcomes = list(
+                pool.map(lambda c: pipeline.enroll_file(pipeline.fingerprint(c)), clips)
+            )
         ids = [o.file_id for o in outcomes]
         assert len(set(ids)) == 6
         for clip, outcome in zip(clips, outcomes):
             result = pipeline.index.query(pipeline.fingerprint(clip))
             assert result is not None and result.file_id == outcome.file_id
 
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    def test_labeler_gets_the_transcript_once_per_enrolment(self, pipeline, rate):
+        """A streamed enrolment reports the stream's length at the
+        canonical rate, and the labeler is called once with exactly the
+        transcript given, or None."""
+        calls = []
+        pipeline.labeler = calls.append
+        doc = TranscriptDoc.from_text(0, "the number you dialled is busy", "en")
+        for seed, transcript in ((833, doc), (834, None)):
+            blob = encode_wav(synth_speech_like(9.3001, rate, seed=seed))
+            outcome = pipeline.identify_stream(stream_wav_bytes(blob), transcript)
+            assert outcome.status == STATUS_ENROLLED
+            n_out = len(decode_canonical(blob))  # 74,401 at either rate
+            assert outcome.audio_consumed_s == n_out / CANONICAL_RATE
+            assert len(calls) == 1 and calls.pop() is transcript
+        clip = synth_speech_like(8.0, CANONICAL_RATE, seed=835)
+        pipeline.enroll_file(pipeline.fingerprint(clip), doc)
+        assert len(calls) == 1 and calls[0] is doc
+
     def test_raising_labeler_leaves_pending(self, pipeline):
-        def exploding_labeler(audio, transcript_path=None):
+        def exploding_labeler(transcript):
             raise RuntimeError("labeler dependency down")
 
         pipeline.labeler = exploding_labeler
         clip = synth_speech_like(8.0, CANONICAL_RATE, seed=830)
-        outcome = pipeline.enroll_file(clip)
+        outcome = pipeline.enroll_file(pipeline.fingerprint(clip))
         assert outcome.status == STATUS_ENROLLED
         assert outcome.label_id is None
         assert outcome.file_id in pipeline.registry.pending()
 
     def test_labeler_returning_unknown_label_leaves_pending(self, pipeline):
-        pipeline.labeler = lambda audio, transcript_path=None: 999
+        pipeline.labeler = lambda transcript: 999
         clip = synth_speech_like(8.0, CANONICAL_RATE, seed=831)
-        outcome = pipeline.enroll_file(clip)
+        outcome = pipeline.enroll_file(pipeline.fingerprint(clip))
         assert outcome.label_id is None
         assert outcome.file_id in pipeline.registry.pending()
 
@@ -544,10 +589,10 @@ class TestTranscriptLabeler:
             encoding="utf-8",
         )
         labeler = TranscriptLabeler(registry)
-        assert labeler(None, path) == 1
+        assert labeler(load_transcript(path, file_id=0)) == 1
 
     def test_no_transcript_abstains(self, registry):
-        assert TranscriptLabeler(registry)(None, None) is None
+        assert TranscriptLabeler(registry)(None) is None
 
     def test_other_language_abstains(self, registry, tmp_path):
         path = tmp_path / "0.txt"
@@ -555,12 +600,12 @@ class TestTranscriptLabeler:
             "lang=de\nsie haben die voicemail message erreicht\n",
             encoding="utf-8",
         )
-        assert TranscriptLabeler(registry)(None, path) is None
+        assert TranscriptLabeler(registry)(load_transcript(path, file_id=0)) is None
 
     def test_transcript_without_tokens_abstains(self, registry, tmp_path):
         path = tmp_path / "0.txt"
         path.write_text("lang=en\n\n", encoding="utf-8")
-        assert TranscriptLabeler(registry)(None, path) is None
+        assert TranscriptLabeler(registry)(load_transcript(path, file_id=0)) is None
 
     def test_dissimilar_transcript_abstains(self, registry, tmp_path):
         path = tmp_path / "0.txt"
@@ -568,7 +613,7 @@ class TestTranscriptLabeler:
             "lang=en\ncompletely unrelated weather forecast talk\n",
             encoding="utf-8",
         )
-        assert TranscriptLabeler(registry)(None, path) is None
+        assert TranscriptLabeler(registry)(load_transcript(path, file_id=0)) is None
 
     def test_enrolment_with_transcript_gets_label(self, corpus, tmp_path, registry):
         index = RetrievalIndex.for_config(DIGEST, FCFG)
@@ -577,7 +622,9 @@ class TestTranscriptLabeler:
         )
         path = tmp_path / "t.txt"
         path.write_text("lang=en\nyou have reached the voicemail\n", encoding="utf-8")
-        outcome = pipeline.enroll_file(corpus[0], transcript_path=path)
+        outcome = pipeline.enroll_file(
+            pipeline.fingerprint(corpus[0]), load_transcript(path, file_id=0)
+        )
         assert outcome.label_id == 1
         assert pipeline.registry.lookup(outcome.file_id) == 1
 
@@ -647,7 +694,7 @@ class TestPolicy:
         for chunk in stream_wav_bytes(encode_wav(clip)):
             assert session.feed(chunk) is None
         assert len(queried) == 3
-        copy = pipeline.enroll_file(clip)
+        copy = pipeline.enroll_file(pipeline.fingerprint(clip))
         outcome = session.finish()
         assert len(queried) == 4
         assert outcome.status == STATUS_IDENTIFIED
