@@ -588,10 +588,16 @@ def test_version_1_file_still_loads(v1_queries):
     check_v1_pins(RetrievalIndex.load(V1_FIXTURE, V1_CONFIG_DIGEST), v1_queries)
 
 
+# tests/data/index_v1_resaved.spix is V1_FIXTURE loaded and saved again
+# by the version 2 writer, recorded while the version 1 reader existed
+V1_RESAVED = Path(__file__).parent / "data" / "index_v1_resaved.spix"
+
+
 def test_version_1_file_resaved_as_version_2(v1_queries, tmp_path):
     path = tmp_path / "resaved.spix"
     RetrievalIndex.load(V1_FIXTURE, V1_CONFIG_DIGEST).save(path)
     assert path.read_bytes()[4:6] == b"\x02\x00"
+    assert path.read_bytes() == V1_RESAVED.read_bytes()
     check_v1_pins(RetrievalIndex.load(path, V1_CONFIG_DIGEST), v1_queries)
 
 
