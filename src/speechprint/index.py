@@ -25,7 +25,9 @@ import numpy as np
 from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex, IoError
 from .fileio import write_atomic
 from .fingerprint import VERSION_NOTE, Fingerprint
-from .hashing import fnv1a64, fnv1a64_rows
+# fnv1a64 is not called here, but perfbench/spans.py wraps this binding
+# of it (ROADMAP item 1 drops that wrapper and this import)
+from .hashing import fnv1a64, fnv1a64_rows  # noqa: F401
 
 INDEX_MAGIC = b"SPIX"
 INDEX_VERSION = 2
@@ -93,6 +95,9 @@ class RetrievalIndex:
     :func:`_sort_bands`). The band digests live in the bands only, and
     :meth:`save` scatters them back into rows. Thread safety: enrolment,
     queries and persistence hold one lock.
+
+    ``min_band_votes`` and ``min_confidence`` are fixed when the index is
+    made: queries and dedup use them, and the file header stores them.
     """
 
     def __init__(
@@ -105,7 +110,14 @@ class RetrievalIndex:
     ) -> None:
         if band_count < 1 or band_width < 1:
             raise ConfigError("band_count and band_width must be >= 1")
-        _check_thresholds(min_band_votes, band_count, min_confidence)
+        # a pair of subs shares at most band_count band keys
+        if not 1 <= min_band_votes <= band_count:
+            raise ConfigError(
+                f"min_band_votes must be in [1, {band_count}] for {band_count} bands, "
+                f"got {min_band_votes}"
+            )
+        if not 0.0 < min_confidence <= 1.0:
+            raise ConfigError(f"min_confidence must be in (0, 1], got {min_confidence}")
         self.config_digest = config_digest
         self.band_count = band_count
         self.band_width = band_width
@@ -124,19 +136,12 @@ class RetrievalIndex:
         self._lock = threading.RLock()
 
     @classmethod
-    def for_config(
-        cls,
-        config_digest: int,
-        fingerprint_config,
-        min_band_votes: int = DEFAULT_MIN_BAND_VOTES,
-        min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-    ) -> "RetrievalIndex":
+    def for_config(cls, config_digest: int, fingerprint_config) -> "RetrievalIndex":
+        """An index of ``fingerprint_config``'s geometry, at the default thresholds."""
         return cls(
             config_digest,
             band_count=fingerprint_config.band_count,
             band_width=fingerprint_config.band_width,
-            min_band_votes=min_band_votes,
-            min_confidence=min_confidence,
         )
 
     def _band_digests(self, signatures: np.ndarray) -> np.ndarray:
@@ -255,9 +260,7 @@ class RetrievalIndex:
             arrays = (self._keys, self._postings, self._row_file)
             return sum(a.nbytes for a in arrays)
 
-    def _join(
-        self, bounds: np.ndarray, starts: np.ndarray, sizes: np.ndarray, min_band_votes: int
-    ):
+    def _join(self, bounds: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
         """Band hits of (row, index row) pairs, in slices of whole rows.
 
         Row r shares a band key with ``sizes[k]`` postings from flat
@@ -292,7 +295,7 @@ class RetrievalIndex:
                 pairs.sort()
                 runs = _run_bounds(pairs)
                 hits = runs[1:] - runs[:-1]
-                qualifies = (hits >= min_band_votes).nonzero()[0]
+                qualifies = (hits >= self.min_band_votes).nonzero()[0]
                 pairs = pairs.take(runs.take(qualifies))
                 yield (
                     (pairs >> bits).astype(np.int64) + lo,
@@ -360,16 +363,8 @@ class RetrievalIndex:
         bounds = rows.take(order).searchsorted(np.arange(self._row_file.size + 1))
         return bounds, starts, sizes
 
-    def _answer(
-        self,
-        queries: list[Fingerprint],
-        min_band_votes: int | None,
-        min_confidence: float | None,
-    ) -> list[MatchResult | None]:
+    def _answer(self, queries: list[Fingerprint]) -> list[MatchResult | None]:
         """Every query's answer from one probe of the bands and one join."""
-        v = self.min_band_votes if min_band_votes is None else min_band_votes
-        c = self.min_confidence if min_confidence is None else min_confidence
-        _check_thresholds(v, self.band_count, c)
         for q in queries:
             self._check_digest(q)
         results: list[MatchResult | None] = [None] * len(queries)
@@ -388,7 +383,7 @@ class RetrievalIndex:
             ids = self._ids
             n_files = len(ids)
             tallies = []
-            for rows, index_rows, hits in self._join(*self._probe(digest_rows), v):
+            for rows, index_rows, hits in self._join(*self._probe(digest_rows)):
                 files = self._row_file.take(index_rows)
                 # within a row the index rows, and so the files, ascend: a
                 # new (row, file) starts wherever either changes
@@ -412,58 +407,44 @@ class RetrievalIndex:
                 best[q] = rank
         for q, (n_matched, n_votes, neg_id) in best.items():
             confidence = n_matched / n_subs[q]
-            if confidence >= c:
+            if confidence >= self.min_confidence:
                 results[asked[q]] = MatchResult(-neg_id, n_votes, n_matched, confidence)
         return results
 
-    def query(
-        self,
-        fp: Fingerprint,
-        min_band_votes: int | None = None,
-        min_confidence: float | None = None,
-    ) -> MatchResult | None:
+    def query(self, fp: Fingerprint) -> MatchResult | None:
         """Most likely enrolled file for a query fingerprint, or None.
 
         A (query sub, enrolled sub) pair qualifies when they share at
-        least min_band_votes band keys. A file's matched count is the
-        number of query subs with a qualifying pair in it, and its band
-        votes are the shared keys summed over those pairs. Ranking: most
-        matched query subs, then most band votes, then lowest file id.
-        The winner is reported only when its confidence (matched subs /
-        query subs) reaches the floor.
+        least the index's min_band_votes band keys. A file's matched
+        count is the number of query subs with a qualifying pair in it,
+        and its band votes are the shared keys summed over those pairs.
+        Ranking: most matched query subs, then most band votes, then
+        lowest file id. The winner is reported only when its confidence
+        (matched subs / query subs) reaches the index's min_confidence.
 
         Raises:
-            ConfigError: min_band_votes outside [1, band_count], or
-                min_confidence outside (0, 1].
             IncompatibleIndex: the fingerprint was built under another config.
         """
-        return self._answer([fp], min_band_votes, min_confidence)[0]
+        return self._answer([fp])[0]
 
-    def query_batch(
-        self,
-        queries: list[Fingerprint],
-        min_band_votes: int | None = None,
-        min_confidence: float | None = None,
-    ) -> list[MatchResult | None]:
-        """Answers many queries in one pass.
+    def query_batch(self, queries: list[Fingerprint]) -> list[MatchResult | None]:
+        """Answers many queries in one pass, at the index's thresholds.
 
         Results are exactly what per-query :meth:`query` calls would
         return, in input order (None for an empty query). The whole batch
         shares one search per band and one counting step, so it costs
         less than the same queries one by one.
         """
-        return self._answer(queries, min_band_votes, min_confidence)
+        return self._answer(queries)
 
     def find_duplicates(
-        self,
-        threshold: float = DEFAULT_DUPLICATE_THRESHOLD,
-        min_band_votes: int | None = None,
+        self, threshold: float = DEFAULT_DUPLICATE_THRESHOLD
     ) -> list[tuple[int, int, float]]:
         """Pairs of enrolled files whose fingerprints overlap heavily.
 
         Overlap of (a, b) is the fraction of a's subs that share at least
-        min_band_votes band keys with some sub of b; the pair is reported
-        when either direction exceeds ``threshold``.
+        the index's min_band_votes band keys with some sub of b; the pair
+        is reported when either direction exceeds ``threshold``.
 
         The pairs come from one self-join of the bands, with no search.
         Within a bucket the postings ascend by file, so each posting pairs
@@ -477,12 +458,10 @@ class RetrievalIndex:
 
         Raises:
             ConfigError: threshold outside (0, 1), since no overlap
-                exceeds 1, or min_band_votes outside [1, band_count].
+                exceeds 1.
         """
         if not 0.0 < threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
-        v = self.min_band_votes if min_band_votes is None else min_band_votes
-        _check_thresholds(v, self.band_count)
         forward, backward = [], []
         with self._lock:
             ids = self._ids
@@ -490,7 +469,7 @@ class RetrievalIndex:
             if n_files < 2:
                 return []
             row_file = self._row_file
-            for rows, partners, _hits in self._join(*self._later_partners(), v):
+            for rows, partners, _hits in self._join(*self._later_partners()):
                 files = row_file.take(rows)
                 partner_files = row_file.take(partners)
                 # one entry per distinct (row, partner file): within a row
@@ -580,14 +559,19 @@ class RetrievalIndex:
     def load(
         cls, path: str | Path, expected_config_digest: int | None = None
     ) -> "RetrievalIndex":
-        """Reads an index written by :meth:`save`, version 1 or 2.
+        """Reads an index written by :meth:`save`, with the thresholds
+        its header stores.
+
+        Only :data:`INDEX_VERSION`, the version :meth:`save` writes, is
+        read. A version 1 file holds fingerprint version 1 bits, which
+        this build can neither query nor enrol into: rebuild it.
 
         Raises:
             CorruptIndex: bad magic, truncation, checksum mismatch, a
                 geometry or threshold out of range in the header, counts
                 that disagree with the payload, or block indices that are
                 not each file's 0..n-1.
-            IncompatibleIndex: unknown version, or the stored config
+            IncompatibleIndex: another version, or the stored config
                 digest differs from ``expected_config_digest``.
         """
         try:
@@ -599,13 +583,12 @@ class RetrievalIndex:
         version, digest, bands, width, votes, confidence, n_files = struct.unpack(
             _HEADER_FMT, blob[4:_HEADER_LEN]
         )
-        if version == 1:
-            checksum_ok = fnv1a64(blob[:-8]) == struct.unpack("<Q", blob[-8:])[0]
-        elif version == 2:
-            checksum_ok = _blake2b(blob[:-8]) == blob[-8:]
-        else:
-            raise IncompatibleIndex(f"unsupported index version {version}")
-        if not checksum_ok:
+        if version != INDEX_VERSION:
+            raise IncompatibleIndex(
+                f"unsupported index version {version}; this build reads version "
+                f"{INDEX_VERSION} only: rebuild the index from the audio"
+            )
+        if _blake2b(blob[:-8]) != blob[-8:]:
             raise CorruptIndex("index checksum mismatch")
         if expected_config_digest is not None and digest != expected_config_digest:
             raise IncompatibleIndex(
@@ -622,8 +605,7 @@ class RetrievalIndex:
             )
         except ConfigError as exc:
             raise CorruptIndex(f"index header out of range: {exc}") from exc
-        read = _read_v1 if version == 1 else _read_v2
-        ids, counts, blocks, digests = read(blob, n_files, bands)
+        ids, counts, blocks, digests = _read_v2(blob, n_files, bands)
         seen: set[int] = set()
         for file_id in ids:
             if file_id in seen:
@@ -633,20 +615,6 @@ class RetrievalIndex:
             raise CorruptIndex("index block indices are not each file's 0..n-1")
         index._build(ids, counts, digests)
         return index
-
-
-def _check_thresholds(
-    min_band_votes: int, band_count: int, min_confidence: float = 1.0
-) -> None:
-    """Raises ConfigError for a vote count or a confidence floor out of
-    range: a pair of subs shares at most ``band_count`` band keys."""
-    if not 1 <= min_band_votes <= band_count:
-        raise ConfigError(
-            f"min_band_votes must be in [1, {band_count}] for {band_count} bands, "
-            f"got {min_band_votes}"
-        )
-    if not 0.0 < min_confidence <= 1.0:
-        raise ConfigError(f"min_confidence must be in (0, 1], got {min_confidence}")
 
 
 def _sum_by_key(keys: np.ndarray, *weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -747,40 +715,4 @@ def _read_v2(blob: bytes, n_files: int, bands: int):
         counts.astype(np.int64),
         blocks,
         digests.astype(np.uint64, copy=False).reshape(n_subs, bands),
-    )
-
-
-def _read_v1(blob: bytes, n_files: int, bands: int):
-    """Whole-index columns of a version 1 payload (checksum verified).
-
-    Version 1 stores one record per file: u64 id, u32 sub count, the
-    block indices (u32 each) and the digest matrix (u64, row-major).
-    """
-    ids, counts, blocks, digests = [], [], [], []
-    pos = _HEADER_LEN
-    body_end = len(blob) - 8
-    for _ in range(n_files):
-        if pos + 12 > body_end:
-            raise CorruptIndex("index truncated inside file table")
-        file_id, n_subs = struct.unpack("<QI", blob[pos : pos + 12])
-        pos += 12
-        blocks_len = 4 * n_subs
-        digests_len = 8 * n_subs * bands
-        if pos + blocks_len + digests_len > body_end:
-            raise CorruptIndex("index truncated inside digest data")
-        blocks.append(blob[pos : pos + blocks_len])
-        pos += blocks_len
-        digests.append(blob[pos : pos + digests_len])
-        pos += digests_len
-        ids.append(file_id)
-        counts.append(n_subs)
-    if pos != body_end:
-        raise CorruptIndex("trailing bytes after index payload")
-    return (
-        ids,
-        np.array(counts, dtype=np.int64),
-        np.frombuffer(b"".join(blocks), dtype="<u4"),
-        np.frombuffer(b"".join(digests), dtype="<u8")
-        .astype(np.uint64)
-        .reshape(-1, bands),
     )

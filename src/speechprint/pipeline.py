@@ -44,13 +44,15 @@ from .spectral import SpectralConfig
 logger = logging.getLogger(__name__)
 
 #: Seconds of decoded audio at which a stream is queried; after the last
-#: it is only collected for enrolment
+#: it is only fingerprinted for enrolment, a decision step at a time
 DECISION_POINTS_S = (6.0, 8.0, 10.0, 12.0)
+_DECISION_STEP_S = DECISION_POINTS_S[-1] - DECISION_POINTS_S[-2]
 #: Seconds of audio a session accepts before it fails. A SIP proxy gives up
 #: on an unanswered INVITE after three minutes (RFC 3261 timer C), so no
-#: early-media phase runs longer. A session's only copy of its audio, the
-#: decoded samples not yet fingerprinted, is thus at most 11.5 MB of
-#: float64 samples at 8 kHz.
+#: early-media phase runs longer. The cap bounds a session's time and its
+#: signature rows, not its audio: a session's only copy of its audio, the
+#: decoded samples not yet fingerprinted, is at most the 6 s before the
+#: first decision point, 2.3 MB of float64 samples at 48 kHz.
 MAX_STREAM_S = 180.0
 #: Cosine similarity below which a transcript is left unlabelled
 MIN_TRANSCRIPT_SIMILARITY = 0.1
@@ -226,14 +228,15 @@ class Session:
     ``query`` is the lookup, called with a :class:`Fingerprint` of the
     stream so far: ``pipeline.index.query``, or a server's batcher.
     :meth:`feed` only decodes and collects samples until a decision point
-    is due. Every stream takes one path: at each decision point and at
-    :meth:`finish`, the samples collected since the last one go in one
-    array through the stream's :class:`~speechprint.audio.Resampler` (none
-    at the canonical rate) into one streamer. Its signature rows serve
-    every query and the enrolment; the decoded samples not yet fed are
-    the session's only copy of its audio. Neither stage's output depends
-    on how its input is chunked, so a stream gets the bits of its whole
-    file at one call per decision.
+    is due. Every stream takes one path: at each decision point, every
+    decision step past the last one (with no query), and at
+    :meth:`finish`, the samples collected since the last feed go in one
+    array through the stream's :class:`~speechprint.audio.Resampler`
+    (none at the canonical rate) into one streamer. Its signature rows
+    serve every query and the enrolment; the decoded samples not yet fed
+    are the session's only copy of its audio. Neither stage's output
+    depends on how its input is chunked, so a stream gets the bits of its
+    whole file at one call per decision.
     The price: a real-time stream does its first decision's work at once
     (about 1.2 ms of fingerprinting for 6 s of mel-vocal at the library
     geometry on a 2-CPU box), and a decision misses what the last few
@@ -262,6 +265,7 @@ class Session:
         self._decisions = list(DECISION_POINTS_S)
         self._collected: list[np.ndarray] = []  # decoded, not yet fingerprinted
         self._consumed = 0
+        self._fed = 0  # of the samples consumed, those fed to the streamer
         # both set at the first decision point
         self._resampler: Resampler | None = None
         self._streamer: StreamingFingerprinter | None = None
@@ -280,6 +284,10 @@ class Session:
             )
         self._collected.append(samples)
         self._consumed += samples.size
+        if not self._decisions:
+            if self._consumed - self._fed >= _DECISION_STEP_S * rate:
+                self._feed()
+            return None
         consumed_s = self._consumed / rate
         due = [t for t in self._decisions if t <= consumed_s + 1e-9]
         if not due:
@@ -315,10 +323,17 @@ class Session:
         return dataclasses.replace(outcome, audio_consumed_s=duration_s)
 
     def _fingerprint(self, n_out: int | None = None) -> Fingerprint:
+        """The stream's signature rows so far, blocks 0 onwards, after
+        :meth:`_feed`."""
+        self._feed(n_out)
+        signatures = np.concatenate(self._signatures)
+        return Fingerprint(0, signatures, self.pipeline.index.config_digest)
+
+    def _feed(self, n_out: int | None = None) -> None:
         """Feeds every sample collected since the last call, in one array,
-        through the resampler into the streamer; its signature rows so
-        far, blocks 0 onwards. ``n_out``, at the end, is the stream's
-        length at the canonical rate, and the resampler's rest goes too."""
+        through the resampler into the streamer. ``n_out``, at the end, is
+        the stream's length at the canonical rate, and the resampler's
+        rest goes too."""
         pipeline = self.pipeline
         if self._streamer is None:
             rate = self._decoder.sample_rate
@@ -329,14 +344,13 @@ class Session:
             )
         fresh = np.concatenate(self._collected) if self._collected else np.empty(0)
         self._collected = []
+        self._fed = self._consumed
         if self._resampler is not None:
             if n_out is None:
                 fresh = self._resampler.feed(fresh)
             else:
                 fresh = self._resampler.finish(n_out, fresh)
         self._signatures.append(self._streamer.feed(fresh))
-        signatures = np.concatenate(self._signatures)
-        return Fingerprint(0, signatures, pipeline.index.config_digest)
 
     def _identify(self, fp: Fingerprint, consumed_s: float) -> IdentifyOutcome | None:
         if not len(fp.signatures):

@@ -4,6 +4,7 @@ and training, and its pinned surface."""
 import argparse
 import csv
 import socket
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ def test_unreadable_transcript_is_one_error_line(tmp_path, capsys, command, kind
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "transcript" in err and not out
+        assert index.read_bytes() == before
+
+
+def test_version_1_index_is_one_error_line(tmp_path, capsys):
+    """index stats, index dedup and identify refuse a version 1 index file
+    with one error line naming its version, and leave it as it was."""
+    index = tmp_path / "v1.spix"
+    index.write_bytes((Path(__file__).parent / "data" / "index_v1.spix").read_bytes())
+    before = index.read_bytes()
+    wav = tmp_path / "new.wav"
+    wav.write_bytes(encode_wav(synth_speech_like(8.0, 8000, seed=93)))
+    for command in (["index", "stats"], ["index", "dedup"], ["identify", str(wav)]):
+        capsys.readouterr()
+        assert main([*command, "--index", str(index)]) == 2, command
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "index version 1" in err and not out
         assert index.read_bytes() == before
 
 

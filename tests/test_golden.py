@@ -23,6 +23,7 @@ must bump FINGERPRINT_VERSION and re-record the pins.
 
 import dataclasses
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -291,7 +292,8 @@ FILE_IDS = (3, 17, 2**32 + 5, 2**40 + 1, 2**64 - 1)
 PLANTED_COPY = 2**33  # the same fingerprint as file 17
 NOISY_COPY = 9  # file 2**40 + 1 under 30 dB noise
 
-# per geometry: find_duplicates(0.8), find_duplicates(0.05, min_band_votes=1)
+# per geometry: find_duplicates(0.8), then find_duplicates(0.05) of the
+# loose index (the planted files at min_band_votes=1)
 GOLDEN_DUPLICATES = {
     "library": (
         [(9, 1099511627777, 1.0), (17, 8589934592, 1.0)],
@@ -330,8 +332,9 @@ GOLDEN_DUPLICATES = {
     ),
 }
 
-# per geometry and query: (default thresholds, min_band_votes=1 with
-# min_confidence=0.01), each (file_id, score, matched_subs, confidence)
+# per geometry and query: (default thresholds, the loose index's
+# min_band_votes=1 with min_confidence=0.01), each (file_id, score,
+# matched_subs, confidence)
 # or None. Queries: per enrolled file an 8 s slice at 1.6 s under 20 dB
 # noise, then one at 0.8 s under 12 dB noise and rate 1.01; last, two
 # clips that were never enrolled.
@@ -436,15 +439,9 @@ def as_tuple(result):
     return (result.file_id, result.score, result.matched_subs, result.confidence)
 
 
-def test_query_results_match_golden(planted):
+def test_query_results_match_golden(planted, planted_loose):
     geometry, index, prints = planted
-    got = [
-        [
-            as_tuple(index.query(fp)),
-            as_tuple(index.query(fp, min_band_votes=1, min_confidence=0.01)),
-        ]
-        for fp in prints
-    ]
+    got = [[as_tuple(index.query(fp)), as_tuple(planted_loose.query(fp))] for fp in prints]
     assert got == GOLDEN_RESULTS[geometry]
 
 
@@ -454,11 +451,11 @@ def test_batched_results_match_golden(planted):
     assert got == [pair[0] for pair in GOLDEN_RESULTS[geometry]]
 
 
-def test_find_duplicates_matches_golden(planted):
+def test_find_duplicates_matches_golden(planted, planted_loose):
     geometry, index, _prints = planted
     strict, loose = GOLDEN_DUPLICATES[geometry]
     assert index.find_duplicates(0.8) == strict
-    assert index.find_duplicates(0.05, min_band_votes=1) == loose
+    assert planted_loose.find_duplicates(0.05) == loose
 
 
 def test_stats_match_golden(planted):
@@ -491,6 +488,23 @@ def planted_prints(planted):
     return prints
 
 
+@pytest.fixture(scope="module")
+def planted_loose(planted, planted_prints):
+    """The planted index's files at min_band_votes=1, min_confidence=0.01."""
+    geometry, index, _prints = planted
+    cfg = GEOMETRIES[geometry]
+    loose = RetrievalIndex(
+        index.config_digest,
+        cfg.band_count,
+        cfg.band_width,
+        min_band_votes=1,
+        min_confidence=0.01,
+    )
+    for file_id in sorted(planted_prints):
+        loose.enroll(planted_prints[file_id])
+    return loose
+
+
 def test_saved_bytes_match_golden(planted, planted_prints, tmp_path):
     """The saved file is pinned, and enrolment order does not change it."""
     geometry, index, _prints = planted
@@ -507,23 +521,24 @@ def test_saved_bytes_match_golden(planted, planted_prints, tmp_path):
         assert other.read_bytes() == path.read_bytes()
 
 
-def test_version_2_round_trip_matches_golden(planted, tmp_path):
+def test_version_2_round_trip_matches_golden(planted, planted_loose, tmp_path):
     geometry, index, prints = planted
-    path = tmp_path / "planted.spix"
-    index.save(path)
-    loaded = RetrievalIndex.load(path, expected_config_digest=index.config_digest)
-    assert loaded.stats() == GOLDEN_STATS[geometry]
+    loaded = []
+    for name, saved in (("planted", index), ("loose", planted_loose)):
+        path = tmp_path / f"{name}.spix"
+        saved.save(path)
+        loaded.append(RetrievalIndex.load(path, expected_config_digest=index.config_digest))
+        assert loaded[-1].stats() == GOLDEN_STATS[geometry]
+    strict_index, loose_index = loaded
+    assert (loose_index.min_band_votes, loose_index.min_confidence) == (1, 0.01)
     got = [
-        [
-            as_tuple(loaded.query(fp)),
-            as_tuple(loaded.query(fp, min_band_votes=1, min_confidence=0.01)),
-        ]
+        [as_tuple(strict_index.query(fp)), as_tuple(loose_index.query(fp))]
         for fp in prints
     ]
     assert got == GOLDEN_RESULTS[geometry]
     strict, loose = GOLDEN_DUPLICATES[geometry]
-    assert loaded.find_duplicates(0.8) == strict
-    assert loaded.find_duplicates(0.05, min_band_votes=1) == loose
+    assert strict_index.find_duplicates(0.8) == strict
+    assert loose_index.find_duplicates(0.05) == loose
 
 
 # tests/data/index_v1.spix was written by the index version 1 writer
@@ -531,17 +546,22 @@ def test_version_2_round_trip_matches_golden(planted, tmp_path):
 # library geometry and mel-vocal spectra: 12 s clips
 # synth_speech_like(12.0, 8000, seed=610 + i) as files V1_IDS, plus the
 # first under 25 dB noise (add_noise seed 3) as V1_NOISY_COPY. Its config
-# digest is the version 1 one, which no build of version 2 computes
+# digest is the version 1 one, which no build of version 2 computes. This
+# build reads index version 2 only, so the pins below run on
+# V1_RESAVED, the same index saved as version 2 by the last build that
+# read version 1
 V1_FIXTURE = Path(__file__).parent / "data" / "index_v1.spix"
+V1_RESAVED = Path(__file__).parent / "data" / "index_v1_resaved.spix"
+V1_RESAVED_SHA256 = "4195e9d7bf3c51af487009088c227078e3881e35f6e961be84a7957ef224f8e6"
 V1_CONFIG_DIGEST = 0x081BC0055B668542
 V1_IDS = (6, 2**32 + 7)
 V1_NOISY_COPY = 2**64 - 1
 V1_STATS = IndexStats(n_files=3, n_subs=33, n_postings=660, n_buckets=566)
 V1_DUPLICATES = [(6, 18446744073709551615, 1.0)]
 # per query: (default thresholds, min_band_votes=1 with min_confidence
-# 0.01). Queries: per enrolled clip an 8 s slice at 1.6 s under 20 dB
-# noise, then one at 0.8 s under 12 dB noise and rate 1.01; last, a
-# clip that was never enrolled.
+# 0.01, stored in a copy of V1_RESAVED's header). Queries: per enrolled
+# clip an 8 s slice at 1.6 s under 20 dB noise, then one at 0.8 s under
+# 12 dB noise and rate 1.01; last, a clip that was never enrolled.
 V1_RESULTS = [
     [(18446744073709551615, 36, 6, 1.0), (18446744073709551615, 36, 6, 1.0)],
     [None, (18446744073709551615, 2, 2, 0.3333333333333333)],
@@ -569,52 +589,51 @@ def v1_queries():
     ]
 
 
-def check_v1_pins(index, queries):
-    assert index.stats() == V1_STATS
-    assert index.file_ids == sorted(V1_IDS + (V1_NOISY_COPY,))
-    got = [
-        [
-            as_tuple(index.query(fp)),
-            as_tuple(index.query(fp, min_band_votes=1, min_confidence=0.01)),
-        ]
-        for fp in queries
-    ]
-    assert got == V1_RESULTS
-    assert index.find_duplicates(0.8) == V1_DUPLICATES
-
-
-def test_version_1_file_still_loads(v1_queries):
+def test_version_1_file_is_refused():
+    """A version 1 index file raises, naming its version, whatever digest
+    is expected."""
     assert V1_FIXTURE.read_bytes()[4:6] == b"\x01\x00"
-    check_v1_pins(RetrievalIndex.load(V1_FIXTURE, V1_CONFIG_DIGEST), v1_queries)
-
-
-# tests/data/index_v1_resaved.spix is V1_FIXTURE loaded and saved again
-# by the version 2 writer, recorded while the version 1 reader existed
-V1_RESAVED = Path(__file__).parent / "data" / "index_v1_resaved.spix"
+    for digest in (None, V1_CONFIG_DIGEST, config_digest(SPECTRAL, LIBRARY, 8000)):
+        with pytest.raises(IncompatibleIndex, match="index version 1; .* rebuild"):
+            RetrievalIndex.load(V1_FIXTURE, digest)
 
 
 def test_version_1_file_resaved_as_version_2(v1_queries, tmp_path):
-    path = tmp_path / "resaved.spix"
-    RetrievalIndex.load(V1_FIXTURE, V1_CONFIG_DIGEST).save(path)
-    assert path.read_bytes()[4:6] == b"\x02\x00"
-    assert path.read_bytes() == V1_RESAVED.read_bytes()
-    check_v1_pins(RetrievalIndex.load(path, V1_CONFIG_DIGEST), v1_queries)
+    """The recorded re-save holds the version 1 file's index: its stats,
+    query answers and duplicates."""
+    blob = V1_RESAVED.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == V1_RESAVED_SHA256
+    assert blob[4:6] == b"\x02\x00"
+    index = RetrievalIndex.load(V1_RESAVED, V1_CONFIG_DIGEST)
+    assert index.stats() == V1_STATS
+    assert index.file_ids == sorted(V1_IDS + (V1_NOISY_COPY,))
+    assert index.find_duplicates(0.8) == V1_DUPLICATES
+    # the same file with min_band_votes 1 and min_confidence 0.01 stored
+    # in its header, which follow magic, version, digest, bands and width
+    at = 4 + struct.calcsize("<HQHH")
+    body = blob[:at] + struct.pack("<Hd", 1, 0.01) + blob[at + 10 : -8]
+    loose_path = tmp_path / "loose.spix"
+    loose_path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+    loose = RetrievalIndex.load(loose_path, V1_CONFIG_DIGEST)
+    got = [[as_tuple(index.query(fp)), as_tuple(loose.query(fp))] for fp in v1_queries]
+    assert got == V1_RESULTS
 
 
 def test_version_1_data_is_refused(v1_queries):
     """The digest of this build's config differs from the version 1 one,
-    so a version 1 index file or fingerprint raises, naming the version."""
+    so the version 1 index, re-saved as version 2, or a version 1
+    fingerprint raises, naming the version."""
     digest = config_digest(SPECTRAL, LIBRARY, 8000)
     assert digest != V1_CONFIG_DIGEST
     with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
-        RetrievalIndex.load(V1_FIXTURE, digest)
+        RetrievalIndex.load(V1_RESAVED, digest)
     index = RetrievalIndex.for_config(digest, LIBRARY)
     with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
         index.query(v1_queries[0])
     with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
         index.enroll(dataclasses.replace(v1_queries[0], file_id=1))
     with pytest.raises(IncompatibleIndex, match="fingerprint version, 3"):
-        Pipeline(RetrievalIndex.load(V1_FIXTURE), LabelRegistry(), SPECTRAL, LIBRARY)
+        Pipeline(RetrievalIndex.load(V1_RESAVED), LabelRegistry(), SPECTRAL, LIBRARY)
 
 
 # tests/data/index_v2.spix was saved by fingerprint version 2 (index file

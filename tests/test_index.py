@@ -27,7 +27,6 @@ from speechprint.fingerprint import (
     fingerprint_audio,
     serialize_fingerprint,
 )
-from speechprint.hashing import fnv1a64
 from speechprint.index import IndexStats, MatchResult, RetrievalIndex
 from speechprint.spectral import SpectralConfig
 
@@ -36,12 +35,12 @@ SCFG = SpectralConfig.for_variant("mel-vocal")
 DIGEST = config_digest(SCFG, FCFG, 8000)
 HEADER_LEN = 4 + struct.calcsize("<HQHHHdI")
 V1_FIXTURE = Path(__file__).parent / "data" / "index_v1.spix"
+# V1_FIXTURE's files re-saved as version 2 (see tests/test_golden.py)
+V1_RESAVED = Path(__file__).parent / "data" / "index_v1_resaved.spix"
 
 
 def with_checksum(body: bytes) -> bytes:
-    """``body`` plus the checksum its version (bytes 4-5) calls for."""
-    if body[4:6] == b"\x01\x00":
-        return body + struct.pack("<Q", fnv1a64(body))
+    """``body`` plus its version 2 checksum."""
     return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
@@ -59,12 +58,16 @@ def prints(corpus):
     ]
 
 
-@pytest.fixture()
-def index(prints):
-    idx = RetrievalIndex.for_config(DIGEST, FCFG)
+def build_index(prints, **thresholds):
+    idx = RetrievalIndex(DIGEST, FCFG.band_count, FCFG.band_width, **thresholds)
     for fp in prints:
         idx.enroll(fp)
     return idx
+
+
+@pytest.fixture()
+def index(prints):
+    return build_index(prints)
 
 
 class TestEnroll:
@@ -74,8 +77,9 @@ class TestEnroll:
         assert result.confidence == 1.0
         assert result.matched_subs == len(prints[2].signatures)
 
-    def test_exact_subs_with_strict_thresholds(self, index, prints):
-        result = index.query(prints[4], min_band_votes=1, min_confidence=0.5)
+    def test_exact_subs_with_strict_thresholds(self, prints):
+        index = build_index(prints, min_band_votes=1, min_confidence=0.5)
+        result = index.query(prints[4])
         assert result.file_id == 4
         assert result.confidence == 1.0
 
@@ -134,30 +138,25 @@ class TestQuery:
         result = index.query(fp)
         assert result is None or result.confidence < 0.5
 
-    def test_threshold_validation(self, index, prints):
-        with pytest.raises(ConfigError):
-            index.query(prints[0], min_band_votes=0)
-        with pytest.raises(ConfigError):
-            index.query(prints[0], min_confidence=0.0)
-        with pytest.raises(ConfigError):
-            index.query(prints[0], min_confidence=1.5)
+    def test_threshold_validation(self):
+        with pytest.raises(ConfigError, match="min_band_votes"):
+            build_index([], min_band_votes=0)
+        with pytest.raises(ConfigError, match="min_confidence"):
+            build_index([], min_confidence=0.0)
+        with pytest.raises(ConfigError, match="min_confidence"):
+            build_index([], min_confidence=1.5)
 
-    def test_votes_beyond_band_count_rejected(self, index, prints):
+    def test_votes_beyond_band_count_rejected(self, prints):
         """A pair of subs shares at most band_count keys, so more votes
         could only ever find nothing."""
         bands = FCFG.band_count
         with pytest.raises(ConfigError, match="min_band_votes"):
-            RetrievalIndex.for_config(DIGEST, FCFG, min_band_votes=bands + 1)
-        with pytest.raises(ConfigError, match="min_band_votes"):
-            index.query(prints[0], min_band_votes=bands + 1)
-        with pytest.raises(ConfigError, match="min_band_votes"):
-            index.query_batch(prints, min_band_votes=bands + 1)
-        with pytest.raises(ConfigError, match="min_band_votes"):
-            index.find_duplicates(min_band_votes=bands + 1)
+            build_index([], min_band_votes=bands + 1)
         # every band key of an exact copy is shared
-        assert index.query(prints[2], min_band_votes=bands).file_id == 2
+        index = build_index(prints, min_band_votes=bands)
+        assert index.query(prints[2]).file_id == 2
         index.enroll(dataclasses.replace(prints[2], file_id=100))
-        assert index.find_duplicates(min_band_votes=bands) == [(2, 100, 1.0)]
+        assert index.find_duplicates() == [(2, 100, 1.0)]
 
     def test_query_of_another_config_rejected(self, index, corpus):
         linear = SpectralConfig.for_variant("linear-vocal")
@@ -171,16 +170,16 @@ class TestQuery:
         empty = Fingerprint(0, np.empty((0, 100), np.uint8), DIGEST)
         assert index.query(empty) is None
 
-    def test_relaxing_thresholds_never_loses_matches(self, index, corpus):
+    def test_relaxing_thresholds_never_loses_matches(self, prints, corpus):
         """Monotonicity: lowering v or c keeps every found result found."""
+        strict_index = build_index(prints, min_band_votes=3, min_confidence=0.3)
+        relaxed_index = build_index(prints, min_band_votes=2, min_confidence=0.1)
         spec = DeteriorationSpec(query_len_s=4.0, snr_db=15.0, rate=0.98)
         for seed in range(6):
             q = make_query(corpus[seed % 6], spec, seed=seed)
             fp = fingerprint_audio(q, SCFG, FCFG)
-            strict = index.query(fp, min_band_votes=3, min_confidence=0.3)
-            if strict is not None:
-                relaxed = index.query(fp, min_band_votes=2, min_confidence=0.1)
-                assert relaxed is not None
+            if strict_index.query(fp) is not None:
+                assert relaxed_index.query(fp) is not None
 
     def test_tie_breaks_toward_lower_id(self, prints):
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
@@ -247,21 +246,6 @@ class TestBatch:
         for batch in ([other], [prints[0], other], [other, prints[1]]):
             with pytest.raises(IncompatibleIndex, match="signature width"):
                 index.query_batch(batch)
-
-    def test_overrides_match_single_queries(self, index, corpus):
-        spec = DeteriorationSpec(query_len_s=4.0, snr_db=12.0, rate=1.02)
-        queries = [
-            fingerprint_audio(make_query(corpus[i % 6], spec, seed=i), SCFG, FCFG)
-            for i in range(8)
-        ]
-        for votes, confidence in [(1, 0.01), (3, 0.2), (5, 0.9), (20, 0.01)]:
-            assert index.query_batch(queries, votes, confidence) == [
-                index.query(q, votes, confidence) for q in queries
-            ]
-        with pytest.raises(ConfigError):
-            index.query_batch(queries, min_band_votes=0)
-        with pytest.raises(ConfigError):
-            index.query_batch(queries, min_confidence=1.5)
 
 
 class TestRecallVsOracle:
@@ -404,8 +388,14 @@ def oracle_query(prints, query, votes, confidence):
     return MatchResult(file_id, -score, -matched, -matched / len(query.signatures))
 
 
-def oracle_index(prints):
-    idx = RetrievalIndex(0, band_count=ORACLE_BANDS, band_width=ORACLE_WIDTH)
+def oracle_index(prints, votes, confidence=0.01):
+    idx = RetrievalIndex(
+        0,
+        band_count=ORACLE_BANDS,
+        band_width=ORACLE_WIDTH,
+        min_band_votes=votes,
+        min_confidence=confidence,
+    )
     for fp in prints:
         idx.enroll(fp)
     return idx
@@ -414,10 +404,12 @@ def oracle_index(prints):
 class TestAgainstOracle:
     """Duplicates and queries equal their brute-force definitions."""
 
-    def check_duplicates(self, idx, prints):
+    def check_duplicates(self, make_index, prints):
+        """``make_index(votes)`` holds ``prints`` at that vote threshold."""
         for votes in range(1, 6):
+            idx = make_index(votes)
             for threshold in (0.0001, 0.3, 0.5, 0.8):
-                assert idx.find_duplicates(threshold, min_band_votes=votes) == (
+                assert idx.find_duplicates(threshold) == (
                     oracle_duplicates(prints, threshold, votes)
                 ), (threshold, votes)
 
@@ -425,34 +417,37 @@ class TestAgainstOracle:
     def test_ids_enrolled_out_of_order(self, seed):
         rng = np.random.default_rng(seed)
         prints = oracle_prints(rng, [ORACLE_IDS[k] for k in rng.permutation(9)])
-        self.check_duplicates(oracle_index(prints), prints)
+        self.check_duplicates(lambda votes: oracle_index(prints, votes), prints)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_files_enrolled_after_load(self, seed, tmp_path):
         rng = np.random.default_rng(10 + seed)
         prints = oracle_prints(rng, [ORACLE_IDS[k] for k in rng.permutation(9)])
-        oracle_index(prints[:5]).save(tmp_path / "idx.spix")
-        idx = RetrievalIndex.load(tmp_path / "idx.spix")
-        for fp in prints[5:]:
-            idx.enroll(fp)
-        self.check_duplicates(idx, prints)
+
+        def loaded_then_enrolled(votes):
+            oracle_index(prints[:5], votes).save(tmp_path / "idx.spix")
+            idx = RetrievalIndex.load(tmp_path / "idx.spix")
+            for fp in prints[5:]:
+                idx.enroll(fp)
+            return idx
+
+        self.check_duplicates(loaded_then_enrolled, prints)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_repeated_band_keys_in_one_file(self, seed):
         rng = np.random.default_rng(20 + seed)
         prints = oracle_prints(rng, ORACLE_IDS[::-1], repeated=True)
-        self.check_duplicates(oracle_index(prints), prints)
+        self.check_duplicates(lambda votes: oracle_index(prints, votes), prints)
 
     @pytest.mark.parametrize("cap", [1, 3, 17])
     def test_sliced_pair_expansion(self, cap, monkeypatch):
         monkeypatch.setattr(index_module, "PAIR_ELEMENTS", cap)
         rng = np.random.default_rng(30 + cap)
         prints = oracle_prints(rng, ORACLE_IDS, repeated=True)
-        idx = oracle_index(prints)
-        self.check_duplicates(idx, prints)
+        self.check_duplicates(lambda votes: oracle_index(prints, votes), prints)
         queries = oracle_prints(rng, range(12), sources=prints)
         for votes in (1, 2, 4):
-            assert idx.query_batch(queries, min_band_votes=votes, min_confidence=0.01) == [
+            assert oracle_index(prints, votes).query_batch(queries) == [
                 oracle_query(prints, q, votes, 0.01) for q in queries
             ]
 
@@ -460,15 +455,15 @@ class TestAgainstOracle:
         """A slice holds no more rows than its pair numbers can count."""
         rng = np.random.default_rng(35)
         prints = oracle_prints(rng, ORACLE_IDS, repeated=True)
-        idx = oracle_index(prints)
+        idx = oracle_index(prints, 1)
         # two rows a slice
         bits = (idx._row_file.size - 1).bit_length()
         monkeypatch.setattr(index_module, "_PAIR_BITS", bits + 1)
-        for rows, _, _ in idx._join(*idx._later_partners(), 1):
+        for rows, _, _ in idx._join(*idx._later_partners()):
             assert rows.max() - rows.min() < 2
-        self.check_duplicates(idx, prints)
+        self.check_duplicates(lambda votes: oracle_index(prints, votes), prints)
         queries = oracle_prints(rng, range(12), sources=prints)
-        assert idx.query_batch(queries, min_band_votes=2, min_confidence=0.01) == [
+        assert oracle_index(prints, 2).query_batch(queries) == [
             oracle_query(prints, q, 2, 0.01) for q in queries
         ]
 
@@ -476,14 +471,14 @@ class TestAgainstOracle:
     def test_queries(self, seed):
         rng = np.random.default_rng(40 + seed)
         prints = oracle_prints(rng, [ORACLE_IDS[k] for k in rng.permutation(9)])
-        idx = oracle_index(prints)
         # every other query mixes enrolled subs
         queries = oracle_prints(rng, range(16), sources=prints)
         for votes in range(1, 6):
             for confidence in (0.01, 0.5, 1.0):
+                idx = oracle_index(prints, votes, confidence)
                 expected = [oracle_query(prints, q, votes, confidence) for q in queries]
-                assert [idx.query(q, votes, confidence) for q in queries] == expected
-                assert idx.query_batch(queries, votes, confidence) == expected
+                assert [idx.query(q) for q in queries] == expected
+                assert idx.query_batch(queries) == expected
 
 
 class TestPersistence:
@@ -562,17 +557,6 @@ class TestPersistence:
         body = blob[:pos] + np.array(blocks, "<u4").tobytes() + blob[pos + 12 : -8]
         path.write_bytes(with_checksum(body))
         with pytest.raises(CorruptIndex, match="0..n-1"):
-            RetrievalIndex.load(path)
-
-    def test_file_stored_twice_rejected_v1(self, tmp_path):
-        blob = V1_FIXTURE.read_bytes()
-        assert blob[4:6] == b"\x01\x00"
-        (n_subs,) = struct.unpack("<I", blob[HEADER_LEN + 8 : HEADER_LEN + 12])
-        record = blob[HEADER_LEN : HEADER_LEN + 12 + n_subs * (4 + 8 * 20)]
-        twice = blob[: HEADER_LEN - 4] + struct.pack("<I", 2) + record * 2
-        path = tmp_path / "idx.spix"
-        path.write_bytes(with_checksum(twice))
-        with pytest.raises(CorruptIndex, match="stored twice"):
             RetrievalIndex.load(path)
 
     @pytest.mark.parametrize("n_files, count", [(1, 2**32 - 1), (2**32 - 1, 1)])
@@ -683,7 +667,7 @@ class TestPersistence:
         keys = np.random.default_rng(5).integers(0, 2**63, (4, 20), dtype=np.uint64)
         keys[:, 0] = 2**64 - 1  # every sub of band 0
         keys[1, 7] = 2**64 - 1  # and one of band 7
-        header = struct.pack("<HQHHHdI", 2, DIGEST, 20, 5, 2, 0.1, 2)
+        header = struct.pack("<HQHHHdI", 2, DIGEST, 20, 5, 20, 0.1, 2)
         body = (
             b"SPIX" + header + np.array([1, 2], "<u8").tobytes()
             + np.array([4, 4], "<u4").tobytes() + np.arange(4, dtype="<u4").tobytes() * 2
@@ -697,7 +681,7 @@ class TestPersistence:
         with monkeypatch.context() as patch:
             patch.setattr(loaded, "_band_digests", lambda signatures: keys)
             fp = Fingerprint(0, np.zeros((4, 100), np.uint8), DIGEST)
-            assert loaded.query(fp, min_band_votes=20) == MatchResult(1, 80, 4, 1.0)
+            assert loaded.query(fp) == MatchResult(1, 80, 4, 1.0)
         # band 0: one bucket; band 7: the 2**64 - 1 bucket and 3 others;
         # the other 18 bands: 4 buckets each
         assert loaded.stats().n_buckets == 1 + 4 + 18 * 4
@@ -734,7 +718,7 @@ class TestPersistence:
 def test_cli_index_stats_prints_geometry(capsys):
     from speechprint.cli import main
 
-    assert main(["index", "stats", "--index", str(V1_FIXTURE)]) == 0
+    assert main(["index", "stats", "--index", str(V1_RESAVED)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "files:    3" in out
     assert "geometry: 20 bands x 5" in out
@@ -745,5 +729,5 @@ def test_cli_index_stats_prints_geometry(capsys):
 def test_cli_dedup_threshold_one_is_an_error(capsys):
     from speechprint.cli import main
 
-    assert main(["index", "dedup", "--index", str(V1_FIXTURE), "--threshold", "1.0"]) == 2
+    assert main(["index", "dedup", "--index", str(V1_RESAVED), "--threshold", "1.0"]) == 2
     assert "threshold must be in (0, 1), got 1.0" in capsys.readouterr().err

@@ -510,6 +510,44 @@ class TestOneSessionPath:
         assert outcome.status == STATUS_ENROLLED
         assert peak < 3 * clip.samples.nbytes
 
+    @pytest.mark.parametrize("rate, bound_mb", [(8000, 4), (48000, 10)])
+    def test_long_session_holds_no_more_than_a_decision_step(self, rate, bound_mb):
+        """Past the last decision point a session feeds its samples on to
+        the streamer every decision step, so a 60 s stream nothing
+        matches, fed in 4 KiB chunks and enrolled, peaks at a few MB at
+        any rate (its source float64 is 23 MB at 48 kHz), and enrols the
+        rows of its whole file."""
+        import scipy.signal  # noqa: F401  (its import allocates about 44 MB)
+
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(DIGEST, FCFG), LabelRegistry(), SCFG, FCFG
+        )
+        enrolled = []
+        enroll = pipeline.index.enroll
+
+        def recording_enroll(fp):
+            enrolled.append(fp)
+            enroll(fp)
+
+        pipeline.index.enroll = recording_enroll
+        blob = encode_wav(synth_speech_like(60.0, rate, seed=898))
+        chunks = list(stream_wav_bytes(blob, 4096))
+        # also designs the resampling filter and builds cached tables
+        whole = fingerprint_audio(decode_canonical(blob), SCFG, FCFG)
+        tracemalloc.start()
+        try:
+            session = Session(pipeline, pipeline.index.query)
+            for chunk in chunks:
+                assert session.feed(chunk) is None
+            outcome = session.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.status == STATUS_ENROLLED
+        assert peak < bound_mb * 1e6
+        [fp] = enrolled
+        assert np.array_equal(fp.signatures, whole.signatures)
+
 
 class TestEnroll:
     def test_enroll_then_identify(self, pipeline):

@@ -1,6 +1,7 @@
 """The package's public names: each resolves, and the list is pinned."""
 
 import dataclasses
+import inspect
 
 import speechprint
 
@@ -75,3 +76,28 @@ def test_fingerprint_fields_are_pinned():
     """Row k of the signatures is block k, so no block column is stored."""
     fields = [field.name for field in dataclasses.fields(speechprint.Fingerprint)]
     assert fields == ["file_id", "signatures", "config_digest"]
+
+
+# RetrievalIndex's read API and its parameter names. An index answers with
+# the thresholds it was made with, so no query or dedup call takes one:
+# update this table in the same change as the API and say so in CHANGES.md.
+INDEX_SIGNATURES = {
+    "__init__": [
+        "self", "config_digest", "band_count", "band_width", "min_band_votes",
+        "min_confidence",
+    ],
+    "for_config": ["config_digest", "fingerprint_config"],
+    "query": ["self", "fp"],
+    "query_batch": ["self", "queries"],
+    "find_duplicates": ["self", "threshold"],
+    "load": ["path", "expected_config_digest"],
+}
+
+
+def test_index_read_api_is_pinned():
+    index = speechprint.RetrievalIndex
+    got = {
+        name: list(inspect.signature(getattr(index, name)).parameters)
+        for name in INDEX_SIGNATURES
+    }
+    assert got == INDEX_SIGNATURES
