@@ -34,8 +34,8 @@ FCFG = FingerprintConfig(block_frames=32, block_hop_frames=1, top_t=25)
 SCFG = SpectralConfig.for_variant("mel-vocal")
 DIGEST = config_digest(SCFG, FCFG, 8000)
 HEADER_LEN = 4 + struct.calcsize("<HQHHHdI")
-V1_FIXTURE = Path(__file__).parent / "data" / "index_v1.spix"
-# V1_FIXTURE's files re-saved as version 2 (see tests/test_golden.py)
+# the files of the version 1 index file, re-saved as version 2 (see
+# tests/test_golden.py)
 V1_RESAVED = Path(__file__).parent / "data" / "index_v1_resaved.spix"
 
 
