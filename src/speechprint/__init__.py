@@ -32,10 +32,8 @@ from .fingerprint import (
     FingerprintConfig,
     StreamingFingerprinter,
     config_digest,
-    deserialize_fingerprint,
     fingerprint_audio,
     min_audio_seconds,
-    serialize_fingerprint,
 )
 from .index import IndexStats, MatchResult, RetrievalIndex
 from .pipeline import (
@@ -98,7 +96,6 @@ __all__ = [
     "cluster_kmeans",
     "config_digest",
     "decode_wav",
-    "deserialize_fingerprint",
     "emit",
     "encode_wav",
     "errors",
@@ -115,7 +112,6 @@ __all__ = [
     "random_offset_slice",
     "resample",
     "run_grid",
-    "serialize_fingerprint",
     "serve",
     "slice_seconds",
     "stft_magnitude",

@@ -108,8 +108,10 @@ def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
 
     Raises:
         DecodeError: a chunk under 16 bytes, or a sample rate of 0.
-        UnsupportedFormat: a channel count other than 1 or 2, or a format
-            code and bit depth other than 16-bit PCM and 32-bit float.
+        UnsupportedFormat: a channel count other than 1 or 2, a format
+            code and bit depth other than 16-bit PCM and 32-bit float, or
+            a sample rate whose ratio to :data:`CANONICAL_RATE` in lowest
+            terms has a term above :data:`MAX_RATE_TERM`.
     """
     if len(body) < 16:
         raise DecodeError("fmt chunk too small")
@@ -118,6 +120,12 @@ def _parse_fmt_chunk(body: bytes) -> tuple[int, int, int, int]:
     )
     if rate == 0:
         raise DecodeError("invalid sample rate in fmt chunk")
+    # the canonical rate's own term is at most 8000
+    if rate // gcd(rate, CANONICAL_RATE) > MAX_RATE_TERM:
+        raise UnsupportedFormat(
+            f"unsupported sample rate {rate} Hz: its ratio to {CANONICAL_RATE} Hz "
+            f"has a term above {MAX_RATE_TERM}"
+        )
     if channels not in (1, 2):
         raise UnsupportedFormat(f"unsupported channel count {channels}")
     if format_code not in _SAMPLE_FORMATS:
@@ -311,6 +319,11 @@ def dump_raw(audio: AudioBuffer) -> bytes:
 
 #: The rate every fingerprint and index is made at: telephony's 8 kHz.
 CANONICAL_RATE = 8000
+#: Largest term of a resampling ratio in lowest terms; its filter has 20
+#: taps per unit of the larger term. A WAV rate past it is refused (every
+#: rate up to 10 kHz and the usual ones up to 192 kHz pass, largest term
+#: 441), and :func:`~speechprint.degrade.change_rate` rounds within it.
+MAX_RATE_TERM = 10000
 
 
 @lru_cache(maxsize=8)

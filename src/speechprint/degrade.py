@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .audio import AudioBuffer, Resampler, _clip_unit, slice_seconds
+from .audio import MAX_RATE_TERM, AudioBuffer, Resampler, _clip_unit, slice_seconds
 from .errors import ConfigError, SilentSignal, TooShort
 
 RATE_RANGE = (0.97, 1.03)
@@ -91,13 +91,13 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
 
     The input goes through one :class:`~speechprint.audio.Resampler` at
     the rational ratio nearest ``rate`` with a denominator of at most
-    10000.
+    :data:`~speechprint.audio.MAX_RATE_TERM`.
     """
     if rate <= 0:
         raise ConfigError(f"rate must be positive, got {rate}")
     if rate == 1.0:
         return audio
-    ratio = Fraction(rate).limit_denominator(10000)
+    ratio = Fraction(rate).limit_denominator(MAX_RATE_TERM)
     n_out = int(np.floor(len(audio) / rate + 0.5))
     # a rate this close to 1 can round to the ratio 1/1, which is a copy
     resampler = Resampler(ratio.denominator, ratio.numerator, "rate change")

@@ -54,20 +54,18 @@ signatures ("sub-fingerprints"), row k for block k. Matching happens in
 
 import math
 import numbers
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .audio import CANONICAL_RATE, AudioBuffer
-from .errors import ConfigError, CorruptIndex, TooShort
+from .errors import ConfigError, TooShort
 from .hashing import fnv1a64, mix64, splitmix64
 from .spectral import Decimator, FrameTransform, SpectralConfig, SpectralImage
 
 SQRT2 = np.sqrt(2.0)
 
-FINGERPRINT_MAGIC = b"SPFP"
 FINGERPRINT_VERSION = 3
 #: Appended to a config digest mismatch: the digest covers the version
 VERSION_NOTE = (
@@ -149,7 +147,7 @@ class Fingerprint:
     Row k of the [n_subs, n_permutations] uint8 ``signatures`` (a view of
     the matrix passed in, not a copy) is the min-hash signature of block
     k. The id and the config digest must be integers that fit the u64
-    that index files and the wire format store; ConfigError otherwise.
+    that index files store; ConfigError otherwise.
     """
 
     file_id: int
@@ -740,63 +738,3 @@ def min_audio_seconds(
     """
     transform = FrameTransform(sample_rate, spectral_config)
     return transform.samples_for(fingerprint_config.block_frames) / sample_rate
-
-
-def _record_dtype(n_permutations: int) -> np.dtype:
-    """One wire row: a u32 block index, then the raw signature bytes."""
-    return np.dtype([("block", "<u4"), ("signature", "u1", (n_permutations,))])
-
-
-_WIRE_HEADER = "<HQQII"
-
-
-def serialize_fingerprint(fp: Fingerprint) -> bytes:
-    """Compact binary form: magic, version, config digest, id, rows.
-
-    Layout (little endian): "SPFP", u16 version, u64 config digest,
-    u64 file_id, u32 row count, u32 signature width, then per row a u32
-    block index, k for row k, followed by its signature bytes. The version is
-    :data:`FINGERPRINT_VERSION`, the definition of the bits.
-    """
-    n_rows, width = fp.signatures.shape
-    records = np.empty(n_rows, dtype=_record_dtype(width))
-    records["block"] = np.arange(n_rows)
-    records["signature"] = fp.signatures
-    header = struct.pack(
-        _WIRE_HEADER, FINGERPRINT_VERSION, fp.config_digest, fp.file_id, n_rows, width
-    )
-    return FINGERPRINT_MAGIC + header + records.tobytes()
-
-
-def deserialize_fingerprint(data: bytes) -> Fingerprint:
-    """Inverse of :func:`serialize_fingerprint`.
-
-    Raises CorruptIndex for a record of another fingerprint version, whose
-    bits this kernel does not make, whose length disagrees with its
-    header, or whose block indices are not 0..n-1.
-    """
-    header = 4 + struct.calcsize(_WIRE_HEADER)
-    if len(data) < 6 or data[:4] != FINGERPRINT_MAGIC:
-        raise CorruptIndex("not a fingerprint record")
-    (version,) = struct.unpack("<H", data[4:6])
-    if version != FINGERPRINT_VERSION:
-        raise CorruptIndex(
-            f"fingerprint version {version} record; this build reads version "
-            f"{FINGERPRINT_VERSION} only, so the audio must be fingerprinted again"
-        )
-    if len(data) < header:
-        raise CorruptIndex("fingerprint record header truncated")
-    _version, digest, file_id, count, width = struct.unpack(
-        _WIRE_HEADER, data[4:header]
-    )
-    if len(data) - header != count * (4 + width):
-        raise CorruptIndex(
-            f"fingerprint record holds {len(data) - header} bytes, not {count} "
-            f"rows of a u32 block and signature width {width}"
-        )
-    if not count:
-        return Fingerprint(file_id, np.empty((0, width), np.uint8), digest)
-    records = np.frombuffer(data, _record_dtype(width), offset=header)
-    if not np.array_equal(records["block"], np.arange(count)):
-        raise CorruptIndex("fingerprint record's block indices are not 0..n-1")
-    return Fingerprint(file_id, records["signature"], digest)

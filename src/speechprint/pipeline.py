@@ -145,13 +145,14 @@ class Pipeline:
         self.fingerprint_config = fingerprint_config
         self.labeler = labeler if labeler is not None else TranscriptLabeler(registry)
         self._id_lock = threading.Lock()
-        self._next_id = max(index.file_ids, default=0) + 1
+        self._next_id = 1
 
     def allocate_file_id(self) -> int:
-        """The next file id: one above the largest the index held at start."""
+        """The next file id: above every id handed out so far and every id
+        in the index, including those enrolled into it directly."""
         with self._id_lock:
-            file_id = self._next_id
-            self._next_id += 1
+            file_id = max(self._next_id, max(self.index.file_ids, default=0) + 1)
+            self._next_id = file_id + 1
             return file_id
 
     @property

@@ -52,6 +52,7 @@ OP_RESULT = 0x10
 OP_ERROR = 0x11
 
 _STATUS_CODES = {STATUS_IDENTIFIED: 0, STATUS_ENROLLED: 1}
+_RESULT_LAYOUT = "<BQQf"
 _MAX_FRAME = 1 << 22  # 4 MiB of payload is far beyond any sane chunk
 # socket file buffer: one recv or send moves about 16 frames of 4 KiB
 _BUFFER_BYTES = 1 << 16
@@ -149,7 +150,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             self._drain()
             return
         payload = struct.pack(
-            "<BQQf",
+            _RESULT_LAYOUT,
             _STATUS_CODES[outcome.status],
             outcome.file_id or 0,
             outcome.label_id or 0,
@@ -258,10 +259,15 @@ def identify_over_socket(
         return IdentifyOutcome(STATUS_ERROR, message=payload.decode("utf-8"))
     if opcode != OP_RESULT:
         raise SpeechprintError(f"unexpected reply opcode 0x{opcode:02x}")
-    code, file_id, label_id, confidence = struct.unpack("<BQQf", payload)
-    status = STATUS_IDENTIFIED if code == 0 else STATUS_ENROLLED
+    size = struct.calcsize(_RESULT_LAYOUT)
+    if len(payload) != size:
+        raise SpeechprintError(f"RESULT reply of {len(payload)} bytes, not {size}")
+    code, file_id, label_id, confidence = struct.unpack(_RESULT_LAYOUT, payload)
+    statuses = {c: status for status, c in _STATUS_CODES.items()}
+    if code not in statuses:
+        raise SpeechprintError(f"RESULT reply with unknown status code {code}")
     return IdentifyOutcome(
-        status,
+        statuses[code],
         file_id=file_id or None,
         label_id=label_id or None,
         confidence=confidence,

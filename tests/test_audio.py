@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from speechprint.audio import (
+    MAX_RATE_TERM,
     AudioBuffer,
     clip_stats,
     decode_wav,
@@ -84,6 +85,15 @@ class TestDecode:
         data = b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
         with pytest.raises(UnsupportedFormat):
             decode_wav(data)
+
+    @pytest.mark.parametrize(
+        "rate",
+        [1, 7919, 10_000, 11_025, 16_000, 22_050, 32_000, 44_100, 48_000, 192_000],
+    )
+    def test_rates_within_the_resampling_bound_decode(self, rate):
+        """Every rate up to 10 kHz and the usual ones up to 192 kHz."""
+        assert MAX_RATE_TERM == 10_000
+        assert decode_wav(pcm16_wav([1, 2, 3], rate=rate)).sample_rate == rate
 
     def test_float32_input_clipped_and_counted(self):
         clip_stats.reset()

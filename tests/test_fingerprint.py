@@ -1,6 +1,5 @@
 """Block extraction, Haar transform, sign encoding, min-hash, streaming."""
 
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +8,8 @@ import pytest
 from speechprint.audio import AudioBuffer
 from speechprint.corpus import synth_speech_like
 from speechprint.degrade import add_noise
-from speechprint.errors import ConfigError, CorruptIndex, TooShort
+from speechprint.errors import ConfigError, TooShort
 from speechprint.fingerprint import (
-    FINGERPRINT_MAGIC,
     FingerprintConfig,
     Fingerprint,
     MinHasher,
@@ -19,13 +17,11 @@ from speechprint.fingerprint import (
     StreamingFingerprinter,
     blocks,
     config_digest,
-    deserialize_fingerprint,
     fingerprint_audio,
     get_minhasher,
     haar2d,
     ihaar2d,
     min_audio_seconds,
-    serialize_fingerprint,
     top_t_signs,
     _haar_axis,
     _haar_live,
@@ -835,90 +831,15 @@ class TestFingerprintColumns:
         signatures[0, 0] = 1
 
     @pytest.mark.parametrize(
-        "file_id,digest", [(-1, 0), (2**64, 0), (0, 2**64), (0, -1)]
+        "file_id,digest",
+        [(-1, 0), (2**64, 0), (0, 2**64), (0, -1)],
+        ids=["id-1", "id-2^64", "digest-2^64", "digest-1"],
     )
-    def test_serialize_cannot_reach_struct_error(self, file_id, digest):
-        """Out-of-range ids and config digests stop at construction with
-        ConfigError, so the encoder only ever packs values that fit."""
+    def test_out_of_range_id_or_digest_refused(self, file_id, digest):
+        """Ids and config digests must fit the u64 an index file stores;
+        any other value stops at construction with ConfigError."""
         with pytest.raises(ConfigError, match="outside"):
-            serialize_fingerprint(
-                Fingerprint(file_id, np.zeros((1, 100), np.uint8), digest)
-            )
-
-
-class TestSerialization:
-    CFG = SpectralConfig.for_variant("mel-vocal")
-
-    def test_round_trip(self, speech_clip):
-        fp = fingerprint_audio(speech_clip, self.CFG, SMALL, file_id=77)
-        back = deserialize_fingerprint(serialize_fingerprint(fp))
-        assert back.file_id == 77
-        assert back.config_digest == fp.config_digest
-        assert back.signatures.dtype == np.uint8
-        np.testing.assert_array_equal(back.signatures, fp.signatures)
-
-    def test_widest_values_round_trip(self):
-        """The largest id and config digest the constructor admits go on
-        the wire as they are."""
-        signatures = np.arange(200, dtype=np.uint8).reshape(2, 100)
-        fp = Fingerprint(2**64 - 1, signatures, 2**64 - 1)
-        back = deserialize_fingerprint(serialize_fingerprint(fp))
-        assert (back.file_id, back.config_digest) == (2**64 - 1, 2**64 - 1)
-        np.testing.assert_array_equal(back.signatures, signatures)
-
-    def test_empty_fingerprint_round_trip(self):
-        fp = Fingerprint(
-            5, np.empty((0, 100), np.uint8), config_digest(self.CFG, SMALL, 8000)
-        )
-        back = deserialize_fingerprint(serialize_fingerprint(fp))
-        assert back.file_id == 5 and back.config_digest == fp.config_digest
-        assert back.signatures.shape == (0, 100)
-
-    def test_width_is_in_the_header(self):
-        fp = Fingerprint(5, np.zeros((2, 100), np.uint8))
-        data = serialize_fingerprint(fp)
-        assert data[4:6] == b"\x03\x00"
-        with pytest.raises(CorruptIndex, match="width 100"):
-            deserialize_fingerprint(data[:-104])
-
-    def test_version_1_record_rejected(self):
-        """A version 1 record (no width in its header) is refused by name."""
-        data = FINGERPRINT_MAGIC + b"\x01\x00" + bytes(20) + bytes(104)
-        with pytest.raises(CorruptIndex, match="fingerprint version 1"):
-            deserialize_fingerprint(data)
-
-    def test_version_2_record_rejected(self):
-        """A version 2 record, whose header is laid out as version 3's, is
-        refused naming both versions: its bits came from the 8 kHz front
-        end."""
-        fp = Fingerprint(5, np.zeros((1, 100), np.uint8))
-        data = serialize_fingerprint(fp)
-        data = data[:4] + b"\x02\x00" + data[6:]
-        with pytest.raises(
-            CorruptIndex, match="fingerprint version 2 record; this build reads version 3"
-        ):
-            deserialize_fingerprint(data)
-
-    def test_blocks_other_than_row_numbers_rejected(self):
-        """Row k of a record is block k; a record that says otherwise is
-        refused, not renumbered."""
-        fp = Fingerprint(5, np.zeros((2, 100), np.uint8))
-        data = bytearray(serialize_fingerprint(fp))
-        # the second row's u32 block index, after the header and one row
-        second = 4 + struct.calcsize("<HQQII") + 104
-        assert data[second : second + 4] == b"\x01\x00\x00\x00"
-        data[second : second + 4] = b"\x02\x00\x00\x00"
-        with pytest.raises(CorruptIndex, match="0..n-1"):
-            deserialize_fingerprint(bytes(data))
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(CorruptIndex):
-            deserialize_fingerprint(b"NOPE" + b"\x00" * 30)
-
-    def test_truncated_record_rejected(self, speech_clip):
-        data = serialize_fingerprint(fingerprint_audio(speech_clip, self.CFG, SMALL))
-        with pytest.raises(CorruptIndex):
-            deserialize_fingerprint(data[:-3])
+            Fingerprint(file_id, np.zeros((1, 100), np.uint8), digest)
 
 
 class TestRobustnessSmoke:

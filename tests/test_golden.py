@@ -15,10 +15,12 @@ the library geometry, the wire and saved index bytes, and the planted
 index's results, duplicates and stats. An 8 s clip ends on a frame's
 last sample, which a vocal image now lacks, so the benchmark geometry
 has 285 blocks there, not 286. Mel-wide at 8 kHz and every 11.025 kHz
-pin kept its value. Any refactor of the kernel or
-the index that changes one bit of a signature, one block index, one vote
-or one duplicate overlap fails here; a deliberate change of the bits
-must bump FINGERPRINT_VERSION and re-record the pins.
+pin kept its value. The fingerprint wire record and its byte pins are
+gone; the config digests those pins covered are pinned on their own.
+Any refactor of the kernel or the index that changes one bit of a
+signature, one block index, one vote or one duplicate overlap fails
+here; a deliberate change of the bits must bump FINGERPRINT_VERSION and
+re-record the pins.
 """
 
 import dataclasses
@@ -41,7 +43,6 @@ from speechprint.fingerprint import (
     config_digest,
     fingerprint_audio,
     get_minhasher,
-    serialize_fingerprint,
 )
 from speechprint.errors import IncompatibleIndex
 from speechprint.index import IndexStats, RetrievalIndex
@@ -102,44 +103,26 @@ def test_batch_fingerprint_matches_golden_digest(clip, variant, geometry):
     assert fingerprint_digest(fp) == digest
 
 
-# (length, sha256) of serialize_fingerprint for the clip above enrolled
-# as WIRE_FILE_ID, first recorded from the encoder that packed one sub at
-# a time; re-recorded for record version 2, whose header adds the
-# signature width and whose config digest includes the fingerprint version,
-# and for fingerprint version 3, whose version and digests are new
-WIRE_FILE_ID = 2**40 + 3
-GOLDEN_WIRE = {
-    ("linear-vocal", "bench"): (
-        29670, "412b1b267d9e4f0a13ac047ed1b9752af060347c29b0546a4463ae5ca0ee28b1"
-    ),
-    ("linear-vocal", "library"): (
-        654, "dc73d7ed9430b6dd35e97835e2f214eae4627123fe59ccf9640132d34ccdfb32"
-    ),
-    ("mel-vocal", "bench"): (
-        29670, "7eb9a368e0f99ace9f832bef256ee6639193371bff7a338070c0b1ad526c7938"
-    ),
-    ("mel-vocal", "library"): (
-        654, "814c2d54a48e354e2904df81031c54f93c998a92b68eb4a0497d223edc30c99c"
-    ),
-    ("mel-wide", "bench"): (
-        29774, "9da0339225f678fa3cdbc3070a10884bf5f33a0b7ecd91f6164a74ee2510ce94"
-    ),
-    ("mel-wide", "library"): (
-        654, "66d08f8612977eb960a2141a31e7eb7e366e10455ab637fd362150aff8fff99b"
-    ),
+# config_digest of each (variant, geometry) at 8 kHz, as fingerprint
+# version 3 made it. Saved indexes store this digest and refuse to load
+# against another, so a change to the canonical config string fails here
+GOLDEN_CONFIG_DIGESTS = {
+    ("linear-vocal", "bench"): 0x936EC424FA3E179E,
+    ("linear-vocal", "library"): 0x2005472E25A511A9,
+    ("mel-vocal", "bench"): 0x8C2CD91EF8B1D669,
+    ("mel-vocal", "library"): 0xC03294C60AEECA54,
+    ("mel-wide", "bench"): 0x90BD776DDF12DA33,
+    ("mel-wide", "library"): 0xA2778249125FC8F6,
 }
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
-def test_serialized_fingerprint_matches_golden_bytes(clip, variant, geometry):
-    fp = fingerprint_audio(
-        clip, SpectralConfig.for_variant(variant), GEOMETRIES[geometry], WIRE_FILE_ID
+def test_config_digest_matches_golden(variant, geometry):
+    digest = config_digest(
+        SpectralConfig.for_variant(variant), GEOMETRIES[geometry], 8000
     )
-    data = serialize_fingerprint(fp)
-    assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_WIRE[
-        (variant, geometry)
-    ]
+    assert digest == GOLDEN_CONFIG_DIGESTS[(variant, geometry)]
 
 
 # the same pins for an 8 s clip synthesised at 11.025 and 16 kHz,

@@ -54,11 +54,17 @@ SCFG = SpectralConfig.for_variant("mel-vocal")
 DIGEST = config_digest(SCFG, FCFG, CANONICAL_RATE)
 
 # (channels, sample rate, bit depth, the error) of PCM fmt chunks that
-# decode_wav rejects; each once divided by zero in the stream decoder
+# decode_wav rejects; the first three once divided by zero in the stream
+# decoder, and the rates past the resampling bound (a term above
+# MAX_RATE_TERM in their ratio to 8 kHz) once designed filters of
+# millions of taps
 BAD_FMTS = {
     "no-channels": (0, 8000, 16, UnsupportedFormat),
     "4-bit": (1, 8000, 4, UnsupportedFormat),
     "rate-0": (1, 0, 16, DecodeError),
+    "rate-10001": (1, 10_001, 16, UnsupportedFormat),
+    "rate-192007": (1, 192_007, 16, UnsupportedFormat),
+    "rate-2^32-5": (1, 2**32 - 5, 16, UnsupportedFormat),
 }
 
 
@@ -269,7 +275,8 @@ def slice_two_seconds(clip):
 
 def pcm_wav(raw_frames: bytes, channels: int, rate: int, bits: int = 16) -> bytes:
     block = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * block, block, bits)
+    byte_rate = rate * block % 2**32
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, byte_rate, block, bits)
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(raw_frames)) + raw_frames
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
@@ -589,6 +596,19 @@ class TestEnroll:
         clip = synth_speech_like(8.0, CANONICAL_RATE, seed=835)
         pipeline.enroll_file(pipeline.fingerprint(clip), doc)
         assert len(calls) == 1 and calls[0] is doc
+
+    def test_id_enrolled_directly_into_the_index_not_reused(self, corpus):
+        """An id enrolled into the index after the pipeline was made is
+        never handed out again."""
+        index = RetrievalIndex.for_config(DIGEST, FCFG)
+        pipeline = Pipeline(index, LabelRegistry(), SCFG, FCFG)
+        clip = synth_speech_like(8.0, CANONICAL_RATE, seed=840)
+        pipeline.index.enroll(pipeline.fingerprint(clip, 1))
+        outcome = pipeline.enroll_file(pipeline.fingerprint(corpus[0]))
+        assert outcome.file_id == 2
+        index.enroll(pipeline.fingerprint(corpus[1], 7))
+        assert pipeline.enroll_file(pipeline.fingerprint(corpus[2])).file_id == 8
+        assert index.file_ids == [1, 2, 7, 8]
 
     def test_raising_labeler_leaves_pending(self, pipeline):
         def exploding_labeler(transcript):

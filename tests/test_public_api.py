@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "cluster_kmeans",
     "config_digest",
     "decode_wav",
-    "deserialize_fingerprint",
     "emit",
     "encode_wav",
     "errors",
@@ -55,7 +54,6 @@ PUBLIC_NAMES = [
     "random_offset_slice",
     "resample",
     "run_grid",
-    "serialize_fingerprint",
     "serve",
     "slice_seconds",
     "stft_magnitude",

@@ -189,9 +189,16 @@ class TestSessions:
         assert b"opcode" in payload
 
     # (channels, sample rate, bit depth) of PCM fmt chunks that decode_wav
-    # rejects; each once ended the session without a reply frame
-    @pytest.mark.parametrize("channels, rate, bits", [(0, 8000, 16), (1, 8000, 4), (1, 0, 16)])
+    # rejects; the first three once ended the session without a reply
+    # frame, and 192,007 Hz once designed a 3,840,141-tap resampling filter
+    @pytest.mark.parametrize(
+        "channels, rate, bits", [(0, 8000, 16), (1, 8000, 4), (1, 0, 16), (1, 192_007, 16)]
+    )
     def test_bad_fmt_gets_error_frame(self, server, channels, rate, bits):
+        """The header gets one ERROR frame, and no resampling filter is
+        designed for it."""
+        from speechprint.audio import _rate_filter
+
         block = channels * bits // 8
         fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * block, block, bits)
         raw = bytes(16000)
@@ -200,6 +207,7 @@ class TestSessions:
         blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
         with pytest.raises(DecodeError) as batch:
             decode_wav(blob)
+        designed = _rate_filter.cache_info()
         with socket.create_connection(
             ("127.0.0.1", server_port(server)), timeout=10
         ) as sock, sock.makefile("rwb") as stream:
@@ -209,6 +217,7 @@ class TestSessions:
             opcode, payload = read_frame(stream)
         assert opcode == OP_ERROR
         assert payload.decode("utf-8") == str(batch.value)
+        assert _rate_filter.cache_info() == designed
 
     def test_bad_frame_length_gets_error_frame(self, server):
         with socket.create_connection(
@@ -276,6 +285,43 @@ class TestSessions:
             assert outcome.confidence == pytest.approx(
                 reference.confidence, rel=1e-6
             )
+
+
+def answer_end_with(payload: bytes) -> tuple[int, threading.Thread]:
+    """A one-connection stub server on 127.0.0.1 that reads frames up to
+    END, then replies with one RESULT frame carrying ``payload``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        with listener:
+            conn, _addr = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                while read_frame(stream)[0] != OP_END:
+                    pass
+                write_frame(stream, OP_RESULT, payload)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+class TestClient:
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (struct.pack("<BQQf", 0, 3, 1, 0.9)[:-1], "RESULT reply of 20 bytes, not 21"),
+            (struct.pack("<BQQf", 7, 3, 1, 0.9), "unknown status code 7"),
+        ],
+        ids=["short", "status-7"],
+    )
+    def test_malformed_result_raises_library_error(self, payload, message):
+        """A reply not laid out as ``<BQQf`` with status 0 or 1 raises a
+        library error, not struct.error or a made-up status."""
+        port, thread = answer_end_with(payload)
+        blob = encode_wav(synth_speech_like(1.0, 8000, seed=4003))
+        with pytest.raises(SpeechprintError, match=message):
+            identify_over_socket("127.0.0.1", port, blob, timeout_s=10)
+        thread.join(timeout=10)
 
 
 def outcome_fields(outcome):
