@@ -395,6 +395,11 @@ def planted(request):
     index.enroll(dataclasses.replace(prints[17], file_id=PLANTED_COPY))
     noisy = add_noise(audios[3], 30.0, seed=1)
     index.enroll(fingerprint_audio(noisy, SPECTRAL, cfg, NOISY_COPY))
+    return request.param, index, planted_queries(cfg, audios)
+
+
+def planted_queries(cfg, audios):
+    """The query prints of GOLDEN_RESULTS from the planted files' audio."""
     queries = []
     for i, audio in enumerate(audios):
         queries.append(
@@ -412,8 +417,7 @@ def planted(request):
             )
         )
     queries.extend(synth_speech_like(8.0, 8000, seed=900 + j) for j in range(2))
-    prints = [fingerprint_audio(q, SPECTRAL, cfg) for q in queries]
-    return request.param, index, prints
+    return [fingerprint_audio(q, SPECTRAL, cfg) for q in queries]
 
 
 def as_tuple(result):
@@ -522,6 +526,28 @@ def test_version_2_round_trip_matches_golden(planted, planted_loose, tmp_path):
     strict, loose = GOLDEN_DUPLICATES[geometry]
     assert strict_index.find_duplicates(0.8) == strict
     assert loose_index.find_duplicates(0.05) == loose
+
+
+# tests/data/planted_library_v2.spix is the planted library-geometry
+# index as the index version 2 writer saved it, with the version 2 pin
+# that GOLDEN_SAVE_SHA256["library"] held before index version 3
+PLANTED_V2 = Path(__file__).parent / "data" / "planted_library_v2.spix"
+PLANTED_V2_SHA256 = "db931c9a0cb12eef6bc62227baaa4f7ab7e88aa84c41a3734a883d4c656a6df5"
+
+
+def test_planted_version_2_file_matches_golden():
+    """The recorded version 2 save of the planted library index loads to
+    its golden stats, answers and duplicates."""
+    blob = PLANTED_V2.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == PLANTED_V2_SHA256
+    assert blob[4:6] == b"\x02\x00"
+    digest = config_digest(SPECTRAL, LIBRARY, 8000)
+    index = RetrievalIndex.load(PLANTED_V2, expected_config_digest=digest)
+    assert index.stats() == GOLDEN_STATS["library"]
+    audios = [synth_speech_like(12.0, 8000, seed=300 + i) for i in range(len(FILE_IDS))]
+    got = [as_tuple(r) for r in index.query_batch(planted_queries(LIBRARY, audios))]
+    assert got == [pair[0] for pair in GOLDEN_RESULTS["library"]]
+    assert index.find_duplicates(0.8) == GOLDEN_DUPLICATES["library"][0]
 
 
 # tests/data/index_v1.spix was written by the index version 1 writer
