@@ -1,11 +1,11 @@
 """Banded min-hash retrieval index.
 
 Each sub-fingerprint's signature is split into ``band_count`` bands of
-``band_width`` values; every band is digested to 64 bits and used as an
-exact hash key. Two signatures with Jaccard similarity J collide on one
-band with probability J**band_width, which turns "similar enough" into
-"shares at least min_band_votes band keys" without any nearest-neighbour
-scan.
+``band_width`` values; every band is digested to 32 bits, the top half
+of its 64-bit FNV-1a digest, and used as an exact hash key. Two
+signatures with Jaccard similarity J collide on one band with
+probability J**band_width, which turns "similar enough" into "shares at
+least min_band_votes band keys" without any nearest-neighbour scan.
 
 Queries then aggregate per file: a query sub that collects enough band
 matches against some enrolled block is a vote for that file, and the file
@@ -30,7 +30,7 @@ from .fingerprint import VERSION_NOTE, Fingerprint
 from .hashing import fnv1a64, fnv1a64_rows  # noqa: F401
 
 INDEX_MAGIC = b"SPIX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 # after the magic: version, config digest, band_count, band_width,
 # min_band_votes, min_confidence, file count
 _HEADER_FMT = "<HQHHHdI"
@@ -126,7 +126,7 @@ class RetrievalIndex:
         # row j: every enrolled sub's band-j key in ascending order, equal
         # keys in row order, and aligned with it the row number of the sub
         # holding each key
-        self._keys = np.empty((band_count, 0), dtype=np.uint64)
+        self._keys = np.empty((band_count, 0), dtype=np.uint32)
         self._postings = np.empty((band_count, 0), dtype=np.int32)
         # per row: its file's ordinal (the file's position in _ids); a
         # file's rows are contiguous and in block order
@@ -145,7 +145,8 @@ class RetrievalIndex:
         )
 
     def _band_digests(self, signatures: np.ndarray) -> np.ndarray:
-        """[n_subs, p] uint8 signatures -> [n_subs, band_count] uint64 keys.
+        """[n_subs, p] uint8 signatures -> [n_subs, band_count] uint32 keys,
+        the top half of each band's FNV-1a digest.
 
         Band j's digest only ever meets table j, so bands never alias
         each other even when their byte runs coincide.
@@ -153,7 +154,8 @@ class RetrievalIndex:
         n_subs = signatures.shape[0]
         self._check_width(signatures.shape[1])
         rows = signatures.reshape(n_subs * self.band_count, self.band_width)
-        return fnv1a64_rows(rows).reshape(n_subs, self.band_count)
+        top = (fnv1a64_rows(rows) >> np.uint64(32)).astype(np.uint32)
+        return top.reshape(n_subs, self.band_count)
 
     def _check_width(self, width: int) -> None:
         if width != self.band_count * self.band_width:
@@ -206,7 +208,7 @@ class RetrievalIndex:
         self._ordinals[file_id] = ordinal
         n_new = len(digests)
         self._row_file = np.append(self._row_file, np.full(n_new, ordinal, np.int32))
-        new_keys, order = _sort_bands(np.ascontiguousarray(digests.T))
+        new_keys, order = _sort_bands(digests.T)
         width = self._keys.shape[1] + n_new
         # merged position of each new key: after the equal keys already
         # enrolled and the new keys before it, in the flattened bands
@@ -217,7 +219,7 @@ class RetrievalIndex:
         dest = dest.ravel()
         old = np.ones(self.band_count * width, dtype=bool)
         old[dest] = False
-        keys = np.empty(old.size, dtype=np.uint64)
+        keys = np.empty(old.size, dtype=np.uint32)
         keys[old] = self._keys.ravel()
         keys[dest] = new_keys.ravel()
         postings = np.empty(old.size, dtype=np.int32)
@@ -238,7 +240,7 @@ class RetrievalIndex:
         self._ids = list(ids)
         self._ordinals = {file_id: k for k, file_id in enumerate(ids)}
         self._row_file = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
-        self._keys, self._postings = _sort_bands(np.ascontiguousarray(digests.T))
+        self._keys, self._postings = _sort_bands(digests.T)
 
     def __contains__(self, file_id: int) -> bool:
         with self._lock:
@@ -312,11 +314,11 @@ class RetrievalIndex:
         width = self._keys.shape[1]
         # a bucket of key k runs from the band's first key >= k to its
         # first key >= k + 1, so one search per band finds both ends
-        probes = np.empty((bands, 2 * n_rows), dtype=np.uint64)
+        probes = np.empty((bands, 2 * n_rows), dtype=np.uint32)
         probes[:, :n_rows] = digest_rows.T
-        probes[:, n_rows:] = probes[:, :n_rows] + np.uint64(1)
+        probes[:, n_rows:] = probes[:, :n_rows] + np.uint32(1)
         bounds = np.array([k.searchsorted(p) for k, p in zip(self._keys, probes)])
-        # k + 1 wraps to 0 for the largest u64, whose bucket ends the band
+        # k + 1 wraps to 0 for the largest u32, whose bucket ends the band
         bounds[:, n_rows:][probes[:, n_rows:] == 0] = width
         starts = bounds[:, :n_rows] + width * np.arange(bands)[:, None]
         sizes = bounds[:, n_rows:] - bounds[:, :n_rows]
@@ -510,14 +512,15 @@ class RetrievalIndex:
     def save(self, path: str | Path) -> None:
         """Writes the index to ``path`` atomically (see :func:`write_atomic`).
 
-        Layout (little endian, version 2): "SPIX", u16 version, u64
+        Layout (little endian, version 3): "SPIX", u16 version, u64
         config digest, u16 band_count, u16 band_width, u16
         min_band_votes, f64 min_confidence, u32 file count n; then, over
         the files in ascending id order, the ids (u64[n]), their sub
-        counts (u32[n]), all block indices (u32[N], N the total sub
-        count; each file's 0..n-1) and all band digests (u64[N,
-        band_count], row-major); finally the 8-byte blake2b digest of all
-        preceding bytes.
+        counts (u32[n]) and all band keys (u32[N, band_count], N the
+        total sub count, row-major); finally the 8-byte blake2b digest of
+        all preceding bytes. Version 2 stored, before the keys, each
+        file's block indices 0..n-1 (u32[N]), and u64 digests whose top
+        halves are the keys.
         """
         with self._lock:
             ids = self._ids
@@ -531,7 +534,7 @@ class RetrievalIndex:
             saved_first[saved] = np.cumsum(saved_counts) - saved_counts
             shift = saved_first - (np.cumsum(counts) - counts)
             place = np.arange(n_rows) + shift[self._row_file]
-            digests = np.empty((n_rows, self.band_count), dtype="<u8")
+            digests = np.empty((n_rows, self.band_count), dtype="<u4")
             digests[place[self._postings], np.arange(self.band_count)[:, None]] = (
                 self._keys
             )
@@ -549,7 +552,6 @@ class RetrievalIndex:
                 ),
                 np.array([ids[k] for k in saved], dtype="<u8").tobytes(),
                 saved_counts.astype("<u4").tobytes(),
-                _block_column(saved_counts).astype("<u4").tobytes(),
                 digests.tobytes(),
             ]
         blob = b"".join(parts)
@@ -562,15 +564,16 @@ class RetrievalIndex:
         """Reads an index written by :meth:`save`, with the thresholds
         its header stores.
 
-        Only :data:`INDEX_VERSION`, the version :meth:`save` writes, is
-        read. A version 1 file holds fingerprint version 1 bits, which
-        this build can neither query nor enrol into: rebuild it.
+        Versions 2 and 3 are read, and both load to the same index. A
+        version 1 file holds fingerprint version 1 bits, which this build
+        can neither query nor enrol into: rebuild it.
 
         Raises:
             CorruptIndex: bad magic, truncation, checksum mismatch, a
                 geometry or threshold out of range in the header, counts
-                that disagree with the payload, or block indices that are
-                not each file's 0..n-1.
+                that disagree with the payload, a file of no subs or
+                stored twice, or version 2 block indices that are not
+                each file's 0..n-1.
             IncompatibleIndex: another version, or the stored config
                 digest differs from ``expected_config_digest``.
         """
@@ -583,10 +586,10 @@ class RetrievalIndex:
         version, digest, bands, width, votes, confidence, n_files = struct.unpack(
             _HEADER_FMT, blob[4:_HEADER_LEN]
         )
-        if version != INDEX_VERSION:
+        if version not in (2, 3):
             raise IncompatibleIndex(
-                f"unsupported index version {version}; this build reads version "
-                f"{INDEX_VERSION} only: rebuild the index from the audio"
+                f"unsupported index version {version}; this build reads versions "
+                "2 and 3: rebuild the index from the audio"
             )
         if _blake2b(blob[:-8]) != blob[-8:]:
             raise CorruptIndex("index checksum mismatch")
@@ -605,14 +608,12 @@ class RetrievalIndex:
             )
         except ConfigError as exc:
             raise CorruptIndex(f"index header out of range: {exc}") from exc
-        ids, counts, blocks, digests = _read_v2(blob, n_files, bands)
+        ids, counts, digests = _read_payload(blob, version, n_files, bands)
         seen: set[int] = set()
         for file_id in ids:
             if file_id in seen:
                 raise CorruptIndex(f"file id {file_id} stored twice")
             seen.add(file_id)
-        if not np.array_equal(blocks, _block_column(counts)):
-            raise CorruptIndex("index block indices are not each file's 0..n-1")
         index._build(ids, counts, digests)
         return index
 
@@ -633,11 +634,6 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return at
 
 
-def _block_column(counts: np.ndarray) -> np.ndarray:
-    """The block indices of files of ``counts`` rows: each file's 0..n-1."""
-    return _ranges(np.zeros_like(counts), counts)
-
-
 def _run_bounds(values: np.ndarray) -> np.ndarray:
     """Where each run of equal values starts in ``values``, then its size."""
     first = np.ones(values.size + 1, dtype=bool)
@@ -654,44 +650,32 @@ def _count_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sort_bands(by_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of [bands, n] u64 keys in ascending order, and the int32
+    """Each row of [bands, n] u32 keys in ascending order, and the int32
     column each key came from, equal keys in column order: what a stable
     argsort gives.
 
-    One sort of u64 words, each a key's top 32 bits above its column
-    (columns are rows, fewer than 2**31), orders the keys by top half and
-    then by column. Distinct hash keys that share a top half are rare
-    (about n**2 / 2**33 pairs in a band of n); a run of equal top halves
-    that holds them out of order is sorted again, stably by key.
+    One sort of u64 words, each a key above its column (columns are rows,
+    fewer than 2**31), orders the keys and then the columns exactly.
     """
-    packed = by_band & np.uint64(0xFFFFFFFF00000000)
+    packed = by_band.astype(np.uint64, order="C") << np.uint64(32)
     packed |= np.arange(by_band.shape[1], dtype=np.uint64)
     packed.sort(axis=1)
-    order = (packed & np.uint64(0xFFFFFFFF)).astype(np.int32)
-    keys = np.take_along_axis(by_band, order, axis=1)
-    down = keys[:, 1:] < keys[:, :-1]
-    if down.any():
-        top = keys >> np.uint64(32)
-        new_top = np.ones(keys.shape, dtype=bool)
-        new_top[:, 1:] = top[:, 1:] != top[:, :-1]
-        run = np.cumsum(new_top).reshape(keys.shape)
-        redo = np.nonzero(np.isin(run, run[:, 1:][down]))
-        again = np.lexsort((keys[redo], run[redo]))
-        order[redo] = order[redo][again]
-        keys[redo] = keys[redo][again]
-    return keys, order
+    return (packed >> np.uint64(32)).astype(np.uint32), packed.astype(np.int32)
 
 
 def _blake2b(data: bytes) -> bytes:
-    """The version 2 checksum: an 8-byte blake2b digest."""
+    """The checksum of versions 2 and 3: an 8-byte blake2b digest."""
     return hashlib.blake2b(data, digest_size=8).digest()
 
 
-def _read_v2(blob: bytes, n_files: int, bands: int):
-    """Whole-index columns of a version 2 payload (checksum verified).
+def _read_payload(blob: bytes, version: int, n_files: int, bands: int):
+    """Ids, sub counts and [N, bands] u32 band keys of a version 2 or 3
+    payload (checksum verified).
 
     The file table and the sub counts are checked against the payload
-    length before anything sized by them is allocated.
+    length before anything sized by them is allocated. A version 2 file
+    also stores block indices, which must read each file's 0..n-1, and
+    u64 digests, whose top halves are the keys.
     """
     pos = _HEADER_LEN
     body_end = len(blob) - 8
@@ -699,20 +683,24 @@ def _read_v2(blob: bytes, n_files: int, bands: int):
         raise CorruptIndex("index truncated inside file table")
     ids = np.frombuffer(blob, dtype="<u8", count=n_files, offset=pos).tolist()
     pos += 8 * n_files
-    counts = np.frombuffer(blob, dtype="<u4", count=n_files, offset=pos)
+    counts = np.frombuffer(blob, dtype="<u4", count=n_files, offset=pos).astype(np.int64)
     pos += 4 * n_files
-    n_subs = int(counts.sum(dtype=np.int64))
-    if pos + n_subs * (4 + 8 * bands) != body_end:
+    if not counts.all():
+        raise CorruptIndex(f"file id {ids[counts.argmin()]} stored with no subs")
+    n_subs = int(counts.sum())
+    v2 = version == 2
+    if pos + n_subs * (4 + 8 * bands if v2 else 4 * bands) != body_end:
         raise CorruptIndex(
             f"index payload of {body_end - pos} bytes does not hold "
             f"{n_subs} subs of {bands} bands"
         )
-    blocks = np.frombuffer(blob, dtype="<u4", count=n_subs, offset=pos)
-    pos += 4 * n_subs
-    digests = np.frombuffer(blob, dtype="<u8", count=n_subs * bands, offset=pos)
-    return (
-        ids,
-        counts.astype(np.int64),
-        blocks,
-        digests.astype(np.uint64, copy=False).reshape(n_subs, bands),
-    )
+    if v2:
+        blocks = np.frombuffer(blob, dtype="<u4", count=n_subs, offset=pos)
+        if not np.array_equal(blocks, _ranges(np.zeros_like(counts), counts)):
+            raise CorruptIndex("index block indices are not each file's 0..n-1")
+        pos += 4 * n_subs
+        digests = np.frombuffer(blob, dtype="<u8", count=n_subs * bands, offset=pos)
+        keys = (digests >> np.uint64(32)).astype(np.uint32)
+    else:
+        keys = np.frombuffer(blob, dtype="<u4", count=n_subs * bands, offset=pos)
+    return ids, counts, keys.reshape(n_subs, bands)

@@ -543,7 +543,10 @@ def test_planted_version_2_file_matches_golden():
     assert blob[4:6] == b"\x02\x00"
     digest = config_digest(SPECTRAL, LIBRARY, 8000)
     index = RetrievalIndex.load(PLANTED_V2, expected_config_digest=digest)
-    assert index.stats() == GOLDEN_STATS["library"]
+    stats = index.stats()
+    assert stats == GOLDEN_STATS["library"]
+    # a posting is a u32 band key and an int32 row; a row, its file
+    assert index.nbytes == 8 * stats.n_postings + 4 * stats.n_subs
     audios = [synth_speech_like(12.0, 8000, seed=300 + i) for i in range(len(FILE_IDS))]
     got = [as_tuple(r) for r in index.query_batch(planted_queries(LIBRARY, audios))]
     assert got == [pair[0] for pair in GOLDEN_RESULTS["library"]]

@@ -38,8 +38,22 @@ V1_RESAVED = Path(__file__).parent / "data" / "index_v1_resaved.spix"
 
 
 def with_checksum(body: bytes) -> bytes:
-    """``body`` plus its version 2 checksum."""
+    """``body`` plus its checksum, the same in versions 2 and 3."""
     return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def as_version_2(blob: bytes, low: int = 0) -> bytes:
+    """A version 3 file's index as version 2 writes it: each file's block
+    indices 0..n-1 before the digests, and u64 digests whose top halves
+    are the band keys and whose low halves read ``low``."""
+    (n_files,) = struct.unpack("<I", blob[HEADER_LEN - 4 : HEADER_LEN])
+    pos = HEADER_LEN + 12 * n_files
+    counts = np.frombuffer(blob, "<u4", n_files, HEADER_LEN + 8 * n_files)
+    blocks = np.concatenate([np.arange(n, dtype="<u4") for n in counts])
+    keys = np.frombuffer(blob[pos:-8], "<u4").astype("<u8")
+    digests = keys << np.uint64(32) | np.uint64(low)
+    body = blob[:4] + struct.pack("<H", 2) + blob[6:pos] + blocks.tobytes()
+    return with_checksum(body + digests.tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -520,14 +534,12 @@ class TestPersistence:
         path = tmp_path / "idx.spix"
         idx.save(path)
         blob = path.read_bytes()
-        n = len(prints[0].signatures)
         pos = HEADER_LEN
         file_id, count = blob[pos : pos + 8], blob[pos + 8 : pos + 12]
-        pos += 12
-        blocks, digests = blob[pos : pos + 4 * n], blob[pos + 4 * n : -8]
+        keys = blob[pos + 12 : -8]
         twice = (
             blob[: HEADER_LEN - 4] + struct.pack("<I", 2) + file_id * 2 + count * 2
-            + blocks * 2 + digests * 2
+            + keys * 2
         )
         path.write_bytes(with_checksum(twice))
         with pytest.raises(CorruptIndex, match="stored twice"):
@@ -539,14 +551,14 @@ class TestPersistence:
     def test_blocks_other_than_each_files_row_numbers_rejected(
         self, prints, tmp_path, blocks
     ):
-        """A file's rows are its blocks 0..n-1 in order; a file that stores
-        other block indices is refused, not renumbered."""
+        """A file's rows are its blocks 0..n-1 in order; a version 2 file
+        that stores other block indices is refused, not renumbered."""
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
         idx.enroll(Fingerprint(3, prints[0].signatures[:2], DIGEST))
         idx.enroll(Fingerprint(5, prints[1].signatures[:1], DIGEST))
         path = tmp_path / "idx.spix"
         idx.save(path)
-        blob = path.read_bytes()
+        blob = as_version_2(path.read_bytes())
         pos = HEADER_LEN + 12 * 2
         assert blob[pos : pos + 12] == np.array([0, 1, 0], "<u4").tobytes()
         body = blob[:pos] + np.array(blocks, "<u4").tobytes() + blob[pos + 12 : -8]
@@ -575,8 +587,46 @@ class TestPersistence:
         path = tmp_path / "idx.spix"
         index.save(path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<H", 3) + blob[6:])
-        with pytest.raises(IncompatibleIndex, match="version 3"):
+        for version in (1, 4):
+            path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
+            with pytest.raises(
+                IncompatibleIndex, match=f"version {version}; this build reads versions 2 and 3"
+            ):
+                RetrievalIndex.load(path)
+
+    @pytest.mark.parametrize("low", [0, 0xFFFFFFFF, 0x9E3779B9])
+    def test_version_2_file_loads_to_the_same_index(self, index, tmp_path, low):
+        """A version 2 file's digests load as their top halves, whatever
+        their low halves, and re-save as the version 3 file."""
+        path = tmp_path / "idx.spix"
+        index.save(path)
+        v3 = path.read_bytes()
+        assert v3[4:6] == b"\x03\x00"
+        old = tmp_path / "v2.spix"
+        old.write_bytes(as_version_2(v3, low))
+        loaded = RetrievalIndex.load(old, expected_config_digest=DIGEST)
+        np.testing.assert_array_equal(loaded._keys, index._keys)
+        np.testing.assert_array_equal(loaded._postings, index._postings)
+        loaded.save(path)
+        assert path.read_bytes() == v3
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_file_of_no_subs_rejected(self, prints, tmp_path, version):
+        """enroll refuses a fingerprint of no subs, so a file stored with
+        none is corrupt, named by its id."""
+        idx = RetrievalIndex.for_config(DIGEST, FCFG)
+        idx.enroll(Fingerprint(5, prints[0].signatures[:1], DIGEST))
+        path = tmp_path / "idx.spix"
+        idx.save(path)
+        blob = path.read_bytes()
+        body = (
+            blob[: HEADER_LEN - 4] + struct.pack("<I", 2)
+            + np.array([3, 5], "<u8").tobytes() + np.array([0, 1], "<u4").tobytes()
+            + blob[HEADER_LEN + 12 : -8]
+        )
+        blob = with_checksum(body)
+        path.write_bytes(as_version_2(blob) if version == 2 else blob)
+        with pytest.raises(CorruptIndex, match="file id 3 stored with no subs"):
             RetrievalIndex.load(path)
 
     def test_loaded_bands_equal_enrolled_bands(self, prints, tmp_path):
@@ -594,7 +644,7 @@ class TestPersistence:
 
     def test_loaded_order_among_equal_keys_is_stable(self, prints, tmp_path):
         """Loading orders each band as a stable argsort of the saved
-        digests, and enrolling file by file as one build of all rows, when
+        keys, and enrolling file by file as one build of all rows, when
         buckets hold many postings of several files."""
         sub = prints[1].signatures[:1]
         files = [
@@ -612,12 +662,12 @@ class TestPersistence:
         path = tmp_path / "idx.spix"
         idx.save(path)
         blob = path.read_bytes()
-        _, _, _, digests = index_module._read_v2(blob, len(files), FCFG.band_count)
-        stable = np.argsort(digests.T, axis=1, kind="stable")
+        _, _, keys = index_module._read_payload(blob, 3, len(files), FCFG.band_count)
+        stable = np.argsort(keys.T, axis=1, kind="stable")
         loaded = RetrievalIndex.load(path)
         np.testing.assert_array_equal(loaded._postings, stable)
         np.testing.assert_array_equal(
-            loaded._keys, np.take_along_axis(digests.T, stable, axis=1)
+            loaded._keys, np.take_along_axis(keys.T, stable, axis=1)
         )
         # the same rows in enrolment order, built at once
         built = RetrievalIndex.for_config(DIGEST, FCFG)
@@ -632,14 +682,17 @@ class TestPersistence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_band_sort_equals_stable_argsort(self, seed):
-        """Keys that share their top 32 bits but differ, in any column
-        order, and equal keys: the band sort agrees with a stable argsort."""
+        """Equal keys in any column order, the largest key, and keys
+        spread over the whole u32 range: the band sort agrees with a
+        stable argsort."""
         rng = np.random.default_rng(seed)
         for n in (0, 1, 2, 7, 300):
-            top = rng.integers(0, 3, (5, n), dtype=np.uint64) << np.uint64(32)
-            keys = top | rng.integers(0, 4, (5, n), dtype=np.uint64)
-            keys[0] |= np.uint64(0xFFFFFFFF00000000)
+            keys = rng.integers(0, 4, (5, n), dtype=np.uint32)
+            keys[0] = 0xFFFFFFFF
+            keys[1] |= np.uint32(0xFFFFFFFC)
+            keys[2] = rng.integers(0, 2**32, n, dtype=np.uint32)
             sorted_keys, order = index_module._sort_bands(keys)
+            assert (sorted_keys.dtype, order.dtype) == (np.uint32, np.int32)
             stable = np.argsort(keys, axis=1, kind="stable")
             np.testing.assert_array_equal(order, stable)
             np.testing.assert_array_equal(
@@ -658,28 +711,33 @@ class TestPersistence:
             RetrievalIndex.load(path)
 
     def test_largest_band_key_found(self, tmp_path, monkeypatch):
-        """A bucket keyed 2**64 - 1 is found, though its key + 1 wraps to 0."""
-        keys = np.random.default_rng(5).integers(0, 2**63, (4, 20), dtype=np.uint64)
-        keys[:, 0] = 2**64 - 1  # every sub of band 0
-        keys[1, 7] = 2**64 - 1  # and one of band 7
-        header = struct.pack("<HQHHHdI", 2, DIGEST, 20, 5, 20, 0.1, 2)
+        """A bucket keyed 2**32 - 1 is found, though its key + 1 wraps to
+        0, from a version 3 file and from a version 2 file's digest
+        2**64 - 1."""
+        keys = np.random.default_rng(5).integers(0, 2**31, (4, 20), dtype=np.uint32)
+        keys[:, 0] = 2**32 - 1  # every sub of band 0
+        keys[1, 7] = 2**32 - 1  # and one of band 7
+        header = struct.pack("<HQHHHdI", 3, DIGEST, 20, 5, 20, 0.1, 2)
         body = (
             b"SPIX" + header + np.array([1, 2], "<u8").tobytes()
-            + np.array([4, 4], "<u4").tobytes() + np.arange(4, dtype="<u4").tobytes() * 2
-            + keys.astype("<u8").tobytes() * 2
+            + np.array([4, 4], "<u4").tobytes() + keys.astype("<u4").tobytes() * 2
         )
+        v3 = with_checksum(body)
+        v2 = as_version_2(v3, low=0xFFFFFFFF)
+        assert v2.count((2**64 - 1).to_bytes(8, "little")) == 10
         path = tmp_path / "idx.spix"
-        path.write_bytes(with_checksum(body))
-        loaded = RetrievalIndex.load(path)
-        assert loaded.find_duplicates(0.8) == [(1, 2, 1.0)]
-        # a query holding those keys finds the bucket too
-        with monkeypatch.context() as patch:
-            patch.setattr(loaded, "_band_digests", lambda signatures: keys)
-            fp = Fingerprint(0, np.zeros((4, 100), np.uint8), DIGEST)
-            assert loaded.query(fp) == MatchResult(1, 80, 4, 1.0)
-        # band 0: one bucket; band 7: the 2**64 - 1 bucket and 3 others;
-        # the other 18 bands: 4 buckets each
-        assert loaded.stats().n_buckets == 1 + 4 + 18 * 4
+        for blob in (v3, v2):
+            path.write_bytes(blob)
+            loaded = RetrievalIndex.load(path)
+            assert loaded.find_duplicates(0.8) == [(1, 2, 1.0)]
+            # a query holding those keys finds the bucket too
+            with monkeypatch.context() as patch:
+                patch.setattr(loaded, "_band_digests", lambda signatures: keys)
+                fp = Fingerprint(0, np.zeros((4, 100), np.uint8), DIGEST)
+                assert loaded.query(fp) == MatchResult(1, 80, 4, 1.0)
+            # band 0: one bucket; band 7: the 2**32 - 1 bucket and 3
+            # others; the other 18 bands: 4 buckets each
+            assert loaded.stats().n_buckets == 1 + 4 + 18 * 4
 
     def test_failed_save_keeps_old_file(self, index, prints, tmp_path, monkeypatch):
         from speechprint import fileio
