@@ -17,6 +17,8 @@ last sample, which a vocal image now lacks, so the benchmark geometry
 has 285 blocks there, not 286. Mel-wide at 8 kHz and every 11.025 kHz
 pin kept its value. The fingerprint wire record and its byte pins are
 gone; the config digests those pins covered are pinned on their own.
+Index file version 3 (32-bit band keys) re-recorded the saved index
+bytes only, and the version 2 bytes stay pinned in a recorded file.
 Any refactor of the kernel or the index that changes one bit of a
 signature, one block index, one vote or one duplicate overlap fails
 here; a deliberate change of the bits must bump FINGERPRINT_VERSION and
@@ -450,12 +452,15 @@ def test_stats_match_golden(planted):
     assert index.stats() == GOLDEN_STATS[geometry]
 
 
-# sha256 of the version 2 save bytes of the planted index, first recorded
-# from the index that kept a per-file copy of every band digest, and again
-# for fingerprint version 2's and version 3's config digests and bits
+# sha256 of the save bytes of the planted index, first recorded from the
+# index that kept a per-file copy of every band digest, again for
+# fingerprint version 2's and version 3's config digests and bits, and
+# again for index file version 3: each is the version 2 save with its
+# block column dropped, every digest shifted right by 32, the version set
+# to 3 and the checksum recomputed
 GOLDEN_SAVE_SHA256 = {
-    "library": "db931c9a0cb12eef6bc62227baaa4f7ab7e88aa84c41a3734a883d4c656a6df5",
-    "bench": "48f59cd5ddc3a660f2005a2643074104ba5ce3e701ee55fcc3058c26f562f258",
+    "library": "ef88aa4a34cd700612bcb080031997facd8f315231a3bd26ff20e86b3a23aa20",
+    "bench": "a22203576ce06aabd51244a868652f04c88ff9fdbcdcd8ca166a6e7e826b63e7",
 }
 
 
@@ -535,9 +540,10 @@ PLANTED_V2 = Path(__file__).parent / "data" / "planted_library_v2.spix"
 PLANTED_V2_SHA256 = "db931c9a0cb12eef6bc62227baaa4f7ab7e88aa84c41a3734a883d4c656a6df5"
 
 
-def test_planted_version_2_file_matches_golden():
+def test_planted_version_2_file_matches_golden(tmp_path):
     """The recorded version 2 save of the planted library index loads to
-    its golden stats, answers and duplicates."""
+    its golden stats, answers and duplicates, and re-saves as the pinned
+    version 3 bytes."""
     blob = PLANTED_V2.read_bytes()
     assert hashlib.sha256(blob).hexdigest() == PLANTED_V2_SHA256
     assert blob[4:6] == b"\x02\x00"
@@ -551,6 +557,9 @@ def test_planted_version_2_file_matches_golden():
     got = [as_tuple(r) for r in index.query_batch(planted_queries(LIBRARY, audios))]
     assert got == [pair[0] for pair in GOLDEN_RESULTS["library"]]
     assert index.find_duplicates(0.8) == GOLDEN_DUPLICATES["library"][0]
+    path = tmp_path / "resaved.spix"
+    index.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SAVE_SHA256["library"]
 
 
 # tests/data/index_v1.spix was written by the index version 1 writer
