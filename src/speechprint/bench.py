@@ -396,7 +396,7 @@ def parse_grid_config(path: str | Path) -> ExperimentGrid:
     separated; ranges take "low,high".
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot read grid config {path}: {exc}") from exc
     grid = ExperimentGrid()

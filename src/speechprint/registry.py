@@ -73,7 +73,7 @@ def load_transcript(path: str | Path, file_id: int | None = None) -> TranscriptD
                 f"cannot infer a file id from transcript name {path.name!r}"
             ) from exc
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read transcript {path}: {exc}") from exc
     lines = text.splitlines()
@@ -417,7 +417,7 @@ class LabelRegistry:
     @classmethod
     def load(cls, path: str | Path) -> "LabelRegistry":
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise IoError(f"cannot read registry from {path}: {exc}") from exc
         registry = cls()

@@ -30,6 +30,7 @@ import logging
 import socket
 import socketserver
 import struct
+import threading
 from typing import BinaryIO
 
 from .errors import IoError, SpeechprintError
@@ -60,12 +61,21 @@ _BUFFER_BYTES = 1 << 16
 #: run on non-daemon threads that ``server_close`` joins, so without it one
 #: silent client would hold a shutdown forever.
 READ_TIMEOUT_S = 30.0
+#: Sessions served at once. A connection past them gets one ERROR frame
+#: ("server busy") and is closed before a thread starts. A session holds
+#: at most 2.3 MB of samples (see ``pipeline.MAX_STREAM_S``), so 128
+#: sessions hold at most about 0.3 GB.
+MAX_SESSIONS = 128
 
 
 def write_frame(out: BinaryIO, opcode: int, payload: bytes = b"") -> None:
     """Writes one frame to a binary stream in one write call, so that an
     unbuffered socket writer sends it in one piece."""
-    out.write(struct.pack("<IB", len(payload) + 1, opcode) + payload)
+    out.write(_frame(opcode, payload))
+
+
+def _frame(opcode: int, payload: bytes = b"") -> bytes:
+    return struct.pack("<IB", len(payload) + 1, opcode) + payload
 
 
 def read_frame(stream: BinaryIO) -> tuple[int, bytes] | None:
@@ -181,7 +191,8 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
 
 class PipelineServer(socketserver.ThreadingTCPServer):
-    """TCP server wrapping a Pipeline; one thread per session.
+    """TCP server wrapping a Pipeline; one thread per session, at most
+    :data:`MAX_SESSIONS` at once.
 
     Shutdown is graceful: in-flight sessions (including enrolments) run
     to completion before ``server_close`` returns, so the index and
@@ -203,11 +214,28 @@ class PipelineServer(socketserver.ThreadingTCPServer):
         # set before binding: a failed bind calls server_close
         self.pipeline = pipeline
         self.batcher = QueryBatcher(pipeline.index)
+        self._slots = threading.BoundedSemaphore(MAX_SESSIONS)
         try:
             super().__init__(address, _SessionHandler)
         except OSError as exc:
             host, port = address
             raise IoError(f"cannot listen on {host}:{port}: {exc}") from exc
+
+    def process_request(self, request, client_address) -> None:
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.sendall(_frame(OP_ERROR, b"server busy"))
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     def server_close(self) -> None:
         super().server_close()
@@ -244,13 +272,15 @@ def identify_over_socket(
     """
     with (
         socket.create_connection((host, port), timeout=timeout_s) as sock,
-        sock.makefile("wb", _BUFFER_BYTES) as out,
         sock.makefile("rb") as replies,
     ):
-        for start in range(0, len(wav_bytes), chunk_size):
-            write_frame(out, OP_AUDIO_CHUNK, wav_bytes[start : start + chunk_size])
-        write_frame(out, OP_END)
-        out.flush()
+        try:
+            with sock.makefile("wb", _BUFFER_BYTES) as out:
+                for start in range(0, len(wav_bytes), chunk_size):
+                    write_frame(out, OP_AUDIO_CHUNK, wav_bytes[start : start + chunk_size])
+                write_frame(out, OP_END)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # a server that refused the session replied before closing
         frame = read_frame(replies)
     if frame is None:
         raise SpeechprintError("server closed the connection without a result")

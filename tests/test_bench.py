@@ -375,6 +375,11 @@ class TestParseGridConfig:
         assert grid.strides_ms == ExperimentGrid().strides_ms
         assert grid.variants == VARIANTS
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text("\ufefftrials_per_cell = 3\n", encoding="utf-8")
+        assert parse_grid_config(path).trials_per_cell == 3
+
     @pytest.mark.parametrize(
         "line,match",
         [

@@ -52,6 +52,14 @@ class TestTranscriptFiles:
         assert d.language == "und"
         assert d.tokens == ("plain", "text")
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        """A UTF-8 byte-order mark, as some editors write, is not text."""
+        path = tmp_path / "5.txt"
+        path.write_text("\ufefflang=de\nbitte rufen sie später an\n", encoding="utf-8")
+        d = load_transcript(path)
+        assert d.language == "de"
+        assert d.tokens == ("bitte", "rufen", "sie", "später", "an")
+
     def test_unparseable_stem_rejected(self, tmp_path):
         path = tmp_path / "notanid.txt"
         path.write_text("x\n", encoding="utf-8")
@@ -322,6 +330,18 @@ class TestRegistry:
         reg.mark_pending(9)
         path = tmp_path / "labels.reg"
         reg.save(path)
+        loaded = LabelRegistry.load(path)
+        assert loaded.entries() == reg.entries()
+        assert loaded.pending() == reg.pending()
+        assert loaded.clusters() == reg.clusters()
+
+    def test_load_ignores_byte_order_mark(self, tmp_path):
+        reg = LabelRegistry()
+        reg.assign(1, reg.create_cluster("rufton", "de", [("besetzt", 0.9)]))
+        reg.mark_pending(2)
+        path = tmp_path / "labels.reg"
+        reg.save(path)
+        path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
         loaded = LabelRegistry.load(path)
         assert loaded.entries() == reg.entries()
         assert loaded.pending() == reg.pending()

@@ -401,6 +401,47 @@ class TestBatcher:
             batcher.submit([])
 
 
+class TestSessionCap:
+    def test_session_past_the_cap_gets_busy_frame(self, corpus, monkeypatch):
+        """Past MAX_SESSIONS a connection gets one ERROR frame and is
+        closed; a finished session frees its place."""
+        import time
+
+        from speechprint import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_SESSIONS", 1)
+        srv = serve("127.0.0.1:0", build_pipeline(corpus))
+        thread = threading.Thread(target=srv.serve_forever, args=(0.02,), daemon=True)
+        thread.start()
+        port = server_port(srv)
+        blob = encode_wav(corpus[0])
+        try:
+            with socket.create_connection(srv.server_address, timeout=5):
+                deadline = time.monotonic() + 10.0
+                while not vars(srv).get("_threads") and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert vars(srv).get("_threads"), "session never reached the server"
+                with socket.create_connection(
+                    srv.server_address, timeout=5
+                ) as sock, sock.makefile("rb") as replies:
+                    assert read_frame(replies) == (OP_ERROR, b"server busy")
+                    assert read_frame(replies) is None
+                # the client, refused while it streams, reads the frame too
+                outcome = identify_over_socket("127.0.0.1", port, blob, timeout_s=5)
+                assert (outcome.status, outcome.message) == (STATUS_ERROR, "server busy")
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                outcome = identify_over_socket("127.0.0.1", port, blob, timeout_s=5)
+                if outcome.message != "server busy":
+                    break
+                time.sleep(0.02)
+            assert outcome.status == STATUS_IDENTIFIED and outcome.file_id == 1
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
+
+
 class TestShutdown:
     def test_inflight_enrolment_completes_before_close(self, corpus):
         """server_close joins live sessions: no half-enrolled state."""
