@@ -518,9 +518,8 @@ class RetrievalIndex:
         the files in ascending id order, the ids (u64[n]), their sub
         counts (u32[n]) and all band keys (u32[N, band_count], N the
         total sub count, row-major); finally the 8-byte blake2b digest of
-        all preceding bytes. Version 2 stored, before the keys, each
-        file's block indices 0..n-1 (u32[N]), and u64 digests whose top
-        halves are the keys.
+        all preceding bytes. Version 2 stored block indices (u32[N]) and
+        u64 digests, whose top halves are the keys, in their place.
         """
         with self._lock:
             ids = self._ids
@@ -660,7 +659,8 @@ def _sort_bands(by_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed = by_band.astype(np.uint64, order="C") << np.uint64(32)
     packed |= np.arange(by_band.shape[1], dtype=np.uint64)
     packed.sort(axis=1)
-    return (packed >> np.uint64(32)).astype(np.uint32), packed.astype(np.int32)
+    keys = (packed >> np.uint64(32)).astype(np.uint32)
+    return keys, (packed & np.uint64(0xFFFFFFFF)).astype(np.int32)
 
 
 def _blake2b(data: bytes) -> bytes:
