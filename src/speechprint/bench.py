@@ -17,6 +17,7 @@ trial's grid coordinates, so results do not depend on execution order.
 """
 
 import csv
+import io
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,8 @@ import numpy as np
 
 from .audio import CANONICAL_RATE, AudioBuffer, decode_canonical
 from .degrade import RATE_RANGE, DeteriorationSpec, make_query
-from .errors import ConfigError, IoError, TooShort
+from .errors import ConfigError, TooShort
+from .fileio import read_bytes, read_text, write_atomic
 from .fingerprint import FingerprintConfig, config_digest, fingerprint_audio
 from .index import RetrievalIndex
 from .spectral import SpectralConfig, Variant
@@ -137,18 +139,21 @@ def _trial_seed(grid: ExperimentGrid, vi: int, si: int, li: int, trial: int):
     )
 
 
-def load_corpus(corpus_dir: str | Path) -> list[tuple[int, AudioBuffer]]:
-    """Decodes every WAV under ``corpus_dir`` to 8 kHz; ids follow sorted names."""
+def _corpus_files(corpus_dir: str | Path) -> list[tuple[int, Path]]:
+    """(file id, path) of every WAV under ``corpus_dir``; ids follow sorted
+    names from 1."""
     paths = sorted(Path(corpus_dir).glob("*.wav"))
     if not paths:
         raise ConfigError(f"no .wav files under {corpus_dir}")
-    corpus = []
-    for i, path in enumerate(paths):
-        try:
-            corpus.append((i + 1, decode_canonical(path.read_bytes())))
-        except OSError as exc:
-            raise IoError(f"cannot read {path}: {exc}") from exc
-    return corpus
+    return list(enumerate(paths, start=1))
+
+
+def load_corpus(corpus_dir: str | Path) -> list[tuple[int, AudioBuffer]]:
+    """Decodes every WAV under ``corpus_dir`` to 8 kHz; ids follow sorted names."""
+    return [
+        (file_id, decode_canonical(read_bytes(path, "audio")))
+        for file_id, path in _corpus_files(corpus_dir)
+    ]
 
 
 def run_grid(
@@ -322,70 +327,58 @@ def emit(results: list[CellResult], out_csv: str | Path) -> list[Path]:
         raise ConfigError("no results to emit")
     out_csv = Path(out_csv)
     long_csv = out_csv.with_name(out_csv.stem + "_long" + out_csv.suffix)
-    try:
-        with out_csv.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for cell in results:
-                writer.writerow(
-                    [
-                        cell.variant.value,
-                        cell.stride_ms,
-                        cell.query_len_s,
-                        cell.accuracy,
-                        cell.n_trials,
-                        cell.mean_query_latency_s,
-                    ]
-                )
-        with long_csv.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(LONG_CSV_HEADER)
-            for cell in results:
-                writer.writerow(
-                    [
-                        "stride_ms",
-                        cell.variant.value,
-                        cell.stride_ms,
-                        cell.query_len_s,
-                        cell.accuracy,
-                    ]
-                )
-            for cell in results:
-                writer.writerow(
-                    [
-                        "query_len_s",
-                        cell.variant.value,
-                        cell.query_len_s,
-                        cell.stride_ms,
-                        cell.accuracy,
-                    ]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write results to {out_csv}: {exc}") from exc
+    rows = [
+        (c.variant.value, c.stride_ms, c.query_len_s, c.accuracy, c.n_trials,
+         c.mean_query_latency_s)
+        for c in results
+    ]
+    long_rows = [
+        ("stride_ms", c.variant.value, c.stride_ms, c.query_len_s, c.accuracy)
+        for c in results
+    ] + [
+        ("query_len_s", c.variant.value, c.query_len_s, c.stride_ms, c.accuracy)
+        for c in results
+    ]
+    write_atomic(out_csv, _csv_bytes([CSV_HEADER, *rows]), "results")
+    write_atomic(long_csv, _csv_bytes([LONG_CSV_HEADER, *long_rows]), "results")
     return [out_csv, long_csv]
 
 
+def _csv_bytes(rows) -> bytes:
+    """``rows`` as UTF-8 CSV, each ended by CRLF as the csv module writes it."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
 def load_results_csv(path: str | Path) -> list[CellResult]:
-    """Reads back a CSV written by :func:`emit`."""
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != CSV_HEADER:
-                raise ConfigError(f"unexpected results header {header!r}")
-            return [
+    """Reads back a CSV written by :func:`emit`.
+
+    Raises:
+        ConfigError: a header other than :data:`CSV_HEADER`, or a row
+            that is not one cell; the message names the file and line.
+    """
+    reader = csv.reader(io.StringIO(read_text(path, "results"), newline=""))
+    header = tuple(next(reader, ()))
+    if header != CSV_HEADER:
+        raise ConfigError(f"unexpected results header {header!r}")
+    results = []
+    for row in reader:
+        try:
+            variant, stride, length, accuracy, n_trials, latency = row
+            results.append(
                 CellResult(
-                    Variant(row[0]),
-                    float(row[1]),
-                    float(row[2]),
-                    float(row[3]),
-                    int(row[4]),
-                    float(row[5]),
+                    Variant(variant),
+                    float(stride),
+                    float(length),
+                    float(accuracy),
+                    int(n_trials),
+                    float(latency),
                 )
-                for row in reader
-            ]
-    except OSError as exc:
-        raise IoError(f"cannot read results from {path}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{reader.line_num}: bad results row: {exc}") from exc
+    return results
 
 
 def parse_grid_config(path: str | Path) -> ExperimentGrid:
@@ -395,10 +388,7 @@ def parse_grid_config(path: str | Path) -> ExperimentGrid:
     rate_range, trials_per_cell, master_seed. List values are comma
     separated; ranges take "low,high".
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise IoError(f"cannot read grid config {path}: {exc}") from exc
+    text = read_text(path, "grid config")
     grid = ExperimentGrid()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -6,10 +6,8 @@ served over TCP), registry training and the benchmark grid.
 """
 
 import argparse
-import csv
 import logging
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +16,7 @@ from . import corpus as corpus_mod
 from .audio import CANONICAL_RATE, decode_canonical, decode_wav, dump_raw, encode_wav
 from .degrade import DeteriorationSpec, make_query
 from .errors import SpeechprintError
+from .fileio import read_bytes, write_atomic
 from .fingerprint import FingerprintConfig, config_digest
 from .index import DEFAULT_DUPLICATE_THRESHOLD, RetrievalIndex
 from .pipeline import Pipeline, stream_wav_bytes
@@ -83,7 +82,7 @@ def _pipeline(args, index_path=None, registry_path=None) -> Pipeline:
 
 
 def _load_audio(path):
-    return decode_canonical(Path(path).read_bytes())
+    return decode_canonical(read_bytes(path, "audio"))
 
 
 def _load_transcript(args):
@@ -106,13 +105,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect_audio(args) -> int:
-    audio = decode_wav(Path(args.wav).read_bytes())
+    audio = decode_wav(read_bytes(args.wav, "audio"))
+    # written before anything is printed, so a failed write prints only
+    # its error line
+    if args.dump_raw:
+        write_atomic(args.dump_raw, dump_raw(audio), "raw samples")
+    peak = np.abs(audio.samples).max(initial=0.0)
     print(
         f"{args.wav}: {len(audio)} samples @ {audio.sample_rate} Hz "
-        f"({audio.duration_seconds:.3f}s), peak {np.abs(audio.samples).max():.4f}"
+        f"({audio.duration_seconds:.3f}s), peak {peak:.4f}"
     )
     if args.dump_raw:
-        Path(args.dump_raw).write_bytes(dump_raw(audio))
         print(f"raw float32 samples -> {args.dump_raw}")
     return 0
 
@@ -120,10 +123,8 @@ def cmd_inspect_audio(args) -> int:
 def cmd_inspect_image(args) -> int:
     spectral = _spectral_config(args)
     image = make_image(_load_audio(args.wav), spectral)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in image.data:
-            writer.writerow([f"{v:.6g}" for v in row])
+    rows = ([f"{v:.6g}" for v in row] for row in image.data)
+    write_atomic(args.out, bench_mod._csv_bytes(rows), "spectral image")
     print(
         f"{image.n_bins} bins x {image.n_frames} frames "
         f"({spectral.variant.value}) -> {args.out}"
@@ -133,13 +134,9 @@ def cmd_inspect_image(args) -> int:
 
 def cmd_index_build(args) -> int:
     pipeline = _pipeline(args)
-    paths = sorted(Path(args.corpus).glob("*.wav"))
-    if not paths:
-        print(f"no .wav files under {args.corpus}", file=sys.stderr)
-        return 1
-    for i, path in enumerate(paths):
-        pipeline.index.enroll(pipeline.fingerprint(_load_audio(path), i + 1))
-        print(f"enrolled {path.name} as file {i + 1}")
+    for file_id, path in bench_mod._corpus_files(args.corpus):
+        pipeline.index.enroll(pipeline.fingerprint(_load_audio(path), file_id))
+        print(f"enrolled {path.name} as file {file_id}")
     pipeline.index.save(args.out)
     print(f"index with {len(pipeline.index)} files -> {args.out}")
     return 0
@@ -180,7 +177,7 @@ def cmd_degrade(args) -> int:
         offset_s=args.offset_s,
     )
     out = make_query(audio, spec, args.seed)
-    Path(args.out).write_bytes(encode_wav(out))
+    write_atomic(args.out, encode_wav(out), "audio")
     print(f"{args.wav} -> {args.out} ({out.duration_seconds:.3f}s)")
     return 0
 
@@ -189,7 +186,7 @@ def cmd_identify(args) -> int:
     transcript = _load_transcript(args)
     pipeline = _pipeline(args, args.index, args.registry)
     outcome = pipeline.identify_stream(
-        stream_wav_bytes(Path(args.wav).read_bytes()), transcript
+        stream_wav_bytes(read_bytes(args.wav, "audio")), transcript
     )
     print(
         f"status={outcome.status} file_id={outcome.file_id} "

@@ -22,6 +22,7 @@ import numpy as np
 
 from .audio import AudioBuffer, encode_wav
 from .errors import ConfigError, IoError
+from .fileio import write_atomic
 
 _N_HARMONICS = 12
 _MAX_HARMONIC_HZ = 3500.0
@@ -151,9 +152,6 @@ def synth_corpus(
     for i, child in enumerate(children):
         clip = synth_speech_like(duration_s, sample_rate, child)
         path = out_dir / f"file{i:03d}.wav"
-        try:
-            path.write_bytes(encode_wav(clip))
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        write_atomic(path, encode_wav(clip), "corpus file")
         paths.append(path)
     return paths

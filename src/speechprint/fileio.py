@@ -1,9 +1,28 @@
-"""Crash-safe replacement of a file's contents."""
+"""The file boundary: a failed read or write of a path the caller names
+raises IoError naming the artifact and the path."""
 
 import os
 from pathlib import Path
 
 from .errors import IoError
+
+
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The file's bytes; IoError naming ``what`` if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The file as UTF-8 text, less a leading byte-order mark, line ends as
+    stored; IoError if it cannot be read or is not UTF-8."""
+    data = read_bytes(path, what)
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def write_atomic(path: str | Path, data: bytes, what: str) -> None:

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex, IoError
-from .fileio import write_atomic
+from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex
+from .fileio import read_bytes, write_atomic
 from .fingerprint import VERSION_NOTE, Fingerprint
 # fnv1a64 is not called here, but perfbench/spans.py wraps this binding
 # of it (ROADMAP item 1 drops that wrapper and this import)
@@ -576,10 +576,7 @@ class RetrievalIndex:
             IncompatibleIndex: another version, or the stored config
                 digest differs from ``expected_config_digest``.
         """
-        try:
-            blob = Path(path).read_bytes()
-        except OSError as exc:
-            raise IoError(f"cannot read index from {path}: {exc}") from exc
+        blob = read_bytes(path, "index")
         if len(blob) < _HEADER_LEN + 8 or blob[:4] != INDEX_MAGIC:
             raise CorruptIndex("not an index file")
         version, digest, bands, width, votes, confidence, n_files = struct.unpack(

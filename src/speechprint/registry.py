@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateId, IoError, NotFound
-from .fileio import write_atomic
+from .errors import ConfigError, DuplicateId, NotFound
+from .fileio import read_text, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -72,11 +72,7 @@ def load_transcript(path: str | Path, file_id: int | None = None) -> TranscriptD
             raise ConfigError(
                 f"cannot infer a file id from transcript name {path.name!r}"
             ) from exc
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read transcript {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_text(path, "transcript").splitlines()
     language = "und"
     if lines:
         match = _LANG_LINE_RE.match(lines[0])
@@ -416,10 +412,7 @@ class LabelRegistry:
 
     @classmethod
     def load(cls, path: str | Path) -> "LabelRegistry":
-        try:
-            text = Path(path).read_text(encoding="utf-8-sig")
-        except OSError as exc:
-            raise IoError(f"cannot read registry from {path}: {exc}") from exc
+        text = read_text(path, "registry")
         registry = cls()
         section = None
         for lineno, raw in enumerate(text.splitlines(), start=1):

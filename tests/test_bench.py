@@ -342,6 +342,26 @@ class TestCsvRoundTrip:
         with pytest.raises(IoError):
             load_results_csv(tmp_path / "absent.csv")
 
+    def test_load_not_utf8_raises_io_error(self, tmp_path):
+        path = tmp_path / "results.csv"
+        emit(self.results(), path)
+        path.write_bytes(path.read_bytes() + b"mel-vocal,\xff\r\n")
+        with pytest.raises(IoError, match="results"):
+            load_results_csv(path)
+
+    @pytest.mark.parametrize(
+        "row,match",
+        [("mel-vocal,25.0", "expected 6"), ("mel-vocal,25.0,6.0,x,30,0.01", "'x'")],
+        ids=["two-fields", "accuracy-not-a-number"],
+    )
+    def test_load_rejects_bad_rows(self, tmp_path, row, match):
+        path = tmp_path / "results.csv"
+        emit(self.results(), path)
+        n_lines = len(path.read_bytes().splitlines())
+        path.write_bytes(path.read_bytes() + row.encode() + b"\r\n")
+        with pytest.raises(ConfigError, match=f"results.csv:{n_lines + 1}: .*{match}"):
+            load_results_csv(path)
+
 
 class TestParseGridConfig:
     def test_full_config(self, tmp_path):
@@ -399,6 +419,12 @@ class TestParseGridConfig:
     def test_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
             parse_grid_config(tmp_path / "absent.cfg")
+
+    def test_not_utf8_raises_io_error(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_bytes(b"trials_per_cell = 3  # \xff\n")
+        with pytest.raises(IoError, match="grid config"):
+            parse_grid_config(path)
 
 
 class TestBenchFingerprintDefaults:

@@ -9,9 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechprint.audio import decode_canonical, decode_wav, dump_raw, encode_wav, resample
+from speechprint.audio import (
+    CANONICAL_RATE,
+    AudioBuffer,
+    decode_canonical,
+    decode_wav,
+    dump_raw,
+    encode_wav,
+    resample,
+)
 from speechprint.cli import build_parser, main
 from speechprint.corpus import synth_speech_like
+from speechprint.fingerprint import FingerprintConfig, config_digest
 from speechprint.index import RetrievalIndex
 from speechprint.registry import LabelRegistry
 from speechprint.spectral import SpectralConfig, make_image
@@ -222,3 +231,61 @@ def test_serve_on_a_bad_endpoint_is_one_error_line(tmp_path, capsys):
             assert main(["serve", "--listen", listen, "--index", index]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Commands whose input is missing, unreadable or an empty corpus, or whose
+# output has no directory to go to; ``{d}`` is the test's directory.
+FILE_FAULTS = {
+    "inspect-audio-missing-wav": ["inspect", "audio", "{d}/absent.wav"],
+    "inspect-image-missing-wav": ["inspect", "image", "{d}/absent.wav",
+                                  "--out", "{d}/image.csv"],
+    "degrade-missing-wav": ["degrade", "{d}/absent.wav", "{d}/out.wav", "--len-s", "1"],
+    "identify-missing-wav": ["identify", "{d}/absent.wav", "--index", "{d}/calls.idx"],
+    "enroll-missing-wav": ["enroll", "{d}/absent.wav", "--index", "{d}/calls.idx"],
+    "index-build-directory-named-wav": ["index", "build", "--corpus", "{d}/corpus",
+                                        "--out", "{d}/new.idx"],
+    "index-build-empty-directory": ["index", "build", "--corpus", "{d}/empty",
+                                    "--out", "{d}/new.idx"],
+    "bench-run-grid-not-utf8": ["bench", "run", "--corpus", "{d}/corpus",
+                                "--out", "{d}/results.csv", "--grid", "{d}/grid.cfg"],
+    "degrade-out-in-missing-dir": ["degrade", "{d}/ok.wav", "{d}/absent/out.wav",
+                                   "--len-s", "1"],
+    "inspect-image-out-in-missing-dir": ["inspect", "image", "{d}/ok.wav",
+                                         "--out", "{d}/absent/image.csv"],
+    "inspect-audio-dump-in-missing-dir": ["inspect", "audio", "{d}/ok.wav",
+                                          "--dump-raw", "{d}/absent/samples.f32"],
+}
+
+
+def tree(path):
+    """Every entry under ``path`` and the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in path.rglob("*")}
+
+
+@pytest.mark.parametrize("argv", FILE_FAULTS.values(), ids=FILE_FAULTS.keys())
+def test_file_fault_is_one_error_line(tmp_path, capsys, argv):
+    """A path that cannot be read or written stops the command with one
+    error line and exit status 2, printing nothing else and leaving no
+    file behind."""
+    (tmp_path / "ok.wav").write_bytes(encode_wav(synth_speech_like(2.0, 8000, seed=94)))
+    fingerprint = FingerprintConfig()
+    digest = config_digest(SpectralConfig.for_variant("mel-vocal"), fingerprint,
+                           CANONICAL_RATE)
+    RetrievalIndex.for_config(digest, fingerprint).save(tmp_path / "calls.idx")
+    (tmp_path / "corpus" / "x.wav").mkdir(parents=True)
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "grid.cfg").write_bytes(b"trials_per_cell = 3 \xff\n")
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out
+    assert tree(tmp_path) == before
+
+
+def test_inspect_audio_of_no_samples_reads_peak_zero(tmp_path, capsys):
+    wav = tmp_path / "empty.wav"
+    wav.write_bytes(encode_wav(AudioBuffer(np.zeros(0), 8000)))
+    assert main(["inspect", "audio", str(wav)]) == 0
+    assert capsys.readouterr().out == f"{wav}: 0 samples @ 8000 Hz (0.000s), peak 0.0000\n"

@@ -347,6 +347,12 @@ class TestRegistry:
         assert loaded.pending() == reg.pending()
         assert loaded.clusters() == reg.clusters()
 
+    def test_load_not_utf8_is_io_error(self, tmp_path):
+        path = tmp_path / "labels.reg"
+        path.write_bytes(b"[clusters]\n1\ten\tbusy \xff\t\n")
+        with pytest.raises(IoError, match="registry"):
+            LabelRegistry.load(path)
+
     def test_save_sanitises_names(self, tmp_path):
         reg = LabelRegistry()
         label = reg.create_cluster("tab\there")
