@@ -169,9 +169,20 @@ def run_grid(
     rate in rate_range, random SNR in snr_db_range) against it at the
     index's default thresholds. A trial counts as correct when the top
     match is the query's source file. Latency covers fingerprinting plus
-    querying, not degradation.
+    querying, not degradation. A query length longer than a corpus file
+    raises ConfigError before anything is enrolled.
     """
     corpus = load_corpus(corpus_dir)
+    # the longest query must fit the shortest file, in samples rounded as
+    # random_offset_slice rounds them, before anything is enrolled
+    longest = max(grid.query_lens_s)
+    file_id, shortest = min(corpus, key=lambda item: len(item[1]))
+    if int(np.floor(longest * CANONICAL_RATE + 0.5)) > len(shortest):
+        path = _corpus_files(corpus_dir)[file_id - 1][1]
+        raise ConfigError(
+            f"query length {longest:g}s is longer than {path} "
+            f"({shortest.duration_seconds:.3f}s)"
+        )
     results = []
     for vi, variant in enumerate(grid.variants):
         for si, stride_ms in enumerate(grid.strides_ms):

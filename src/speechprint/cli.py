@@ -8,6 +8,7 @@ served over TCP), registry training and the benchmark grid.
 import argparse
 import logging
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -15,9 +16,9 @@ from . import bench as bench_mod
 from . import corpus as corpus_mod
 from .audio import CANONICAL_RATE, decode_canonical, decode_wav, dump_raw, encode_wav
 from .degrade import DeteriorationSpec, make_query
-from .errors import SpeechprintError
+from .errors import IncompatibleIndex, IoError, SpeechprintError
 from .fileio import read_bytes, write_atomic
-from .fingerprint import FingerprintConfig, config_digest
+from .fingerprint import VERSION_NOTE, FingerprintConfig, config_digest, fingerprint_audio
 from .index import DEFAULT_DUPLICATE_THRESHOLD, RetrievalIndex
 from .pipeline import Pipeline, stream_wav_bytes
 from .registry import (
@@ -31,54 +32,41 @@ from .spectral import SpectralConfig, Variant, make_image
 
 logger = logging.getLogger(__name__)
 
+#: The command line's one block geometry, at 8 kHz; other geometries are
+#: built through the library API
+GEOMETRY = FingerprintConfig()
 
-def _add_spectral_args(parser: argparse.ArgumentParser) -> None:
+
+def _add_variant_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--variant",
         choices=[v.value for v in Variant],
         default=Variant.MEL_VOCAL.value,
         help="spectral image layout (default %(default)s)",
     )
-    parser.add_argument("--window-ms", type=float, default=100.0)
-    parser.add_argument("--stride-ms", type=float, default=25.0)
 
 
-def _add_fingerprint_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--block-frames", type=int, default=128)
-    parser.add_argument("--block-hop-frames", type=int, default=32)
-    parser.add_argument("--top-t", type=int, default=200)
-    parser.add_argument("--fp-seed", type=int, default=0x53504650)
+def _spectral_of(index: RetrievalIndex) -> SpectralConfig | None:
+    """The spectral config of the variant that made ``index``, or None."""
+    for variant in Variant:
+        spectral = SpectralConfig.for_variant(variant)
+        if config_digest(spectral, GEOMETRY, CANONICAL_RATE) == index.config_digest:
+            return spectral
+    return None
 
 
-def _spectral_config(args) -> SpectralConfig:
-    return SpectralConfig.for_variant(
-        args.variant,
-        window_s=args.window_ms / 1000.0,
-        stride_s=args.stride_ms / 1000.0,
-    )
-
-
-def _configs(args) -> tuple[SpectralConfig, FingerprintConfig]:
-    fingerprint = FingerprintConfig(
-        block_frames=args.block_frames,
-        block_hop_frames=args.block_hop_frames,
-        top_t=args.top_t,
-        seed=args.fp_seed,
-    )
-    return _spectral_config(args), fingerprint
-
-
-def _pipeline(args, index_path=None, registry_path=None) -> Pipeline:
-    """The pipeline at the flags' configs, over the index and registry
-    files given (the index must match the configs) or new empty ones."""
-    spectral, fingerprint = _configs(args)
-    digest = config_digest(spectral, fingerprint, CANONICAL_RATE)
-    if index_path is None:
-        index = RetrievalIndex.for_config(digest, fingerprint)
-    else:
-        index = RetrievalIndex.load(index_path, digest)
+def _pipeline(index_path, registry_path) -> Pipeline:
+    """The pipeline over the index file, at the variant it was built with,
+    and the registry file or a new empty one."""
+    index = RetrievalIndex.load(index_path)
+    spectral = _spectral_of(index)
+    if spectral is None:
+        raise IncompatibleIndex(
+            f"index built for config 0x{index.config_digest:016x}, which no "
+            f"--variant of index build makes{VERSION_NOTE}"
+        )
     registry = LabelRegistry.load(registry_path) if registry_path else LabelRegistry()
-    return Pipeline(index, registry, spectral, fingerprint)
+    return Pipeline(index, registry, spectral, GEOMETRY)
 
 
 def _load_audio(path):
@@ -121,7 +109,7 @@ def cmd_inspect_audio(args) -> int:
 
 
 def cmd_inspect_image(args) -> int:
-    spectral = _spectral_config(args)
+    spectral = SpectralConfig.for_variant(args.variant)
     image = make_image(_load_audio(args.wav), spectral)
     rows = ([f"{v:.6g}" for v in row] for row in image.data)
     write_atomic(args.out, bench_mod._csv_bytes(rows), "spectral image")
@@ -133,12 +121,14 @@ def cmd_inspect_image(args) -> int:
 
 
 def cmd_index_build(args) -> int:
-    pipeline = _pipeline(args)
+    spectral = SpectralConfig.for_variant(args.variant)
+    digest = config_digest(spectral, GEOMETRY, CANONICAL_RATE)
+    index = RetrievalIndex.for_config(digest, GEOMETRY)
     for file_id, path in bench_mod._corpus_files(args.corpus):
-        pipeline.index.enroll(pipeline.fingerprint(_load_audio(path), file_id))
+        index.enroll(fingerprint_audio(_load_audio(path), spectral, GEOMETRY, file_id))
         print(f"enrolled {path.name} as file {file_id}")
-    pipeline.index.save(args.out)
-    print(f"index with {len(pipeline.index)} files -> {args.out}")
+    index.save(args.out)
+    print(f"index with {len(index)} files -> {args.out}")
     return 0
 
 
@@ -152,6 +142,8 @@ def cmd_index_stats(args) -> int:
     per_sub = index.nbytes / stats.n_subs if stats.n_subs else 0.0
     print(f"arrays:   {index.nbytes} bytes ({per_sub:.1f} per sub)")
     print(f"config:   0x{index.config_digest:016x}")
+    spectral = _spectral_of(index)
+    print(f"variant:  {spectral.variant.value if spectral else 'none matches'}")
     print(f"geometry: {index.band_count} bands x {index.band_width}")
     print(f"min_band_votes: {index.min_band_votes}")
     print(f"min_confidence: {index.min_confidence:g}")
@@ -184,7 +176,7 @@ def cmd_degrade(args) -> int:
 
 def cmd_identify(args) -> int:
     transcript = _load_transcript(args)
-    pipeline = _pipeline(args, args.index, args.registry)
+    pipeline = _pipeline(args.index, args.registry)
     outcome = pipeline.identify_stream(
         stream_wav_bytes(read_bytes(args.wav, "audio")), transcript
     )
@@ -202,7 +194,7 @@ def cmd_identify(args) -> int:
 
 def cmd_enroll(args) -> int:
     transcript = _load_transcript(args)
-    pipeline = _pipeline(args, args.index, args.registry)
+    pipeline = _pipeline(args.index, args.registry)
     audio = _load_audio(args.wav)
     outcome = pipeline.enroll_file(pipeline.fingerprint(audio), transcript)
     pipeline.index.save(args.index)
@@ -213,7 +205,7 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    pipeline = _pipeline(args, args.index, args.registry)
+    pipeline = _pipeline(args.index, args.registry)
     server = serve(args.listen, pipeline)
     host, port = server.server_address
     print(f"listening on {host}:{port}")
@@ -279,11 +271,11 @@ def cmd_label_lookup(args) -> int:
 
 
 def cmd_bench_run(args) -> int:
-    grid = (
-        bench_mod.parse_grid_config(args.grid)
-        if args.grid
-        else bench_mod.ExperimentGrid()
-    )
+    grid = bench_mod.ExperimentGrid()
+    if args.grid:
+        grid = bench_mod.parse_grid_config(args.grid)
+    if not Path(args.out).parent.is_dir():
+        raise IoError(f"cannot write results to {args.out}: no such directory")
     results = bench_mod.run_grid(
         args.corpus,
         grid,
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = isub.add_parser("image")
     p.add_argument("wav")
     p.add_argument("--out", required=True)
-    _add_spectral_args(p)
+    _add_variant_arg(p)
     p.set_defaults(func=cmd_inspect_image)
 
     index = sub.add_parser("index", help="build and inspect retrieval indexes")
@@ -331,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = xsub.add_parser("build")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    _add_spectral_args(p)
-    _add_fingerprint_args(p)
+    _add_variant_arg(p)
     p.set_defaults(func=cmd_index_build)
     p = xsub.add_parser("stats")
     p.add_argument("--index", required=True)
@@ -358,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry")
     p.add_argument("--transcript")
     p.add_argument("--save-index", action="store_true")
-    _add_spectral_args(p)
-    _add_fingerprint_args(p)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("enroll", help="enroll a file directly")
@@ -367,16 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--registry")
     p.add_argument("--transcript")
-    _add_spectral_args(p)
-    _add_fingerprint_args(p)
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("serve", help="run the TCP identification server")
     p.add_argument("--listen", default="127.0.0.1:9311")
     p.add_argument("--index", required=True)
     p.add_argument("--registry")
-    _add_spectral_args(p)
-    _add_fingerprint_args(p)
     p.set_defaults(func=cmd_serve)
 
     train = sub.add_parser("train", help="cluster transcripts into labels")

@@ -83,10 +83,12 @@ def load_transcript(path: str | Path, file_id: int | None = None) -> TranscriptD
 
 
 def load_transcript_dir(path: str | Path) -> list[TranscriptDoc]:
-    """Loads every ``*.txt`` under ``path``, sorted by file id."""
-    docs = [load_transcript(p) for p in sorted(Path(path).glob("*.txt"))]
-    docs.sort(key=lambda d: d.file_id)
-    return docs
+    """Loads every ``*.txt`` under ``path``, sorted by file id; ConfigError
+    when there is none."""
+    paths = sorted(Path(path).glob("*.txt"))
+    if not paths:
+        raise ConfigError(f"no .txt files under {path}")
+    return sorted(map(load_transcript, paths), key=lambda d: d.file_id)
 
 
 def vectorize(docs: list[TranscriptDoc]) -> tuple[np.ndarray, list[tuple[str, str]]]:

@@ -17,7 +17,7 @@ from speechprint.bench import (
     parse_grid_config,
     run_grid,
 )
-from speechprint.corpus import synth_corpus
+from speechprint.corpus import synth_corpus, synth_speech_like
 from speechprint.errors import ConfigError, IoError
 from speechprint.spectral import Variant
 
@@ -201,6 +201,20 @@ class TestRunGrid:
         )
         (cell,) = run_grid(tmp_path / "corpus", grid)
         assert cell.accuracy == 1.0
+
+    def test_query_longer_than_a_file_is_an_error_before_any_cell(self, tmp_path):
+        paths = synth_corpus(tmp_path / "corpus", n_files=2, duration_s=8.0, seed=9)
+        paths[1].write_bytes(encode_wav(synth_speech_like(4.0, 8000, seed=9)))
+        grid = ExperimentGrid(
+            variants=(Variant.MEL_VOCAL,),
+            strides_ms=(100.0,),
+            query_lens_s=(2.0, 4.0, 6.0),
+            trials_per_cell=1,
+        )
+        seen = []
+        with pytest.raises(ConfigError, match=r"6s is longer than .*file001\.wav \(4\.000s\)"):
+            run_grid(tmp_path / "corpus", grid, progress=seen.append)
+        assert seen == []
 
     def test_progress_callback_sees_every_cell(self, small_corpus_dir):
         grid = ExperimentGrid(

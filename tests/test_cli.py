@@ -18,15 +18,13 @@ from speechprint.audio import (
     encode_wav,
     resample,
 )
+from speechprint.bench import BENCH_FINGERPRINT
 from speechprint.cli import build_parser, main
 from speechprint.corpus import synth_speech_like
-from speechprint.fingerprint import FingerprintConfig, config_digest
+from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
 from speechprint.index import RetrievalIndex
 from speechprint.registry import LabelRegistry
-from speechprint.spectral import SpectralConfig, make_image
-
-SPECTRAL = ["--variant", "--window-ms", "--stride-ms"]
-FINGERPRINT = ["--block-frames", "--block-hop-frames", "--top-t", "--fp-seed"]
+from speechprint.spectral import SpectralConfig, Variant, make_image
 
 # Every leaf command and its argument names. Adding or removing a command
 # or a flag changes the command-line surface: update this table in the
@@ -34,15 +32,14 @@ FINGERPRINT = ["--block-frames", "--block-hop-frames", "--top-t", "--fp-seed"]
 COMMANDS = {
     "synth": ["out_dir", "--n-files", "--duration-s", "--seed"],
     "inspect audio": ["wav", "--dump-raw"],
-    "inspect image": ["wav", "--out", *SPECTRAL],
-    "index build": ["--corpus", "--out", *SPECTRAL, *FINGERPRINT],
+    "inspect image": ["wav", "--out", "--variant"],
+    "index build": ["--corpus", "--out", "--variant"],
     "index stats": ["--index"],
     "index dedup": ["--index", "--threshold"],
     "degrade": ["wav", "out", "--len-s", "--snr-db", "--rate", "--offset-s", "--seed"],
-    "identify": ["wav", "--index", "--registry", "--transcript", "--save-index",
-                 *SPECTRAL, *FINGERPRINT],
-    "enroll": ["wav", "--index", "--registry", "--transcript", *SPECTRAL, *FINGERPRINT],
-    "serve": ["--listen", "--index", "--registry", *SPECTRAL, *FINGERPRINT],
+    "identify": ["wav", "--index", "--registry", "--transcript", "--save-index"],
+    "enroll": ["wav", "--index", "--registry", "--transcript"],
+    "serve": ["--listen", "--index", "--registry"],
     "train cluster": ["--transcripts", "--out", "--algo", "--k", "--eps", "--min-pts",
                       "--seed", "--top-k"],
     "train keywords": ["--transcripts", "--registry", "--top-k"],
@@ -70,7 +67,7 @@ def leaf_commands(parser, path=()):
 def test_command_surface_is_pinned():
     surface = dict(leaf_commands(build_parser()))
     assert surface == COMMANDS
-    assert (len(surface), sum(map(len, surface.values()))) == (15, 82)
+    assert (len(surface), sum(map(len, surface.values()))) == (15, 53)
 
 
 def test_inspect_writes_raw_samples_and_image(tmp_path):
@@ -114,20 +111,42 @@ def test_round_trip(tmp_path, capsys):
     assert RetrievalIndex.load(index).file_ids == [1, 2, 3, 4, 5]
 
 
-def test_index_of_other_flags_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_identify_reads_the_variant_off_the_index(tmp_path, capsys, variant):
+    """identify, given no flag, fingerprints at the variant the index was
+    built with, and index stats names it."""
     corpus, index = tmp_path / "corpus", str(tmp_path / "calls.idx")
-    main(["synth", str(corpus), "--n-files", "1", "--duration-s", "4"])
-    main(["index", "build", "--corpus", str(corpus), "--out", index])
-    wav = str(corpus / "file000.wav")
-    for argv in (
-        ["enroll", wav, "--index", index, "--top-t", "100"],
-        ["identify", wav, "--index", index, "--variant", "mel-wide"],
-        ["enroll", wav, "--index", index, "--fp-seed", "1"],
-    ):
+    main(["synth", str(corpus), "--n-files", "2", "--duration-s", "8"])
+    assert main(["index", "build", "--corpus", str(corpus), "--out", index,
+                 "--variant", variant]) == 0
+    capsys.readouterr()
+    assert main(["identify", str(corpus / "file001.wav"), "--index", index]) == 0
+    assert "status=identified file_id=2 " in capsys.readouterr().out
+    assert main(["index", "stats", "--index", index]) == 0
+    assert f"variant:  {variant}" in capsys.readouterr().out.splitlines()
+
+
+def test_index_of_another_config_is_an_error(tmp_path, capsys):
+    """An index the library saved at a config no --variant makes stops
+    identify and enroll with one error line naming its digest, and is left
+    as it was."""
+    wav = tmp_path / "new.wav"
+    wav.write_bytes(encode_wav(synth_speech_like(8.0, 8000, seed=95)))
+    spectral = SpectralConfig.for_variant("mel-vocal")
+    digest = config_digest(spectral, BENCH_FINGERPRINT, CANONICAL_RATE)
+    library = RetrievalIndex.for_config(digest, BENCH_FINGERPRINT)
+    library.enroll(fingerprint_audio(decode_canonical(wav.read_bytes()), spectral,
+                                     BENCH_FINGERPRINT, file_id=1))
+    index = tmp_path / "bench.idx"
+    library.save(index)
+    before = index.read_bytes()
+    for command in ("identify", "enroll"):
         capsys.readouterr()
-        assert main(argv) == 2
-        assert "config 0x" in capsys.readouterr().err
-    assert RetrievalIndex.load(index).file_ids == [1]
+        assert main([command, str(wav), "--index", str(index)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: index built for config 0x{digest:016x}")
+        assert err.count("\n") == 1 and not out, err
+        assert index.read_bytes() == before
 
 
 def test_train_keywords_restores_the_cluster_keywords(tmp_path):
@@ -199,6 +218,42 @@ def test_unreadable_transcript_is_one_error_line(tmp_path, capsys, command, kind
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "transcript" in err and not out
         assert index.read_bytes() == before
+
+
+def test_bench_run_checks_its_output_directory_first(tmp_path, capsys):
+    """bench run refuses an output in a directory that does not exist
+    before it runs a single cell."""
+    corpus, grid = tmp_path / "corpus", tmp_path / "grid.cfg"
+    main(["synth", str(corpus), "--n-files", "2", "--duration-s", "4"])
+    grid.write_text("variants = mel-vocal\nstrides_ms = 100\n"
+                    "query_lens_s = 2\ntrials_per_cell = 1\n")
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert main(["bench", "run", "--corpus", str(corpus), "--grid", str(grid),
+                 "--out", str(tmp_path / "absent" / "results.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write results to ") and err.count("\n") == 1
+    assert not out
+    assert tree(tmp_path) == before
+
+
+def test_train_on_no_transcripts_is_one_error_line(tmp_path, capsys):
+    """train cluster and train keywords refuse a directory with no *.txt
+    and write no registry."""
+    registry = LabelRegistry()
+    registry.create_cluster("busy", "en", [("busy", 0.8)])
+    registry.save(tmp_path / "labels.tsv")
+    (tmp_path / "empty").mkdir()
+    before = tree(tmp_path)
+    for transcripts in ("empty", "absent"):
+        for argv in (["train", "cluster", "--out", str(tmp_path / "new.tsv")],
+                     ["train", "keywords", "--registry", str(tmp_path / "labels.tsv")]):
+            capsys.readouterr()
+            assert main([*argv, "--transcripts", str(tmp_path / transcripts)]) == 2
+            out, err = capsys.readouterr()
+            assert err.startswith("error: no .txt files under ")
+            assert err.count("\n") == 1 and not out, err
+            assert tree(tmp_path) == before
 
 
 def test_version_1_index_is_one_error_line(tmp_path, capsys):

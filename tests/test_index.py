@@ -775,6 +775,7 @@ def test_cli_index_stats_prints_geometry(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "files:    3" in out
     assert "geometry: 20 bands x 5" in out
+    assert "variant:  none matches" in out
     assert "min_band_votes: 2" in out
     assert "min_confidence: 0.1" in out
 
