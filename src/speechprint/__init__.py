@@ -40,7 +40,6 @@ from .pipeline import (
     CANONICAL_RATE,
     IdentifyOutcome,
     Pipeline,
-    TranscriptLabeler,
     stream_wav_bytes,
 )
 from .registry import (
@@ -49,7 +48,6 @@ from .registry import (
     build_registry_from_transcripts,
     cluster_dbscan,
     cluster_kmeans,
-    extract_keywords,
     load_transcript,
     vectorize,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "SpectralImage",
     "StreamingFingerprinter",
     "TranscriptDoc",
-    "TranscriptLabeler",
     "Variant",
     "add_noise",
     "build_registry_from_transcripts",
@@ -99,7 +96,6 @@ __all__ = [
     "emit",
     "encode_wav",
     "errors",
-    "extract_keywords",
     "fingerprint_audio",
     "identify_over_socket",
     "load_results_csv",

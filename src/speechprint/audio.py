@@ -448,10 +448,10 @@ def slice_seconds(audio: AudioBuffer, start_s: float, duration_s: float) -> Audi
     Raises:
         RangeError: the window is not fully inside the buffer.
     """
-    if duration_s <= 0:
-        raise RangeError(f"duration_s must be positive, got {duration_s}")
-    if start_s < 0:
-        raise RangeError(f"start_s must be non-negative, got {start_s}")
+    if not 0 < duration_s < np.inf:
+        raise RangeError(f"duration_s must be positive and finite, got {duration_s}")
+    if not 0 <= start_s < np.inf:
+        raise RangeError(f"start_s must be non-negative and finite, got {start_s}")
     start = _round_half_up(start_s * audio.sample_rate)
     count = _round_half_up(duration_s * audio.sample_rate)
     if start + count > len(audio):

@@ -82,12 +82,12 @@ class ExperimentGrid:
             raise ConfigError(
                 f"trials_per_cell must be >= 1, got {self.trials_per_cell}"
             )
-        if any(s <= 0 for s in self.strides_ms):
-            raise ConfigError("strides must be positive")
-        if any(q <= 0 for q in self.query_lens_s):
-            raise ConfigError("query lengths must be positive")
-        if self.snr_db_range[0] > self.snr_db_range[1]:
-            raise ConfigError("snr_db_range must be (low, high)")
+        for stride_ms in self.strides_ms:  # the configs run_grid will build
+            SpectralConfig.for_variant(self.variants[0], stride_s=stride_ms / 1000.0)
+        if not all(0 < q < np.inf for q in self.query_lens_s):
+            raise ConfigError("query lengths must be positive and finite")
+        if not -np.inf < self.snr_db_range[0] <= self.snr_db_range[1] < np.inf:
+            raise ConfigError("snr_db_range must be finite (low, high)")
         lo, hi = self.rate_range
         if not RATE_RANGE[0] <= lo <= hi <= RATE_RANGE[1]:
             raise ConfigError(

@@ -66,8 +66,8 @@ def synth_speech_like(
     seed: int | np.random.SeedSequence | np.random.Generator = 0,
 ) -> AudioBuffer:
     """One synthetic utterance-like clip, fully determined by the seed."""
-    if duration_s <= 0:
-        raise ConfigError(f"duration_s must be positive, got {duration_s}")
+    if not 0 < duration_s < np.inf:
+        raise ConfigError(f"duration_s must be positive and finite, got {duration_s}")
     rng = np.random.default_rng(seed)
     n = int(np.floor(duration_s * sample_rate + 0.5))
     signal = np.zeros(n)

@@ -36,17 +36,19 @@ class DeteriorationSpec:
     offset_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.query_len_s <= 0:
+        if not 0 < self.query_len_s < np.inf:
             raise ConfigError(
-                f"query_len_s must be positive, got {self.query_len_s}"
+                f"query_len_s must be positive and finite, got {self.query_len_s}"
             )
+        if self.snr_db is not None and not np.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if not RATE_RANGE[0] <= self.rate <= RATE_RANGE[1]:
             raise ConfigError(
                 f"rate must lie in [{RATE_RANGE[0]}, {RATE_RANGE[1]}], "
                 f"got {self.rate}"
             )
-        if self.offset_s is not None and self.offset_s < 0:
-            raise ConfigError(f"offset_s must be >= 0, got {self.offset_s}")
+        if self.offset_s is not None and not 0 <= self.offset_s < np.inf:
+            raise ConfigError(f"offset_s must be >= 0 and finite, got {self.offset_s}")
 
 
 def _draw_offset_samples(
@@ -68,8 +70,8 @@ def random_offset_slice(
 
     Raises TooShort when the buffer is shorter than the query.
     """
-    if query_len_s <= 0:
-        raise ConfigError(f"query_len_s must be positive, got {query_len_s}")
+    if not 0 < query_len_s < np.inf:
+        raise ConfigError(f"query_len_s must be positive and finite, got {query_len_s}")
     n_query = int(np.floor(query_len_s * audio.sample_rate + 0.5))
     if n_query > len(audio):
         raise TooShort(
@@ -93,8 +95,8 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     the rational ratio nearest ``rate`` with a denominator of at most
     :data:`~speechprint.audio.MAX_RATE_TERM`.
     """
-    if rate <= 0:
-        raise ConfigError(f"rate must be positive, got {rate}")
+    if not 0 < rate < np.inf:
+        raise ConfigError(f"rate must be positive and finite, got {rate}")
     if rate == 1.0:
         return audio
     ratio = Fraction(rate).limit_denominator(MAX_RATE_TERM)

@@ -11,9 +11,7 @@ TCP server both run it.
 """
 
 import dataclasses
-import logging
 import threading
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -38,10 +36,8 @@ from .fingerprint import (
     min_audio_seconds,
 )
 from .index import RetrievalIndex
-from .registry import LabelRegistry, TranscriptDoc
+from .registry import LabelRegistry
 from .spectral import SpectralConfig
-
-logger = logging.getLogger(__name__)
 
 #: Seconds of decoded audio at which a stream is queried; after the last
 #: it is only fingerprinted for enrolment, a decision step at a time
@@ -54,8 +50,6 @@ _DECISION_STEP_S = DECISION_POINTS_S[-1] - DECISION_POINTS_S[-2]
 #: decoded samples not yet fingerprinted, is at most the 6 s before the
 #: first decision point, 2.3 MB of float64 samples at 48 kHz.
 MAX_STREAM_S = 180.0
-#: Cosine similarity below which a transcript is left unlabelled
-MIN_TRANSCRIPT_SIMILARITY = 0.1
 
 STATUS_IDENTIFIED = "identified"
 STATUS_ENROLLED = "enrolled"
@@ -79,50 +73,13 @@ class IdentifyOutcome:
     message: str = ""
 
 
-class TranscriptLabeler:
-    """Labels enrolments whose transcript matches an existing cluster.
-
-    Scores each same-language cluster by cosine similarity between the
-    transcript's term counts and the cluster's keyword weights; a best
-    score of at least :data:`MIN_TRANSCRIPT_SIMILARITY` yields that
-    cluster's label, anything else stays pending. It scores the given
-    :class:`~speechprint.registry.TranscriptDoc` (None abstains) and
-    reads no file. A real deployment would put an ASR system in front.
-    """
-
-    def __init__(self, registry: LabelRegistry) -> None:
-        self.registry = registry
-
-    def __call__(self, doc: TranscriptDoc | None) -> int | None:
-        if doc is None or not doc.tokens:
-            return None
-        counts = Counter(doc.tokens)
-        doc_norm = np.sqrt(sum(c * c for c in counts.values()))
-        best_label, best_score = None, 0.0
-        for info in self.registry.clusters():
-            if info.language not in (doc.language, "und") and doc.language != "und":
-                continue
-            if not info.keywords:
-                continue
-            dot = sum(counts.get(t, 0) * w for t, w in info.keywords)
-            kw_norm = np.sqrt(sum(w * w for _t, w in info.keywords))
-            if kw_norm == 0:
-                continue
-            score = dot / (doc_norm * kw_norm)
-            if score > best_score:
-                best_label, best_score = info.label_id, score
-        if best_label is not None and best_score >= MIN_TRANSCRIPT_SIMILARITY:
-            return best_label
-        return None
-
-
 class Pipeline:
     """Identify-or-enroll orchestration shared by the CLI and the server.
 
-    ``labeler(transcript)`` labels each enrolment from its
-    :class:`~speechprint.registry.TranscriptDoc` or None; the default, a
-    :class:`TranscriptLabeler` over ``registry``, abstains when there is
-    no transcript, so the file stays pending.
+    Each enrolment is labelled by :meth:`LabelRegistry.label_for
+    <speechprint.registry.LabelRegistry.label_for>` from its
+    :class:`~speechprint.registry.TranscriptDoc` or None; with no
+    transcript the file stays pending.
     """
 
     def __init__(
@@ -131,7 +88,6 @@ class Pipeline:
         registry: LabelRegistry,
         spectral_config: SpectralConfig,
         fingerprint_config: FingerprintConfig,
-        labeler=None,
     ) -> None:
         digest = config_digest(spectral_config, fingerprint_config, CANONICAL_RATE)
         if digest != index.config_digest:
@@ -143,7 +99,6 @@ class Pipeline:
         self.registry = registry
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
-        self.labeler = labeler if labeler is not None else TranscriptLabeler(registry)
         self._id_lock = threading.Lock()
         self._next_id = 1
 
@@ -154,12 +109,6 @@ class Pipeline:
             file_id = max(self._next_id, max(self.index.file_ids, default=0) + 1)
             self._next_id = file_id + 1
             return file_id
-
-    @property
-    def min_decision_audio_s(self) -> float:
-        return min_audio_seconds(
-            self.spectral_config, self.fingerprint_config, CANONICAL_RATE
-        )
 
     def fingerprint(self, audio: AudioBuffer, file_id: int = 0) -> Fingerprint:
         if audio.sample_rate != CANONICAL_RATE:
@@ -172,29 +121,20 @@ class Pipeline:
         """Enrolls a fingerprint's rows as a new file, then labels it.
 
         The rows go in under the next file id, whatever file id
-        ``fingerprint`` carries. The labeler then gets ``transcript``, on
-        the calling thread; when it fails or abstains the file is marked
-        pending rather than failing the enrolment. The outcome's
-        ``audio_consumed_s`` is 0: an enrolment sees no audio, and a
-        :class:`Session` sets it to the stream's length.
+        ``fingerprint`` carries. The registry's
+        :meth:`~speechprint.registry.LabelRegistry.label_for` then labels
+        it from ``transcript``; when it abstains the file is marked
+        pending. The outcome's ``audio_consumed_s`` is 0: an enrolment
+        sees no audio, and a :class:`Session` sets it to the stream's
+        length.
         """
         file_id = self.allocate_file_id()
         self.index.enroll(dataclasses.replace(fingerprint, file_id=file_id))
-        try:
-            label_id = self.labeler(transcript)
-        except Exception:
-            logger.exception("labeler failed for file %d", file_id)
-            label_id = None
-        if label_id is not None:
-            try:
-                self.registry.assign(file_id, label_id)
-            except SpeechprintError:
-                logger.warning(
-                    "labeler returned unknown label %s for file %d", label_id, file_id
-                )
-                label_id = None
+        label_id = self.registry.label_for(transcript)
         if label_id is None:
             self.registry.mark_pending(file_id)
+        else:
+            self.registry.assign(file_id, label_id)
         return IdentifyOutcome(STATUS_ENROLLED, file_id=file_id, label_id=label_id)
 
     def identify_stream(
@@ -305,7 +245,9 @@ class Session:
             self._consumed, self._decoder.sample_rate, CANONICAL_RATE
         )
         duration_s = n_out / CANONICAL_RATE
-        minimum = pipeline.min_decision_audio_s
+        minimum = min_audio_seconds(
+            pipeline.spectral_config, pipeline.fingerprint_config, CANONICAL_RATE
+        )
         if duration_s < minimum - 1e-9:
             return IdentifyOutcome(
                 STATUS_ERROR,

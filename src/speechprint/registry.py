@@ -36,6 +36,8 @@ DEFAULT_STOP_WORDS = frozenset(
 )
 #: Lloyd iterations after which k-means stops even if assignments still move
 KMEANS_MAX_ITER = 100
+#: Cosine similarity below which a transcript is left unlabelled
+MIN_TRANSCRIPT_SIMILARITY = 0.1
 
 
 def tokenize(text: str) -> list[str]:
@@ -243,22 +245,14 @@ def cluster_dbscan(
     return labels
 
 
-def extract_keywords(
-    docs: list[TranscriptDoc],
-    member_ids: list[int] | set[int],
-    top_k: int = 5,
-) -> list[tuple[str, float]]:
-    """Highest mean TF-IDF terms over a cluster's documents.
+def _top_terms(docs, matrix, features, member_ids, top_k) -> list[tuple[str, float]]:
+    """Highest mean TF-IDF terms over a cluster's documents, from
+    ``(matrix, features) = vectorize(docs)``, made once for all clusters.
 
     Weights come from the full collection's idf, so terms common to the
     whole corpus rank low even when frequent inside the cluster. Returns
     at most top_k (term, weight) pairs with weight > 0, descending.
     """
-    return _top_terms(docs, *vectorize(docs), member_ids, top_k)
-
-
-def _top_terms(docs, matrix, features, member_ids, top_k) -> list[tuple[str, float]]:
-    """extract_keywords over vectorize(docs), made once for all clusters."""
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     member_ids = set(member_ids)
@@ -326,20 +320,12 @@ class LabelRegistry:
                 raise NotFound(f"no label {label_id}")
             info.name = name
 
-    def set_keywords(
-        self, label_id: int, keywords: list[tuple[str, float]]
-    ) -> None:
-        with self._lock:
-            info = self._clusters.get(label_id)
-            if info is None:
-                raise NotFound(f"no label {label_id}")
-            info.keywords = tuple(keywords)
-
     def refresh_keywords(self, docs: list[TranscriptDoc], top_k: int) -> None:
         """Recomputes the keywords of every cluster that has members.
 
-        As :func:`extract_keywords` over the documents of each cluster's
-        language, which are vectorised once for all of its clusters.
+        Each cluster's keywords are its members' top terms among the
+        documents of its language, which are vectorised once for all of its
+        clusters.
         """
         entries = self.entries()
         groups = {}
@@ -350,7 +336,38 @@ class LabelRegistry:
                     group = [d for d in docs if d.language == info.language]
                     groups[info.language] = group, *vectorize(group)
                 keywords = _top_terms(*groups[info.language], members, top_k)
-                self.set_keywords(info.label_id, keywords)
+                with self._lock:
+                    info.keywords = tuple(keywords)
+
+    def label_for(self, doc: TranscriptDoc | None) -> int | None:
+        """The label of the cluster whose keywords best match a transcript.
+
+        Scores each same-language cluster by cosine similarity between the
+        transcript's term counts and the cluster's keyword weights; a best
+        score of at least :data:`MIN_TRANSCRIPT_SIMILARITY` yields that
+        cluster's label, anything else (or no transcript) None. It reads
+        no file. A real deployment would put an ASR system in front.
+        """
+        if doc is None or not doc.tokens:
+            return None
+        counts = Counter(doc.tokens)
+        doc_norm = np.sqrt(sum(c * c for c in counts.values()))
+        best_label, best_score = None, 0.0
+        for info in self.clusters():
+            if info.language not in (doc.language, "und") and doc.language != "und":
+                continue
+            if not info.keywords:
+                continue
+            dot = sum(counts.get(t, 0) * w for t, w in info.keywords)
+            kw_norm = np.sqrt(sum(w * w for _t, w in info.keywords))
+            if kw_norm == 0:
+                continue
+            score = dot / (doc_norm * kw_norm)
+            if score > best_score:
+                best_label, best_score = info.label_id, score
+        if best_label is not None and best_score >= MIN_TRANSCRIPT_SIMILARITY:
+            return best_label
+        return None
 
     def cluster(self, label_id: int) -> ClusterInfo:
         with self._lock:

@@ -102,21 +102,14 @@ def read_frame(stream: BinaryIO) -> tuple[int, bytes] | None:
 class QueryBatcher:
     """The server's lookup: every session's queries go through here.
 
-    Each submission is answered at once by one ``query_batch`` call;
-    after :meth:`close` submissions are refused.
+    Each submission is answered at once by one ``query_batch`` call.
     """
 
     def __init__(self, index) -> None:
         self.index = index
-        self._closed = False
 
     def submit(self, fp: Fingerprint) -> MatchResult | None:
-        if self._closed:
-            raise SpeechprintError("batcher is shut down")
         return self.index.query_batch([fp])[0]
-
-    def close(self) -> None:
-        self._closed = True
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -211,7 +204,6 @@ class PipelineServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address: tuple[str, int], pipeline: Pipeline) -> None:
         importlib.import_module("scipy.signal")
-        # set before binding: a failed bind calls server_close
         self.pipeline = pipeline
         self.batcher = QueryBatcher(pipeline.index)
         self._slots = threading.BoundedSemaphore(MAX_SESSIONS)
@@ -236,10 +228,6 @@ class PipelineServer(socketserver.ThreadingTCPServer):
             super().process_request_thread(request, client_address)
         finally:
             self._slots.release()
-
-    def server_close(self) -> None:
-        super().server_close()
-        self.batcher.close()
 
 
 def parse_endpoint(listen: str) -> tuple[str, int]:

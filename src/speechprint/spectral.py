@@ -63,11 +63,14 @@ class SpectralConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", Variant(self.variant))
-        if self.stride_s <= 0:
-            raise ConfigError(f"stride_s must be positive, got {self.stride_s}")
-        if self.window_s < self.stride_s:
+        if not 0 < self.stride_s < np.inf:
             raise ConfigError(
-                f"window_s ({self.window_s}) must be >= stride_s ({self.stride_s})"
+                f"stride_s must be positive and finite, got {self.stride_s}"
+            )
+        if not self.stride_s <= self.window_s < np.inf:
+            raise ConfigError(
+                f"window_s ({self.window_s}) must be finite and "
+                f">= stride_s ({self.stride_s})"
             )
 
     @property

@@ -64,6 +64,7 @@ class TestExperimentGrid:
             {"snr_db_range": (30.0, 10.0)},
             {"rate_range": (0.90, 1.00)},
             {"rate_range": (1.00, 1.10)},
+            {"strides_ms": (25.0, 150.0)},  # past the 100 ms window
         ],
     )
     def test_invalid_grid_rejected(self, kwargs):

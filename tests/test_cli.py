@@ -163,8 +163,8 @@ def test_train_keywords_restores_the_cluster_keywords(tmp_path):
     clustered = LabelRegistry.load(registry)
     keywords = {info.label_id: info.keywords for info in clustered.clusters()}
     assert any(keywords.values())
-    for label_id in keywords:
-        clustered.set_keywords(label_id, [])
+    for info in clustered.clusters():
+        info.keywords = ()
     clustered.save(registry)
 
     assert main(["train", "keywords", "--transcripts", str(transcripts),
@@ -235,6 +235,39 @@ def test_bench_run_checks_its_output_directory_first(tmp_path, capsys):
     assert err.startswith("error: cannot write results to ") and err.count("\n") == 1
     assert not out
     assert tree(tmp_path) == before
+
+
+def test_bench_run_checks_its_grid_before_the_corpus(tmp_path, capsys):
+    """A grid stride past the 100 ms window stops bench run with one error
+    line before it reads the corpus, which here does not exist."""
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("variants = mel-vocal\nstrides_ms = 25, 50, 150\n")
+    assert main(["bench", "run", "--corpus", str(tmp_path / "absent"),
+                 "--grid", str(grid), "--out", str(tmp_path / "r.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: window_s (0.1) must be") and err.count("\n") == 1
+    assert not out
+
+
+NON_FINITE_ARGS = {
+    "synth-duration-nan": ["synth", "{d}/corpus", "--duration-s", "nan"],
+    "degrade-len-nan": ["degrade", "{d}/a.wav", "{d}/q.wav", "--len-s", "nan"],
+    "degrade-len-inf": ["degrade", "{d}/a.wav", "{d}/q.wav", "--len-s", "inf"],
+    "degrade-offset-nan": ["degrade", "{d}/a.wav", "{d}/q.wav", "--len-s", "1",
+                           "--offset-s", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGS.values(), ids=NON_FINITE_ARGS.keys())
+def test_non_finite_number_is_one_error_line(tmp_path, capsys, argv):
+    """A NaN or infinity given as a number is refused with one error line
+    and exit status 2, not a traceback."""
+    (tmp_path / "a.wav").write_bytes(encode_wav(synth_speech_like(3.0, seed=93)))
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out
+    assert [p.name for p in tmp_path.rglob("*.wav")] == ["a.wav"]
 
 
 def test_train_on_no_transcripts_is_one_error_line(tmp_path, capsys):

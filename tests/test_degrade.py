@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from speechprint.audio import AudioBuffer
+from speechprint.audio import AudioBuffer, slice_seconds
+from speechprint.bench import ExperimentGrid
+from speechprint.corpus import synth_speech_like
 from speechprint.degrade import (
     RATE_RANGE,
     DeteriorationSpec,
@@ -14,7 +16,36 @@ from speechprint.degrade import (
     make_query,
     random_offset_slice,
 )
-from speechprint.errors import ConfigError, SilentSignal, TooShort
+from speechprint.errors import ConfigError, RangeError, SilentSignal, TooShort
+from speechprint.spectral import SpectralConfig
+
+NAN, INF = float("nan"), float("inf")
+# A call with a NaN or an infinity, and the error it raises. NaN fails
+# every comparison, so a check written as ``x <= 0`` lets it through.
+NON_FINITE = {
+    "stride-nan": (lambda a: SpectralConfig.for_variant("mel-vocal", stride_s=NAN),
+                   ConfigError),
+    "window-inf": (lambda a: SpectralConfig.for_variant("mel-vocal", window_s=INF),
+                   ConfigError),
+    "grid-stride-nan": (lambda a: ExperimentGrid(strides_ms=(NAN,)), ConfigError),
+    "grid-len-inf": (lambda a: ExperimentGrid(query_lens_s=(INF,)), ConfigError),
+    "grid-snr-nan": (lambda a: ExperimentGrid(snr_db_range=(NAN, 3.0)), ConfigError),
+    "grid-snr-inf": (lambda a: ExperimentGrid(snr_db_range=(3.0, INF)), ConfigError),
+    "spec-len-nan": (lambda a: DeteriorationSpec(query_len_s=NAN), ConfigError),
+    "spec-offset-inf": (lambda a: DeteriorationSpec(1.0, offset_s=INF), ConfigError),
+    "spec-snr-nan": (lambda a: DeteriorationSpec(1.0, snr_db=NAN), ConfigError),
+    "slice-start-nan": (lambda a: slice_seconds(a, NAN, 1.0), RangeError),
+    "slice-len-inf": (lambda a: slice_seconds(a, 0.0, INF), RangeError),
+    "offset-slice-nan": (lambda a: random_offset_slice(a, NAN, 0), ConfigError),
+    "synth-inf": (lambda a: synth_speech_like(INF), ConfigError),
+    "rate-nan": (lambda a: change_rate(a, NAN), ConfigError),
+}
+
+
+@pytest.mark.parametrize("call, error", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_values_are_refused(call, error):
+    with pytest.raises(error):
+        call(synth_speech_like(2.0, seed=5))
 
 
 class TestSpecValidation:

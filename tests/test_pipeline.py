@@ -42,11 +42,10 @@ from speechprint.pipeline import (
     IdentifyOutcome,
     Pipeline,
     Session,
-    TranscriptLabeler,
     WavStreamDecoder,
     stream_wav_bytes,
 )
-from speechprint.registry import LabelRegistry, TranscriptDoc, load_transcript
+from speechprint.registry import LabelRegistry, TranscriptDoc
 from speechprint.spectral import FrameTransform, SpectralConfig
 
 FCFG = FingerprintConfig()
@@ -579,12 +578,14 @@ class TestEnroll:
             assert result is not None and result.file_id == outcome.file_id
 
     @pytest.mark.parametrize("rate", [8000, 16000])
-    def test_labeler_gets_the_transcript_once_per_enrolment(self, pipeline, rate):
+    def test_labeler_gets_the_transcript_once_per_enrolment(
+        self, pipeline, rate, monkeypatch
+    ):
         """A streamed enrolment reports the stream's length at the
-        canonical rate, and the labeler is called once with exactly the
-        transcript given, or None."""
+        canonical rate, and the registry's label_for is called once with
+        exactly the transcript given, or None."""
         calls = []
-        pipeline.labeler = calls.append
+        monkeypatch.setattr(pipeline.registry, "label_for", calls.append)
         doc = TranscriptDoc.from_text(0, "the number you dialled is busy", "en")
         for seed, transcript in ((833, doc), (834, None)):
             blob = encode_wav(synth_speech_like(9.3001, rate, seed=seed))
@@ -610,81 +611,19 @@ class TestEnroll:
         assert pipeline.enroll_file(pipeline.fingerprint(corpus[2])).file_id == 8
         assert index.file_ids == [1, 2, 7, 8]
 
-    def test_raising_labeler_leaves_pending(self, pipeline):
-        def exploding_labeler(transcript):
-            raise RuntimeError("labeler dependency down")
-
-        pipeline.labeler = exploding_labeler
-        clip = synth_speech_like(8.0, CANONICAL_RATE, seed=830)
-        outcome = pipeline.enroll_file(pipeline.fingerprint(clip))
-        assert outcome.status == STATUS_ENROLLED
-        assert outcome.label_id is None
-        assert outcome.file_id in pipeline.registry.pending()
-
-    def test_labeler_returning_unknown_label_leaves_pending(self, pipeline):
-        pipeline.labeler = lambda transcript: 999
-        clip = synth_speech_like(8.0, CANONICAL_RATE, seed=831)
-        outcome = pipeline.enroll_file(pipeline.fingerprint(clip))
-        assert outcome.label_id is None
-        assert outcome.file_id in pipeline.registry.pending()
-
-
-class TestTranscriptLabeler:
-    @pytest.fixture()
-    def registry(self):
+    def test_enrolment_with_transcript_gets_label(self, corpus):
         registry = LabelRegistry()
         registry.create_cluster(
             "voicemail greetings",
             "en",
             [("voicemail", 0.8), ("message", 0.5), ("reached", 0.4)],
         )
-        return registry
-
-    def test_matching_transcript_labelled(self, registry, tmp_path):
-        path = tmp_path / "0.txt"
-        path.write_text(
-            "lang=en\nyou have reached the voicemail message box\n",
-            encoding="utf-8",
-        )
-        labeler = TranscriptLabeler(registry)
-        assert labeler(load_transcript(path, file_id=0)) == 1
-
-    def test_no_transcript_abstains(self, registry):
-        assert TranscriptLabeler(registry)(None) is None
-
-    def test_other_language_abstains(self, registry, tmp_path):
-        path = tmp_path / "0.txt"
-        path.write_text(
-            "lang=de\nsie haben die voicemail message erreicht\n",
-            encoding="utf-8",
-        )
-        assert TranscriptLabeler(registry)(load_transcript(path, file_id=0)) is None
-
-    def test_transcript_without_tokens_abstains(self, registry, tmp_path):
-        path = tmp_path / "0.txt"
-        path.write_text("lang=en\n\n", encoding="utf-8")
-        assert TranscriptLabeler(registry)(load_transcript(path, file_id=0)) is None
-
-    def test_dissimilar_transcript_abstains(self, registry, tmp_path):
-        path = tmp_path / "0.txt"
-        path.write_text(
-            "lang=en\ncompletely unrelated weather forecast talk\n",
-            encoding="utf-8",
-        )
-        assert TranscriptLabeler(registry)(load_transcript(path, file_id=0)) is None
-
-    def test_enrolment_with_transcript_gets_label(self, corpus, tmp_path, registry):
-        index = RetrievalIndex.for_config(DIGEST, FCFG)
-        pipeline = Pipeline(
-            index, registry, SCFG, FCFG, labeler=TranscriptLabeler(registry)
-        )
-        path = tmp_path / "t.txt"
-        path.write_text("lang=en\nyou have reached the voicemail\n", encoding="utf-8")
-        outcome = pipeline.enroll_file(
-            pipeline.fingerprint(corpus[0]), load_transcript(path, file_id=0)
-        )
+        pipeline = Pipeline(RetrievalIndex.for_config(DIGEST, FCFG), registry, SCFG, FCFG)
+        doc = TranscriptDoc.from_text(0, "you have reached the voicemail", "en")
+        outcome = pipeline.enroll_file(pipeline.fingerprint(corpus[0]), doc)
         assert outcome.label_id == 1
         assert pipeline.registry.lookup(outcome.file_id) == 1
+        assert outcome.file_id not in pipeline.registry.pending()
 
 
 class TestPolicy:

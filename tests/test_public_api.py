@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "SpectralImage",
     "StreamingFingerprinter",
     "TranscriptDoc",
-    "TranscriptLabeler",
     "Variant",
     "add_noise",
     "build_registry_from_transcripts",
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "emit",
     "encode_wav",
     "errors",
-    "extract_keywords",
     "fingerprint_audio",
     "identify_over_socket",
     "load_results_csv",
@@ -99,3 +97,41 @@ def test_index_read_api_is_pinned():
         for name in INDEX_SIGNATURES
     }
     assert got == INDEX_SIGNATURES
+
+
+# The parameter names of every library call the benchmark makes, each with
+# its line in perfbench/workloads.py. The benchmark runs the same script on
+# two commits, so a change that renames or drops one of these breaks the
+# comparison: keep them, or change the benchmark first.
+BENCHMARK_CALLS = {
+    "Pipeline.__init__": ["self", "index", "registry", "spectral_config",
+                          "fingerprint_config"],  # :358
+    "PipelineServer.__init__": ["self", "address", "pipeline"],  # :359
+    "identify_over_socket": ["host", "port", "wav_bytes", "chunk_size",
+                             "timeout_s"],  # :418
+    "fingerprint_audio": ["audio", "spectral_config", "fingerprint_config",
+                          "file_id"],  # :212
+    "decode_wav": ["data"],  # :212
+    "config_digest": ["spectral", "fingerprint", "sample_rate"],  # :216
+    "RetrievalIndex.for_config": ["config_digest", "fingerprint_config"],  # :217
+    "RetrievalIndex.load": ["path", "expected_config_digest"],  # :578
+    "StreamingFingerprinter": ["sample_rate", "spectral_config",
+                               "fingerprint_config"],  # :498
+    "SpectralConfig.for_variant": ["variant", "window_s", "stride_s"],  # :497
+    "DeteriorationSpec": ["query_len_s", "snr_db", "rate", "offset_s"],  # :199
+    "make_query": ["audio", "spec", "seed"],  # :204
+    "add_noise": ["audio", "snr_db", "seed"],  # :347
+    "slice_seconds": ["audio", "start_s", "duration_s"],  # :345
+    "synth_speech_like": ["duration_s", "sample_rate", "seed"],  # :155
+    "AudioBuffer": ["samples", "sample_rate"],  # :172, :349
+    "encode_wav": ["audio", "bit_depth"],  # :205
+}
+
+
+def test_benchmark_calls_are_pinned():
+    got = {}
+    for name in BENCHMARK_CALLS:
+        owner, _, attr = name.rpartition(".")
+        obj = getattr(getattr(speechprint, owner) if owner else speechprint, attr)
+        got[name] = list(inspect.signature(obj).parameters)
+    assert got == BENCHMARK_CALLS

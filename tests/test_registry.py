@@ -11,10 +11,10 @@ from speechprint.registry import (
     LabelRegistry,
     TranscriptDoc,
     _kmeans_iterations,
+    _top_terms,
     build_registry_from_transcripts,
     cluster_dbscan,
     cluster_kmeans,
-    extract_keywords,
     load_transcript,
     load_transcript_dir,
     tokenize,
@@ -223,27 +223,71 @@ class TestKeywords:
             doc(5, "another unrelated transcript body"),
             doc(6, "more text without overlap words"),
         ]
-        keywords = extract_keywords(docs, {1, 2, 3}, top_k=3)
+        keywords = _top_terms(docs, *vectorize(docs), {1, 2, 3}, 3)
         assert keywords[0][0] == "voicemail"
         weights = [w for _t, w in keywords]
         assert weights == sorted(weights, reverse=True)
 
     def test_top_k_beyond_vocab_returns_all(self):
         docs = [doc(1, "apple banana"), doc(2, "cherry date")]
-        keywords = extract_keywords(docs, {1}, top_k=50)
+        keywords = _top_terms(docs, *vectorize(docs), {1}, 50)
         assert {t for t, _w in keywords} == {"apple", "banana"}
 
     def test_all_stop_words_empty_with_warning(self, caplog):
         docs = [doc(1, "the and of"), doc(2, "substantive content")]
         with caplog.at_level(logging.WARNING, logger="speechprint.registry"):
-            keywords = extract_keywords(docs, {1}, top_k=5)
+            keywords = _top_terms(docs, *vectorize(docs), {1}, 5)
         assert keywords == []
         assert any("no scoring terms" in r.message for r in caplog.records)
 
     def test_unknown_members_rejected(self):
         docs = [doc(1, "something")]
         with pytest.raises(ConfigError):
-            extract_keywords(docs, {99})
+            _top_terms(docs, *vectorize(docs), {99}, 5)
+
+
+class TestLabelFor:
+    @pytest.fixture()
+    def registry(self):
+        registry = LabelRegistry()
+        registry.create_cluster(
+            "voicemail greetings",
+            "en",
+            [("voicemail", 0.8), ("message", 0.5), ("reached", 0.4)],
+        )
+        return registry
+
+    def test_matching_transcript_labelled(self, registry, tmp_path):
+        path = tmp_path / "0.txt"
+        path.write_text(
+            "lang=en\nyou have reached the voicemail message box\n",
+            encoding="utf-8",
+        )
+        assert registry.label_for(load_transcript(path, file_id=0)) == 1
+
+    def test_no_transcript_abstains(self, registry):
+        assert registry.label_for(None) is None
+
+    def test_other_language_abstains(self, registry, tmp_path):
+        path = tmp_path / "0.txt"
+        path.write_text(
+            "lang=de\nsie haben die voicemail message erreicht\n",
+            encoding="utf-8",
+        )
+        assert registry.label_for(load_transcript(path, file_id=0)) is None
+
+    def test_transcript_without_tokens_abstains(self, registry, tmp_path):
+        path = tmp_path / "0.txt"
+        path.write_text("lang=en\n\n", encoding="utf-8")
+        assert registry.label_for(load_transcript(path, file_id=0)) is None
+
+    def test_dissimilar_transcript_abstains(self, registry, tmp_path):
+        path = tmp_path / "0.txt"
+        path.write_text(
+            "lang=en\ncompletely unrelated weather forecast talk\n",
+            encoding="utf-8",
+        )
+        assert registry.label_for(load_transcript(path, file_id=0)) is None
 
 
 class TestRegistry:

@@ -391,14 +391,6 @@ class TestBatcher:
         with ThreadPoolExecutor(max_workers=4) as pool:
             batched = list(pool.map(batcher.submit, prints))
         assert batched == direct
-        batcher.close()
-
-    def test_submit_after_close_rejected(self, corpus):
-        pipeline = build_pipeline(corpus)
-        batcher = QueryBatcher(pipeline.index)
-        batcher.close()
-        with pytest.raises(SpeechprintError):
-            batcher.submit([])
 
 
 class TestSessionCap:
