@@ -20,13 +20,13 @@ import csv
 import io
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .audio import CANONICAL_RATE, AudioBuffer, decode_canonical
-from .degrade import RATE_RANGE, DeteriorationSpec, make_query
+from .degrade import RATE_RANGE, DeteriorationSpec, make_query, snr_power_ratio
 from .errors import ConfigError, TooShort
 from .fileio import read_bytes, read_text, write_atomic
 from .fingerprint import FingerprintConfig, config_digest, fingerprint_audio
@@ -88,6 +88,8 @@ class ExperimentGrid:
             raise ConfigError("query lengths must be positive and finite")
         if not -np.inf < self.snr_db_range[0] <= self.snr_db_range[1] < np.inf:
             raise ConfigError("snr_db_range must be finite (low, high)")
+        for snr_db in self.snr_db_range:  # the queries draw from between them
+            snr_power_ratio(snr_db)
         lo, hi = self.rate_range
         if not RATE_RANGE[0] <= lo <= hi <= RATE_RANGE[1]:
             raise ConfigError(
@@ -372,7 +374,7 @@ def load_results_csv(path: str | Path) -> list[CellResult]:
     reader = csv.reader(io.StringIO(read_text(path, "results"), newline=""))
     header = tuple(next(reader, ()))
     if header != CSV_HEADER:
-        raise ConfigError(f"unexpected results header {header!r}")
+        raise ConfigError(f"{path}:1: unexpected results header {header!r}")
     results = []
     for row in reader:
         try:
@@ -409,25 +411,19 @@ def parse_grid_config(path: str | Path) -> ExperimentGrid:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         parts = [p.strip() for p in value.split(",") if p.strip()]
+        if key not in {f.name for f in fields(ExperimentGrid)}:
+            raise ConfigError(f"{path}:{lineno}: unknown grid key {key!r}")
         try:
             if key == "variants":
-                grid = replace(grid, variants=tuple(Variant(p) for p in parts))
-            elif key == "strides_ms":
-                grid = replace(grid, strides_ms=tuple(float(p) for p in parts))
-            elif key == "query_lens_s":
-                grid = replace(grid, query_lens_s=tuple(float(p) for p in parts))
-            elif key == "snr_db_range":
+                parsed = tuple(Variant(p) for p in parts)
+            elif key in ("strides_ms", "query_lens_s"):
+                parsed = tuple(float(p) for p in parts)
+            elif key in ("snr_db_range", "rate_range"):
                 low, high = (float(p) for p in parts)
-                grid = replace(grid, snr_db_range=(low, high))
-            elif key == "rate_range":
-                low, high = (float(p) for p in parts)
-                grid = replace(grid, rate_range=(low, high))
-            elif key == "trials_per_cell":
-                grid = replace(grid, trials_per_cell=int(value))
-            elif key == "master_seed":
-                grid = replace(grid, master_seed=int(value))
-            else:
-                raise ConfigError(f"unknown grid key {key!r}")
-        except (ValueError, TypeError) as exc:
+                parsed = (low, high)
+            else:  # trials_per_cell, master_seed
+                parsed = int(value)
+            grid = replace(grid, **{key: parsed})
+        except (ConfigError, ValueError, TypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return grid

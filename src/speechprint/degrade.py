@@ -9,6 +9,7 @@ always reproduces the same query bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,8 +41,8 @@ class DeteriorationSpec:
             raise ConfigError(
                 f"query_len_s must be positive and finite, got {self.query_len_s}"
             )
-        if self.snr_db is not None and not np.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if self.snr_db is not None:
+            snr_power_ratio(self.snr_db)
         if not RATE_RANGE[0] <= self.rate <= RATE_RANGE[1]:
             raise ConfigError(
                 f"rate must lie in [{RATE_RANGE[0]}, {RATE_RANGE[1]}], "
@@ -106,6 +107,25 @@ def change_rate(audio: AudioBuffer, rate: float) -> AudioBuffer:
     return AudioBuffer(resampler.finish(n_out, audio.samples), audio.sample_rate)
 
 
+def snr_power_ratio(snr_db: float) -> float:
+    """The signal-to-noise power ratio 10 ** (snr_db / 10).
+
+    Raises ConfigError when snr_db is not finite or the ratio is not a
+    normal float64. A subnormal ratio would still overflow the noise
+    power of a signal in [-1, 1]; a normal one keeps it finite.
+    """
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (math.isfinite(snr_db) and np.finfo(np.float64).tiny <= ratio < math.inf):
+        raise ConfigError(
+            f"snr_db must be finite, with a power ratio 10 ** (snr_db / 10) "
+            f"that is a normal float64, got {snr_db}"
+        )
+    return ratio
+
+
 def add_noise(
     audio: AudioBuffer,
     snr_db: float,
@@ -117,15 +137,17 @@ def add_noise(
     variance, so 10*log10(P_signal / P_noise) equals ``snr_db`` to within
     float error before the final clip to [-1, 1].
 
-    Raises SilentSignal for an all-zero signal (SNR is undefined).
+    Raises SilentSignal for an all-zero signal (SNR is undefined), and
+    ConfigError for an snr_db that :func:`snr_power_ratio` refuses.
     """
+    ratio = snr_power_ratio(snr_db)
     signal_power = float(np.mean(np.square(audio.samples)))
     if signal_power == 0.0:
         raise SilentSignal("cannot set an SNR against a silent signal")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(len(audio))
     noise_power = float(np.mean(np.square(noise)))
-    target_power = signal_power / (10.0 ** (snr_db / 10.0))
+    target_power = signal_power / ratio
     noise *= np.sqrt(target_power / noise_power)
     out = _clip_unit(audio.samples + noise, "additive noise")
     return AudioBuffer(out, audio.sample_rate)

@@ -35,8 +35,13 @@ INDEX_VERSION = 3
 # min_band_votes, min_confidence, file count
 _HEADER_FMT = "<HQHHHdI"
 _HEADER_LEN = 4 + struct.calcsize(_HEADER_FMT)
-# postings are int32 row numbers
+# rows are numbered below 2**31 - 1: they fit the int32 row column, and
+# a word's row half never reaches 0xFFFFFFFF, so a probe of
+# k << 32 | 0xFFFFFFFF lands after every word of key k
 _MAX_ROWS = 2**31 - 1
+# a band word is key << 32 | row
+_KEY_SHIFT = np.uint64(32)
+_ROW_MASK = np.uint64(0xFFFFFFFF)
 
 #: Upper bound on the (row, posting) pairs that one slice of a band join
 #: expands and counts at once, about 2.5 MiB of temporaries: a batch of
@@ -86,15 +91,15 @@ class RetrievalIndex:
     Every enrolled sub is one row, numbered in enrolment order, and a
     row column holds each row's file ordinal. A file's rows are
     contiguous and in block order, so a row's block is the row minus its
-    file's first row. Each band is one sorted array of band keys with an
-    aligned array of postings, the row numbers of the subs holding each
-    key. A query finds all of its buckets with one binary search per
-    band, probing k and k + 1; :meth:`find_duplicates` joins the bands
-    with themselves, with no search. Loading sorts each band once, and
-    enrolment sorts a file's keys the same way and merges them in (see
-    :func:`_sort_bands`). The band digests live in the bands only, and
-    :meth:`save` scatters them back into rows. Thread safety: enrolment,
-    queries and persistence hold one lock.
+    file's first row. Each band is one sorted array of u64 words, one per
+    posting: the band key above the row number of the sub holding it. A
+    query finds all of its buckets with one search per band, for the
+    first and the last word a key can have; :meth:`find_duplicates` joins
+    the bands with themselves, with no search. Loading sorts each band
+    once, and enrolment sorts a file's words the same way and merges them
+    in (see :func:`_sort_bands`). The band digests live in the bands
+    only, and :meth:`save` scatters them back into rows. Thread safety:
+    enrolment, queries and persistence hold one lock.
 
     ``min_band_votes`` and ``min_confidence`` are fixed when the index is
     made: queries and dedup use them, and the file header stores them.
@@ -123,11 +128,9 @@ class RetrievalIndex:
         self.band_width = band_width
         self.min_band_votes = min_band_votes
         self.min_confidence = min_confidence
-        # row j: every enrolled sub's band-j key in ascending order, equal
-        # keys in row order, and aligned with it the row number of the sub
-        # holding each key
-        self._keys = np.empty((band_count, 0), dtype=np.uint32)
-        self._postings = np.empty((band_count, 0), dtype=np.int32)
+        # row j: a word key << 32 | row per enrolled sub, its band-j key
+        # above its row number, ascending, so equal keys are in row order
+        self._bands = np.empty((band_count, 0), dtype=np.uint64)
         # per row: its file's ordinal (the file's position in _ids); a
         # file's rows are contiguous and in block order
         self._row_file = np.empty(0, dtype=np.int32)
@@ -194,13 +197,14 @@ class RetrievalIndex:
             self._merge(fp.file_id, digests)
 
     def _merge(self, file_id: int, digests: np.ndarray) -> None:
-        """Appends one new file's rows and merges its keys into every band;
-        lock held.
+        """Appends one new file's rows and merges its words into every
+        band; lock held.
 
-        The new keys are sorted as :meth:`_build` sorts them. Each goes
-        after the equal keys already enrolled and the new keys before it,
-        and the old keys fill the other places in order, so the bands
-        equal what :meth:`_build` makes of all rows at once.
+        The new words are sorted as :meth:`_build` sorts them. Their rows
+        follow every enrolled row, so each goes after the equal keys
+        already enrolled and the new words before it, and the old words
+        fill the other places in order: the bands equal what
+        :meth:`_build` makes of all rows at once.
         """
         first_row = self._row_file.size
         ordinal = len(self._ids)
@@ -208,25 +212,18 @@ class RetrievalIndex:
         self._ordinals[file_id] = ordinal
         n_new = len(digests)
         self._row_file = np.append(self._row_file, np.full(n_new, ordinal, np.int32))
-        new_keys, order = _sort_bands(digests.T)
-        width = self._keys.shape[1] + n_new
-        # merged position of each new key: after the equal keys already
-        # enrolled and the new keys before it, in the flattened bands
-        dest = np.array(
-            [k.searchsorted(new, side="right") for k, new in zip(self._keys, new_keys)]
-        )
+        new = _sort_bands(digests.T) + np.uint64(first_row)
+        width = self._bands.shape[1] + n_new
+        # merged position of each new word: after the old words below it
+        # and the new words before it, in the flattened bands
+        dest = np.array([b.searchsorted(w) for b, w in zip(self._bands, new)])
         dest += np.arange(n_new) + width * np.arange(self.band_count)[:, None]
-        dest = dest.ravel()
         old = np.ones(self.band_count * width, dtype=bool)
         old[dest] = False
-        keys = np.empty(old.size, dtype=np.uint32)
-        keys[old] = self._keys.ravel()
-        keys[dest] = new_keys.ravel()
-        postings = np.empty(old.size, dtype=np.int32)
-        postings[old] = self._postings.ravel()
-        postings[dest] = (order + first_row).ravel()
-        self._keys = keys.reshape(self.band_count, width)
-        self._postings = postings.reshape(self.band_count, width)
+        bands = np.empty(old.size, dtype=np.uint64)
+        bands[old] = self._bands.ravel()
+        bands[dest] = new
+        self._bands = bands.reshape(self.band_count, width)
 
     def _build(self, ids: list[int], counts: np.ndarray, digests: np.ndarray) -> None:
         """Fills an empty index from whole-index columns in one pass.
@@ -240,7 +237,7 @@ class RetrievalIndex:
         self._ids = list(ids)
         self._ordinals = {file_id: k for k, file_id in enumerate(ids)}
         self._row_file = np.repeat(np.arange(len(ids), dtype=np.int32), counts)
-        self._keys, self._postings = _sort_bands(digests.T)
+        self._bands = _sort_bands(digests.T)
 
     def __contains__(self, file_id: int) -> bool:
         with self._lock:
@@ -257,10 +254,9 @@ class RetrievalIndex:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the index's arrays: bands, postings, row files."""
+        """Bytes held by the index's arrays: band words and row files."""
         with self._lock:
-            arrays = (self._keys, self._postings, self._row_file)
-            return sum(a.nbytes for a in arrays)
+            return self._bands.nbytes + self._row_file.nbytes
 
     def _join(self, bounds: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
         """Band hits of (row, index row) pairs, in slices of whole rows.
@@ -275,7 +271,7 @@ class RetrievalIndex:
         slice's pair numbers and the length of each run of equal numbers
         give the hits. Lock held.
         """
-        flat = self._postings.ravel().view(np.uint32)
+        words = self._bands.ravel()
         bits = max(self._row_file.size - 1, 0).bit_length()
         # pairs before each row
         before = np.zeros(starts.size + 1, dtype=np.int64)
@@ -293,7 +289,8 @@ class RetrievalIndex:
                 pairs = (np.arange(hi - lo, dtype=np.uint32) << bits).repeat(
                     before[lo + 1 : hi + 1] - before[lo:hi]
                 )
-                pairs |= flat.take(at)
+                # the cast to u32 keeps each word's low half, its row
+                pairs |= words.take(at).astype(np.uint32)
                 pairs.sort()
                 runs = _run_bounds(pairs)
                 hits = runs[1:] - runs[:-1]
@@ -311,17 +308,20 @@ class RetrievalIndex:
         takes: row r's buckets are entries r * band_count onwards, one per
         band; lock held."""
         n_rows, bands = digest_rows.shape
-        width = self._keys.shape[1]
-        # a bucket of key k runs from the band's first key >= k to its
-        # first key >= k + 1, so one search per band finds both ends
-        probes = np.empty((bands, 2 * n_rows), dtype=np.uint32)
-        probes[:, :n_rows] = digest_rows.T
-        probes[:, n_rows:] = probes[:, :n_rows] + np.uint32(1)
-        bounds = np.array([k.searchsorted(p) for k, p in zip(self._keys, probes)])
-        # k + 1 wraps to 0 for the largest u32, whose bucket ends the band
-        bounds[:, n_rows:][probes[:, n_rows:] == 0] = width
-        starts = bounds[:, :n_rows] + width * np.arange(bands)[:, None]
-        sizes = bounds[:, n_rows:] - bounds[:, :n_rows]
+        # a bucket of key k runs from the band's first word >= k << 32 to
+        # its first word >= k << 32 | 0xFFFFFFFF, a row no word holds. One
+        # search per band finds both ends of every bucket, for the keys in
+        # ascending order: numpy starts each search where the last ended
+        order = digest_rows.T.argsort(axis=1)
+        probes = np.empty((bands, n_rows, 2), dtype=np.uint64)
+        probes[..., 0] = np.take_along_axis(digest_rows.T, order, axis=1)
+        probes[..., 0] <<= _KEY_SHIFT
+        probes[..., 1] = probes[..., 0] | _ROW_MASK
+        found = [b.searchsorted(p) for b, p in zip(self._bands, probes.reshape(bands, -1))]
+        bounds = np.empty((bands, n_rows, 2), dtype=np.int64)
+        bounds[np.arange(bands)[:, None], order] = np.reshape(found, bounds.shape)
+        starts = bounds[..., 0] + self._bands.shape[1] * np.arange(bands)[:, None]
+        sizes = bounds[..., 1] - bounds[..., 0]
         return np.arange(0, (n_rows + 1) * bands, bands), starts.T.ravel(), sizes.T.ravel()
 
     def _later_partners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -334,30 +334,27 @@ class RetrievalIndex:
         the rest of the bucket after the run, so only the runs that do not
         end their bucket have any.
         """
-        width = self._keys.shape[1]
-        keys = self._keys.ravel()
-        postings = self._postings.ravel()
-        new_bucket = np.empty(keys.size, dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new_bucket[1:])
-        new_bucket[::width] = True
-        files = self._row_file.take(postings)
-        new_run = np.empty(keys.size, dtype=bool)
-        np.not_equal(files[1:], files[:-1], out=new_run[1:])
-        new_run |= new_bucket
+        words = self._bands.ravel()
+        new_bucket = _bucket_starts(self._bands)
+        # the cast to u32 keeps each word's low half, its row
+        files = self._row_file.take(words.astype(np.uint32))
+        # a run of one file starts with each bucket and each change of file
+        new_run = new_bucket.copy()
+        new_run[1:-1] |= files[1:] != files[:-1]
         # each run's first position, then the end of the bands, and
         # whether each starts a bucket, the end counting as one
-        first = np.append(np.flatnonzero(new_run), keys.size)
-        starts_bucket = np.append(new_bucket.take(first[:-1]), True)
+        first = np.flatnonzero(new_run)
+        starts_bucket = new_bucket.take(first)
         # a run followed by a run of its own bucket has partners, from its
         # end to the first position of the next run that starts a bucket
         has = np.flatnonzero(~starts_bucket[1:])
         ends = first.take(has + 1)
-        next_bucket = starts_bucket.cumsum().take(has)
-        bucket_ends = first.take(starts_bucket.nonzero()[0].take(next_bucket))
+        bucket_runs = starts_bucket.nonzero()[0]
+        bucket_ends = first.take(bucket_runs.take(bucket_runs.searchsorted(has, "right")))
         # the positions of those runs, grouped by row
         run_first = first.take(has)
         lengths = ends - run_first
-        rows = postings.take(_ranges(run_first, lengths))
+        rows = words.take(_ranges(run_first, lengths)).astype(np.uint32)
         order = np.argsort(rows)
         run = np.repeat(np.arange(has.size), lengths).take(order)
         starts = ends.take(run)
@@ -502,12 +499,10 @@ class RetrievalIndex:
 
     def stats(self) -> IndexStats:
         with self._lock:
-            keys = self._keys
-            # a bucket starts at each band's first key and at every key change
-            n_buckets = int(np.count_nonzero(keys[:, 1:] != keys[:, :-1]))
-            if keys.size:
-                n_buckets += self.band_count
-            return IndexStats(len(self._ids), self._row_file.size, keys.size, n_buckets)
+            # less the True past the end
+            n_buckets = int(np.count_nonzero(_bucket_starts(self._bands))) - 1
+            n_postings = self._bands.size
+            return IndexStats(len(self._ids), self._row_file.size, n_postings, n_buckets)
 
     def save(self, path: str | Path) -> None:
         """Writes the index to ``path`` atomically (see :func:`write_atomic`).
@@ -527,16 +522,12 @@ class RetrievalIndex:
             saved = sorted(range(len(ids)), key=ids.__getitem__)  # ordinals by id
             counts = np.bincount(self._row_file, minlength=len(ids))
             saved_counts = counts[saved]
-            # a row's place in the file: its file's first place there plus
-            # the row's place within its file
-            saved_first = np.empty(len(ids), dtype=np.int64)
-            saved_first[saved] = np.cumsum(saved_counts) - saved_counts
-            shift = saved_first - (np.cumsum(counts) - counts)
-            place = np.arange(n_rows) + shift[self._row_file]
-            digests = np.empty((n_rows, self.band_count), dtype="<u4")
-            digests[place[self._postings], np.arange(self.band_count)[:, None]] = (
-                self._keys
-            )
+            # each band's keys in row order, then each saved file's rows
+            keys = np.empty((self.band_count, n_rows), dtype="<u4")
+            for by_row, words in zip(keys, self._bands):
+                by_row[words & _ROW_MASK] = words >> _KEY_SHIFT
+            first = np.cumsum(counts) - counts
+            digests = keys.take(_ranges(first[saved], saved_counts), axis=1).T
             parts = [
                 INDEX_MAGIC,
                 struct.pack(
@@ -575,6 +566,7 @@ class RetrievalIndex:
                 each file's 0..n-1.
             IncompatibleIndex: another version, or the stored config
                 digest differs from ``expected_config_digest``.
+            ConfigError: more subs than an index holds.
         """
         blob = read_bytes(path, "index")
         if len(blob) < _HEADER_LEN + 8 or blob[:4] != INDEX_MAGIC:
@@ -645,19 +637,26 @@ def _count_distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[bounds[:-1]], np.diff(bounds)
 
 
-def _sort_bands(by_band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of [bands, n] u32 keys in ascending order, and the int32
-    column each key came from, equal keys in column order: what a stable
-    argsort gives.
+def _bucket_starts(bands: np.ndarray) -> np.ndarray:
+    """Whether a bucket starts at each position of the flattened [bands,
+    n] words, at each band's first word and at every change of key; then
+    True past the end."""
+    starts = np.ones(bands.size + 1, dtype=bool)
+    keys = bands.ravel() >> _KEY_SHIFT
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
+    starts[: bands.size : bands.shape[1] or 1] = True
+    return starts
 
-    One sort of u64 words, each a key above its column (columns are rows,
-    fewer than 2**31), orders the keys and then the columns exactly.
+
+def _sort_bands(by_band: np.ndarray) -> np.ndarray:
+    """Each row of [bands, n] u32 keys as u64 words key << 32 | column,
+    ascending: the keys in order, equal keys in column order, as a stable
+    argsort gives them (columns are rows, fewer than 2**31).
     """
-    packed = by_band.astype(np.uint64, order="C") << np.uint64(32)
-    packed |= np.arange(by_band.shape[1], dtype=np.uint64)
-    packed.sort(axis=1)
-    keys = (packed >> np.uint64(32)).astype(np.uint32)
-    return keys, (packed & np.uint64(0xFFFFFFFF)).astype(np.int32)
+    words = by_band.astype(np.uint64, order="C") << _KEY_SHIFT
+    words |= np.arange(by_band.shape[1], dtype=np.uint64)
+    words.sort(axis=1)
+    return words
 
 
 def _blake2b(data: bytes) -> bytes:

@@ -353,6 +353,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="header"):
             load_results_csv(path)
 
+    def test_foreign_header_names_the_file(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("a,b,c\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            load_results_csv(path)
+        assert str(caught.value).startswith(f"{path}:1: unexpected results header")
+
     def test_load_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
             load_results_csv(tmp_path / "absent.csv")
@@ -430,6 +437,22 @@ class TestParseGridConfig:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=match):
             parse_grid_config(path)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("strides_ms = 25, 50, 150", "bad value for strides_ms: window_s (0.1) must be"),
+            ("snr_db_range = 5, 4000", "bad value for snr_db_range: snr_db must be finite"),
+            ("unknown_key = 1", "unknown grid key 'unknown_key'"),
+        ],
+        ids=["refused-by-the-grid", "snr-past-float64", "unknown-key"],
+    )
+    def test_errors_name_the_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "grid.cfg"
+        path.write_text(f"trials_per_cell = 3\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            parse_grid_config(path)
+        assert str(caught.value).startswith(f"{path}:2: {message}")
 
     def test_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):

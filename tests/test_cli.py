@@ -245,7 +245,8 @@ def test_bench_run_checks_its_grid_before_the_corpus(tmp_path, capsys):
     assert main(["bench", "run", "--corpus", str(tmp_path / "absent"),
                  "--grid", str(grid), "--out", str(tmp_path / "r.csv")]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: window_s (0.1) must be") and err.count("\n") == 1
+    assert err.startswith(f"error: {grid}:2: bad value for strides_ms: window_s (0.1) must be")
+    assert err.count("\n") == 1
     assert not out
 
 
@@ -268,6 +269,20 @@ def test_non_finite_number_is_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out
     assert [p.name for p in tmp_path.rglob("*.wav")] == ["a.wav"]
+
+
+@pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+def test_degrade_snr_past_float64_is_one_error_line(tmp_path, capsys, snr_db):
+    """An SNR whose power ratio float64 cannot hold is refused with one
+    error line and exit status 2, and writes no query."""
+    (tmp_path / "a.wav").write_bytes(encode_wav(synth_speech_like(3.0, seed=93)))
+    argv = ["degrade", str(tmp_path / "a.wav"), str(tmp_path / "q.wav"), "--len-s", "1",
+            "--snr-db", snr_db]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: snr_db must be finite") and err.count("\n") == 1, err
+    assert not out
+    assert not (tmp_path / "q.wav").exists()
 
 
 def test_train_on_no_transcripts_is_one_error_line(tmp_path, capsys):

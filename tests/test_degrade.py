@@ -151,6 +151,35 @@ class TestRateChange:
             change_rate(speech_clip, 0.0)
 
 
+# an SNR whose power ratio 10 ** (snr_db / 10) is no normal float64:
+# it overflows, is 0 or subnormal, or is NaN
+UNUSABLE_SNR_DB = [3100.0, 4000.0, -3090.0, -4000.0, INF, -INF, NAN]
+
+
+@pytest.mark.parametrize("snr_db", UNUSABLE_SNR_DB)
+def test_snr_without_a_usable_power_ratio_is_refused(snr_db):
+    audio = synth_speech_like(2.0, seed=5)
+    with pytest.raises(ConfigError, match=f"snr_db must be finite.*got {snr_db}"):
+        add_noise(audio, snr_db, 0)
+    with pytest.raises(ConfigError, match="snr_db must be finite"):
+        DeteriorationSpec(1.0, snr_db=snr_db)
+    with pytest.raises(ConfigError, match="must be finite"):
+        ExperimentGrid(snr_db_range=(min(snr_db, 3.0), max(snr_db, 3.0)))
+
+
+@pytest.mark.parametrize("snr_db", [3000.0, -3000.0])
+def test_extreme_snr_with_a_normal_power_ratio_is_kept(snr_db):
+    """Noise 3,000 dB down leaves the signal; noise 3,000 dB up clips it
+    to full scale, and both stay finite."""
+    audio = synth_speech_like(2.0, seed=5)
+    out = add_noise(audio, snr_db, 0)
+    if snr_db > 0:
+        np.testing.assert_array_equal(out.samples, audio.samples)
+    else:
+        assert np.abs(out.samples).min() == 1.0
+    DeteriorationSpec(1.0, snr_db=snr_db)
+
+
 class TestNoise:
     def test_exact_snr(self, tone):
         tone = tone(440.0, 2.0, 8000, amp=0.3)

@@ -82,6 +82,12 @@ def index(prints):
     return build_index(prints)
 
 
+def split_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The u32 keys and int32 rows of band words ``key << 32 | row``."""
+    keys = (words >> np.uint64(32)).astype(np.uint32)
+    return keys, (words & np.uint64(0xFFFFFFFF)).astype(np.int32)
+
+
 class TestEnroll:
     def test_self_retrieval_confidence_one(self, index, prints):
         result = index.query(prints[2])
@@ -127,6 +133,22 @@ class TestEnroll:
         one = RetrievalIndex.for_config(DIGEST, FCFG)
         one.enroll(Fingerprint(7, prints[0].signatures[:1], DIGEST))
         assert one.stats() == IndexStats(1, 1, FCFG.band_count, FCFG.band_count)
+
+    def test_enroll_past_the_row_cap_refused(self, prints, monkeypatch):
+        """An enrolment that would number a row at the cap or beyond is
+        refused, and leaves the index as it was."""
+        idx = RetrievalIndex.for_config(DIGEST, FCFG)
+        idx.enroll(prints[0])
+        n_rows = len(prints[0].signatures)
+        monkeypatch.setattr(index_module, "_MAX_ROWS", n_rows + 1)
+        bands, row_file = idx._bands.copy(), idx._row_file.copy()
+        with pytest.raises(ConfigError, match=f"at most {n_rows + 1} subs"):
+            idx.enroll(Fingerprint(9, prints[1].signatures[:2], DIGEST))
+        assert idx.file_ids == [0] and 9 not in idx
+        np.testing.assert_array_equal(idx._bands, bands)
+        np.testing.assert_array_equal(idx._row_file, row_file)
+        idx.enroll(Fingerprint(9, prints[1].signatures[:1], DIGEST))
+        assert idx.stats().n_subs == n_rows + 1
 
 
 class TestQuery:
@@ -605,8 +627,7 @@ class TestPersistence:
         old = tmp_path / "v2.spix"
         old.write_bytes(as_version_2(v3, low))
         loaded = RetrievalIndex.load(old, expected_config_digest=DIGEST)
-        np.testing.assert_array_equal(loaded._keys, index._keys)
-        np.testing.assert_array_equal(loaded._postings, index._postings)
+        np.testing.assert_array_equal(loaded._bands, index._bands)
         loaded.save(path)
         assert path.read_bytes() == v3
 
@@ -639,8 +660,7 @@ class TestPersistence:
         path = tmp_path / "idx.spix"
         idx.save(path)
         loaded = RetrievalIndex.load(path)
-        np.testing.assert_array_equal(loaded._keys, idx._keys)
-        np.testing.assert_array_equal(loaded._postings, idx._postings)
+        np.testing.assert_array_equal(loaded._bands, idx._bands)
 
     def test_loaded_order_among_equal_keys_is_stable(self, prints, tmp_path):
         """Loading orders each band as a stable argsort of the saved
@@ -656,18 +676,19 @@ class TestPersistence:
         idx = RetrievalIndex.for_config(DIGEST, FCFG)
         for k in order:
             idx.enroll(files[k])
-        bucket = idx._keys[0] == idx._band_digests(sub)[0, 0]
+        keys, rows = split_words(idx._bands)
+        bucket = keys[0] == idx._band_digests(sub)[0, 0]
         assert bucket.sum() >= 100
-        assert len(set(idx._row_file[idx._postings[0, bucket]].tolist())) >= 3
+        assert len(set(idx._row_file[rows[0, bucket]].tolist())) >= 3
         path = tmp_path / "idx.spix"
         idx.save(path)
         blob = path.read_bytes()
         _, _, keys = index_module._read_payload(blob, 3, len(files), FCFG.band_count)
         stable = np.argsort(keys.T, axis=1, kind="stable")
-        loaded = RetrievalIndex.load(path)
-        np.testing.assert_array_equal(loaded._postings, stable)
+        loaded_keys, loaded_rows = split_words(RetrievalIndex.load(path)._bands)
+        np.testing.assert_array_equal(loaded_rows, stable)
         np.testing.assert_array_equal(
-            loaded._keys, np.take_along_axis(keys.T, stable, axis=1)
+            loaded_keys, np.take_along_axis(keys.T, stable, axis=1)
         )
         # the same rows in enrolment order, built at once
         built = RetrievalIndex.for_config(DIGEST, FCFG)
@@ -677,8 +698,7 @@ class TestPersistence:
             np.array([len(fp.signatures) for fp in rows]),
             built._band_digests(np.concatenate([fp.signatures for fp in rows])),
         )
-        np.testing.assert_array_equal(built._keys, idx._keys)
-        np.testing.assert_array_equal(built._postings, idx._postings)
+        np.testing.assert_array_equal(built._bands, idx._bands)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_band_sort_equals_stable_argsort(self, seed):
@@ -691,8 +711,9 @@ class TestPersistence:
             keys[0] = 0xFFFFFFFF
             keys[1] |= np.uint32(0xFFFFFFFC)
             keys[2] = rng.integers(0, 2**32, n, dtype=np.uint32)
-            sorted_keys, order = index_module._sort_bands(keys)
-            assert (sorted_keys.dtype, order.dtype) == (np.uint32, np.int32)
+            words = index_module._sort_bands(keys)
+            assert words.dtype == np.uint64
+            sorted_keys, order = split_words(words)
             stable = np.argsort(keys, axis=1, kind="stable")
             np.testing.assert_array_equal(order, stable)
             np.testing.assert_array_equal(
@@ -710,9 +731,19 @@ class TestPersistence:
         with pytest.raises(CorruptIndex, match="min_band_votes"):
             RetrievalIndex.load(path)
 
+    def test_load_past_the_row_cap_refused(self, index, tmp_path, monkeypatch):
+        path = tmp_path / "idx.spix"
+        index.save(path)
+        n_rows = index.stats().n_subs
+        monkeypatch.setattr(index_module, "_MAX_ROWS", n_rows - 1)
+        with pytest.raises(ConfigError, match=f"at most {n_rows - 1} subs"):
+            RetrievalIndex.load(path)
+        monkeypatch.setattr(index_module, "_MAX_ROWS", n_rows)
+        assert RetrievalIndex.load(path).stats() == index.stats()
+
     def test_largest_band_key_found(self, tmp_path, monkeypatch):
-        """A bucket keyed 2**32 - 1 is found, though its key + 1 wraps to
-        0, from a version 3 file and from a version 2 file's digest
+        """A bucket keyed 2**32 - 1, whose words end their band, is found
+        from a version 3 file and from a version 2 file's digest
         2**64 - 1."""
         keys = np.random.default_rng(5).integers(0, 2**31, (4, 20), dtype=np.uint32)
         keys[:, 0] = 2**32 - 1  # every sub of band 0
