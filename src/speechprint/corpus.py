@@ -131,10 +131,9 @@ def synth_corpus(
     out_dir: str | Path,
     n_files: int = 30,
     duration_s: float = 15.0,
-    sample_rate: int = 8000,
     seed: int = 0,
 ) -> list[Path]:
-    """Writes ``n_files`` synthetic WAV files and returns their paths.
+    """Writes ``n_files`` synthetic 8 kHz WAV files and returns their paths.
 
     Files are named file000.wav, file001.wav, ... and each one's content
     depends only on (seed, its position), so a corpus regenerates
@@ -150,7 +149,7 @@ def synth_corpus(
     children = np.random.SeedSequence(seed).spawn(n_files)
     paths = []
     for i, child in enumerate(children):
-        clip = synth_speech_like(duration_s, sample_rate, child)
+        clip = synth_speech_like(duration_s, seed=child)
         path = out_dir / f"file{i:03d}.wav"
         write_atomic(path, encode_wav(clip), "corpus file")
         paths.append(path)

@@ -56,6 +56,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,20 +80,24 @@ SIGNATURE_CAP = 255
 
 @dataclass(frozen=True)
 class FingerprintConfig:
-    """Block geometry and hashing parameters.
+    """Block geometry, with the min-hash layout as class constants.
 
     Defaults follow the classic wavelet fingerprinting regime (128-frame
-    blocks, top 200 coefficients, 100 permutations banded 20 x 5). Every
-    field is tunable; the benchmark harness runs a smaller block so short
-    queries still produce sub-fingerprints at coarse strides.
+    blocks, top 200 coefficients, 100 permutations banded 20 x 5). The
+    three fields are tunable; the benchmark harness runs a smaller block
+    so short queries still produce sub-fingerprints at coarse strides.
     """
+
+    #: Signatures are read as band_count bands of band_width bytes, one
+    #: byte per min-hash permutation; seed fixes the permutations
+    band_count: ClassVar[int] = 20
+    band_width: ClassVar[int] = 5
+    seed: ClassVar[int] = 0x53504650
+    n_permutations: ClassVar[int] = band_count * band_width
 
     block_frames: int = 128
     block_hop_frames: int = 32
     top_t: int = 200
-    band_count: int = 20
-    band_width: int = 5
-    seed: int = 0x53504650
 
     def __post_init__(self) -> None:
         if self.block_frames < 1 or self.block_frames & (self.block_frames - 1):
@@ -106,13 +111,6 @@ class FingerprintConfig:
             )
         if self.top_t < 1:
             raise ConfigError(f"top_t must be >= 1, got {self.top_t}")
-        if self.band_count < 1 or self.band_width < 1:
-            raise ConfigError("band_count and band_width must be >= 1")
-
-    @property
-    def n_permutations(self) -> int:
-        """Signature length: one min-hash per position of every band."""
-        return self.band_count * self.band_width
 
 
 @dataclass(frozen=True, eq=False)

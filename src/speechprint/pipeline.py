@@ -99,23 +99,23 @@ class Pipeline:
         self.registry = registry
         self.spectral_config = spectral_config
         self.fingerprint_config = fingerprint_config
-        self._id_lock = threading.Lock()
+        # reentrant: Session.finish holds it from its last query through
+        # enroll_file, which takes it again to hand out the file id
+        self._lock = threading.RLock()
         self._next_id = 1
 
     def allocate_file_id(self) -> int:
         """The next file id: above every id handed out so far and every id
         in the index, including those enrolled into it directly."""
-        with self._id_lock:
+        with self._lock:
             file_id = max(self._next_id, max(self.index.file_ids, default=0) + 1)
             self._next_id = file_id + 1
             return file_id
 
-    def fingerprint(self, audio: AudioBuffer, file_id: int = 0) -> Fingerprint:
+    def fingerprint(self, audio: AudioBuffer) -> Fingerprint:
         if audio.sample_rate != CANONICAL_RATE:
             audio = resample(audio, CANONICAL_RATE)
-        return fingerprint_audio(
-            audio, self.spectral_config, self.fingerprint_config, file_id
-        )
+        return fingerprint_audio(audio, self.spectral_config, self.fingerprint_config)
 
     def enroll_file(self, fingerprint: Fingerprint, transcript=None) -> IdentifyOutcome:
         """Enrolls a fingerprint's rows as a new file, then labels it.
@@ -189,8 +189,10 @@ class Session:
     counts the reach.
     :meth:`finish` queries again only if the answer could have changed:
     the fingerprint has rows the last query lacked, or a file was
-    enrolled since (files are only ever added). An enrolment is labelled
-    from ``transcript``.
+    enrolled since (files are only ever added). That query and the
+    enrolment hold one pipeline lock, so concurrent streams of one new
+    recording enrol it once; decision-point queries take no lock. An
+    enrolment is labelled from ``transcript``.
 
     A stream longer than :data:`MAX_STREAM_S` seconds of audio fails.
 
@@ -258,11 +260,12 @@ class Session:
                 audio_consumed_s=duration_s,
             )
         fp = self._fingerprint(n_out)
-        if self._asked != (len(fp.signatures), len(pipeline.index)):
-            outcome = self._identify(fp, duration_s)
-            if outcome is not None:
-                return outcome
-        outcome = pipeline.enroll_file(fp, self._transcript)
+        with pipeline._lock:
+            if self._asked != (len(fp.signatures), len(pipeline.index)):
+                outcome = self._identify(fp, duration_s)
+                if outcome is not None:
+                    return outcome
+            outcome = pipeline.enroll_file(fp, self._transcript)
         return dataclasses.replace(outcome, audio_consumed_s=duration_s)
 
     def _fingerprint(self, n_out: int | None = None) -> Fingerprint:

@@ -77,8 +77,11 @@ class TestConfig:
     def test_block_frames_power_of_two(self):
         with pytest.raises(ConfigError):
             FingerprintConfig(block_frames=48)
-        cfg = FingerprintConfig(block_frames=64, band_count=3, band_width=5)
-        assert cfg.n_permutations == cfg.band_count * cfg.band_width == 15
+        # the min-hash layout is a class constant, not a setting
+        cfg = FingerprintConfig(block_frames=64)
+        assert cfg.n_permutations == cfg.band_count * cfg.band_width == 100
+        with pytest.raises(TypeError):
+            FingerprintConfig(block_frames=64, band_count=3)
 
     def test_hop_bounded_by_block(self):
         with pytest.raises(ConfigError):

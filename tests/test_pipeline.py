@@ -1,6 +1,8 @@
 """Streaming identify-or-enroll pipeline and the incremental WAV decoder."""
 
+import dataclasses
 import struct
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -604,10 +606,11 @@ class TestEnroll:
         index = RetrievalIndex.for_config(DIGEST, FCFG)
         pipeline = Pipeline(index, LabelRegistry(), SCFG, FCFG)
         clip = synth_speech_like(8.0, CANONICAL_RATE, seed=840)
-        pipeline.index.enroll(pipeline.fingerprint(clip, 1))
+        first = dataclasses.replace(pipeline.fingerprint(clip), file_id=1)
+        pipeline.index.enroll(first)
         outcome = pipeline.enroll_file(pipeline.fingerprint(corpus[0]))
         assert outcome.file_id == 2
-        index.enroll(pipeline.fingerprint(corpus[1], 7))
+        index.enroll(dataclasses.replace(pipeline.fingerprint(corpus[1]), file_id=7))
         assert pipeline.enroll_file(pipeline.fingerprint(corpus[2])).file_id == 8
         assert index.file_ids == [1, 2, 7, 8]
 
@@ -696,6 +699,35 @@ class TestPolicy:
         assert len(queried) == 4
         assert outcome.status == STATUS_IDENTIFIED
         assert outcome.file_id == copy.file_id
+
+    def test_concurrent_streams_of_one_new_clip_enrol_it_once(self):
+        """Four streams of one never-enrolled clip finish together: one
+        enrols it, and the three that waited for it are identified as it."""
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(DIGEST, FCFG), LabelRegistry(), SCFG, FCFG
+        )
+        blob = encode_wav(synth_speech_like(10.0, CANONICAL_RATE, seed=899))
+        # lets every stream that reaches enroll_file enrol at once
+        barrier = threading.Barrier(4, timeout=1.0)
+        enroll_file = pipeline.enroll_file
+
+        def held(fp, transcript=None):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return enroll_file(fp, transcript)
+
+        pipeline.enroll_file = held
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = list(
+                pool.map(
+                    lambda _: pipeline.identify_stream(stream_wav_bytes(blob)), range(4)
+                )
+            )
+        statuses = sorted(o.status for o in outcomes)
+        assert statuses == [STATUS_ENROLLED] + [STATUS_IDENTIFIED] * 3
+        assert [o.file_id for o in outcomes] == pipeline.index.file_ids * 4
 
     def test_index_of_another_config_rejected(self):
         linear = SpectralConfig.for_variant("linear-vocal")

@@ -74,6 +74,16 @@ def test_fingerprint_fields_are_pinned():
     assert fields == ["file_id", "signatures", "config_digest"]
 
 
+def test_fingerprint_config_sets_only_the_block_geometry():
+    """The min-hash layout, 100 permutations read as 20 bands of 5 under
+    one seed, is a class constant that config digests still cover."""
+    config = speechprint.FingerprintConfig
+    fields = [field.name for field in dataclasses.fields(config)]
+    assert fields == ["block_frames", "block_hop_frames", "top_t"]
+    layout = (config.band_count, config.band_width, config.seed, config.n_permutations)
+    assert layout == (20, 5, 0x53504650, 100)
+
+
 # RetrievalIndex's read API and its parameter names. An index answers with
 # the thresholds it was made with, so no query or dedup call takes one:
 # update this table in the same change as the API and say so in CHANGES.md.
