@@ -6,8 +6,8 @@ announcement (and can act on its label immediately) or keep listening,
 eventually enrolling the whole recording as a new file. Decisions happen
 at 6 s of audio and are retried every 2 s up to 12 s
 (:data:`DECISION_POINTS_S`), after which the stream is just collected
-for enrolment. :class:`Session` is that state machine; the CLI and the
-TCP server both run it.
+for enrolment. :class:`Session` is that state machine, and
+:meth:`Session.run` drives it for both the CLI and the TCP server.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ from .audio import (
     resample,
     resampled_length,
 )
-from .errors import IncompatibleIndex, SpeechprintError
+from .errors import ConfigError, IncompatibleIndex, SpeechprintError
 from .fingerprint import (
     VERSION_NOTE,
     FingerprintConfig,
@@ -140,31 +140,20 @@ class Pipeline:
     def identify_stream(
         self, chunks: Iterable[bytes], transcript=None
     ) -> IdentifyOutcome:
-        """Consumes a chunked WAV byte stream until a terminal outcome.
-
-        Runs one :class:`Session` against the index directly. A confident
-        early match returns at once (the rest of the stream is not
-        consumed); any library error becomes an error outcome. An
-        enrolment is labelled from ``transcript``.
-        """
-        session = Session(self, self.index.query, transcript)
-        try:
-            for chunk in chunks:
-                outcome = session.feed(bytes(chunk))
-                if outcome is not None:
-                    return outcome
-            return session.finish()
-        except SpeechprintError as exc:
-            return IdentifyOutcome(STATUS_ERROR, message=str(exc))
+        """Consumes a chunked WAV byte stream until a terminal outcome: one
+        :meth:`Session.run` against the index directly. An enrolment is
+        labelled from ``transcript``."""
+        return Session(self, self.index.query, transcript).run(chunks)
 
 
 class Session:
     """One stream's identify-or-enroll state machine.
 
-    Feed it the stream's WAV bytes as they arrive. Queries fire as the
-    decoded audio reaches each of :data:`DECISION_POINTS_S`; the first
-    confident match is the outcome. Otherwise :meth:`finish` queries the
-    whole stream and enrolls it as a new file on a miss.
+    :meth:`run` feeds it the stream's WAV bytes as they arrive. Queries
+    fire as the decoded audio reaches each of :data:`DECISION_POINTS_S`;
+    the first confident match is the outcome. Otherwise :meth:`finish`
+    queries the whole stream and enrolls it as a new file on a miss; a
+    stream too short for one signature row is an error.
 
     ``query`` is the lookup, called with a :class:`Fingerprint` of the
     stream so far: ``pipeline.index.query``, or a server's batcher.
@@ -196,8 +185,9 @@ class Session:
 
     A stream longer than :data:`MAX_STREAM_S` seconds of audio fails.
 
-    Library errors (undecodable bytes, a failed enrolment) raise. Once an
-    outcome is returned the session is over.
+    Library errors (undecodable bytes, a failed enrolment) raise from
+    :meth:`feed` and :meth:`finish`; :meth:`run` returns them as error
+    outcomes. Once an outcome is returned the session is over.
     """
 
     def __init__(self, pipeline: Pipeline, query, transcript=None) -> None:
@@ -208,12 +198,24 @@ class Session:
         self._decisions = list(DECISION_POINTS_S)
         self._collected: list[np.ndarray] = []  # decoded, not yet fingerprinted
         self._consumed = 0
-        self._fed = 0  # of the samples consumed, those fed to the streamer
         # both set at the first decision point
         self._resampler: Resampler | None = None
         self._streamer: StreamingFingerprinter | None = None
         self._signatures: list[np.ndarray] = []
         self._asked: tuple[int, int] | None = None  # (rows, files) at the last query
+
+    def run(self, chunks: Iterable[bytes]) -> IdentifyOutcome:
+        """Feeds ``chunks`` until an outcome, else finishes the stream. An
+        early match returns at once, leaving the rest of the chunks unread;
+        any library error becomes an error outcome."""
+        try:
+            for chunk in chunks:
+                outcome = self.feed(bytes(chunk))
+                if outcome is not None:
+                    return outcome
+            return self.finish()
+        except SpeechprintError as exc:
+            return IdentifyOutcome(STATUS_ERROR, message=str(exc))
 
     def feed(self, chunk: bytes) -> IdentifyOutcome | None:
         """Consumes the next bytes; an outcome when a decision point hits."""
@@ -228,7 +230,7 @@ class Session:
         self._collected.append(samples)
         self._consumed += samples.size
         if not self._decisions:
-            if self._consumed - self._fed >= _DECISION_STEP_S * rate:
+            if sum(c.size for c in self._collected) >= _DECISION_STEP_S * rate:
                 self._feed()
             return None
         consumed_s = self._consumed / rate
@@ -247,10 +249,11 @@ class Session:
             self._consumed, self._decoder.sample_rate, CANONICAL_RATE
         )
         duration_s = n_out / CANONICAL_RATE
-        minimum = min_audio_seconds(
-            pipeline.spectral_config, pipeline.fingerprint_config, CANONICAL_RATE
-        )
-        if duration_s < minimum - 1e-9:
+        fp = self._fingerprint(n_out)
+        if not len(fp.signatures):  # shorter than one block
+            minimum = min_audio_seconds(
+                pipeline.spectral_config, pipeline.fingerprint_config, CANONICAL_RATE
+            )
             return IdentifyOutcome(
                 STATUS_ERROR,
                 message=(
@@ -259,7 +262,6 @@ class Session:
                 ),
                 audio_consumed_s=duration_s,
             )
-        fp = self._fingerprint(n_out)
         with pipeline._lock:
             if self._asked != (len(fp.signatures), len(pipeline.index)):
                 outcome = self._identify(fp, duration_s)
@@ -290,7 +292,6 @@ class Session:
             )
         fresh = np.concatenate(self._collected) if self._collected else np.empty(0)
         self._collected = []
-        self._fed = self._consumed
         if self._resampler is not None:
             if n_out is None:
                 fresh = self._resampler.feed(fresh)
@@ -315,5 +316,7 @@ class Session:
 
 
 def stream_wav_bytes(data: bytes, chunk_size: int = 4096) -> Iterable[bytes]:
-    """Splits WAV bytes into chunks, for driving identify_stream."""
+    """Splits WAV bytes into chunks of ``chunk_size`` >= 1 bytes."""
+    if chunk_size < 1:
+        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
     return (data[i : i + chunk_size] for i in range(0, len(data), chunk_size))

@@ -12,11 +12,11 @@ Server to client:
                  u64 file_id, u64 label_id (0 = none), f32 confidence
     0x11 ERROR   payload: utf-8 message
 
-Each connection is one :class:`~speechprint.pipeline.Session`, the same
-identify-or-enroll state machine the CLI runs: AUDIO_CHUNK frames feed
-it, END finishes it, and its queries go straight to the index through
-the server's :class:`QueryBatcher`. A session decodes each frame as it
-arrives but fingerprints only at its decision points and at END.
+Each connection runs :meth:`Session.run
+<speechprint.pipeline.Session.run>`, the CLI's driver, over its
+AUDIO_CHUNK payloads up to END; its queries go straight to the index
+through the server's :class:`QueryBatcher`. A session decodes each frame
+as it arrives but fingerprints only at its decision points and at END.
 
 Both ends move frames through buffered socket files: the server reads
 each connection through a 64 KiB buffer, and :func:`identify_over_socket`
@@ -25,14 +25,19 @@ once, after END. The frames on the wire are unchanged, so any client
 that writes them, in pieces of any size, talks to any server.
 """
 
+import contextlib
 import importlib
+import io
 import logging
 import socket
 import socketserver
 import struct
 import threading
+import time
+from collections.abc import Iterator
 from typing import BinaryIO
 
+from . import pipeline as _pipeline
 from .errors import IoError, SpeechprintError
 from .fingerprint import Fingerprint
 from .index import MatchResult
@@ -43,6 +48,7 @@ from .pipeline import (
     STATUS_ENROLLED,
     STATUS_ERROR,
     STATUS_IDENTIFIED,
+    stream_wav_bytes,
 )
 
 logger = logging.getLogger(__name__)
@@ -57,9 +63,10 @@ _RESULT_LAYOUT = "<BQQf"
 _MAX_FRAME = 1 << 22  # 4 MiB of payload is far beyond any sane chunk
 # socket file buffer: one recv or send moves about 16 frames of 4 KiB
 _BUFFER_BYTES = 1 << 16
-#: Seconds a session may wait on its client before it is dropped. Sessions
-#: run on non-daemon threads that ``server_close`` joins, so without it one
-#: silent client would hold a shutdown forever.
+#: Seconds a session may wait on its client before it is dropped; no
+#: connection outlives ``pipeline.MAX_STREAM_S`` plus this. Sessions run on
+#: non-daemon threads that ``server_close`` joins, so without both one
+#: silent or slow client would hold a shutdown forever.
 READ_TIMEOUT_S = 30.0
 #: Sessions served at once. A connection past them gets one ERROR frame
 #: ("server busy") and is closed before a thread starts. A session holds
@@ -112,75 +119,63 @@ class QueryBatcher:
         return self.index.query_batch([fp])[0]
 
 
-class _SessionHandler(socketserver.StreamRequestHandler):
-    """One identify-or-enroll session per connection.
+class _ConnectionReader(socket.SocketIO):
+    """A connection's raw reads: each waits at most :data:`READ_TIMEOUT_S`,
+    and none past ``deadline`` (``time.monotonic``)."""
 
-    Frames are read through ``rfile``, a buffered reader, and the one
-    reply frame is written through ``wfile`` in one send; both are closed
-    with the connection.
-    """
+    def __init__(self, sock: socket.socket, deadline: float) -> None:
+        super().__init__(sock, "rb")
+        self._deadline = deadline
 
-    rbufsize = _BUFFER_BYTES
+    def readinto(self, buffer) -> int | None:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("connection deadline passed")
+        self._sock.settimeout(min(READ_TIMEOUT_S, left))
+        return super().readinto(buffer)
+
+
+def _audio_chunks(rfile: BinaryIO) -> Iterator[bytes]:
+    """The AUDIO_CHUNK payloads up to END. A client gone before END raises
+    ConnectionError, so its stream is not finished and nothing enrolled."""
+    while (frame := read_frame(rfile)) is not None:
+        opcode, payload = frame
+        if opcode == OP_END:
+            return
+        if opcode != OP_AUDIO_CHUNK:
+            raise SpeechprintError(f"unknown opcode 0x{opcode:02x}")
+        yield payload
+    raise ConnectionError("client went away without END")
+
+
+class _SessionHandler(socketserver.BaseRequestHandler):
+    """One identify-or-enroll session per connection. Every read, through a
+    64 KiB buffer, ends by the connection's deadline. The reply frame goes
+    out in one send; the rest of the stream is then read out, since closing
+    with unread bytes would reset the connection and could destroy the
+    reply before the client sees it."""
 
     def handle(self) -> None:
-        server: PipelineServer = self.server
-        self.request.settimeout(READ_TIMEOUT_S)
-        session = Session(server.pipeline, server.batcher.submit)
-        try:
-            while True:
-                frame = read_frame(self.rfile)
-                if frame is None:
-                    return  # client went away without END
-                opcode, payload = frame
-                if opcode == OP_AUDIO_CHUNK:
-                    outcome = session.feed(payload)
-                    if outcome is not None:
-                        break
-                elif opcode == OP_END:
-                    outcome = session.finish()
-                    break
-                else:
-                    raise SpeechprintError(f"unknown opcode 0x{opcode:02x}")
-        except SpeechprintError as exc:
-            self._send_error(str(exc))
-            self._drain()
-            return
-        except (ConnectionError, OSError) as exc:
-            logger.info("session dropped: %s", exc)
-            return
-        if outcome.status == STATUS_ERROR:
-            self._send_error(outcome.message or "identification failed")
-            self._drain()
-            return
-        payload = struct.pack(
-            _RESULT_LAYOUT,
-            _STATUS_CODES[outcome.status],
-            outcome.file_id or 0,
-            outcome.label_id or 0,
-            outcome.confidence,
-        )
-        write_frame(self.wfile, OP_RESULT, payload)
-        self._drain()
-
-    def _send_error(self, message: str) -> None:
-        try:
-            write_frame(self.wfile, OP_ERROR, message.encode("utf-8"))
-        except OSError:
-            pass
-
-    def _drain(self) -> None:
-        """Reads out the rest of the stream after an early decision.
-
-        Closing with unread bytes would reset the connection and could
-        destroy the result frame before the client sees it.
-        """
-        try:
-            for _ in range(100_000):
-                frame = read_frame(self.rfile)
-                if frame is None or frame[0] == OP_END:
-                    return
-        except (SpeechprintError, ConnectionError, OSError):
-            return
+        deadline = time.monotonic() + _pipeline.MAX_STREAM_S + READ_TIMEOUT_S
+        raw = _ConnectionReader(self.request, deadline)
+        with io.BufferedReader(raw, _BUFFER_BYTES) as rfile:
+            session = Session(self.server.pipeline, self.server.batcher.submit)
+            try:
+                outcome = session.run(_audio_chunks(rfile))
+            except OSError as exc:  # the client went away, or ran out of time
+                logger.info("session dropped: %s", exc)
+                return
+            if outcome.status == STATUS_ERROR:
+                message = outcome.message or "identification failed"
+                reply = _frame(OP_ERROR, message.encode("utf-8"))
+            else:
+                code = _STATUS_CODES[outcome.status]
+                fields = (outcome.file_id or 0, outcome.label_id or 0, outcome.confidence)
+                reply = _frame(OP_RESULT, struct.pack(_RESULT_LAYOUT, code, *fields))
+            with contextlib.suppress(SpeechprintError, OSError):
+                self.request.sendall(reply)
+                while (frame := read_frame(rfile)) is not None and frame[0] != OP_END:
+                    pass
 
 
 class PipelineServer(socketserver.ThreadingTCPServer):
@@ -254,18 +249,19 @@ def identify_over_socket(
 ) -> IdentifyOutcome:
     """Small reference client: streams a WAV file, returns the outcome.
 
-    Each frame carries ``chunk_size`` bytes of the file, and all of them
-    go through one buffered writer, flushed once after END; the reply is
-    read through a buffered reader.
+    Each frame carries ``chunk_size`` >= 1 bytes of the file, and all of
+    them go through one buffered writer, flushed once after END; the
+    reply is read through a buffered reader.
     """
+    chunks = stream_wav_bytes(wav_bytes, chunk_size)
     with (
         socket.create_connection((host, port), timeout=timeout_s) as sock,
         sock.makefile("rb") as replies,
     ):
         try:
             with sock.makefile("wb", _BUFFER_BYTES) as out:
-                for start in range(0, len(wav_bytes), chunk_size):
-                    write_frame(out, OP_AUDIO_CHUNK, wav_bytes[start : start + chunk_size])
+                for chunk in chunks:
+                    write_frame(out, OP_AUDIO_CHUNK, chunk)
                 write_frame(out, OP_END)
         except (BrokenPipeError, ConnectionResetError):
             pass  # a server that refused the session replied before closing

@@ -1,6 +1,8 @@
-"""The file boundary: only ``speechprint.fileio`` opens, reads or writes a
-file, so every failed read or write of a path the caller names becomes
-one ``IoError``."""
+"""Boundaries that AST scans keep. The file boundary: only
+``speechprint.fileio`` opens, reads or writes a file, so every failed read
+or write of a path the caller names becomes one ``IoError``. The session
+driver: only ``Session.run`` feeds and finishes a session, so the server
+cannot grow a second copy of the CLI's loop."""
 
 import ast
 from pathlib import Path
@@ -47,3 +49,15 @@ def test_only_fileio_touches_files():
         for line in file_calls(path.read_text(encoding="utf-8"))
     ]
     assert calls == [], "read and write files through speechprint.fileio"
+
+
+def test_server_drives_sessions_only_through_run():
+    source = (Path(speechprint.__file__).parent / "server.py").read_text(encoding="utf-8")
+    calls = [
+        f"server.py:{node.lineno}: .{node.func.attr}("
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"feed", "finish"}
+    ]
+    assert calls == [], "drive a session with Session.run"

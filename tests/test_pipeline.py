@@ -22,6 +22,7 @@ from speechprint.audio import (
 )
 from speechprint.corpus import synth_speech_like
 from speechprint.errors import (
+    ConfigError,
     DecodeError,
     IncompatibleIndex,
     SpeechprintError,
@@ -385,6 +386,29 @@ class TestIdentifyStream:
     def test_empty_stream_is_error(self, pipeline):
         outcome = pipeline.identify_stream(iter([]))
         assert outcome.status == STATUS_ERROR
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_is_config_error(self, chunk_size):
+        """0 once raised a bare ValueError from range, and -1 yielded no
+        chunks, so a valid file read as a stream without audio."""
+        with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
+            stream_wav_bytes(b"abcdef", chunk_size)
+
+    def test_session_builds_one_front_end(self, pipeline, monkeypatch):
+        """A stream that is enrolled builds the streamer's FrameTransform
+        and no other: finish reads "too short" off the rows it has."""
+        built = []
+        init = FrameTransform.__init__
+
+        def counting_init(transform, *args, **kwargs):
+            built.append(transform)
+            init(transform, *args, **kwargs)
+
+        monkeypatch.setattr(FrameTransform, "__init__", counting_init)
+        stranger = synth_speech_like(7.0, CANONICAL_RATE, seed=4410)
+        outcome = pipeline.identify_stream(stream_wav_bytes(encode_wav(stranger)))
+        assert outcome.status == STATUS_ENROLLED
+        assert len(built) == 1
 
     def test_undecodable_stream_is_error(self, pipeline):
         outcome = pipeline.identify_stream(iter([b"definitely not RIFF data"]))

@@ -4,6 +4,7 @@ import io
 import socket
 import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from speechprint import pipeline as pipeline_module
+from speechprint import server as server_module
 from speechprint.audio import decode_wav, encode_wav, resample, slice_seconds
 from speechprint.corpus import synth_speech_like
-from speechprint.errors import DecodeError, IoError, SpeechprintError
+from speechprint.errors import ConfigError, DecodeError, IoError, SpeechprintError
 from speechprint.fingerprint import FingerprintConfig, config_digest, fingerprint_audio
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import (
@@ -74,6 +76,21 @@ def server(corpus):
 
 def server_port(srv) -> int:
     return srv.server_address[1]
+
+
+def start_server(pipeline):
+    srv = serve("127.0.0.1:0", pipeline)
+    thread = threading.Thread(target=srv.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    return srv, thread
+
+
+def audio_frames(blob: bytes) -> bytes:
+    """AUDIO_CHUNK frames of 4 KiB carrying ``blob``, and no END."""
+    framed = io.BytesIO()
+    for chunk in stream_wav_bytes(blob):
+        write_frame(framed, OP_AUDIO_CHUNK, chunk)
+    return framed.getvalue()
 
 
 class TestFraming:
@@ -306,6 +323,19 @@ def answer_end_with(payload: bytes) -> tuple[int, threading.Thread]:
 
 
 class TestClient:
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_connects_nowhere(self, chunk_size):
+        """A chunk size below 1 raises before the client connects, where 0
+        once raised a bare ValueError and -1 sent a stream with no audio."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.2)
+            port = listener.getsockname()[1]
+            blob = encode_wav(synth_speech_like(1.0, 8000, seed=4004))
+            with pytest.raises(ConfigError, match="chunk_size must be >= 1"):
+                identify_over_socket("127.0.0.1", port, blob, chunk_size)
+            with pytest.raises(TimeoutError):
+                listener.accept()
+
     @pytest.mark.parametrize(
         "payload,message",
         [
@@ -488,3 +518,94 @@ class TestShutdown:
             assert not closer.is_alive(), "server_close waited on a silent client"
             assert silent.recv(1) == b""  # the server dropped the session
         thread.join(timeout=5)
+
+
+def dribble_until_dropped(sock, start: float, limit_s: float = 10.0) -> float:
+    """Sends a 2-byte AUDIO_CHUNK frame every 0.1 s until the server drops
+    the connection; the seconds from ``start`` to the drop."""
+    sock.settimeout(0.1)
+    frame = io.BytesIO()
+    write_frame(frame, OP_AUDIO_CHUNK, bytes(2))
+    while time.monotonic() - start < limit_s:
+        try:
+            sock.sendall(frame.getvalue())
+            if sock.recv(1) == b"":
+                break
+        except TimeoutError:
+            continue  # still open after 0.1 s
+        except OSError:
+            break  # reset by the server's close
+    return time.monotonic() - start
+
+
+class TestConnectionDeadline:
+    """No connection outlives MAX_STREAM_S + READ_TIMEOUT_S, however slowly
+    its client sends, so none holds a session slot or server_close."""
+
+    def test_dribbling_after_an_early_result_is_dropped(self, corpus, monkeypatch):
+        """The client gets its RESULT, then its drain ends at the deadline,
+        and a server_close begun meanwhile returns."""
+        monkeypatch.setattr(pipeline_module, "DECISION_POINTS_S", (3.5,))
+        monkeypatch.setattr(pipeline_module, "MAX_STREAM_S", 3.5)
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.3)
+        srv, thread = start_server(build_pipeline(corpus))
+        head = encode_wav(slice_seconds(corpus[1], 0.0, 3.5))
+        with socket.create_connection(srv.server_address, timeout=10) as sock:
+            start = time.monotonic()
+            sock.sendall(audio_frames(head))
+            with sock.makefile("rb") as replies:
+                opcode, payload = read_frame(replies)
+            closer = threading.Thread(
+                target=lambda: (srv.shutdown(), srv.server_close()), daemon=True
+            )
+            closer.start()
+            held = dribble_until_dropped(sock, start)
+        closer.join(timeout=5)
+        thread.join(timeout=5)
+        assert opcode == OP_RESULT
+        assert struct.unpack("<BQQf", payload)[:3] == (0, 2, 1)
+        assert 3.5 <= held < 5.0
+        assert not closer.is_alive(), "server_close waited on a dribbling client"
+
+    def test_dribbling_before_a_decision_is_dropped(self, corpus, monkeypatch):
+        """Two bytes every 0.1 s never reach the audio cap, nor a decision;
+        the deadline drops the session without a reply, and nothing is
+        enrolled."""
+        monkeypatch.setattr(pipeline_module, "MAX_STREAM_S", 0.5)
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.3)
+        pipeline = build_pipeline(corpus)
+        srv, thread = start_server(pipeline)
+        try:
+            with socket.create_connection(srv.server_address, timeout=10) as sock:
+                start = time.monotonic()
+                sock.sendall(audio_frames(encode_wav(corpus[0])[:44]))
+                held = dribble_until_dropped(sock, start)
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=5)
+        assert 0.5 <= held < 2.0
+        assert len(pipeline.index) == len(corpus)
+
+
+class TestClientGoneBeforeEnd:
+    def test_nothing_enrolled_and_next_session_identified(self, corpus):
+        """A client that sends its header and 4 s of a new recording, then
+        closes without END, enrols nothing; the next session on the same
+        server is identified."""
+        pipeline = build_pipeline(corpus)
+        before = len(pipeline.index)
+        srv, thread = start_server(pipeline)
+        stranger = encode_wav(synth_speech_like(8.0, CANONICAL_RATE, seed=4300))
+        try:
+            with socket.create_connection(srv.server_address, timeout=10) as sock:
+                sock.sendall(audio_frames(stranger[: 44 + 4 * CANONICAL_RATE * 2]))
+            outcome = identify_over_socket(
+                "127.0.0.1", server_port(srv), encode_wav(corpus[2])
+            )
+        finally:
+            srv.shutdown()
+            srv.server_close()  # joins the dropped session too
+            thread.join(timeout=5)
+        assert (outcome.status, outcome.file_id) == (STATUS_IDENTIFIED, 3)
+        assert len(pipeline.index) == before
