@@ -57,8 +57,6 @@ from .spectral import (
     SpectralImage,
     Variant,
     make_image,
-    mel_filterbank,
-    stft_magnitude,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +100,6 @@ __all__ = [
     "load_transcript",
     "make_image",
     "make_query",
-    "mel_filterbank",
     "min_audio_seconds",
     "parse_grid_config",
     "random_offset_slice",
@@ -110,7 +107,6 @@ __all__ = [
     "run_grid",
     "serve",
     "slice_seconds",
-    "stft_magnitude",
     "stream_wav_bytes",
     "synth_corpus",
     "synth_speech_like",

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all speechprint modules."""
+"""Exceptions shared by all speechprint modules, and the integer check."""
+
+import numbers
 
 
 class SpeechprintError(Exception):
@@ -47,3 +49,14 @@ class NotFound(SpeechprintError):
 
 class IoError(SpeechprintError):
     """Filesystem access failed for a path the caller supplied."""
+
+
+def require_int(value, what: str, bits: int | None = None) -> int:
+    """``value`` as an ``int``, in [0, 2^bits) given ``bits``; ConfigError
+    for a bool or a non-integer, which no stored id or header field holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if bits is not None and not 0 <= value < 1 << bits:
+        raise ConfigError(f"{what} {value} is outside [0, 2^{bits})")
+    return value

@@ -53,7 +53,6 @@ signatures ("sub-fingerprints"), row k for block k. Matching happens in
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
@@ -61,9 +60,9 @@ from typing import ClassVar
 import numpy as np
 
 from .audio import CANONICAL_RATE, AudioBuffer
-from .errors import ConfigError, TooShort
+from .errors import ConfigError, TooShort, require_int
 from .hashing import fnv1a64, mix64, splitmix64
-from .spectral import Decimator, FrameTransform, SpectralConfig, SpectralImage
+from .spectral import Decimator, FrameTransform, SpectralConfig
 
 SQRT2 = np.sqrt(2.0)
 
@@ -144,8 +143,8 @@ class Fingerprint:
 
     Row k of the [n_subs, n_permutations] uint8 ``signatures`` (a view of
     the matrix passed in, not a copy) is the min-hash signature of block
-    k. The id and the config digest must be integers that fit the u64
-    that index files store; ConfigError otherwise.
+    k. The id and the config digest are held as ``int``s that fit the u64
+    an index file stores; a bool or any other value raises ConfigError.
     """
 
     file_id: int
@@ -153,13 +152,9 @@ class Fingerprint:
     config_digest: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.file_id < 1 << 64:
-            raise ConfigError(f"file id {self.file_id} is outside [0, 2^64)")
-        digest = self.config_digest
-        if not isinstance(digest, numbers.Integral) or not 0 <= digest < 1 << 64:
-            raise ConfigError(
-                f"config digest {digest!r} is not an integer or is outside [0, 2^64)"
-            )
+        object.__setattr__(self, "file_id", require_int(self.file_id, "file id", bits=64))
+        digest = require_int(self.config_digest, "config digest", bits=64)
+        object.__setattr__(self, "config_digest", digest)
         signatures = np.asarray(self.signatures)
         if signatures.ndim != 2 or signatures.dtype != np.uint8:
             raise ConfigError(
@@ -205,46 +200,6 @@ def config_digest(
 
 def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length() if n > 1 else 1
-
-
-def blocks(
-    image: SpectralImage, config: FingerprintConfig, centred: bool = True
-) -> np.ndarray:
-    """Overlapping frame blocks, zero padded to a power of two.
-
-    Returns a [n_blocks, rows, block_frames] stack. Block k covers frames
-    [k * hop, k * hop + block_frames); the count is
-    floor((n_frames - block_frames) / hop) + 1. Rows are padded so the
-    Haar transform sees power-of-two sides.
-
-    When ``centred`` (version 1's definition), each block's real rows have
-    their scalar mean subtracted: one pairwise sum over the block's real
-    values flattened in row-major order, divided by their count. Spectral
-    image values are all positive, so without centring every block in
-    every file shares a strong same-sign energy offset (and near-silent
-    blocks are virtually identical everywhere); centring leaves only the
-    content-dependent structure to be hashed. Version 2 centres after the
-    transform instead (see the module docstring) and starts from the
-    uncentred blocks.
-
-    Reference oracle with no production caller, kept for tests to compare
-    the streaming kernel against the stages run on whole padded blocks.
-    """
-    n_frames = image.n_frames
-    if n_frames < config.block_frames:
-        raise TooShort(
-            f"{n_frames} frames < one {config.block_frames}-frame block"
-        )
-    n_blocks = (n_frames - config.block_frames) // config.block_hop_frames + 1
-    windows = np.lib.stride_tricks.sliding_window_view(
-        image.data.T, config.block_frames, axis=0
-    )[:: config.block_hop_frames][:n_blocks]
-    real = np.array(windows, dtype=np.float64, order="C")
-    if centred:
-        real -= real.reshape(n_blocks, -1).mean(axis=1)[:, None, None]
-    stack = np.zeros((n_blocks, _next_pow2(image.n_bins), config.block_frames))
-    stack[:, : image.n_bins] = real
-    return stack
 
 
 def _haar_levels(low: np.ndarray, length: int) -> tuple[np.ndarray, list]:
@@ -295,23 +250,6 @@ def _haar_live(src: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([low] + [high for _half, high in levels[::-1]], axis=-1)
 
 
-def _ihaar_axis(a: np.ndarray, axis: int) -> None:
-    n = a.shape[axis]
-    length = 2
-    while length <= n:
-        half = length // 2
-        idx = [slice(None)] * a.ndim
-        idx[axis] = slice(0, half)
-        s = a[tuple(idx)].copy()
-        idx[axis] = slice(half, length)
-        d = a[tuple(idx)].copy()
-        idx[axis] = slice(0, length, 2)
-        a[tuple(idx)] = (s + d) / SQRT2
-        idx[axis] = slice(1, length, 2)
-        a[tuple(idx)] = (s - d) / SQRT2
-        length *= 2
-
-
 def _check_sides(shape: tuple[int, ...], height: int | None = None) -> None:
     if len(shape) not in (2, 3):
         raise ConfigError(f"expected a block or a stack of blocks, got {shape}")
@@ -340,7 +278,9 @@ def haar2d(block: np.ndarray, height: int | None = None) -> np.ndarray:
 
     Reference oracle with no production caller: it transforms time first,
     and the kernel frequency first (see the module docstring), which can
-    differ in the last bits.
+    differ in the last bits. The other oracles are in ``tests/oracle.py``;
+    this one, with :func:`_haar_axis` and :func:`_check_sides`, stays only
+    because ``perfbench/spans.py`` wraps ``fingerprint.haar2d``.
     """
     _check_sides(block.shape, height)
     block = np.asarray(block, dtype=np.float64)
@@ -349,19 +289,6 @@ def haar2d(block: np.ndarray, height: int | None = None) -> np.ndarray:
     *outer, rows, cols = block.shape
     out = np.zeros((*outer, height or rows, cols))
     _haar_axis(timed, out, axis=-2)
-    return out
-
-
-def ihaar2d(coeffs: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`haar2d`, for a block or a stack of blocks.
-
-    Reference oracle with no production caller, kept for tests to check
-    :func:`haar2d` against.
-    """
-    _check_sides(coeffs.shape)
-    out = np.array(coeffs, dtype=np.float64, copy=True)
-    _ihaar_axis(out, axis=-2)
-    _ihaar_axis(out, axis=-1)
     return out
 
 

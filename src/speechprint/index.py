@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex
+from .errors import require_int
 from .fileio import read_bytes, write_atomic
 from .fingerprint import VERSION_NOTE, Fingerprint
 # fnv1a64 is not called here, but perfbench/spans.py wraps this binding
@@ -102,7 +103,8 @@ class RetrievalIndex:
     enrolment, queries and persistence hold one lock.
 
     ``min_band_votes`` and ``min_confidence`` are fixed when the index is
-    made: queries and dedup use them, and the file header stores them.
+    made: queries and dedup use them, and the file header stores them, so
+    they and the config digest are checked here, not at :meth:`save`.
     """
 
     def __init__(
@@ -115,6 +117,8 @@ class RetrievalIndex:
     ) -> None:
         if band_count < 1 or band_width < 1:
             raise ConfigError("band_count and band_width must be >= 1")
+        config_digest = require_int(config_digest, "config digest", bits=64)
+        min_band_votes = require_int(min_band_votes, "min_band_votes")
         # a pair of subs shares at most band_count band keys
         if not 1 <= min_band_votes <= band_count:
             raise ConfigError(

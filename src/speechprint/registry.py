@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateId, NotFound
+from .errors import ConfigError, DuplicateId, NotFound, require_int
 from .fileio import read_text, write_atomic
 
 logger = logging.getLogger(__name__)
@@ -284,7 +284,7 @@ class LabelRegistry:
 
     Files whose labelling failed or has not happened yet sit in a pending
     set instead of the entry table, so every entry always references an
-    existing cluster.
+    existing cluster. Ids are integers, as :meth:`save` writes them.
     """
 
     def __init__(self) -> None:
@@ -304,6 +304,7 @@ class LabelRegistry:
         with self._lock:
             if label_id is None:
                 label_id = max(self._clusters, default=0) + 1
+            label_id = require_int(label_id, "label id")
             if label_id < 1:
                 raise ConfigError(f"label ids start at 1, got {label_id}")
             if label_id in self._clusters:
@@ -386,6 +387,8 @@ class LabelRegistry:
         Raises NotFound when the label does not exist, which keeps the
         entry table referentially intact by construction.
         """
+        file_id = require_int(file_id, "file id")
+        label_id = require_int(label_id, "label id")
         with self._lock:
             if label_id not in self._clusters:
                 raise NotFound(f"no label {label_id}")
@@ -393,6 +396,7 @@ class LabelRegistry:
             self._pending.discard(file_id)
 
     def mark_pending(self, file_id: int) -> None:
+        file_id = require_int(file_id, "file id")
         with self._lock:
             if file_id not in self._entries:
                 self._pending.add(file_id)

@@ -142,36 +142,6 @@ def frame_params(sample_rate: int, window_s: float, stride_s: float) -> tuple[in
     return window, hop, n_fft
 
 
-def n_frames_for(n_samples: int, window: int, hop: int) -> int:
-    """Number of full analysis frames for ``n_samples`` of audio."""
-    if n_samples < window:
-        return 0
-    return (n_samples - window) // hop + 1
-
-
-def stft_magnitude(
-    audio: AudioBuffer, window_s: float = 0.1, stride_s: float = 0.025
-) -> np.ndarray:
-    """Magnitude spectrogram, shape [n_fft // 2 + 1, n_frames].
-
-    Hann-windowed frames, zero padded to the power-of-two FFT size.
-    Raises TooShort when not even one frame fits.
-
-    Reference oracle with no production caller, kept for tests to compare
-    :class:`FrameTransform`'s columns against.
-    """
-    window, hop, n_fft = frame_params(audio.sample_rate, window_s, stride_s)
-    n_frames = n_frames_for(len(audio), window, hop)
-    if n_frames < 1:
-        raise TooShort(
-            f"{audio.duration_seconds:.3f}s of audio is shorter than one "
-            f"{window_s:g}s analysis window"
-        )
-    frames = np.lib.stride_tricks.sliding_window_view(audio.samples, window)[::hop]
-    frames = frames[:n_frames] * np.hanning(window)
-    return np.abs(np.fft.rfft(frames, n=n_fft, axis=1)).T
-
-
 def _linear_bin_range(
     sample_rate: int, n_fft: int, f_min: float, f_max: float
 ) -> tuple[int, int]:
@@ -190,26 +160,6 @@ def _linear_bin_range(
             f"band {f_min:g}-{f_max:g} Hz holds no FFT bins at {df:g} Hz spacing"
         )
     return lo, hi
-
-
-def band_select_linear(
-    spec: np.ndarray, sample_rate: int, f_min: float, f_max: float
-) -> np.ndarray:
-    """Keeps the FFT rows whose centres lie in [f_min, f_max], compressed.
-
-    Args:
-        spec: magnitude spectrogram from :func:`stft_magnitude`.
-        sample_rate: rate of the audio the spectrogram came from.
-
-    Returns:
-        log1p(LOG_GAIN * selected rows), shape [n_band_bins, n_frames].
-
-    Reference oracle with no production caller, kept for tests to compare
-    :class:`FrameTransform`'s columns against.
-    """
-    n_fft = 2 * (spec.shape[0] - 1)
-    lo, hi = _linear_bin_range(sample_rate, n_fft, f_min, f_max)
-    return np.log1p(LOG_GAIN * spec[lo : hi + 1])
 
 
 @lru_cache(maxsize=32)
@@ -261,30 +211,6 @@ def _mel_weight_prefix(
     prefix = np.ascontiguousarray(weights[:, :width])
     prefix.flags.writeable = False
     return prefix
-
-
-def mel_filterbank(
-    spec: np.ndarray,
-    sample_rate: int,
-    n_mels: int = N_MEL_BINS,
-    f_min: float = VOCAL_BAND[0],
-    f_max: float = VOCAL_BAND[1],
-) -> np.ndarray:
-    """Applies a triangular mel filterbank and log compression.
-
-    Filter centres are mel-spaced between f_min and f_max (mel(f) =
-    2595 log10(1 + f/700)); each filter rises from its left neighbour's
-    centre and falls to its right neighbour's, peak weight 1.
-
-    Returns:
-        log1p(LOG_GAIN * filterbank @ spec), shape [n_mels, n_frames].
-
-    Reference oracle with no production caller, kept for tests to compare
-    :class:`FrameTransform`'s columns against.
-    """
-    n_fft = 2 * (spec.shape[0] - 1)
-    weights = _mel_weight_matrix(sample_rate, n_fft, n_mels, f_min, f_max)
-    return np.log1p(LOG_GAIN * (weights @ spec))
 
 
 #: Taps of the decimation filter per unit of the factor (plus one centre
@@ -419,8 +345,7 @@ class FrameTransform:
     images.
 
     Each FFT call does only the work the image's bits depend on, and its
-    columns equal the reference path (:func:`stft_magnitude`, then
-    :func:`band_select_linear` or :func:`mel_filterbank`) bit for bit:
+    columns equal the reference path of ``tests/oracle.py`` bit for bit:
 
     * The tapered frames are written into a zero-filled ``[k, n_fft]``
       array, which ``rfft`` transforms as it would pad them itself.

@@ -30,13 +30,14 @@ from speechprint.fingerprint import (
     config_digest,
     fingerprint_audio,
     haar2d,
-    ihaar2d,
 )
 from speechprint.index import RetrievalIndex
 from speechprint.pipeline import STATUS_IDENTIFIED, Pipeline
 from speechprint.registry import LabelRegistry
 from speechprint.server import identify_over_socket, serve
 from speechprint.spectral import SpectralConfig, Variant
+
+from oracle import ihaar2d
 
 LIBRARY_FP = FingerprintConfig()
 VARIANTS = (Variant.LINEAR_VOCAL, Variant.MEL_VOCAL, Variant.MEL_WIDE)

@@ -15,12 +15,10 @@ from speechprint.fingerprint import (
     MinHasher,
     SparseBits,
     StreamingFingerprinter,
-    blocks,
     config_digest,
     fingerprint_audio,
     get_minhasher,
     haar2d,
-    ihaar2d,
     min_audio_seconds,
     top_t_signs,
     _haar_axis,
@@ -30,6 +28,8 @@ from speechprint.fingerprint import (
 from speechprint.hashing import mix64, splitmix64
 from speechprint.index import RetrievalIndex
 from speechprint.spectral import SpectralConfig, SpectralImage, Variant, make_image
+
+from oracle import blocks, ihaar2d
 
 SMALL = FingerprintConfig(block_frames=32, block_hop_frames=1, top_t=30)
 
@@ -843,6 +843,35 @@ class TestFingerprintColumns:
         any other value stops at construction with ConfigError."""
         with pytest.raises(ConfigError, match="outside"):
             Fingerprint(file_id, np.zeros((1, 100), np.uint8), digest)
+
+    @pytest.mark.parametrize("file_id", [1.5, True, 3.0], ids=["1.5", "True", "3.0"])
+    def test_non_integer_id_refused(self, speech_clip, file_id):
+        """An index file stores the id as a u64, so 1.5 would load as 1
+        and True as 1: neither is a file id."""
+        with pytest.raises(ConfigError, match="file id must be an integer"):
+            Fingerprint(file_id, np.zeros((1, 100), np.uint8))
+        with pytest.raises(ConfigError, match="file id must be an integer"):
+            fingerprint_audio(
+                speech_clip, SpectralConfig.for_variant("mel-vocal"), SMALL, file_id
+            )
+
+    def test_bool_digest_refused(self):
+        with pytest.raises(ConfigError, match="config digest must be an integer"):
+            Fingerprint(1, np.zeros((1, 100), np.uint8), True)
+
+    def test_numpy_integer_id_held_as_int(self, tmp_path):
+        """A numpy integer id and digest are held as ``int``, so the id
+        reads the same before and after an index save and load."""
+        digest = np.uint64(2**64 - 1)
+        fp = Fingerprint(np.int64(3), np.zeros((1, 100), np.uint8), digest)
+        assert type(fp.file_id) is int and fp.file_id == 3
+        assert type(fp.config_digest) is int and fp.config_digest == 2**64 - 1
+        index = RetrievalIndex.for_config(fp.config_digest, FingerprintConfig())
+        index.enroll(fp)
+        index.save(tmp_path / "one.spix")
+        loaded = RetrievalIndex.load(tmp_path / "one.spix")
+        assert loaded.file_ids == [3]
+        assert loaded.query(fp).file_id == 3
 
 
 class TestRobustnessSmoke:

@@ -180,6 +180,35 @@ class TestQuery:
         with pytest.raises(ConfigError, match="min_confidence"):
             build_index([], min_confidence=1.5)
 
+    @pytest.mark.parametrize(
+        "digest", [-1, 2**64, 1.5, True], ids=["-1", "2^64", "1.5", "True"]
+    )
+    def test_digest_the_header_cannot_hold_rejected(self, digest):
+        """The header stores the digest as a u64: any other value stops
+        at construction, not at save with a struct.error."""
+        with pytest.raises(ConfigError, match="config digest"):
+            RetrievalIndex(digest, FCFG.band_count, FCFG.band_width)
+
+    @pytest.mark.parametrize("votes", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+    def test_non_integer_votes_rejected(self, votes):
+        """The header stores min_band_votes as a u16, so 1.5 cannot be
+        saved and True would load as 1."""
+        with pytest.raises(ConfigError, match="min_band_votes must be an integer"):
+            build_index([], min_band_votes=votes)
+
+    def test_numpy_header_values_save_and_load(self, prints, tmp_path):
+        """numpy integers are taken as the ints they hold."""
+        index = RetrievalIndex(
+            np.uint64(DIGEST), FCFG.band_count, FCFG.band_width,
+            min_band_votes=np.int64(3),
+        )
+        assert type(index.config_digest) is int
+        assert type(index.min_band_votes) is int
+        index.enroll(prints[0])
+        index.save(tmp_path / "numpy.spix")
+        loaded = RetrievalIndex.load(tmp_path / "numpy.spix", DIGEST)
+        assert (loaded.config_digest, loaded.min_band_votes) == (DIGEST, 3)
+
     def test_votes_beyond_band_count_rejected(self, prints):
         """A pair of subs shares at most band_count keys, so more votes
         could only ever find nothing."""

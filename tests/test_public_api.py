@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "load_transcript",
     "make_image",
     "make_query",
-    "mel_filterbank",
     "min_audio_seconds",
     "parse_grid_config",
     "random_offset_slice",
@@ -54,7 +53,6 @@ PUBLIC_NAMES = [
     "run_grid",
     "serve",
     "slice_seconds",
-    "stft_magnitude",
     "stream_wav_bytes",
     "synth_corpus",
     "synth_speech_like",

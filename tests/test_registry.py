@@ -379,6 +379,38 @@ class TestRegistry:
         assert loaded.pending() == reg.pending()
         assert loaded.clusters() == reg.clusters()
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+    def test_non_integer_ids_refused(self, bad):
+        """save writes ids as text that load reads with int(): 1.5 would
+        save but never load, and True would load as 1."""
+        reg = LabelRegistry()
+        label = reg.create_cluster("greetings")
+        with pytest.raises(ConfigError, match="label id must be an integer"):
+            reg.create_cluster("other", label_id=bad)
+        with pytest.raises(ConfigError, match="file id must be an integer"):
+            reg.assign(bad, label)
+        with pytest.raises(ConfigError, match="label id must be an integer"):
+            reg.assign(7, bad)
+        with pytest.raises(ConfigError, match="file id must be an integer"):
+            reg.mark_pending(bad)
+        assert reg.entries() == {} and reg.pending() == frozenset()
+        assert [info.label_id for info in reg.clusters()] == [label]
+
+    def test_numpy_ids_round_trip(self, tmp_path):
+        """numpy integer ids are held as ints, and save and load keep them."""
+        reg = LabelRegistry()
+        label = reg.create_cluster("greetings", label_id=np.int64(4))
+        reg.assign(np.uint64(2**64 - 1), label)
+        reg.assign(np.int32(5), np.int64(4))
+        reg.mark_pending(np.int64(9))
+        path = tmp_path / "labels.reg"
+        reg.save(path)
+        loaded = LabelRegistry.load(path)
+        assert loaded.entries() == {5: 4, 2**64 - 1: 4}
+        assert loaded.pending() == frozenset({9})
+        assert [info.label_id for info in loaded.clusters()] == [4]
+        assert all(type(k) is int for k in (*reg.entries(), *reg.pending(), label))
+
     def test_load_ignores_byte_order_mark(self, tmp_path):
         reg = LabelRegistry()
         reg.assign(1, reg.create_cluster("rufton", "de", [("besetzt", 0.9)]))
