@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ConfigError, DecodeError, RangeError, UnsupportedFormat
+from .errors import ConfigError, DecodeError, RangeError, UnsupportedFormat, require_int
 
 logger = logging.getLogger(__name__)
 
@@ -64,14 +64,17 @@ def _clip_unit(samples: np.ndarray, context: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AudioBuffer:
-    """Immutable mono audio: float64 samples in [-1, 1] plus a rate."""
+    """Immutable mono audio: float64 samples in [-1, 1] plus a rate, held
+    as a positive ``int``; a bool or a non-integer rate raises ConfigError."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = require_int(self.sample_rate, "sample_rate")
+        if rate <= 0:
+            raise ConfigError(f"sample_rate must be positive, got {rate}")
+        object.__setattr__(self, "sample_rate", rate)
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ConfigError("AudioBuffer samples must be 1-D (mono)")

@@ -20,7 +20,7 @@ from .errors import IncompatibleIndex, IoError, SpeechprintError
 from .fileio import read_bytes, write_atomic
 from .fingerprint import VERSION_NOTE, FingerprintConfig, config_digest, fingerprint_audio
 from .index import DEFAULT_DUPLICATE_THRESHOLD, RetrievalIndex
-from .pipeline import Pipeline, stream_wav_bytes
+from .pipeline import STATUS_ENROLLED, STATUS_ERROR, Pipeline, stream_wav_bytes
 from .registry import (
     LabelRegistry,
     build_registry_from_transcripts,
@@ -185,11 +185,11 @@ def cmd_identify(args) -> int:
         f"label_id={outcome.label_id} confidence={outcome.confidence:.3f} "
         f"consumed={outcome.audio_consumed_s:.2f}s {outcome.message}"
     )
-    if outcome.status == "enrolled" and args.save_index:
+    if outcome.status == STATUS_ENROLLED and args.save_index:
         pipeline.index.save(args.index)
         if args.registry:
             pipeline.registry.save(args.registry)
-    return 0 if outcome.status != "error" else 1
+    return 0 if outcome.status != STATUS_ERROR else 1
 
 
 def cmd_enroll(args) -> int:

@@ -53,7 +53,7 @@ signatures ("sub-fingerprints"), row k for block k. Matching happens in
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import ClassVar
 
@@ -85,6 +85,7 @@ class FingerprintConfig:
     blocks, top 200 coefficients, 100 permutations banded 20 x 5). The
     three fields are tunable; the benchmark harness runs a smaller block
     so short queries still produce sub-fingerprints at coarse strides.
+    Each is held as an ``int``: a bool or a non-integer raises ConfigError.
     """
 
     #: Signatures are read as band_count bands of band_width bytes, one
@@ -99,6 +100,9 @@ class FingerprintConfig:
     top_t: int = 200
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = require_int(getattr(self, field.name), field.name)
+            object.__setattr__(self, field.name, value)
         if self.block_frames < 1 or self.block_frames & (self.block_frames - 1):
             raise ConfigError(
                 f"block_frames must be a power of two, got {self.block_frames}"
@@ -496,7 +500,8 @@ class StreamingFingerprinter:
     Feed any split of the sample stream; the signatures of completed
     blocks come back as soon as their block's last frame is available, one
     row per block in block order, so the rows of every feed so far are
-    blocks 0 to :attr:`blocks_emitted` - 1. The result is bit-identical to
+    blocks 0 onwards. No partial block is ever emitted, and a stream that
+    never fills one has no rows. The result is bit-identical to
     a whole-file pass because neither a frame's column nor a block's bits
     depend on the run or stack they are computed in. Each feed computes the
     columns of the frames it completes, and their frequency transforms,
@@ -550,10 +555,6 @@ class StreamingFingerprinter:
         return config_digest(
             self.spectral_config, self.fingerprint_config, self._transform.sample_rate
         )
-
-    @property
-    def blocks_emitted(self) -> int:
-        return self._blocks_done
 
     @property
     def seconds_consumed(self) -> float:
@@ -618,17 +619,6 @@ class StreamingFingerprinter:
         self._columns_start += drop
         return signatures
 
-    def finish(self) -> None:
-        """Signals end of stream. No partial blocks are ever emitted.
-
-        Raises TooShort when the total stream never filled one block.
-        """
-        if self._blocks_done == 0:
-            raise TooShort(
-                f"{self.seconds_consumed:.3f}s of audio never completed a "
-                f"{self.fingerprint_config.block_frames}-frame block"
-            )
-
 
 def fingerprint_audio(
     audio: AudioBuffer,
@@ -645,7 +635,9 @@ def fingerprint_audio(
         audio.sample_rate, spectral_config, fingerprint_config
     )
     signatures = streamer.feed(audio.samples)
-    streamer.finish()
+    if not len(signatures):
+        reason = _too_short(len(audio), audio.sample_rate, spectral_config, fingerprint_config)
+        raise TooShort(reason)
     return Fingerprint(file_id, signatures, streamer.config_digest)
 
 
@@ -663,3 +655,12 @@ def min_audio_seconds(
     """
     transform = FrameTransform(sample_rate, spectral_config)
     return transform.samples_for(fingerprint_config.block_frames) / sample_rate
+
+
+def _too_short(
+    n_samples: int, rate: int, spectral: SpectralConfig, fp: FingerprintConfig
+) -> str:
+    """Why ``n_samples`` at ``rate`` yield no block signature, the one message of
+    :func:`fingerprint_audio` and of a :class:`~speechprint.pipeline.Session`."""
+    seconds, minimum = n_samples / rate, min_audio_seconds(spectral, fp, rate)
+    return f"{seconds:.3f}s of audio is below the {minimum:.3f}s fingerprinting minimum"

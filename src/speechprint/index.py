@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, CorruptIndex, DuplicateId, IncompatibleIndex
 from .errors import require_int
 from .fileio import read_bytes, write_atomic
-from .fingerprint import VERSION_NOTE, Fingerprint
+from .fingerprint import VERSION_NOTE, Fingerprint, FingerprintConfig
 # fnv1a64 is not called here, but perfbench/spans.py wraps this binding
 # of it (ROADMAP item 1 drops that wrapper and this import)
 from .hashing import fnv1a64, fnv1a64_rows  # noqa: F401
@@ -107,34 +107,33 @@ class RetrievalIndex:
     they and the config digest are checked here, not at :meth:`save`.
     """
 
+    #: The band layout is :class:`FingerprintConfig`'s; a file header of
+    #: any other is refused at :meth:`load`
+    band_count = FingerprintConfig.band_count
+    band_width = FingerprintConfig.band_width
+
     def __init__(
         self,
         config_digest: int,
-        band_count: int,
-        band_width: int,
         min_band_votes: int = DEFAULT_MIN_BAND_VOTES,
         min_confidence: float = DEFAULT_MIN_CONFIDENCE,
     ) -> None:
-        if band_count < 1 or band_width < 1:
-            raise ConfigError("band_count and band_width must be >= 1")
         config_digest = require_int(config_digest, "config digest", bits=64)
         min_band_votes = require_int(min_band_votes, "min_band_votes")
         # a pair of subs shares at most band_count band keys
-        if not 1 <= min_band_votes <= band_count:
+        if not 1 <= min_band_votes <= self.band_count:
             raise ConfigError(
-                f"min_band_votes must be in [1, {band_count}] for {band_count} bands, "
-                f"got {min_band_votes}"
+                f"min_band_votes must be in [1, {self.band_count}] for "
+                f"{self.band_count} bands, got {min_band_votes}"
             )
         if not 0.0 < min_confidence <= 1.0:
             raise ConfigError(f"min_confidence must be in (0, 1], got {min_confidence}")
         self.config_digest = config_digest
-        self.band_count = band_count
-        self.band_width = band_width
         self.min_band_votes = min_band_votes
         self.min_confidence = min_confidence
         # row j: a word key << 32 | row per enrolled sub, its band-j key
         # above its row number, ascending, so equal keys are in row order
-        self._bands = np.empty((band_count, 0), dtype=np.uint64)
+        self._bands = np.empty((self.band_count, 0), dtype=np.uint64)
         # per row: its file's ordinal (the file's position in _ids); a
         # file's rows are contiguous and in block order
         self._row_file = np.empty(0, dtype=np.int32)
@@ -144,12 +143,8 @@ class RetrievalIndex:
 
     @classmethod
     def for_config(cls, config_digest: int, fingerprint_config) -> "RetrievalIndex":
-        """An index of ``fingerprint_config``'s geometry, at the default thresholds."""
-        return cls(
-            config_digest,
-            band_count=fingerprint_config.band_count,
-            band_width=fingerprint_config.band_width,
-        )
+        """An index for ``config_digest``, at the default thresholds."""
+        return cls(config_digest)
 
     def _band_digests(self, signatures: np.ndarray) -> np.ndarray:
         """[n_subs, p] uint8 signatures -> [n_subs, band_count] uint32 keys,
@@ -564,12 +559,13 @@ class RetrievalIndex:
 
         Raises:
             CorruptIndex: bad magic, truncation, checksum mismatch, a
-                geometry or threshold out of range in the header, counts
-                that disagree with the payload, a file of no subs or
-                stored twice, or version 2 block indices that are not
-                each file's 0..n-1.
-            IncompatibleIndex: another version, or the stored config
-                digest differs from ``expected_config_digest``.
+                threshold out of range in the header, counts that
+                disagree with the payload, a file of no subs or stored
+                twice, or version 2 block indices that are not each
+                file's 0..n-1.
+            IncompatibleIndex: another version, another band layout, or
+                the stored config digest differs from
+                ``expected_config_digest``.
             ConfigError: more subs than an index holds.
         """
         blob = read_bytes(path, "index")
@@ -585,22 +581,22 @@ class RetrievalIndex:
             )
         if _blake2b(blob[:-8]) != blob[-8:]:
             raise CorruptIndex("index checksum mismatch")
+        if (bands, width) != (cls.band_count, cls.band_width):
+            raise IncompatibleIndex(
+                f"index of {bands} bands x {width}, this build reads "
+                f"{cls.band_count} bands x {cls.band_width}: rebuild the index "
+                "from the audio"
+            )
         if expected_config_digest is not None and digest != expected_config_digest:
             raise IncompatibleIndex(
                 f"index built for config 0x{digest:016x}, expected "
                 f"0x{expected_config_digest:016x}{VERSION_NOTE}"
             )
         try:
-            index = cls(
-                digest,
-                band_count=bands,
-                band_width=width,
-                min_band_votes=votes,
-                min_confidence=confidence,
-            )
+            index = cls(digest, min_band_votes=votes, min_confidence=confidence)
         except ConfigError as exc:
             raise CorruptIndex(f"index header out of range: {exc}") from exc
-        ids, counts, digests = _read_payload(blob, version, n_files, bands)
+        ids, counts, digests = _read_payload(blob, version, n_files, cls.band_count)
         seen: set[int] = set()
         for file_id in ids:
             if file_id in seen:

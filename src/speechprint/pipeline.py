@@ -31,9 +31,9 @@ from .fingerprint import (
     FingerprintConfig,
     Fingerprint,
     StreamingFingerprinter,
+    _too_short,
     config_digest,
     fingerprint_audio,
-    min_audio_seconds,
 )
 from .index import RetrievalIndex
 from .registry import LabelRegistry
@@ -250,18 +250,11 @@ class Session:
         )
         duration_s = n_out / CANONICAL_RATE
         fp = self._fingerprint(n_out)
-        if not len(fp.signatures):  # shorter than one block
-            minimum = min_audio_seconds(
-                pipeline.spectral_config, pipeline.fingerprint_config, CANONICAL_RATE
+        if not len(fp.signatures):
+            message = _too_short(
+                n_out, CANONICAL_RATE, pipeline.spectral_config, pipeline.fingerprint_config
             )
-            return IdentifyOutcome(
-                STATUS_ERROR,
-                message=(
-                    f"{duration_s:.3f}s of audio is below the "
-                    f"{minimum:.3f}s fingerprinting minimum"
-                ),
-                audio_consumed_s=duration_s,
-            )
+            return IdentifyOutcome(STATUS_ERROR, message=message, audio_consumed_s=duration_s)
         with pipeline._lock:
             if self._asked != (len(fp.signatures), len(pipeline.index)):
                 outcome = self._identify(fp, duration_s)

@@ -469,7 +469,7 @@ class LabelRegistry:
                     registry.assign(int(fid_str), int(label_str))
                 else:
                     raise ValueError("content before any section header")
-            except (ValueError, NotFound, DuplicateId) as exc:
+            except (ValueError, ConfigError, NotFound, DuplicateId) as exc:
                 raise ConfigError(
                     f"bad registry line {lineno} in {path}: {exc}"
                 ) from exc

@@ -244,6 +244,11 @@ def _decimation_taps(factor: int) -> np.ndarray:
     return taps
 
 
+def _reach(factor: int) -> int:
+    """Input samples a :class:`Decimator` output reads past its centre."""
+    return len(_decimation_taps(factor)) // 2 if factor > 1 else 0
+
+
 class Decimator:
     """Low-pass filtering and decimation by ``factor`` of a file or a stream.
 
@@ -269,10 +274,9 @@ class Decimator:
 
     def __init__(self, factor: int) -> None:
         self.factor = factor
-        self.reach = 0
+        self.reach = _reach(factor)
         if factor > 1:
             taps = _decimation_taps(factor)
-            self.reach = len(taps) // 2
             self._centre = taps[self.reach]
             self._pairs = [(j, taps[j]) for j in range(self.reach) if taps[j]]
             # the input from the next output's first tap on
@@ -375,7 +379,7 @@ class FrameTransform:
             factor *= 2
         self.decimation = factor
         # input samples an analysis sample reads past its own position
-        self.reach = len(_decimation_taps(factor)) // 2 if factor > 1 else 0
+        self.reach = _reach(factor)
         rate = sample_rate / factor
         self.window, self.hop, self.n_fft = window // factor, hop // factor, n_fft // factor
         self._taper = np.hanning(self.window)

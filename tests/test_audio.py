@@ -136,6 +136,19 @@ class TestBufferInvariants:
         with pytest.raises(ConfigError):
             AudioBuffer(np.zeros(10), 0)
 
+    @pytest.mark.parametrize(
+        "rate", [8000.5, 8000.0, True], ids=["8000.5", "8000.0", "True"]
+    )
+    def test_rejects_non_integer_rate(self, rate):
+        """A fractional rate fails later in resample or encode_wav, and
+        True would be a 1 Hz buffer."""
+        with pytest.raises(ConfigError, match="sample_rate must be an integer"):
+            AudioBuffer(np.zeros(10), rate)
+
+    def test_numpy_rate_held_as_int(self):
+        buf = AudioBuffer(np.zeros(10), np.int64(8000))
+        assert type(buf.sample_rate) is int and buf.sample_rate == 8000
+
     def test_rejects_non_mono(self):
         with pytest.raises(ConfigError):
             AudioBuffer(np.zeros((2, 10)), 8000)

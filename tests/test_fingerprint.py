@@ -87,6 +87,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FingerprintConfig(block_frames=32, block_hop_frames=33)
 
+    @pytest.mark.parametrize("field", ["block_frames", "block_hop_frames", "top_t"])
+    @pytest.mark.parametrize("value", [2.5, 128.0, True], ids=["2.5", "128.0", "True"])
+    def test_non_integer_fields_rejected(self, field, value):
+        """A bool would fingerprint as 1 but digest as "True", and a float
+        fails deep in numpy, so both stop here."""
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            FingerprintConfig(**{field: value})
+
+    def test_numpy_integer_fields_held_as_int(self):
+        cfg = FingerprintConfig(block_frames=np.int64(128), block_hop_frames=np.int64(32))
+        assert type(cfg.block_frames) is int and type(cfg.block_hop_frames) is int
+        spectral = SpectralConfig.for_variant("mel-vocal")
+        assert config_digest(spectral, cfg, 8000) == config_digest(
+            spectral, FingerprintConfig(), 8000
+        )
+
 
 class TestBlocks:
     def test_single_block_when_exact(self):
@@ -431,7 +447,6 @@ class TestVersion2Kernel:
             streamer.feed(clip.samples[start : start + chunk])
             for start in range(0, len(clip), chunk)
         ]
-        streamer.finish()
         monkeypatch.undo()
         return np.concatenate(rows), np.concatenate(stacks)
 
@@ -707,14 +722,10 @@ class TestLengthBoundary:
         for n, blocks_wanted in ((need, 1), (need - 1, 0)):
             streamer = StreamingFingerprinter(rate, spectral, LIBRARY)
             rows = [streamer.feed(samples[i : min(i + 997, n)]) for i in range(0, n, 997)]
-            assert len(np.concatenate(rows)) == streamer.blocks_emitted == blocks_wanted
+            assert len(np.concatenate(rows)) == blocks_wanted
             assert streamer.seconds_consumed == n / rate
             if blocks_wanted:
-                streamer.finish()
                 np.testing.assert_array_equal(np.concatenate(rows), fp.signatures)
-            else:
-                with pytest.raises(TooShort):
-                    streamer.finish()
 
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_six_seconds_complete_four_library_blocks(self, variant):
@@ -722,8 +733,8 @@ class TestLengthBoundary:
         last frame ends at 5.675 s, and the reach adds 13 samples."""
         spectral = SpectralConfig.for_variant(variant)
         streamer = StreamingFingerprinter(8000, spectral, LIBRARY)
-        streamer.feed(synth_speech_like(6.0, 8000, seed=42).samples)
-        assert streamer.blocks_emitted == 4
+        rows = streamer.feed(synth_speech_like(6.0, 8000, seed=42).samples)
+        assert len(rows) == 4
         fourth = min_audio_seconds(spectral, LIBRARY) + 3 * 32 * spectral.stride_s
         assert fourth < 6.0
 
@@ -739,8 +750,6 @@ class TestStreaming:
             streamer.feed(speech_clip.samples[start : start + chunk])
             for start in range(0, len(speech_clip), chunk)
         ]
-        streamer.finish()
-        assert streamer.blocks_emitted == len(batch.signatures)
         np.testing.assert_array_equal(np.concatenate(rows), batch.signatures)
 
     def test_subs_arrive_as_blocks_complete(self, speech_clip):
@@ -750,11 +759,11 @@ class TestStreaming:
         assert first.shape == (1, SMALL.n_permutations) and first.dtype == np.uint8
         assert streamer.feed(np.zeros(10)).shape == (0, SMALL.n_permutations)
 
-    def test_finish_raises_when_never_filled(self):
+    def test_no_rows_when_never_filled(self):
         streamer = StreamingFingerprinter(8000, self.CFG, SMALL)
-        streamer.feed(np.zeros(4000))
-        with pytest.raises(TooShort):
-            streamer.finish()
+        assert streamer.feed(np.zeros(4000)).shape == (0, SMALL.n_permutations)
+        with pytest.raises(TooShort, match="0.500s of audio is below the"):
+            fingerprint_audio(AudioBuffer(np.zeros(4000), 8000), self.CFG, SMALL)
 
     def test_buffer_stays_bounded(self, speech_clip):
         streamer = StreamingFingerprinter(8000, self.CFG, SMALL)

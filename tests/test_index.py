@@ -71,7 +71,7 @@ def prints(corpus):
 
 
 def build_index(prints, **thresholds):
-    idx = RetrievalIndex(DIGEST, FCFG.band_count, FCFG.band_width, **thresholds)
+    idx = RetrievalIndex(DIGEST, **thresholds)
     for fp in prints:
         idx.enroll(fp)
     return idx
@@ -187,7 +187,7 @@ class TestQuery:
         """The header stores the digest as a u64: any other value stops
         at construction, not at save with a struct.error."""
         with pytest.raises(ConfigError, match="config digest"):
-            RetrievalIndex(digest, FCFG.band_count, FCFG.band_width)
+            RetrievalIndex(digest)
 
     @pytest.mark.parametrize("votes", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
     def test_non_integer_votes_rejected(self, votes):
@@ -198,10 +198,7 @@ class TestQuery:
 
     def test_numpy_header_values_save_and_load(self, prints, tmp_path):
         """numpy integers are taken as the ints they hold."""
-        index = RetrievalIndex(
-            np.uint64(DIGEST), FCFG.band_count, FCFG.band_width,
-            min_band_votes=np.int64(3),
-        )
+        index = RetrievalIndex(np.uint64(DIGEST), min_band_votes=np.int64(3))
         assert type(index.config_digest) is int
         assert type(index.min_band_votes) is int
         index.enroll(prints[0])
@@ -381,8 +378,8 @@ class TestDuplicates:
 
 
 # small indexes over a 3-letter signature alphabet, so that band keys
-# collide often and pairs reach every vote count
-ORACLE_BANDS, ORACLE_WIDTH = 6, 2
+# collide often and pairs reach every vote count the tests ask for, 1 to 5
+ORACLE_BANDS, ORACLE_WIDTH = FCFG.band_count, FCFG.band_width
 ORACLE_IDS = (0, 5, 2**32, 2**32 + 1, 2**40, 2**63, 2**63 + 7, 2**64 - 2, 2**64 - 1)
 
 
@@ -449,13 +446,7 @@ def oracle_query(prints, query, votes, confidence):
 
 
 def oracle_index(prints, votes, confidence=0.01):
-    idx = RetrievalIndex(
-        0,
-        band_count=ORACLE_BANDS,
-        band_width=ORACLE_WIDTH,
-        min_band_votes=votes,
-        min_confidence=confidence,
-    )
+    idx = RetrievalIndex(0, min_band_votes=votes, min_confidence=confidence)
     for fp in prints:
         idx.enroll(fp)
     return idx
@@ -759,6 +750,23 @@ class TestPersistence:
         path.write_bytes(with_checksum(body))
         with pytest.raises(CorruptIndex, match="min_band_votes"):
             RetrievalIndex.load(path)
+
+    def test_header_of_another_band_layout_refused(self, index, tmp_path):
+        """The band layout is FingerprintConfig's: a version 3 or a
+        version 2 file whose header says 6 bands x 2 is refused, both
+        layouts named, before its payload is read."""
+        path = tmp_path / "idx.spix"
+        index.save(path)
+        v3 = path.read_bytes()
+        # band_count and band_width follow magic, version and digest
+        at = 4 + struct.calcsize("<HQ")
+        for blob in (v3, as_version_2(v3)):
+            body = blob[:at] + struct.pack("<HH", 6, 2) + blob[at + 4 : -8]
+            path.write_bytes(with_checksum(body))
+            with pytest.raises(
+                IncompatibleIndex, match="6 bands x 2, this build reads 20 bands x 5"
+            ):
+                RetrievalIndex.load(path)
 
     def test_load_past_the_row_cap_refused(self, index, tmp_path, monkeypatch):
         path = tmp_path / "idx.spix"

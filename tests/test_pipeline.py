@@ -26,6 +26,7 @@ from speechprint.errors import (
     DecodeError,
     IncompatibleIndex,
     SpeechprintError,
+    TooShort,
     UnsupportedFormat,
 )
 from speechprint.fingerprint import (
@@ -456,6 +457,27 @@ class TestIdentifyStream:
                 assert "fingerprinting minimum" in outcome.message
             else:
                 assert pipeline.index.stats().n_subs == 1
+
+    @pytest.mark.parametrize("variant", ["linear-vocal", "mel-vocal", "mel-wide"])
+    def test_too_short_reason_is_fingerprint_audios(self, variant):
+        """One sample under the minimum, a session's error message is the
+        text of the TooShort that fingerprint_audio raises."""
+        spectral = SpectralConfig.for_variant(variant)
+        n = round(min_audio_seconds(spectral, FCFG) * CANONICAL_RATE) - 1
+        clip = synth_speech_like(n / CANONICAL_RATE + 0.1, CANONICAL_RATE, seed=44)
+        short = audio_module.AudioBuffer(clip.samples[:n], CANONICAL_RATE)
+        with pytest.raises(TooShort) as raised:
+            fingerprint_audio(short, spectral, FCFG)
+        digest = config_digest(spectral, FCFG, CANONICAL_RATE)
+        pipeline = Pipeline(
+            RetrievalIndex.for_config(digest, FCFG), LabelRegistry(), spectral, FCFG
+        )
+        session = Session(pipeline, pipeline.index.query)
+        for chunk in stream_wav_bytes(encode_wav(short)):
+            assert session.feed(chunk) is None
+        outcome = session.finish()
+        assert outcome.status == STATUS_ERROR
+        assert outcome.message == str(raised.value)
 
 
 def split_bytes(blob: bytes, piece, rng=None):

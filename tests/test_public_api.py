@@ -86,10 +86,7 @@ def test_fingerprint_config_sets_only_the_block_geometry():
 # the thresholds it was made with, so no query or dedup call takes one:
 # update this table in the same change as the API and say so in CHANGES.md.
 INDEX_SIGNATURES = {
-    "__init__": [
-        "self", "config_digest", "band_count", "band_width", "min_band_votes",
-        "min_confidence",
-    ],
+    "__init__": ["self", "config_digest", "min_band_votes", "min_confidence"],
     "for_config": ["config_digest", "fingerprint_config"],
     "query": ["self", "fp"],
     "query_batch": ["self", "queries"],

@@ -486,6 +486,14 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             LabelRegistry.load(path)
 
+    def test_load_names_the_line_of_a_refused_label(self, tmp_path):
+        """create_cluster refuses label id 0 with a ConfigError, which
+        load reports with the file and the line like any other bad line."""
+        path = tmp_path / "bad.reg"
+        path.write_text("# registry\n[clusters]\n0\ten\tbusy\t\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"bad registry line 3 in .*bad\.reg: label ids"):
+            LabelRegistry.load(path)
+
 
 class TestBuildRegistry:
     def test_languages_never_share_clusters(self):
